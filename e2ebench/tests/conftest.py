@@ -1,0 +1,12 @@
+"""Put the checkout root (for ``e2ebench``) and ``src`` on the path.
+
+Run with ``python -m pytest e2ebench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))

@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test e2e-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -36,6 +36,11 @@ diff-test:
 	healing={'replication': 2, 'detector_enabled': True}); \
 	assert h.equal, h.detail; \
 	print('dataplane-diff: scalar == batched on', r.n_packets, 'packets +', f.n_packets, '+', h.n_packets, 'fleet requests')"
+
+# Tests of the end-to-end benchmark's own scripts (e2ebench/, outside
+# tier-1; see e2ebench/BENCH.md).
+e2e-test:
+	$(PY) -m pytest e2ebench/tests -q
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q -s

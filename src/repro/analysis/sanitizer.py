@@ -378,6 +378,7 @@ class CacheSanitizer:
         llc = hierarchy.llc
         n_slices = llc.n_slices
         n_sets = llc.n_sets
+        n_ways = llc.n_ways
         total = n_slices * n_sets
         count = total if full else min(self.scan_sets, total)
         self.scans += 1
@@ -400,8 +401,9 @@ class CacheSanitizer:
             slc, set_i = divmod(pos, n_sets)
             slice_cache = llc.slices[slc]
             where = slice_cache._where[set_i]
-            tags = slice_cache._tags[set_i]
-            valid = sum(1 for t in tags if t is not None)
+            tags = slice_cache._tags
+            base = set_i * n_ways
+            valid = sum(1 for t in tags[base:base + n_ways] if t is not None)
             if valid != len(where):
                 self._raise(
                     "double-count",
@@ -414,12 +416,14 @@ class CacheSanitizer:
                     mapped_lines=len(where),
                 )
             for line, way in where.items():
-                if tags[way] != line:
+                # A way outside the set would alias a neighbour's slot.
+                held = tags[base + way] if 0 <= way < n_ways else None
+                if held != line:
                     self._raise(
                         "double-count",
                         f"slice {slc} set {set_i} way {way}: shadow map "
                         f"says line {line:#x} but tag array holds "
-                        f"{tags[way]!r}",
+                        f"{held!r}",
                         slice=slc,
                         set=set_i,
                         way=way,

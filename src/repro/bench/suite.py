@@ -119,11 +119,15 @@ class BenchEntry:
 # ----------------------------------------------------------------------
 
 def _fig07_work(params: Mapping[str, Any]) -> Dict[str, float]:
-    # n_ops accesses per core per size point, read + write passes,
-    # normal + slice-aware placements.
-    n_cores = 8
-    n_sizes = len(params["sizes"])
-    return {"ops": float(params["n_ops"] * n_cores * n_sizes * 2 * 2)}
+    # Every simulated access of the sweep: warm-up, steady-state and
+    # measured passes per core, size point, op kind and placement.
+    from repro.cachesim.machines import HASWELL_E5_2667V3
+    from repro.experiments.fig07_ops_sweep import simulated_accesses
+
+    accesses = simulated_accesses(
+        params["sizes"], params["n_ops"], HASWELL_E5_2667V3.n_cores
+    )
+    return {"ops": float(accesses)}
 
 
 def _nfv_work(params: Mapping[str, Any]) -> Dict[str, float]:

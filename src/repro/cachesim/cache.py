@@ -130,12 +130,21 @@ class WayCache:
     ways and DDIO restricts I/O fills to (by default) 2 ways, so victim
     selection must understand way identity.
 
+    Set state is flat: ``_tags`` and ``_dirty`` hold one entry per
+    ``(set, way)`` slot at ``set_i * n_ways + way``, and one policy
+    object carries the replacement state of every set.  Only
+    ``_where`` (line -> way) stays per set, as dicts of ints the
+    garbage collector does not track.  A slice therefore owns a
+    constant number of GC-tracked containers whatever its set count.
+
     Args:
         n_sets: number of sets (power of two).
         n_ways: associativity.
-        policy: replacement policy name (``lru``, ``plru``, ``random``).
+        policy: replacement policy name (``lru``, ``plru``, ``random``,
+            ``srrip``, ``brrip``).
         name: label for diagnostics.
-        seed: seed forwarded to stochastic replacement policies.
+        seed: seed for stochastic replacement policies; set ``i``
+            draws from ``random.Random(seed + i)``.
     """
 
     def __init__(
@@ -155,12 +164,10 @@ class WayCache:
         self.name = name
         self.policy_name = policy
         self._set_mask = n_sets - 1
-        self._tags: List[List[Optional[int]]] = [
-            [None] * n_ways for _ in range(n_sets)
-        ]
-        self._dirty: List[List[bool]] = [[False] * n_ways for _ in range(n_sets)]
-        self._where: List[Dict[int, int]] = [dict() for _ in range(n_sets)]
-        self._policies = [make_policy(policy, n_ways, seed=seed + i) for i in range(n_sets)]
+        self._tags: List[Optional[int]] = [None] * (n_sets * n_ways)
+        self._dirty: List[bool] = [False] * (n_sets * n_ways)
+        self._where: List[Dict[int, int]] = [{} for _ in range(n_sets)]
+        self._policy = make_policy(policy, n_ways, seed=seed, n_sets=n_sets)
         self._all_ways = tuple(range(n_ways))
 
     @property
@@ -183,9 +190,9 @@ class WayCache:
         way = self._where[index].get(line_address)
         if way is None:
             return False
-        self._policies[index].touch(way)
+        self._policy.touch(way, index)
         if write:
-            self._dirty[index][way] = True
+            self._dirty[index * self.n_ways + way] = True
         return True
 
     def contains(self, line_address: int) -> bool:
@@ -213,33 +220,35 @@ class WayCache:
         """
         index = (line_address >> CACHE_LINE_BITS) & self._set_mask
         where = self._where[index]
+        base = index * self.n_ways
         existing = where.get(line_address)
         if existing is not None:
-            self._policies[index].touch(existing)
+            self._policy.touch(existing, index)
             if dirty:
-                self._dirty[index][existing] = True
+                self._dirty[base + existing] = True
             return None
         ways = self._all_ways if allowed_ways is None else tuple(allowed_ways)
         if not ways:
             raise ValueError("allowed_ways must be non-empty")
-        tags = self._tags[index]
+        tags = self._tags
         for way in ways:
-            if tags[way] is None:
+            if tags[base + way] is None:
                 self._fill(index, way, line_address, dirty)
                 return None
-        victim_way = self._policies[index].victim(ways)
-        victim_tag = tags[victim_way]
+        victim_way = self._policy.victim(ways, index)
+        victim_tag = tags[base + victim_way]
         assert victim_tag is not None
-        victim_dirty = self._dirty[index][victim_way]
+        victim_dirty = self._dirty[base + victim_way]
         del where[victim_tag]
         self._fill(index, victim_way, line_address, dirty)
         return (victim_tag, victim_dirty)
 
     def _fill(self, index: int, way: int, line_address: int, dirty: bool) -> None:
-        self._tags[index][way] = line_address
-        self._dirty[index][way] = dirty
+        slot = index * self.n_ways + way
+        self._tags[slot] = line_address
+        self._dirty[slot] = dirty
         self._where[index][line_address] = way
-        self._policies[index].reset(way)
+        self._policy.reset(way, index)
 
     def invalidate(self, line_address: int) -> Optional[bool]:
         """Drop a line; return its dirty bit, or ``None`` if absent."""
@@ -247,20 +256,30 @@ class WayCache:
         way = self._where[index].pop(line_address, None)
         if way is None:
             return None
-        self._tags[index][way] = None
-        dirty = self._dirty[index][way]
-        self._dirty[index][way] = False
+        slot = index * self.n_ways + way
+        self._tags[slot] = None
+        dirty = self._dirty[slot]
+        self._dirty[slot] = False
         return dirty
 
     def flush(self) -> List[Eviction]:
-        """Empty the cache, returning every line with its dirty bit."""
+        """Empty the cache, returning every line with its dirty bit.
+
+        The tag, dirty and shadow-map containers are cleared in place,
+        so references to them stay valid; replacement state is left
+        as is.
+        """
         drained: List[Eviction] = []
-        for index in range(self.n_sets):
-            for line_address, way in self._where[index].items():
-                drained.append((line_address, self._dirty[index][way]))
-            self._where[index].clear()
-            self._tags[index] = [None] * self.n_ways
-            self._dirty[index] = [False] * self.n_ways
+        dirty = self._dirty
+        n_ways = self.n_ways
+        for index, where in enumerate(self._where):
+            base = index * n_ways
+            for line_address, way in where.items():
+                drained.append((line_address, dirty[base + way]))
+            where.clear()
+        size = len(self._tags)
+        self._tags[:] = [None] * size
+        dirty[:] = [False] * size
         return drained
 
     def occupancy(self) -> int:

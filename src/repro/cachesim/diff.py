@@ -125,11 +125,14 @@ def state_fingerprint(hierarchy: CacheHierarchy) -> dict:
     fp["llc"] = [
         [
             sorted(
-                (tag, bool(slc._dirty[set_i][way]))
-                for way, tag in enumerate(ways)
+                (tag, bool(dirty))
+                for tag, dirty in zip(
+                    slc._tags[base:base + slc.n_ways],
+                    slc._dirty[base:base + slc.n_ways],
+                )
                 if tag is not None
             )
-            for set_i, ways in enumerate(slc._tags)
+            for base in range(0, len(slc._tags), slc.n_ways)
         ]
         for slc in hierarchy.llc.slices
     ]

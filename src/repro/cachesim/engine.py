@@ -214,10 +214,13 @@ class FastEngine:
         l2_mask = h.l2s[0]._set_mask
         l1_ways = h.l1s[0].n_ways
         l2_ways = h.l2s[0].n_ways
+        # Per slice: the per-set ``_where`` dicts, and the flat tag,
+        # dirty and (LRU) stamp lists indexed ``set_i * n_ways + way``.
+        # All are cleared in place by drains, never replaced.
         llc_where = [s._where for s in llc.slices]
         llc_tags = [s._tags for s in llc.slices]
         llc_dirty = [s._dirty for s in llc.slices]
-        llc_pols = [s._policies for s in llc.slices]
+        llc_pols = [s._policy for s in llc.slices]
         llc_mask = llc.slices[0]._set_mask
         all_ways = llc.slices[0]._all_ways
         counts = [sc.counts for sc in llc.counters.slices]
@@ -226,6 +229,7 @@ class FastEngine:
         run_prefetcher = h._run_prefetcher
         hash_slice_of = llc.hash.slice_of
         lru_fast = all(s.policy_name == "lru" for s in llc.slices)
+        llc_stamps = [getattr(p, "_stamp", None) for p in llc_pols]
         # CAT mask cache, invalidated via the controller's generation.
         cat_cache: list = [None, -1, [None] * n_cores]
         # line -> slice memo: the mapping is a pure function of the
@@ -272,66 +276,74 @@ class FastEngine:
                 allowed = cat_allowed(core)
             cnt[EV_FILLS] += 1
             set_i = (line >> 6) & llc_mask
+            base = set_i * n_llc_ways
             where = llc_where[slc][set_i]
-            pol = llc_pols[slc][set_i]
+            pol = llc_pols[slc]
+            stamp = llc_stamps[slc]
             existing = where.get(line)
             if existing is not None:
                 if lru_fast:
                     pol._clock += 1
-                    pol._stamp[existing] = pol._clock
+                    stamp[base + existing] = pol._clock
                 else:
-                    pol.touch(existing)
+                    pol.touch(existing, set_i)
                 if dirty:
-                    llc_dirty[slc][set_i][existing] = True
+                    llc_dirty[slc][base + existing] = True
                 return None
-            tags = llc_tags[slc][set_i]
-            dirt = llc_dirty[slc][set_i]
+            tags = llc_tags[slc]
+            dirt = llc_dirty[slc]
             if allowed is None:
-                ways = all_ways
                 # len(where) counts the valid ways, so a shorter dict
                 # guarantees an invalid way exists; .index finds the
                 # lowest one — the same way the reference scan picks.
                 if len(where) < n_llc_ways:
-                    w = tags.index(None)
-                    tags[w] = line
-                    dirt[w] = dirty
-                    where[line] = w
+                    slot = tags.index(None, base, base + n_llc_ways)
+                    tags[slot] = line
+                    dirt[slot] = dirty
+                    where[line] = slot - base
                     if lru_fast:
                         pol._clock += 1
-                        pol._stamp[w] = pol._clock
+                        stamp[slot] = pol._clock
                     else:
-                        pol.reset(w)
+                        pol.reset(slot - base, set_i)
                     return None
+                if lru_fast:
+                    # .index finds the first of equal stamps, matching
+                    # the reference LruPolicy's strict-less-than scan.
+                    stamps = stamp[base:base + n_llc_ways]
+                    vslot = base + stamps.index(min(stamps))
+                else:
+                    vslot = base + pol.victim(all_ways, set_i)
             else:
-                ways = allowed
-                for w in ways:
-                    if tags[w] is None:
-                        tags[w] = line
-                        dirt[w] = dirty
+                for w in allowed:
+                    slot = base + w
+                    if tags[slot] is None:
+                        tags[slot] = line
+                        dirt[slot] = dirty
                         where[line] = w
                         if lru_fast:
                             pol._clock += 1
-                            pol._stamp[w] = pol._clock
+                            stamp[slot] = pol._clock
                         else:
-                            pol.reset(w)
+                            pol.reset(w, set_i)
                         return None
-            if lru_fast:
-                # min() keeps the first of equal stamps, matching the
-                # reference LruPolicy's strict-less-than scan.
-                vw = min(ways, key=pol._stamp.__getitem__)
-            else:
-                vw = pol.victim(ways)
-            vtag = tags[vw]
-            vdirty = dirt[vw]
+                if lru_fast:
+                    # min() keeps the first of equal stamps, likewise.
+                    stamps = stamp[base:base + n_llc_ways]
+                    vslot = base + min(allowed, key=stamps.__getitem__)
+                else:
+                    vslot = base + pol.victim(allowed, set_i)
+            vtag = tags[vslot]
+            vdirty = dirt[vslot]
             del where[vtag]
-            tags[vw] = line
-            dirt[vw] = dirty
-            where[line] = vw
+            tags[vslot] = line
+            dirt[vslot] = dirty
+            where[line] = vslot - base
             if lru_fast:
                 pol._clock += 1
-                pol._stamp[vw] = pol._clock
+                stamp[vslot] = pol._clock
             else:
-                pol.reset(vw)
+                pol.reset(vslot - base, set_i)
             cnt[EV_EVICT] += 1
             if vdirty:
                 cnt[EV_WB] += 1
@@ -431,13 +443,14 @@ class FastEngine:
                 set_i = (vline >> 6) & llc_mask
                 way = llc_where[vslc][set_i].get(vline)
                 if way is not None:
-                    pol = llc_pols[vslc][set_i]
+                    pol = llc_pols[vslc]
+                    slot = set_i * n_llc_ways + way
                     if lru_fast:
                         pol._clock += 1
-                        pol._stamp[way] = pol._clock
+                        llc_stamps[vslc][slot] = pol._clock
                     else:
-                        pol.touch(way)
-                    llc_dirty[vslc][set_i][way] = True
+                        pol.touch(way, set_i)
+                    llc_dirty[vslc][slot] = True
                 else:
                     fill_llc(core, vline, True, vslc, stats)
                 return wb_frac[core][vslc]
@@ -545,12 +558,12 @@ class FastEngine:
             if way is not None:
                 cnt[EV_HITS] += 1
                 stats.llc_hits += 1
-                pol = llc_pols[slc][set_i]
+                pol = llc_pols[slc]
                 if lru_fast:
                     pol._clock += 1
-                    pol._stamp[way] = pol._clock
+                    llc_stamps[slc][set_i * n_llc_ways + way] = pol._clock
                 else:
-                    pol.touch(way)
+                    pol.touch(way, set_i)
                 if write:
                     c = store_commit + rfo_llc[core][slc]
                 else:
@@ -624,12 +637,14 @@ class FastEngine:
                     way = llc_where[slc][set_i].get(line)
                     if way is not None:
                         cnt[EV_HITS] += 1
-                        pol = llc_pols[slc][set_i]
+                        pol = llc_pols[slc]
                         if lru_fast:
                             pol._clock += 1
-                            pol._stamp[way] = pol._clock
+                            llc_stamps[slc][set_i * n_llc_ways + way] = (
+                                pol._clock
+                            )
                         else:
-                            pol.touch(way)
+                            pol.touch(way, set_i)
                         if write:
                             c = store_commit + rfo_llc[core][slc]
                         else:
@@ -685,13 +700,11 @@ class FastEngine:
         dw0, dw1 = (ddio_ways if two_ddio else (0, 0))
         EV_DDIO_F, EV_DDIO_R = EVENT_DDIO_FILLS, EVENT_DDIO_READS
 
-        # line -> (slc, set_i, where, pol, stamp, tags_outer,
-        # dirty_outer) memo for the replay paths.  The per-set
-        # ``_where`` dicts, policy objects and LRU stamp lists are
+        # line -> (slc, set_i, base, where, pol, stamp, tags, dirty)
+        # memo for the replay paths, where ``base`` is the set's first
+        # slot in the slice's flat lists.  Every container it holds is
         # stable for the model's lifetime (drains clear them in
-        # place), but the per-set tag/dirty lists are *replaced* on
-        # drain — so the memo holds the outer per-slice lists and
-        # indexes them per use.  Size-capped like slice_memo.
+        # place).  Size-capped like slice_memo.
         set_memo: dict = {}
         set_memo_get = set_memo.get
 
@@ -700,13 +713,13 @@ class FastEngine:
             if slc is None:
                 slc = slice_lookup(line)
             set_i = (line >> 6) & llc_mask
-            pol = llc_pols[slc][set_i]
             info = (
                 slc,
                 set_i,
+                set_i * n_llc_ways,
                 llc_where[slc][set_i],
-                pol,
-                getattr(pol, "_stamp", None),
+                llc_pols[slc],
+                llc_stamps[slc],
                 llc_tags[slc],
                 llc_dirty[slc],
             )
@@ -738,7 +751,7 @@ class FastEngine:
             entry = (
                 rows,
                 tuple(per_slc.items()),
-                tuple((row[0], row[3]) for row in rows),
+                tuple((row[0], row[4]) for row in rows),
             )
             if len(span_infos) >= (1 << 18):
                 span_infos.clear()
@@ -775,7 +788,7 @@ class FastEngine:
                     cnt = counts[slc]
                     cnt[EV_DDIO_F] += v
                     cnt[EV_FILLS] += v
-            for line, slc, set_i, where, pol, stamp, tags_o, dirt_o in rows:
+            for line, slc, set_i, base, where, pol, stamp, tags, dirt in rows:
                 m = resident_get(line)
                 if m is not None:
                     shift = line >> 6
@@ -792,52 +805,56 @@ class FastEngine:
                 if existing is not None:
                     if lru_fast:
                         pol._clock += 1
-                        stamp[existing] = pol._clock
+                        stamp[base + existing] = pol._clock
                     else:
-                        pol.touch(existing)
-                    dirt_o[set_i][existing] = True
+                        pol.touch(existing, set_i)
+                    dirt[base + existing] = True
                     continue
-                tags = tags_o[set_i]
-                dirt = dirt_o[set_i]
                 if two_ddio and lru_fast:
-                    if tags[dw0] is None:
+                    s0 = base + dw0
+                    s1 = base + dw1
+                    if tags[s0] is None:
                         vw = dw0
                         vtag = None
                         vdirty = False
-                    elif tags[dw1] is None:
+                    elif tags[s1] is None:
                         vw = dw1
                         vtag = None
                         vdirty = False
                     else:
-                        vw = dw0 if stamp[dw0] <= stamp[dw1] else dw1
-                        vtag = tags[vw]
-                        vdirty = dirt[vw]
+                        vw = dw0 if stamp[s0] <= stamp[s1] else dw1
+                        vtag = tags[base + vw]
+                        vdirty = dirt[base + vw]
                         del where[vtag]
                 else:
                     vw = -1
                     for w in ddio_ways:
-                        if tags[w] is None:
+                        if tags[base + w] is None:
                             vw = w
                             break
                     if vw < 0:
                         if lru_fast:
-                            vw = min(ddio_ways, key=stamp.__getitem__)
+                            vw = min(
+                                ddio_ways,
+                                key=stamp[base:base + n_llc_ways].__getitem__,
+                            )
                         else:
-                            vw = pol.victim(ddio_ways)
-                        vtag = tags[vw]
-                        vdirty = dirt[vw]
+                            vw = pol.victim(ddio_ways, set_i)
+                        vtag = tags[base + vw]
+                        vdirty = dirt[base + vw]
                         del where[vtag]
                     else:
                         vtag = None
                         vdirty = False
-                tags[vw] = line
-                dirt[vw] = True
+                slot = base + vw
+                tags[slot] = line
+                dirt[slot] = True
                 where[line] = vw
                 if lru_fast:
                     pol._clock += 1
-                    stamp[vw] = pol._clock
+                    stamp[slot] = pol._clock
                 else:
-                    pol.reset(vw)
+                    pol.reset(vw, set_i)
                 if vtag is None:
                     continue
                 # Evictions are rare on steady-state spans (lines are
@@ -876,7 +893,7 @@ class FastEngine:
                 if info is None:
                     info = set_lookup(first)
                 counts[info[0]][EV_DDIO_R] += 1
-                return 1, (1 if first in info[2] else 0)
+                return 1, (1 if first in info[3] else 0)
             entry = span_infos_get((first, last))
             if entry is None:
                 entry = span_info_rows(first, last)
@@ -946,16 +963,16 @@ class FastEngine:
                                 slc = info[0]
                                 cnt = counts[slc]
                                 cnt[EV_LOOKUPS] += 1
-                                way = info[2].get(line)
+                                way = info[3].get(line)
                                 if way is not None:
                                     cnt[EV_HITS] += 1
                                     n_llc += 1
-                                    pol = info[3]
+                                    pol = info[4]
                                     if lru_fast:
                                         pol._clock += 1
-                                        pol._stamp[way] = pol._clock
+                                        info[5][info[2] + way] = pol._clock
                                     else:
-                                        pol.touch(way)
+                                        pol.touch(way, info[1])
                                     if write:
                                         cc = store_commit + rfo_llc[core][slc]
                                     else:

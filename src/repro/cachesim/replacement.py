@@ -1,104 +1,145 @@
 """Replacement policies for way-organised cache sets.
 
-Policies operate on way indices within one set and support *way masks*
-(needed for CAT and DDIO): victim selection can be restricted to an
-allowed subset of ways.  All policies implement
-:class:`ReplacementPolicy`.
+One policy object holds the replacement state of *every* set of a
+cache (an LLC slice) in flat lists indexed ``set_i * stride + k``, so a
+slice costs a handful of containers however many sets it has.  Methods
+take the way first and the set index second (default ``0``): a policy
+built with ``n_sets=1`` is the classic single-set state machine.
+
+Policies support *way masks* (needed for CAT and DDIO): victim
+selection can be restricted to an allowed subset of ways.  All policies
+implement :class:`ReplacementPolicy`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Protocol, Sequence
+from typing import Dict, List, Protocol, Sequence
 
 
 class ReplacementPolicy(Protocol):
-    """Per-set replacement state machine."""
+    """Replacement state machine over the sets of one cache."""
 
-    def touch(self, way: int) -> None:
-        """Record a hit on *way*."""
+    def touch(self, way: int, set_i: int = 0) -> None:
+        """Record a hit on *way* of set *set_i*."""
 
-    def victim(self, allowed_ways: Sequence[int]) -> int:
+    def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         """Choose a victim among *allowed_ways* (all currently valid)."""
 
-    def reset(self, way: int) -> None:
-        """Record that *way* was (re)filled."""
+    def reset(self, way: int, set_i: int = 0) -> None:
+        """Record that *way* of set *set_i* was (re)filled."""
+
+
+def _check_geometry(n_ways: int, n_sets: int) -> None:
+    if n_ways <= 0:
+        raise ValueError(f"n_ways must be positive, got {n_ways}")
+    if n_sets <= 0:
+        raise ValueError(f"n_sets must be positive, got {n_sets}")
+
+
+class _PerSetRng:
+    """Lazily created ``random.Random(seed + set_i)`` per set.
+
+    A set's stream is created on its first draw, so it is identical to
+    one seeded eagerly at construction, and sets that never draw cost
+    nothing.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self._rngs: Dict[int, random.Random] = {}
+
+    def __call__(self, set_i: int) -> random.Random:
+        rng = self._rngs.get(set_i)
+        if rng is None:
+            rng = self._rngs[set_i] = random.Random(self.seed + set_i)
+        return rng
 
 
 class LruPolicy:
-    """True least-recently-used order over the ways of one set."""
+    """True least-recently-used order over the ways of each set.
 
-    def __init__(self, n_ways: int) -> None:
-        if n_ways <= 0:
-            raise ValueError(f"n_ways must be positive, got {n_ways}")
+    ``_stamp[set_i * n_ways + way]`` is the way's last-use time from one
+    cache-wide clock.  Stamps are only ever compared within a set, so a
+    shared monotonic clock picks the same victims as one clock per set.
+    """
+
+    def __init__(self, n_ways: int, n_sets: int = 1) -> None:
+        _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
-        # _stamp[w] is a monotonically increasing last-use time.
         self._clock = 0
-        self._stamp: List[int] = [-1] * n_ways
+        self._stamp: List[int] = [-1] * (n_sets * n_ways)
 
-    def touch(self, way: int) -> None:
+    def touch(self, way: int, set_i: int = 0) -> None:
         self._clock += 1
-        self._stamp[way] = self._clock
+        self._stamp[set_i * self.n_ways + way] = self._clock
 
-    def victim(self, allowed_ways: Sequence[int]) -> int:
+    def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         if not allowed_ways:
             raise ValueError("allowed_ways must be non-empty")
         stamp = self._stamp
+        base = set_i * self.n_ways
         best = allowed_ways[0]
-        best_stamp = stamp[best]
+        best_stamp = stamp[base + best]
         for way in allowed_ways[1:]:
-            if stamp[way] < best_stamp:
+            if stamp[base + way] < best_stamp:
                 best = way
-                best_stamp = stamp[way]
+                best_stamp = stamp[base + way]
         return best
 
-    def reset(self, way: int) -> None:
-        self.touch(way)
+    def reset(self, way: int, set_i: int = 0) -> None:
+        self.touch(way, set_i)
 
 
 class TreePlruPolicy:
     """Tree pseudo-LRU, as implemented by real Intel L1/L2 caches.
 
-    The tree is over ``n_ways`` leaves (``n_ways`` must be a power of
-    two).  Way masks are honoured by walking the tree but clamping the
-    descent to the allowed subtree when the preferred side contains no
-    allowed way.
+    Each set's tree is over ``n_ways`` leaves (``n_ways`` must be a
+    power of two), stored as ``n_ways - 1`` bits at offset
+    ``set_i * (n_ways - 1)``.  Way masks are honoured by walking the
+    tree but clamping the descent to the allowed subtree when the
+    preferred side contains no allowed way.
     """
 
-    def __init__(self, n_ways: int) -> None:
+    def __init__(self, n_ways: int, n_sets: int = 1) -> None:
         if n_ways <= 0 or n_ways & (n_ways - 1):
             raise ValueError(f"n_ways must be a positive power of two, got {n_ways}")
+        _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
-        self._bits: List[int] = [0] * max(1, n_ways - 1)
+        self._stride = max(1, n_ways - 1)
+        self._bits: List[int] = [0] * (n_sets * self._stride)
 
-    def touch(self, way: int) -> None:
+    def touch(self, way: int, set_i: int = 0) -> None:
         # Walk from root to the leaf, setting each bit to point *away*
         # from the touched way.
+        bits = self._bits
+        base = set_i * self._stride
         node = 0
         low, high = 0, self.n_ways
         while high - low > 1:
             mid = (low + high) // 2
             if way < mid:
-                self._bits[node] = 1  # protect left, point right
+                bits[base + node] = 1  # protect left, point right
                 node = 2 * node + 1
                 high = mid
             else:
-                self._bits[node] = 0  # protect right, point left
+                bits[base + node] = 0  # protect right, point left
                 node = 2 * node + 2
                 low = mid
-        del node
 
-    def victim(self, allowed_ways: Sequence[int]) -> int:
+    def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         if not allowed_ways:
             raise ValueError("allowed_ways must be non-empty")
         allowed = set(allowed_ways)
+        bits = self._bits
+        base = set_i * self._stride
         node = 0
         low, high = 0, self.n_ways
         while high - low > 1:
             mid = (low + high) // 2
             left_has = any(low <= way < mid for way in allowed)
             right_has = any(mid <= way < high for way in allowed)
-            go_left = self._bits[node] == 0
+            go_left = bits[base + node] == 0
             if go_left and not left_has:
                 go_left = False
             elif not go_left and not right_has:
@@ -115,28 +156,32 @@ class TreePlruPolicy:
             return min(allowed)
         return low
 
-    def reset(self, way: int) -> None:
-        self.touch(way)
+    def reset(self, way: int, set_i: int = 0) -> None:
+        self.touch(way, set_i)
 
 
 class RandomPolicy:
-    """Uniformly random victim selection (deterministic via seed)."""
+    """Uniformly random victim selection.
 
-    def __init__(self, n_ways: int, seed: int = 0) -> None:
-        if n_ways <= 0:
-            raise ValueError(f"n_ways must be positive, got {n_ways}")
+    Set *set_i* draws from its own ``random.Random(seed + set_i)``, so
+    each set's victim stream is deterministic and independent of the
+    traffic in other sets.
+    """
+
+    def __init__(self, n_ways: int, seed: int = 0, n_sets: int = 1) -> None:
+        _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
-        self._rng = random.Random(seed)
+        self._rng = _PerSetRng(seed)
 
-    def touch(self, way: int) -> None:  # random policy keeps no state
+    def touch(self, way: int, set_i: int = 0) -> None:  # random policy keeps no state
         return None
 
-    def victim(self, allowed_ways: Sequence[int]) -> int:
+    def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         if not allowed_ways:
             raise ValueError("allowed_ways must be non-empty")
-        return self._rng.choice(list(allowed_ways))
+        return self._rng(set_i).choice(list(allowed_ways))
 
-    def reset(self, way: int) -> None:
+    def reset(self, way: int, set_i: int = 0) -> None:
         return None
 
 
@@ -147,70 +192,81 @@ class SrripPolicy:
     policies that resist scanning/thrashing traffic — relevant here
     because DDIO packet streams and Zipf-tail one-hit wonders are
     exactly such traffic.  Each way carries a 2-bit re-reference
-    prediction value (RRPV): hits promote to 0, fills insert at
-    ``2**bits - 2``, and victims are the first way at the maximum
-    RRPV (aging every way when none is there).
+    prediction value (RRPV, ``_rrpv[set_i * n_ways + way]``): hits
+    promote to 0, fills insert at ``2**bits - 2``, and victims are the
+    first way at the maximum RRPV (aging every way when none is there).
     """
 
-    def __init__(self, n_ways: int, bits: int = 2) -> None:
-        if n_ways <= 0:
-            raise ValueError(f"n_ways must be positive, got {n_ways}")
+    def __init__(self, n_ways: int, bits: int = 2, n_sets: int = 1) -> None:
+        _check_geometry(n_ways, n_sets)
         if bits <= 0:
             raise ValueError(f"bits must be positive, got {bits}")
         self.n_ways = n_ways
         self.max_rrpv = (1 << bits) - 1
         self.insert_rrpv = self.max_rrpv - 1
-        self._rrpv: List[int] = [self.max_rrpv] * n_ways
+        self._rrpv: List[int] = [self.max_rrpv] * (n_sets * n_ways)
 
-    def touch(self, way: int) -> None:
-        self._rrpv[way] = 0
+    def touch(self, way: int, set_i: int = 0) -> None:
+        self._rrpv[set_i * self.n_ways + way] = 0
 
-    def victim(self, allowed_ways: Sequence[int]) -> int:
+    def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         if not allowed_ways:
             raise ValueError("allowed_ways must be non-empty")
         rrpv = self._rrpv
+        base = set_i * self.n_ways
         while True:
             for way in allowed_ways:
-                if rrpv[way] >= self.max_rrpv:
+                if rrpv[base + way] >= self.max_rrpv:
                     return way
             for way in allowed_ways:
-                rrpv[way] += 1
+                rrpv[base + way] += 1
 
-    def reset(self, way: int) -> None:
-        self._rrpv[way] = self.insert_rrpv
+    def reset(self, way: int, set_i: int = 0) -> None:
+        self._rrpv[set_i * self.n_ways + way] = self.insert_rrpv
 
 
 class BrripPolicy(SrripPolicy):
     """Bimodal RRIP: most fills insert at the maximum RRPV (evict-soon),
     a small fraction at ``max - 1`` — the thrash-resistant half of
     DRRIP.  One-hit-wonder streams (packet payloads, Zipf tails) wash
-    out of the cache almost immediately."""
+    out of the cache almost immediately.  The insertion draw of set
+    *set_i* comes from its own ``random.Random(seed + set_i)``."""
 
-    def __init__(self, n_ways: int, bits: int = 2, long_fraction: float = 1 / 32, seed: int = 0) -> None:
-        super().__init__(n_ways, bits)
+    def __init__(
+        self,
+        n_ways: int,
+        bits: int = 2,
+        long_fraction: float = 1 / 32,
+        seed: int = 0,
+        n_sets: int = 1,
+    ) -> None:
+        super().__init__(n_ways, bits, n_sets=n_sets)
         if not 0 < long_fraction <= 1:
             raise ValueError("long_fraction must be in (0, 1]")
         self.long_fraction = long_fraction
-        self._rng = random.Random(seed)
+        self._rng = _PerSetRng(seed)
 
-    def reset(self, way: int) -> None:
-        if self._rng.random() < self.long_fraction:
-            self._rrpv[way] = self.insert_rrpv
+    def reset(self, way: int, set_i: int = 0) -> None:
+        if self._rng(set_i).random() < self.long_fraction:
+            self._rrpv[set_i * self.n_ways + way] = self.insert_rrpv
         else:
-            self._rrpv[way] = self.max_rrpv
+            self._rrpv[set_i * self.n_ways + way] = self.max_rrpv
 
 
-def make_policy(name: str, n_ways: int, seed: int = 0) -> ReplacementPolicy:
+def make_policy(
+    name: str, n_ways: int, seed: int = 0, n_sets: int = 1
+) -> ReplacementPolicy:
     """Instantiate a replacement policy by name
-    (``lru``/``plru``/``random``/``srrip``/``brrip``)."""
+    (``lru``/``plru``/``random``/``srrip``/``brrip``) covering *n_sets*
+    sets; stochastic policies seed set ``i`` with ``seed + i``."""
     if name == "lru":
-        return LruPolicy(n_ways)
+        return LruPolicy(n_ways, n_sets=n_sets)
     if name == "plru":
-        return TreePlruPolicy(n_ways)
+        return TreePlruPolicy(n_ways, n_sets=n_sets)
     if name == "random":
-        return RandomPolicy(n_ways, seed=seed)
+        return RandomPolicy(n_ways, seed=seed, n_sets=n_sets)
     if name == "srrip":
-        return SrripPolicy(n_ways)
+        return SrripPolicy(n_ways, n_sets=n_sets)
     if name == "brrip":
-        return BrripPolicy(n_ways, seed=seed)
+        return BrripPolicy(n_ways, seed=seed, n_sets=n_sets)
     raise ValueError(f"unknown replacement policy {name!r}")

@@ -20,6 +20,15 @@ from repro.core.slice_aware import SliceAwareContext
 from repro.mem.address import CACHE_LINE
 from repro.mem.slice_array import SliceLocalArray
 
+#: Lines each core touches sequentially before the random passes.
+WARM_LINES_CAP = 1 << 16
+
+#: Unmeasured random accesses per core that reach steady state, by
+#: op kind.  Writes need a long pass: the dirty-line pipeline through
+#: L1+L2 is ~4 600 lines deep per core, and drain charges only reach
+#: steady rate once it is full.
+STEADY_OPS = {"read": 2000, "write": 6000}
+
 #: The paper's x-axis.
 PAPER_SIZES = [
     32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024,
@@ -70,8 +79,8 @@ def _run_size(
     hierarchy = context.hierarchy
     n_cores = len(addr_fns)
     rng = np.random.default_rng(seed)
-    warm_lines = min(n_lines, 1 << 16)
-    steady_ops = 6000 if write else 2000
+    warm_lines = min(n_lines, WARM_LINES_CAP)
+    steady_ops = STEADY_OPS["write" if write else "read"]
     if engine == "fast":
         # Same access sequence as the reference loops below, issued
         # through the batch engine: warm each core sequentially, then
@@ -104,10 +113,7 @@ def _run_size(
                 hierarchy.write(core, fn(i), 1)
             else:
                 hierarchy.read(core, fn(i), 1)
-    # Unmeasured randomised pass reaches steady state.  Writes need a
-    # long pass: the dirty-line pipeline through L1+L2 is ~4 600 lines
-    # deep per core, and drain charges only reach steady rate once it
-    # is full.
+    # Unmeasured randomised pass reaches steady state (STEADY_OPS).
     indices = rng.integers(0, n_lines, size=(steady_ops, n_cores))
     for op in range(steady_ops):
         for core in range(n_cores):
@@ -129,6 +135,21 @@ def _run_size(
             for core in range(n_cores):
                 cycles[core] += hierarchy.read(core, addr_fns[core](int(row[core])), 1)
     return cycles
+
+
+def simulated_accesses(sizes: List[int], n_ops: int, n_cores: int) -> int:
+    """Demand accesses :func:`run_fig07` issues over the whole sweep.
+
+    Per size point, op kind and placement, every core warms
+    ``min(lines, WARM_LINES_CAP)`` lines, then runs the unmeasured
+    steady-state pass and the *n_ops* measured accesses.
+    """
+    per_core = sum(
+        min(size // CACHE_LINE, WARM_LINES_CAP) + steady + n_ops
+        for size in sizes
+        for steady in STEADY_OPS.values()
+    )
+    return 2 * n_cores * per_core  # normal + slice-aware placements
 
 
 def run_fig07(

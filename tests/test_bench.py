@@ -138,6 +138,26 @@ class TestSuite:
             assert work, entry.name
             assert all(v > 0 for v in work.values()), entry.name
 
+    def test_fig07_work_counts_every_simulated_access(self, monkeypatch):
+        from repro.cachesim.hierarchy import CacheHierarchy
+        from repro.experiments.fig07_ops_sweep import run_fig07
+
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        built = []
+        original_init = CacheHierarchy.__init__
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(CacheHierarchy, "__init__", recording_init)
+        (entry,) = suite_by_name(["fig07-ops-sweep"])
+        params = entry.params_for("smoke")
+        run_fig07(**params)
+        simulated = sum(h.stats.reads + h.stats.writes for h in built)
+        assert simulated > 0
+        assert entry.work(params) == {"ops": float(simulated)}
+
 
 class TestMeasure:
     def test_micro_entries_end_to_end(self, monkeypatch):

@@ -110,9 +110,10 @@ def test_loads_only_default_kinds():
     assert state_fingerprint(reference) == state_fingerprint(fast)
 
 
-@pytest.mark.parametrize("policy", ["lru", "random"])
+@pytest.mark.parametrize("policy", ["lru", "plru", "random", "srrip", "brrip"])
 def test_replacement_policies(policy):
-    """The engine's inlined LRU and the generic-policy fallback."""
+    """The engine's inlined LRU and the generic-policy fallback for
+    every other policy."""
     spec = SMALL_HASWELL
     rng = random.Random(11)
     trace = random_trace(rng, 5000, spec.n_cores)

@@ -244,6 +244,26 @@ class TestScanFaults:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
 
+    def test_double_count_shadow_way_outside_set(self):
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        llc = hierarchy.llc
+        line = 0
+        home = llc.slice_of(line)
+        slice_cache = llc.slices[home]
+        slice_cache.insert(line)
+        set_index = (line >> 6) & (llc.n_sets - 1)
+        # A way past the set's end would alias the next set's first
+        # slot in the flat tag array; plant the line there too so only
+        # the bounds check can flag this set.
+        slice_cache._where[set_index][line] = llc.n_ways
+        slice_cache._tags[(set_index + 1) * llc.n_ways] = line
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "double-count"
+        assert excinfo.value.details["set"] == set_index
+        assert excinfo.value.details["way"] == llc.n_ways
+
     def test_double_count_tag_mismatch(self):
         san = CacheSanitizer()
         hierarchy = make_hierarchy(sanitizer=san)
@@ -257,8 +277,10 @@ class TestScanFaults:
         other_way = (way + 1) % llc.n_ways
         # Tag array holds the line in a different way than the map says,
         # with a bogus valid tag taking its place.
-        slice_cache._tags[set_index][other_way] = slice_cache._tags[set_index][way]
-        slice_cache._tags[set_index][way] = None
+        slot = set_index * llc.n_ways + way
+        other_slot = set_index * llc.n_ways + other_way
+        slice_cache._tags[other_slot] = slice_cache._tags[slot]
+        slice_cache._tags[slot] = None
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"

@@ -1078,6 +1078,43 @@ class FastEngine:
             stats.cycles += total_c
             return np.array(out_list, dtype=np.int64)
 
+        sanitizer = h.sanitizer
+        if sanitizer is not None:
+            # SlicedLLC.fill's per-fill way-mask check: a masked fill
+            # that newly inserts its line must land inside the mask.
+            # Bound only under a sanitizer (fixed at hierarchy
+            # construction), so the unsanitized closures are untouched.
+            # Rebinding the names below reaches every caller, since the
+            # closures above look them up when they run.
+            unchecked_llc_fill = llc_fill
+            unchecked_dma_fill_span = dma_fill_span
+
+            def llc_fill(line, core, dirty, slc):
+                allowed = cat_allowed(core)
+                where = llc_where[slc][(line >> 6) & llc_mask]
+                was_resident = line in where
+                victim = unchecked_llc_fill(line, core, dirty, slc)
+                if allowed is not None and not was_resident:
+                    sanitizer.check_fill_way(
+                        llc, slc, line, where.get(line), allowed, False
+                    )
+                return victim
+
+            def dma_fill_span(first, last, stats):
+                # One line at a time, so each check runs right after its
+                # fill, in the reference order.
+                n_lines = 0
+                for line in range(first, last + CACHE_LINE, CACHE_LINE):
+                    slc = slice_lookup(line)
+                    where = llc_where[slc][(line >> 6) & llc_mask]
+                    was_resident = line in where
+                    n_lines += unchecked_dma_fill_span(line, line, stats)
+                    if not was_resident:
+                        sanitizer.check_fill_way(
+                            llc, slc, line, where.get(line), ddio_ways, True
+                        )
+                return n_lines
+
         self._access = access
         self._run_batch = run_batch
         self._run_ops = run_ops

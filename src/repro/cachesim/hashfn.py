@@ -86,18 +86,16 @@ class ComplexAddressingHash:
     def slice_of_array(self, phys_addresses) -> "numpy.ndarray":
         """Vectorised :meth:`slice_of` over a numpy array of addresses.
 
-        Used by allocator scans classifying millions of lines; bitwise
-        parity is computed with the xor-fold trick per output bit.
+        Used by allocator scans classifying millions of lines; each
+        output bit is the low bit of a per-element popcount.
         """
         import numpy as np
 
         addresses = np.asarray(phys_addresses, dtype=np.uint64)
         out = np.zeros(addresses.shape, dtype=np.uint8)
         for position, mask in enumerate(self.masks):
-            masked = addresses & np.uint64(mask)
-            for shift in (32, 16, 8, 4, 2, 1):
-                masked ^= masked >> np.uint64(shift)
-            out |= ((masked & np.uint64(1)) << np.uint64(position)).astype(np.uint8)
+            bit = np.bitwise_count(addresses & np.uint64(mask)) & np.uint8(1)
+            out |= bit << np.uint8(position)
         return out
 
     def output_bit(self, phys_address: int, position: int) -> int:

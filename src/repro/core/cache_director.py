@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.cachesim.hashfn import SliceHash
 from repro.mem.address import CACHE_LINE
 
@@ -131,7 +133,8 @@ class CacheDirector:
         core_to_slice: preferred slice per core (from the NUCA profile).
         base_headroom: fixed headroom always reserved (DPDK default
             128 B) before the dynamic part.
-        max_lines: bound on the dynamic displacement in lines.
+        max_lines: bound on the dynamic displacement in lines, at most
+            16 so every offset fits its 4-bit udata64 field.
     """
 
     def __init__(
@@ -146,6 +149,11 @@ class CacheDirector:
         if base_headroom % CACHE_LINE:
             raise ValueError(
                 f"base headroom must be line-aligned, got {base_headroom}"
+            )
+        if not 1 <= max_lines <= 1 << UDATA_BITS_PER_SLICE:
+            raise ValueError(
+                f"max_lines must be in 1..{1 << UDATA_BITS_PER_SLICE} (the "
+                f"{UDATA_BITS_PER_SLICE}-bit udata64 field), got {max_lines}"
             )
         self.hash = slice_hash
         self.core_to_slice = list(core_to_slice)
@@ -163,27 +171,50 @@ class CacheDirector:
         """
         return self.base_headroom + (self.max_lines - 1) * CACHE_LINE
 
-    def precompute_udata(self, buf_phys: int) -> int:
-        """Pre-compute packed per-slice offsets for one mbuf.
+    def precompute_udata(self, buf_phys: Sequence[int]) -> List[int]:
+        """Pre-compute packed per-slice offsets for a whole mempool.
+
+        The ``len(buf_phys) x max_lines`` matrix of candidate data
+        lines is hashed once (vectorised when the hash has
+        ``slice_of_array``); each target slice then takes the first
+        matching line of every row, exactly as
+        :func:`headroom_lines_for_slice` would.
 
         Args:
-            buf_phys: physical address of the mbuf's buffer region
-                (where headroom starts); must be line-aligned.
+            buf_phys: physical address of each mbuf's buffer region
+                (where headroom starts); each must be line-aligned.
 
         Returns:
-            The packed udata64 value.  Slices with no reachable line
-            within ``max_lines`` encode offset 0 (the director then
-            falls back to the base headroom for those targets).
+            One packed udata64 value per buffer.  Slices with no
+            reachable line within ``max_lines`` encode offset 0 (the
+            director then falls back to the base headroom for those
+            targets).
         """
-        data_base = buf_phys + self.base_headroom
-        n = min(self.hash.n_slices, UDATA_MAX_SLICES)
-        offsets = []
-        for target in range(n):
-            k = headroom_lines_for_slice(
-                data_base, self.hash, target, min(self.max_lines, 16)
+        bufs = np.asarray(buf_phys, dtype=np.uint64)
+        if bufs.ndim != 1:
+            raise ValueError("buf_phys must be a flat sequence of buffer addresses")
+        misaligned = bufs[bufs % np.uint64(CACHE_LINE) != 0]
+        if misaligned.size:
+            raise ValueError(
+                f"buffer {int(misaligned[0]):#x} must be cache-line aligned"
             )
-            offsets.append(0 if k is None else k)
-        return pack_headrooms(offsets)
+        steps = np.arange(self.max_lines, dtype=np.uint64) * np.uint64(CACHE_LINE)
+        lines = (bufs + np.uint64(self.base_headroom))[:, None] + steps[None, :]
+        slice_of_array = getattr(self.hash, "slice_of_array", None)
+        if slice_of_array is not None:
+            slices = np.asarray(slice_of_array(lines))
+        else:
+            slice_of = self.hash.slice_of
+            slices = np.array(
+                [slice_of(a) for a in lines.ravel().tolist()], dtype=np.int64
+            ).reshape(lines.shape)
+        packed = np.zeros(len(bufs), dtype=np.uint64)
+        for target in range(min(self.hash.n_slices, UDATA_MAX_SLICES)):
+            # argmax is the first hit of each row, and 0 for a row
+            # without one: the "no reachable line" encoding.
+            first = np.argmax(slices == target, axis=1).astype(np.uint64)
+            packed |= first << np.uint64(UDATA_BITS_PER_SLICE * target)
+        return packed.tolist()
 
     def headroom_for_core(self, udata64: int, core: int) -> int:
         """Headroom (bytes) placing the first data line in *core*'s slice.

@@ -100,8 +100,11 @@ class Nic:
         #: Fault clock injecting wire-side faults, or ``None``.
         self.faults: Optional[FaultClock] = None
         if cache_director is not None:
-            for mbuf in mempool.mbufs:
-                mbuf.udata64 = cache_director.precompute_udata(mbuf.buf_phys)
+            udata = cache_director.precompute_udata(
+                [mbuf.buf_phys for mbuf in mempool.mbufs]
+            )
+            for mbuf, packed in zip(mempool.mbufs, udata):
+                mbuf.udata64 = packed
 
     # ------------------------------------------------------------------
     # Wire-side (what the link makes the NIC do)

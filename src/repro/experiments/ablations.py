@@ -531,8 +531,9 @@ def run_rx_strategy_comparison(
     director = CacheDirector(slice_hash, core_to_slice)
     extra = director.max_headroom - DEFAULT_HEADROOM
     pool = fresh_pool(DEFAULT_DATAROOM + extra)
-    for mbuf in pool.mbufs:
-        mbuf.udata64 = director.precompute_udata(mbuf.buf_phys)
+    udata = director.precompute_udata([mbuf.buf_phys for mbuf in pool.mbufs])
+    for mbuf, packed in zip(pool.mbufs, udata):
+        mbuf.udata64 = packed
     matches = 0
     for queue in queues:
         mbuf = pool.alloc()

@@ -21,7 +21,7 @@ def run_fig13_arm(
     micro_packets: int = 4000,
     runs: int = 3,
     seed: int = 0,
-    engine: str = "reference",
+    engine: str = "fast",
     dataplane: str = "scalar",
 ) -> NfvExperimentResult:
     """One arm (DPDK or +CacheDirector) of Fig. 13, independently runnable.
@@ -50,7 +50,7 @@ def run_fig13(
     micro_packets: int = 4000,
     runs: int = 3,
     seed: int = 0,
-    engine: str = "reference",
+    engine: str = "fast",
     dataplane: str = "scalar",
 ) -> Dict[str, NfvExperimentResult]:
     """Forwarding at 100 Gbps with RSS steering over 8 cores."""

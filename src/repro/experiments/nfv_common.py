@@ -76,7 +76,7 @@ def measure_service_times(
     micro_packets: int = 4000,
     n_cores: int = 8,
     seed: int = 0,
-    engine: str = "reference",
+    engine: str = "fast",
     faults: Optional[FaultClock] = None,
     watermarks: Optional[Tuple[int, int]] = None,
     dataplane: str = "scalar",
@@ -119,7 +119,7 @@ def run_nfv_experiment(
     ring_capacity: int = 1024,
     nic: Optional[NicModel] = None,
     seed: int = 0,
-    engine: str = "reference",
+    engine: str = "fast",
     fault_plan: Optional[object] = None,
     watermarks: Optional[Tuple[int, int]] = None,
     dataplane: str = "scalar",
@@ -173,10 +173,8 @@ def run_nfv_experiment(
             n_bulk_packets, rate_gbps=offered_gbps, seed_offset=run_index
         )
         steering = make_steering(steering_kind, n_cores)
-        flow_to_queue = {
-            i: steering.queue_for(flow_keys[i]) for i in range(len(flow_keys))
-        }
-        queues = np.array([flow_to_queue[int(f)] for f in flows])
+        queue_of_flow = np.array([steering.queue_for(key) for key in flow_keys])
+        queues = queue_of_flow[flows]
         service = bootstrap_service_ns(service_samples, len(sizes), rng)
         goodput_mask: Optional[np.ndarray] = None
         if clock is not None:

@@ -59,8 +59,9 @@ class KvsServer:
         rx_buffers: rotating RX buffer count (models the mbuf ring).
         fixed_cost: per-request instruction cost (parse, hash, respond)
             outside the measured memory accesses.
-        engine: cache-access engine for the request loop
-            (``"reference"`` or ``"fast"``; identical outcomes).
+        engine: cache-access engine for the request loop (``"fast"``
+            or the per-access ``"reference"`` oracle; identical
+            outcomes).
     """
 
     def __init__(
@@ -70,7 +71,7 @@ class KvsServer:
         core: int = 0,
         rx_buffers: int = 1024,
         fixed_cost: int = 30,
-        engine: str = "reference",
+        engine: str = "fast",
     ) -> None:
         if rx_buffers <= 0:
             raise ValueError(f"rx_buffers must be positive, got {rx_buffers}")

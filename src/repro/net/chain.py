@@ -140,9 +140,10 @@ class DutConfig:
     data_room: int = DEFAULT_DATAROOM
     ddio_enabled: bool = True
     seed: int = 0
-    #: Cache-access engine for the microsimulation: ``"reference"`` or
-    #: ``"fast"`` (identical outcomes; see ``repro.cachesim.engine``).
-    engine: str = "reference"
+    #: Cache-access engine for the microsimulation: ``"fast"`` or the
+    #: per-access ``"reference"`` oracle (identical outcomes; see
+    #: ``repro.cachesim.engine``).
+    engine: str = "fast"
     #: Optional mempool ``(low, high)`` in-use watermarks; when set the
     #: NIC sheds load under pressure instead of exhausting the pool.
     watermarks: Optional[Tuple[int, int]] = None

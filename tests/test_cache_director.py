@@ -76,33 +76,32 @@ class TestCacheDirector:
 
     def test_precompute_covers_all_slices(self):
         director, h = self.make()
-        buf_phys = 0x20000
-        udata = director.precompute_udata(buf_phys)
-        data_base = buf_phys + director.base_headroom
-        for target in range(8):
-            k = unpack_headroom(udata, target)
-            assert h.slice_of(data_base + k * CACHE_LINE) == target
+        bufs = [0x20000, 0x20800, 0x7FFFC0]
+        for buf_phys, udata in zip(bufs, director.precompute_udata(bufs)):
+            data_base = buf_phys + director.base_headroom
+            for target in range(8):
+                k = unpack_headroom(udata, target)
+                assert h.slice_of(data_base + k * CACHE_LINE) == target
 
     def test_headroom_places_header_in_core_slice(self):
         director, h = self.make()
         for core in range(8):
             buf_phys = 0x740000
-            udata = director.precompute_udata(buf_phys)
+            [udata] = director.precompute_udata([buf_phys])
             headroom = director.headroom_for_core(udata, core)
             assert h.slice_of(buf_phys + headroom) == core
 
     def test_headroom_is_line_aligned_from_buffer(self):
         director, _ = self.make()
-        udata = director.precompute_udata(0x4000)
+        [udata] = director.precompute_udata([0x4000])
         headroom = director.headroom_for_core(udata, 3)
         assert headroom % CACHE_LINE == 0
 
     def test_max_headroom_bound(self):
         director, h = self.make()
         # With the XOR hash the displacement never exceeds 7 lines.
-        for buf_phys in range(0, 0x10000, 0x1400):
-            buf_phys &= ~(CACHE_LINE - 1)
-            udata = director.precompute_udata(buf_phys)
+        bufs = [b & ~(CACHE_LINE - 1) for b in range(0, 0x10000, 0x1400)]
+        for udata in director.precompute_udata(bufs):
             for core in range(8):
                 headroom = director.headroom_for_core(udata, core)
                 assert headroom <= DEFAULT_BASE_HEADROOM + 7 * CACHE_LINE
@@ -110,7 +109,7 @@ class TestCacheDirector:
 
     def test_stats_recorded(self):
         director, _ = self.make()
-        udata = director.precompute_udata(0)
+        [udata] = director.precompute_udata([0])
         director.headroom_for_core(udata, 0)
         director.headroom_for_core(udata, 1)
         summary = director.stats.summary()
@@ -120,7 +119,7 @@ class TestCacheDirector:
     def test_slow_path_matches_fast_path(self):
         director, h = self.make()
         buf_phys = 0xABC000
-        udata = director.precompute_udata(buf_phys)
+        [udata] = director.precompute_udata([buf_phys])
         for target in range(8):
             direct = director.headroom_for_slice_direct(buf_phys, target)
             packed = director.base_headroom + unpack_headroom(udata, target) * CACHE_LINE
@@ -129,7 +128,7 @@ class TestCacheDirector:
     def test_works_with_skylake_hash(self):
         h = ModularSliceHash(18)
         director = CacheDirector(h, core_to_slice=[0, 4, 8, 12, 10, 14, 3, 15], max_lines=16)
-        udata = director.precompute_udata(0x9000)
+        [udata] = director.precompute_udata([0x9000])
         headroom = director.headroom_for_core(udata, 0)
         assert headroom >= director.base_headroom
 
@@ -139,6 +138,27 @@ class TestCacheDirector:
             CacheDirector(h, core_to_slice=[])
         with pytest.raises(ValueError):
             CacheDirector(h, core_to_slice=[0], base_headroom=100)
+
+    def test_max_lines_must_fit_udata_field(self):
+        h = haswell_complex_hash(8)
+        # A 4-bit udata64 entry encodes offsets 0..15, i.e. 16 lines.
+        with pytest.raises(ValueError):
+            CacheDirector(h, core_to_slice=[0], max_lines=17)
+        with pytest.raises(ValueError):
+            CacheDirector(h, core_to_slice=[0], max_lines=0)
+        director = CacheDirector(h, core_to_slice=[0], max_lines=16)
+        assert director.max_headroom == DEFAULT_BASE_HEADROOM + 15 * CACHE_LINE
+
+    def test_precompute_rejects_unaligned_buffer(self):
+        director, _ = self.make()
+        with pytest.raises(ValueError):
+            director.precompute_udata([0x4000, 0x4010])
+
+    def test_precompute_takes_a_sequence(self):
+        director, _ = self.make()
+        assert director.precompute_udata([]) == []
+        with pytest.raises(ValueError):
+            director.precompute_udata(0x4000)
 
 
 class TestHeadroomStats:

@@ -19,9 +19,10 @@ test-fast:
 
 # Fast-vs-reference engine equivalence: the differential replay harness
 # plus the hypothesis property suite (see docs/MODEL.md).  The
-# dataplane-diff step then replays one trace (and one fleet cell)
-# scalar-vs-batched end to end as a standalone smoke on top of the
-# marked tests in tests/test_dataplane_diff.py.
+# dataplane-diff step then replays one trace and three fleet cells
+# (fault-free, re-shard kills, replicated gray failures) scalar-vs-
+# batched end to end as a standalone smoke on top of the marked tests
+# in tests/test_dataplane_diff.py.
 diff-test:
 	$(PY) -m pytest tests/ -q -m differential
 	$(PY) -c "from repro.cachesim.diff import run_dataplane_differential, run_fleet_differential; \
@@ -31,11 +32,14 @@ diff-test:
 	f = run_fleet_differential(n_servers=2, n_tenants=2, requests=800, warmup=200, n_keys=512); \
 	assert f.equal, f.detail; \
 	from repro.faults.plan import plan_for_class; \
+	k = run_fleet_differential(n_servers=3, n_tenants=2, requests=800, warmup=200, n_keys=512, \
+	plan=plan_for_class('server-kill', seed=7, intensity=6.0)); \
+	assert k.equal, k.detail; \
 	h = run_fleet_differential(n_servers=3, n_tenants=2, requests=800, warmup=200, n_keys=512, \
 	plan=plan_for_class('fleet-gray', seed=7, intensity=6.0), \
 	healing={'replication': 2, 'detector_enabled': True}); \
 	assert h.equal, h.detail; \
-	print('dataplane-diff: scalar == batched on', r.n_packets, 'packets +', f.n_packets, '+', h.n_packets, 'fleet requests')"
+	print('dataplane-diff: scalar == batched on', r.n_packets, 'packets +', f.n_packets, '+', k.n_packets, '+', h.n_packets, 'fleet requests')"
 
 # Tests of the end-to-end benchmark's own scripts (e2ebench/, outside
 # tier-1; see e2ebench/BENCH.md).

@@ -687,7 +687,7 @@ def run_fleet_availability(
     healing: Optional[Mapping[str, Any]] = None,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> FleetAvailabilityResult:
-    """Sweep gray-failure intensity under the self-healing loop."""
+    """Sweep gray-failure intensity under the replicated fleet model."""
     grid = [
         float(v)
         for v in (intensities if intensities is not None

@@ -158,7 +158,8 @@ class OutageSchedule:
     kill intensity.
 
     Row 0 is drawn but never applied: outages begin at the first epoch
-    *boundary* (epoch 1), matching the legacy per-epoch kill loop.
+    *boundary* (epoch 1).  :func:`draw_guarded_kill_schedule` fills the
+    same shape for the fleet's re-shard model.
     """
 
     n_epochs: int
@@ -227,4 +228,44 @@ def draw_outage_schedule(
         stall_fires=stall_fires,
         stall_epochs=stall_epochs,
         recovery_epochs=recovery_epochs,
+    )
+
+
+def draw_guarded_kill_schedule(
+    clock: FaultClock, n_epochs: int, n_servers: int
+) -> OutageSchedule:
+    """Draw permanent, last-server-guarded kills for one fleet cell.
+
+    The re-shard membership model's kill process: at each epoch
+    boundary (epochs ``1 .. n_epochs - 1``) every alive server, in id
+    order, draws one ``fleet.server_kill`` Bernoulli at the plan's
+    rate, and drawing stops for the epoch once only one server is
+    alive — the fleet always keeps a server.  Kills are permanent, so
+    the alive set depends only on earlier draws and the whole schedule
+    can be drawn upfront.  Unlike :func:`draw_outage_schedule`, the
+    draw count depends on which kills fire, so fire sets do not nest
+    across intensities; stall and recovery grids stay all zero.
+    """
+    if n_epochs <= 0 or n_servers <= 0:
+        raise ValueError(
+            f"need positive grid, got {n_epochs} epochs × {n_servers} servers"
+        )
+    shape = (n_epochs, n_servers)
+    kill_fires = np.zeros(shape, dtype=bool)
+    rate = clock.rates.server_kill
+    alive = list(range(n_servers))
+    for epoch in range(1, n_epochs):
+        for sid in list(alive):
+            if len(alive) <= 1:
+                break
+            if clock.fires("fleet.server_kill", rate):
+                kill_fires[epoch, sid] = True
+                alive.remove(sid)
+    return OutageSchedule(
+        n_epochs=n_epochs,
+        n_servers=n_servers,
+        kill_fires=kill_fires,
+        stall_fires=np.zeros(shape, dtype=bool),
+        stall_epochs=np.zeros(shape, dtype=np.int64),
+        recovery_epochs=np.zeros(shape, dtype=np.int64),
     )

@@ -16,11 +16,15 @@ Layout:
 * :mod:`repro.fleet.traffic` — Zipf fleet traffic generation.
 * :mod:`repro.fleet.server` — one simulated server: machine spec,
   per-tenant CAT/slice budgets, per-tenant KVS instances.
-* :mod:`repro.fleet.cluster` — the load balancer + request loop:
-  routing, queueing, chaos server kills, failover re-sharding.
+* :mod:`repro.fleet.cluster` — the load balancer and the one serving
+  loop (:func:`run_fleet_cell`): routing, queueing, chaos server
+  kills, failover.
+* :mod:`repro.fleet.healing` — the replicated membership model's
+  mechanisms: replication config, failure detector, admission.
 
 The lab entry points live in :mod:`repro.experiments.fleet`
-(``fleet-scale`` and ``fleet-failover``), exposed via ``repro fleet``.
+(``fleet-scale``, ``fleet-failover``, ``fleet-availability`` and
+``fleet-durability``), exposed via ``repro fleet``.
 """
 
 from repro.fleet.cluster import (

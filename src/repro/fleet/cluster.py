@@ -1,36 +1,68 @@
-"""The fleet front end: routing, queueing, chaos kills, failover.
+"""The fleet front end and its one serving loop.
 
 :class:`FleetCluster` owns N :class:`~repro.fleet.server.FleetServer`
-instances and a :class:`~repro.fleet.ring.ConsistentHashRing` with one
-entry per *alive* server.  :func:`run_fleet_cell` drives a Zipf
-traffic stream through it:
+instances behind a static :class:`~repro.fleet.ring.ConsistentHashRing`
+holding every server.  :func:`run_fleet_cell` drives a Zipf traffic
+stream through it, epoch by epoch, in three phases:
 
-1. requests are processed strictly in arrival order;
-2. each request routes by consistent hash of ``(tenant, key)`` to the
-   owning server, waits for the server to drain its queue (one
-   simulated clock per server), then pays the full cache-simulated
-   KVS service cost on that server's hierarchy;
-3. at every epoch boundary the chaos clock may kill whole servers
-   (site ``fleet.server_kill``): a killed server leaves the ring, and
-   only its keys re-shard — to their ring successors, whose caches are
-   cold for them, which is exactly the tail inflation + recovery the
-   ``fleet-failover`` experiment measures.
+* **Phase A (decisions)** — admission, routing, the replica walk,
+  failover and hint recording.  Every input (arrival times,
+  aliveness, beliefs, shed flags) is frozen at the epoch boundary, so
+  decisions never depend on cache timing.
+* **Phase B (charging)** — each server charges its work items in
+  arrival order: one :meth:`~repro.fleet.server.FleetServer.serve`
+  call per item (``dataplane="scalar"``) or one
+  :meth:`~repro.fleet.server.FleetServer.serve_batch` pass
+  (``"batched"``) — bit-identical per request.
+* **Phase C (queueing)** — a per-server FIFO fold over the charged
+  cycles, applying the gray-stall service multiplier and failover
+  penalties; the bearing item's finish defines request latency.
+
+Membership follows one of two models, chosen by the ``healing``
+argument (:func:`~repro.fleet.healing.resolve_healing`):
+
+* **Re-shard** (no or trivial healing config) — kills come from
+  :func:`~repro.faults.streams.draw_guarded_kill_schedule`: permanent,
+  drawn per alive server at every epoch boundary, never the last alive
+  server.  The replica walk is a key's full successor list and dead
+  servers are skipped at no cost, so a dead owner's keys land on their
+  first live ring successor — whose cache is cold for them, which is
+  the tail inflation and recovery ``fleet-failover`` measures.  SETs
+  write only the serving server.
+* **Replicated** (any non-trivial config) — R-way replica sets, a
+  pre-drawn :class:`~repro.faults.streams.OutageSchedule` with stalls
+  and cold reboots, the heartbeat detector and admission control of
+  :mod:`repro.fleet.healing`; SETs fan out to every replica.  The
+  payload gains a ``self_healing`` block.
 
 Determinism contract: server layouts derive per-server seeds from the
-cell seed, kills draw from the plan's dedicated per-site stream (zero
-rates draw nothing), and routing is hash-based — so a cell result is a
-pure function of ``(params, seed, plan)``, a persisted plan replays
-bit-exactly, and a zero-rate plan is bit-identical to no plan at all.
+cell seed, every outage is drawn upfront from the plan's per-site
+streams (zero rates draw nothing), and routing is hash-based — so a
+cell result is a pure function of ``(params, seed, plan, healing)``, a
+persisted plan replays bit-exactly, and a zero-rate plan is
+bit-identical to no plan at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.faults.plan import FaultClock, resolve_plan
+from repro.faults.streams import (
+    OutageSchedule,
+    draw_guarded_kill_schedule,
+    draw_outage_schedule,
+)
+from repro.fleet.healing import (
+    HeartbeatDetector,
+    SelfHealingConfig,
+    TokenBucketAdmission,
+    lost_key_fraction,
+    resolve_healing,
+)
 from repro.fleet.ring import ConsistentHashRing, key_positions
 from repro.fleet.server import FleetServer
 from repro.fleet.traffic import (
@@ -88,76 +120,25 @@ class FleetCluster:
             )
             for server_id in range(config.n_servers)
         ]
-        self._by_name: Dict[str, FleetServer] = {
-            server.name: server for server in self.servers
-        }
         self.ring = ConsistentHashRing(vnodes=config.vnodes)
         for server in self.servers:
             self.ring.add_node(server.name)
 
     @property
     def alive_servers(self) -> List[FleetServer]:
-        """Servers still on the ring, in id order."""
+        """Alive servers, in id order."""
         return [server for server in self.servers if server.alive]
 
-    def server(self, name: str) -> FleetServer:
-        """Look up one server by ring name."""
-        return self._by_name[name]
+    def route_epoch(self, batch: TrafficBatch) -> np.ndarray:
+        """Each request's slot on the static ring (Phase A routing).
 
-    def kill_server(
-        self, name: str, request_index: int, allow_last: bool = False
-    ) -> None:
-        """Remove one server from service (chaos or operator action).
-
-        The legacy fleet must keep serving, so killing the last alive
-        server is refused unless *allow_last* — the self-healing path
-        sets it because total outage is a well-defined (and measured)
-        state there: requests simply find no live replica.
+        Ring node order is server id order, so the owners
+        :meth:`~repro.fleet.ring.ConsistentHashRing.successors_at`
+        returns for a slot are server ids.
         """
-        server = self._by_name[name]
-        if not server.alive:
-            raise ValueError(f"{name} is already dead")
-        if not allow_last and len(self.alive_servers) <= 1:
-            raise ValueError("cannot kill the last alive server")
-        server.kill(request_index)
-        self.ring.remove_node(name)
-
-    def stall_server(self, name: str, until_epoch: int) -> None:
-        """Turn one server gray (slow) until *until_epoch*.
-
-        Same last-server guard as :meth:`kill_server`: a stall on the
-        only alive server would leave the fleet with no healthy
-        capacity at all, so it is refused.
-        """
-        server = self._by_name[name]
-        if not server.alive:
-            raise ValueError(f"cannot stall {name}: already dead")
-        if len(self.alive_servers) <= 1:
-            raise ValueError("cannot stall the last alive server")
-        server.stall(until_epoch)
-
-    def depart_ring(self, name: str) -> None:
-        """Take a server out of routing (suspicion or death)."""
-        if name in self.ring:
-            self.ring.remove_node(name)
-
-    def rejoin_ring(self, name: str) -> None:
-        """Return a server to routing.
-
-        Virtual-node positions are a pure function of the name, so a
-        rejoining server reclaims its exact original ring segments —
-        only the keys that failed over during the outage remap back.
-        """
-        if name not in self.ring:
-            self.ring.add_node(name)
-
-    def route_epoch(self, batch: TrafficBatch) -> List[FleetServer]:
-        """Owning server per request under the current membership."""
-        owners = self.ring.route_positions(
+        return self.ring.slot_positions(
             key_positions(batch.tenants, batch.keys)
         )
-        nodes = self.ring.nodes
-        return [self._by_name[nodes[int(i)]] for i in owners]
 
 
 @dataclass
@@ -195,8 +176,8 @@ class FleetRunResult:
     alive_at_end: int = 0
     fault_counters: Optional[Dict[str, int]] = None
     #: Self-healing telemetry (detector/replication/admission); only
-    #: emitted when the healing layer ran, so legacy payloads — and the
-    #: goldens that embed them — are byte-for-byte unchanged.
+    #: emitted under the replicated membership model, so re-shard
+    #: payloads — and the goldens that embed them — carry no such key.
     self_healing: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -223,6 +204,17 @@ class FleetRunResult:
         return payload
 
 
+def _summary_of(values: np.ndarray) -> LatencySummary:
+    """Fleet latency summary; all zeros when nothing was served."""
+    if values.size:
+        return summarize_latencies(values, percentiles=FLEET_PERCENTILES)
+    return LatencySummary(
+        percentiles={q: 0.0 for q in FLEET_PERCENTILES},
+        mean=0.0,
+        count=0,
+    )
+
+
 def run_fleet_cell(
     n_servers: int,
     n_tenants: int,
@@ -247,48 +239,22 @@ def run_fleet_cell(
     The first *warmup* requests are served but excluded from the
     latency/goodput statistics (cold caches).  ``plan`` — a
     :class:`~repro.faults.plan.FaultPlan` or its persisted dict form —
-    arms the ``fleet.server_kill`` site; ``None`` or all-zero rates
-    leave every code path and RNG stream untouched.  ``dataplane``
-    selects how each server charges an epoch's requests: ``"scalar"``
-    serves one request at a time (the reference), ``"batched"`` groups
-    each epoch's requests by owning server and replays every server's
-    op stream in one flattened engine pass
-    (:meth:`FleetServer.serve_batch`) — results are bit-identical
-    because routing, queueing and kill draws never depend on cache
-    timing.
+    arms the fleet outage sites; ``None`` or all-zero rates leave every
+    code path and RNG stream untouched.  ``dataplane`` selects how
+    Phase B charges a server's work items: ``"scalar"`` serves one
+    request at a time (the reference), ``"batched"`` replays each
+    server's op stream in one flattened engine pass — results are
+    bit-identical because Phase A never depends on cache timing.
 
     ``healing`` — a :class:`~repro.fleet.healing.SelfHealingConfig` or
-    its dict form — switches the cell to the self-healing serving loop
-    (replication, failure detection, recovery, admission control).
-    ``None`` or a trivial config (R=1, detector off, admission off)
-    keeps this legacy loop, which stays bit-identical to every run
-    before the healing layer existed.
+    its dict form — selects the replicated membership model; ``None``
+    or a trivial config selects the re-shard model (see the module
+    docstring).  The re-shard model has permanent kills and no stalls,
+    so a plan that can stall (``server_stall``) or reboot
+    (``server_kill`` with ``server_recovery_epochs_max``) a server is
+    rejected with :class:`ValueError` rather than silently dropped.
     """
-    from repro.fleet.healing import resolve_healing
-
-    resolved_healing = resolve_healing(healing)
-    if resolved_healing is not None:
-        from repro.fleet.healing import run_healing_cell
-
-        return run_healing_cell(
-            n_servers=n_servers,
-            n_tenants=n_tenants,
-            requests=requests,
-            warmup=warmup,
-            n_keys=n_keys,
-            theta=theta,
-            get_fraction=get_fraction,
-            offered_mrps=offered_mrps,
-            vnodes=vnodes,
-            epoch_requests=epoch_requests,
-            tenant_ways=tenant_ways,
-            ddio_ways=ddio_ways,
-            engine=engine,
-            seed=seed,
-            plan=plan,
-            dataplane=dataplane,
-            healing=resolved_healing,
-        )
+    config = resolve_healing(healing)
     if dataplane not in ("scalar", "batched"):
         raise ValueError(
             f"dataplane must be 'scalar' or 'batched', got {dataplane!r}"
@@ -304,27 +270,61 @@ def run_fleet_cell(
             f"epoch_requests must be positive, got {epoch_requests}"
         )
     resolved = resolve_plan(plan)
+    if config is None and resolved is not None:
+        rates = resolved.rates
+        dropped = []
+        if rates.server_stall > 0.0:
+            dropped.append(f"server_stall={rates.server_stall:g}")
+        if rates.server_kill > 0.0 and rates.server_recovery_epochs_max > 0:
+            dropped.append(
+                f"server_recovery_epochs_max={rates.server_recovery_epochs_max}"
+            )
+        if dropped:
+            raise ValueError(
+                f"plan sets {', '.join(dropped)}, but without self-healing "
+                "kills are permanent and servers never stall; pass a "
+                "non-trivial healing= config (e.g. "
+                "healing={'detector_enabled': True}) to run them"
+            )
     clock = (
         FaultClock(resolved)
         if resolved is not None and resolved.rates.any_active
         else None
     )
-    config = FleetClusterConfig(
-        n_servers=n_servers,
-        n_tenants=n_tenants,
-        n_keys=n_keys,
-        vnodes=vnodes,
-        tenant_ways=tenant_ways,
-        ddio_ways=ddio_ways,
-        engine=engine,
+    n_epochs = (requests + epoch_requests - 1) // epoch_requests
+    schedule: Optional[OutageSchedule] = None
+    if clock is not None and (
+        clock.rates.server_kill > 0.0 or clock.rates.server_stall > 0.0
+    ):
+        draw = (
+            draw_outage_schedule
+            if config is not None
+            else draw_guarded_kill_schedule
+        )
+        schedule = draw(clock, n_epochs, n_servers)
+    # The re-shard model walks a key's whole successor list, skipping
+    # dead servers for free, and writes SETs to the serving server only.
+    settings = config if config is not None else SelfHealingConfig()
+    walk_depth = settings.replication if config is not None else n_servers
+
+    cluster = FleetCluster(
+        FleetClusterConfig(
+            n_servers=n_servers,
+            n_tenants=n_tenants,
+            n_keys=n_keys,
+            vnodes=vnodes,
+            tenant_ways=tenant_ways,
+            ddio_ways=ddio_ways,
+            engine=engine,
+        ),
+        seed=seed,
     )
-    cluster = FleetCluster(config, seed=seed)
+    servers = cluster.servers
     # A runtime CacheSanitizer needs its checks interleaved with the
     # accesses they guard; deferred replay breaks that, so fall back to
-    # the scalar loop (identical results, no speedup) when one is on.
+    # scalar charging (identical results, no speedup) when one is on.
     use_batched = dataplane == "batched" and all(
-        server.context.hierarchy.sanitizer is None
-        for server in cluster.servers
+        server.context.hierarchy.sanitizer is None for server in servers
     )
     generator = FleetTrafficGenerator(
         n_tenants=n_tenants,
@@ -335,122 +335,348 @@ def run_fleet_cell(
         seed=seed + 17,
     )
     batch = generator.generate(requests)
+    tenants = batch.tenants.tolist()
+    keys = batch.keys.tolist()
+    is_get = batch.is_get.tolist()
+    arrivals = batch.arrivals_cycles.tolist()
 
-    latencies_us = np.zeros(requests, dtype=float)
-    finishes = np.zeros(requests, dtype=float)
+    replica_cache: Dict[int, List[int]] = {}
+
+    def replicas_of(slot: int) -> List[int]:
+        cached = replica_cache.get(slot)
+        if cached is None:
+            cached = cluster.ring.successors_at(slot, walk_depth)
+            replica_cache[slot] = cached
+        return cached
+
+    detector = (
+        HeartbeatDetector(n_servers, settings)
+        if settings.detector_enabled
+        else None
+    )
+    believed_down: Set[int] = set()
+    admission = (
+        TokenBucketAdmission(
+            n_tenants,
+            settings.admit_tenant_mrps,
+            settings.admit_bucket_depth,
+        )
+        if settings.admit_tenant_mrps is not None
+        else None
+    )
+    shedding: Set[int] = set()
+
+    latencies_us = np.full(requests, np.nan)
+    finishes = np.full(requests, np.nan)
     kills: List[FleetKillEvent] = []
-    kill_rate = clock.rates.server_kill if clock is not None else 0.0
+    stall_log: List[Dict[str, Any]] = []
+    reboot_log: List[Dict[str, Any]] = []
+    detections: List[Dict[str, Any]] = []
+    rejoins: List[Dict[str, Any]] = []
+    hints: List[List[Tuple[int, int]]] = [[] for _ in range(n_servers)]
+    pending_event: Dict[int, Tuple[int, str]] = {}
+    counters = {
+        "served": 0,
+        "rejected": 0,
+        "shed": 0,
+        "unavailable": 0,
+        "failovers": 0,
+        "hints_recorded": 0,
+        "hints_replayed": 0,
+        "reboots": 0,
+        "stall_events": 0,
+    }
+    per_epoch: Dict[str, List[int]] = {
+        key: [0] * n_epochs
+        for key in ("served", "rejected", "shed", "unavailable")
+    }
+    believed_down_series: List[int] = [0] * n_epochs
+
+    def replay_hints(server: FleetServer, boundary_cycles: float) -> None:
+        """Re-warm a rebooted server from its hint queue (in order)."""
+        queued = hints[server.server_id]
+        if not queued:
+            return
+        busy = boundary_cycles
+        if use_batched:
+            services = server.serve_batch(
+                np.array([t for t, _ in queued], dtype=np.int64),
+                np.array([k for _, k in queued], dtype=np.int64),
+                np.zeros(len(queued), dtype=bool),
+            )
+            for service in services:
+                busy += float(service)
+        else:
+            for tenant, key in queued:
+                # Intentional scalar reference path (mirrors serve()).
+                busy += float(server.serve(tenant, key, False))  # deepcheck: ignore[PERF001,PERF005]
+        server.busy_until_cycles = busy
+        counters["hints_replayed"] += len(queued)
+        hints[server.server_id] = []
 
     for epoch_start in range(0, requests, epoch_requests):
         epoch = epoch_start // epoch_requests
-        if clock is not None and epoch > 0:
-            # Kill draws happen per alive server, in id order, at every
-            # epoch boundary after the first.  The last alive server is
-            # never killed (the fleet must keep serving) but clock
-            # decisions stay a pure function of the plan because each
-            # site draw consumes exactly one uniform.
-            for server in cluster.servers:
-                if not server.alive:
-                    continue
-                if len(cluster.alive_servers) <= 1:
-                    break
-                if clock.fires("fleet.server_kill", kill_rate):
-                    cluster.kill_server(server.name, epoch_start)
-                    clock.count("fleet.injected_server_kills")
-                    kills.append(
-                        FleetKillEvent(
-                            epoch=epoch,
-                            request_index=epoch_start,
-                            server=server.name,
-                        )
+        boundary_cycles = arrivals[epoch_start]
+        if epoch > 0:
+            # 1. Recoveries due this boundary: reboot cold, replay hints.
+            for server in servers:
+                if (
+                    not server.alive
+                    and server.down_until_epoch > 0
+                    and epoch >= server.down_until_epoch
+                ):
+                    server.reboot(epoch_start)
+                    replay_hints(server, boundary_cycles)
+                    counters["reboots"] += 1
+                    reboot_log.append(
+                        {"server": server.name, "epoch": epoch}
                     )
-        epoch_stop = min(epoch_start + epoch_requests, requests)
-        sub = batch.slice(epoch_start, epoch_stop)
-        owners = cluster.route_epoch(sub)
-        if use_batched:
-            # Group the epoch's requests by owning server, preserving
-            # arrival order within each group.  Servers have disjoint
-            # hierarchies and per-server FIFO queues, so per-server
-            # charging order equals the global loop's and queueing
-            # (below) folds the groups back by arrival index.
-            groups: Dict[int, List[int]] = {}
-            for i, server in enumerate(owners):
-                groups.setdefault(server.server_id, []).append(i)
-            by_id = {server.server_id: server for server in owners}
-            for server_id, indices in groups.items():
-                server = by_id[server_id]
-                rows = [epoch_start + i for i in indices]
-                services = server.serve_batch(
-                    batch.tenants[rows],
-                    batch.keys[rows],
-                    batch.is_get[rows],
-                )
-                busy = server.busy_until_cycles
-                for j, index in enumerate(rows):
-                    arrival = float(batch.arrivals_cycles[index])
-                    start = arrival if arrival > busy else busy
-                    busy = start + float(services[j])
-                    finishes[index] = busy
-                    latencies_us[index] = server.latency_us(busy - arrival)
-                server.busy_until_cycles = busy
-            continue
-        for i, server in enumerate(owners):
-            index = epoch_start + i
-            arrival = float(batch.arrivals_cycles[index])
-            # Intentional scalar reference path: one request at a time
-            # on the owning server, in global arrival order.
-            service = server.serve(  # deepcheck: ignore[PERF001,PERF005]
-                int(batch.tenants[index]),
-                int(batch.keys[index]),
-                bool(batch.is_get[index]),
-            )
-            start = max(arrival, server.busy_until_cycles)
-            finish = start + service
-            server.busy_until_cycles = finish
-            finishes[index] = finish
-            latencies_us[index] = server.latency_us(finish - arrival)
+            if schedule is not None:
+                # 2. Scheduled kills.  The schedule itself decides
+                # whether the last alive server may die (see
+                # repro.fleet.healing and draw_guarded_kill_schedule).
+                for sid, server in enumerate(servers):
+                    if schedule.kill_fires[epoch, sid] and server.alive:
+                        server.kill(epoch_start)
+                        delay = int(schedule.recovery_epochs[epoch, sid])
+                        server.down_until_epoch = (
+                            epoch + delay if delay > 0 else -1
+                        )
+                        assert clock is not None
+                        clock.count("fleet.injected_server_kills")
+                        pending_event[sid] = (epoch, "kill")
+                        kills.append(
+                            FleetKillEvent(
+                                epoch=epoch,
+                                request_index=epoch_start,
+                                server=server.name,
+                            )
+                        )
+                # 3. Scheduled stalls (guarded: never gray the last
+                # alive server — stalls do not feed the durability
+                # curves, so the guard cannot break monotonicity).
+                for sid, server in enumerate(servers):
+                    if not (
+                        schedule.stall_fires[epoch, sid] and server.alive
+                    ):
+                        continue
+                    if len(cluster.alive_servers) <= 1:
+                        continue
+                    until = epoch + int(schedule.stall_epochs[epoch, sid])
+                    if until > server.stalled_until_epoch:
+                        server.stall(until)
+                        assert clock is not None
+                        clock.count("fleet.injected_server_stalls")
+                        counters["stall_events"] += 1
+                        if sid not in pending_event:
+                            pending_event[sid] = (epoch, "stall")
+                        stall_log.append(
+                            {
+                                "server": server.name,
+                                "epoch": epoch,
+                                "until_epoch": until,
+                            }
+                        )
+            # 4. Failure detection (or perfect knowledge).
+            if detector is not None:
+                beating = [
+                    server.alive and not server.stalled_at(epoch)
+                    for server in servers
+                ]
+                suspected, recovered = detector.observe_epoch(epoch, beating)
+                believed_down = detector.believed_down
+                for sid in suspected:
+                    event = pending_event.pop(sid, None)
+                    detections.append(
+                        {
+                            "server": servers[sid].name,
+                            "kind": event[1] if event else "unknown",
+                            "event_epoch": event[0] if event else None,
+                            "detected_epoch": epoch,
+                            "lag_epochs": (
+                                epoch - event[0] if event else None
+                            ),
+                        }
+                    )
+                for sid in recovered:
+                    pending_event.pop(sid, None)
+                    rejoins.append(
+                        {"server": servers[sid].name, "rejoin_epoch": epoch}
+                    )
+            else:
+                believed_down = {
+                    server.server_id
+                    for server in servers
+                    if not server.alive
+                }
+            # Healthy beats clear stale pending events (stall ended
+            # before the detector ever noticed).
+            for sid in list(pending_event):
+                server = servers[sid]
+                if (
+                    server.alive
+                    and not server.stalled_at(epoch)
+                    and sid not in believed_down
+                ):
+                    del pending_event[sid]
+            # 5. Queue-lag watermark shedding with hysteresis.
+            if settings.shed_lag_high_us is not None:
+                low = settings.shed_lag_low_us
+                assert low is not None
+                for server in servers:
+                    lag_cycles = max(
+                        0.0, server.busy_until_cycles - boundary_cycles
+                    )
+                    lag_us = server.latency_us(lag_cycles)
+                    if lag_us > settings.shed_lag_high_us:
+                        shedding.add(server.server_id)
+                    elif lag_us < low:
+                        shedding.discard(server.server_id)
+        believed_down_series[epoch] = len(believed_down)
 
+        # ---- Phase A: decisions (timing-independent) ----------------
+        epoch_stop = min(epoch_start + epoch_requests, requests)
+        slots = cluster.route_epoch(batch.slice(epoch_start, epoch_stop))
+        # Per server: request rows in arrival order, and whether each
+        # row is the request's bearing item (the rest are SET fan-out).
+        work: Dict[int, Tuple[List[int], List[bool]]] = {}
+        penalties = [0.0] * (epoch_stop - epoch_start)
+        for index, slot in enumerate(slots.tolist(), epoch_start):
+            if admission is not None and not admission.admit(
+                tenants[index], arrivals[index]
+            ):
+                counters["rejected"] += 1
+                per_epoch["rejected"][epoch] += 1
+                continue
+            replicas = replicas_of(slot)
+            # Walk the replica set: skip believed-down replicas for
+            # free, pay a timeout on believed-up-but-dead ones, and
+            # bear the request on the first believed-up live server.
+            bearing_sid = -1
+            penalty = 0.0
+            for sid in replicas:
+                if sid in believed_down:
+                    continue
+                if not servers[sid].alive:
+                    penalty += settings.failover_timeout_cycles
+                    counters["failovers"] += 1
+                    continue
+                bearing_sid = sid
+                break
+            if bearing_sid < 0:
+                counters["unavailable"] += 1
+                per_epoch["unavailable"][epoch] += 1
+                continue
+            if bearing_sid in shedding:
+                counters["shed"] += 1
+                per_epoch["shed"][epoch] += 1
+                continue
+            counters["served"] += 1
+            per_epoch["served"][epoch] += 1
+            penalties[index - epoch_start] = penalty
+            rows, bearing = work.setdefault(bearing_sid, ([], []))
+            rows.append(index)
+            bearing.append(True)
+            if config is not None and not is_get[index]:
+                # SET fan-out: every other replica either serves the
+                # write (live) or gets a hint for rejoin replay.
+                for sid in replicas:
+                    if sid == bearing_sid:
+                        continue
+                    if sid in believed_down or not servers[sid].alive:
+                        hints[sid].append((tenants[index], keys[index]))
+                        counters["hints_recorded"] += 1
+                    else:
+                        rows, bearing = work.setdefault(sid, ([], []))
+                        rows.append(index)
+                        bearing.append(False)
+
+        # ---- Phase B: charging ---- Phase C: queueing fold ----------
+        for sid in sorted(work):
+            server = servers[sid]
+            rows, bearing = work[sid]
+            if use_batched:
+                services = server.serve_batch(
+                    batch.tenants[rows], batch.keys[rows], batch.is_get[rows]
+                )
+            else:
+                # Intentional scalar reference path (one serve per item).
+                services = [
+                    server.serve(tenants[r], keys[r], is_get[r])  # deepcheck: ignore[PERF001,PERF005]
+                    for r in rows
+                ]
+            factor = (
+                clock.rates.server_stall_factor
+                if clock is not None and server.stalled_at(epoch)
+                else 1.0
+            )
+            busy = server.busy_until_cycles
+            for row, bears, service in zip(rows, bearing, services):
+                arrival = arrivals[row]
+                effective = (
+                    arrival + penalties[row - epoch_start] if bears else arrival
+                )
+                start = effective if effective > busy else busy
+                busy = start + float(service) * factor
+                if bears:
+                    finishes[row] = busy
+                    latencies_us[row] = server.latency_us(busy - arrival)
+            server.busy_until_cycles = busy
+
+    # ---- Statistics (served requests only) --------------------------
     measured_slice = slice(warmup, requests)
     measured_lat = latencies_us[measured_slice]
-    measured = int(measured_lat.size)
-    duration_cycles = float(
-        finishes[measured_slice].max() - batch.arrivals_cycles[warmup]
-    )
+    served_mask = ~np.isnan(measured_lat)
+    measured = int(served_mask.sum())
+    if measured:
+        duration_cycles = float(
+            np.nanmax(finishes[measured_slice]) - arrivals[warmup]
+        )
+    else:
+        duration_cycles = 0.0
     duration_s = duration_cycles / (REFERENCE_FREQ_GHZ * 1e9)
     goodput_mrps = measured / duration_s / 1e6 if duration_s > 0 else 0.0
 
-    tenant_summaries: List[LatencySummary] = []
     measured_tenants = batch.tenants[measured_slice]
-    for tenant in range(n_tenants):
-        tenant_lat = measured_lat[measured_tenants == tenant]
-        if tenant_lat.size:
-            tenant_summaries.append(
-                summarize_latencies(tenant_lat, percentiles=FLEET_PERCENTILES)
-            )
-        else:
-            tenant_summaries.append(
-                LatencySummary(
-                    percentiles={q: 0.0 for q in FLEET_PERCENTILES},
-                    mean=0.0,
-                    count=0,
-                )
-            )
+    tenant_summaries = [
+        _summary_of(measured_lat[(measured_tenants == tenant) & served_mask])
+        for tenant in range(n_tenants)
+    ]
 
-    # Windowed p99 series, vectorized: one axis-wise percentile over
-    # the full windows plus one call for the ragged tail (bit-identical
-    # to the per-window loop deepcheck PERF004 flagged).
     window_p99: List[float] = []
-    n_full = max(0, (requests - warmup)) // epoch_requests
-    if n_full:
-        full_windows = latencies_us[
-            warmup : warmup + n_full * epoch_requests
-        ].reshape(n_full, epoch_requests)
-        window_p99 = [
-            float(v) for v in np.percentile(full_windows, 99.0, axis=1)
+    for window_start in range(warmup, requests, epoch_requests):
+        window = latencies_us[
+            window_start : min(window_start + epoch_requests, requests)
         ]
-    tail = latencies_us[warmup + n_full * epoch_requests : requests]
-    if tail.size:
-        window_p99.append(float(np.percentile(tail, 99.0)))
+        window = window[~np.isnan(window)]
+        # Served-only windows are ragged, so this stays a per-window
+        # loop (the vectorised reshape needs rectangular windows).
+        window_p99.append(  # deepcheck: ignore[PERF004]
+            float(np.percentile(window, 99.0)) if window.size else 0.0
+        )
+
+    self_healing: Optional[Dict[str, Any]] = None
+    if config is not None:
+        self_healing = {
+            "config": config.to_dict(),
+            "counters": dict(counters),
+            "per_epoch": {k: list(v) for k, v in per_epoch.items()},
+            "believed_down_per_epoch": list(believed_down_series),
+            "detections": detections,
+            "rejoins": rejoins,
+            "reboots": reboot_log,
+            "stalls": stall_log,
+            "believed_down_at_end": sorted(
+                servers[sid].name for sid in believed_down
+            ),
+            "lost_key_fraction": lost_key_fraction(
+                cluster.ring,
+                [server.alive for server in servers],
+                n_tenants,
+                n_keys,
+                config.replication,
+            ),
+        }
 
     return FleetRunResult(
         n_servers=n_servers,
@@ -460,15 +686,14 @@ def run_fleet_cell(
         goodput_mrps=goodput_mrps,
         offered_mrps=offered_mrps,
         duration_ms=duration_s * 1e3,
-        summary=summarize_latencies(
-            measured_lat, percentiles=FLEET_PERCENTILES
-        ),
+        summary=_summary_of(measured_lat[served_mask]),
         tenant_summaries=tenant_summaries,
         window_p99_us=window_p99,
-        server_stats=[server.stats() for server in cluster.servers],
+        server_stats=[server.stats() for server in servers],
         kills=kills,
         alive_at_end=len(cluster.alive_servers),
         fault_counters=(
             clock.stats.to_dict() if clock is not None else None
         ),
+        self_healing=self_healing,
     )

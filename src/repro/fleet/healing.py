@@ -1,47 +1,54 @@
-"""Self-healing fleet: replication, detection, recovery, admission.
+"""Self-healing mechanisms for the fleet's replicated membership model.
 
-:func:`run_healing_cell` is the self-healing counterpart of the legacy
-loop in :mod:`repro.fleet.cluster`.  It adds four mechanisms on top of
-the same servers, ring and traffic stream:
+:func:`~repro.fleet.cluster.run_fleet_cell` has one serving loop and
+two membership models.  :func:`resolve_healing` picks between them: a
+trivial :class:`SelfHealingConfig` (or none) selects the *re-shard*
+model — permanent guarded kills, a dead owner's keys moving to their
+first live ring successor — and anything else selects the *replicated*
+model, which uses the mechanisms defined here:
 
 * **R-way replication** — every ``(tenant, key)`` pair maps to the
   ``replication`` first *distinct* servers clockwise from its ring
   slot (:meth:`~repro.fleet.ring.ConsistentHashRing.successors_at`).
   Replica sets are computed on the **full static ring** so they nest
   across R (``R`` replicas are a prefix of ``R+1``'s) and stay fixed
-  as membership beliefs change; failover walks the set in order.
+  as membership beliefs change; failover walks the set in order, and
+  SETs fan out to every replica (a dead or suspected replica gets a
+  hint, replayed when it reboots).
 * **Transient failures + recovery** — whole-server kills and gray
   stalls come from a pre-drawn :class:`~repro.faults.streams.OutageSchedule`
   (nested sampling: fire sets are intensity-supersets).  A kill with a
   recovery delay reboots the server cold after the delay — the
   hierarchy and every tenant's KVS are re-provisioned, so the rejoin
-  re-warm is genuine simulated work.  Unlike the legacy loop there is
-  **no last-server kill guard**: a guard would break the monotone
+  re-warm is genuine simulated work.  Unlike the re-shard model there
+  is **no last-server kill guard**: a guard would break the monotone
   lost-key curves (whether a server is "last alive" depends on which
   other kills fired, so guarded fire sets stop nesting), and total
   outage is a well-defined measured state — requests simply count as
-  unavailable.
-* **Heartbeat failure detection** — a deterministic phi-accrual-style
-  detector: every alive, non-stalled server beats once per epoch;
+  unavailable.  :func:`lost_key_fraction` measures what is lost.
+* **Heartbeat failure detection** — :class:`HeartbeatDetector`, a
+  deterministic phi-accrual-style detector: every alive, non-stalled
+  server beats once per epoch;
   ``phi = elapsed / (mean_gap * ln 10)`` over a sliding window of
   observed gaps, and a server whose phi exceeds the threshold is
   *suspected* (clients stop trying it, so gray servers shed traffic).
   Stalled servers beat late, which inflates the window mean and slows
   future detection — the classic gray-failure cost, made measurable.
   A suspected server rejoins after ``rejoin_heartbeats`` consecutive
-  on-time beats.
-* **Admission control** — a per-tenant token bucket over arrival time
-  plus a per-server queue-lag watermark with hysteresis, both
-  evaluated only at epoch boundaries / from arrival times so decisions
-  never depend on cache timing (which is what keeps the scalar and
-  batched dataplanes bit-identical).
+  on-time beats.  With the detector off, clients have perfect
+  knowledge of which servers are dead.
+* **Admission control** — :class:`TokenBucketAdmission`, a per-tenant
+  token bucket over arrival time, plus a per-server queue-lag
+  watermark with hysteresis, both evaluated only at epoch boundaries
+  or from arrival times so decisions never depend on cache timing
+  (which is what keeps the scalar and batched dataplanes
+  bit-identical).
 
 Determinism contract: all randomness is the outage schedule, drawn
 upfront through the plan's :class:`~repro.faults.plan.FaultClock`
 per-site streams; everything else is a pure function of the arrival
-stream and epoch-boundary state.  A persisted plan replays bit-exactly
-and ``run_fleet_cell(healing=...)`` with a trivial config routes to
-the legacy loop, byte-identical with every pre-healing golden.
+stream and epoch-boundary state, so a persisted plan replays
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -53,25 +60,21 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.faults.plan import FaultClock, resolve_plan
-from repro.faults.streams import OutageSchedule, draw_outage_schedule
 from repro.fleet.ring import ConsistentHashRing, key_positions
-from repro.fleet.server import FleetServer
-from repro.fleet.traffic import REFERENCE_FREQ_GHZ, FleetTrafficGenerator
-from repro.stats.percentiles import LatencySummary, summarize_latencies
+from repro.fleet.traffic import REFERENCE_FREQ_GHZ
 
 _LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
 class SelfHealingConfig:
-    """Knobs for the self-healing serving loop.
+    """Knobs for the replicated membership model of the fleet loop.
 
     The defaults are all-off: ``replication=1``, detector disabled, no
     admission control.  Such a *trivial* config makes
-    :func:`resolve_healing` return ``None``, which routes
-    ``run_fleet_cell`` to the legacy loop — so passing a default
-    config is byte-identical to passing no config at all.
+    :func:`resolve_healing` return ``None``, which selects the
+    re-shard model in ``run_fleet_cell`` — so passing a default config
+    is byte-identical to passing no config at all.
     """
 
     #: Distinct servers per key (R).  1 = no replication.
@@ -139,7 +142,7 @@ class SelfHealingConfig:
 
     @property
     def is_trivial(self) -> bool:
-        """Whether this config changes nothing versus the legacy loop."""
+        """Whether this config selects the re-shard membership model."""
         return (
             self.replication == 1
             and not self.detector_enabled
@@ -167,9 +170,11 @@ def resolve_healing(healing: Optional[object]) -> Optional[SelfHealingConfig]:
     """Normalise a healing argument; trivial configs become ``None``.
 
     Accepts ``None``, a :class:`SelfHealingConfig`, or its dict form.
-    Returning ``None`` for trivial configs is what guarantees the
-    zero-feature path is *the legacy code*, not a re-implementation
-    that merely tries to match it.
+    ``None`` selects the re-shard membership model of
+    :func:`~repro.fleet.cluster.run_fleet_cell` (permanent guarded
+    kills, no replication, no ``self_healing`` payload block); a
+    config selects the replicated model.  Both models run the same
+    serving loop.
     """
     if healing is None:
         return None
@@ -326,500 +331,3 @@ def lost_key_fraction(
         if not any(alive[owner] for owner in owners):
             lost += int(count)
     return lost / float(tenants.size)
-
-
-@dataclass
-class _WorkItem:
-    """One unit of chargeable work on one server (phase A output)."""
-
-    request: int
-    tenant: int
-    key: int
-    is_get: bool
-    bearing: bool  # whether this item defines the request's latency
-
-
-def run_healing_cell(
-    n_servers: int,
-    n_tenants: int,
-    requests: int = 4000,
-    warmup: int = 800,
-    n_keys: int = 1 << 12,
-    theta: float = 0.99,
-    get_fraction: float = 0.95,
-    offered_mrps: float = 2.0,
-    vnodes: int = 64,
-    epoch_requests: int = 500,
-    tenant_ways: Optional[int] = None,
-    ddio_ways: Optional[int] = None,
-    engine: str = "fast",
-    seed: int = 0,
-    plan: Optional[object] = None,
-    dataplane: str = "scalar",
-    healing: Optional[SelfHealingConfig] = None,
-) -> "FleetRunResult":
-    """Simulate one fleet cell under the self-healing serving loop.
-
-    Structured as three phases per epoch so the scalar and batched
-    dataplanes are bit-identical by construction:
-
-    * **Phase A (decisions)** — admission, routing, replica walk,
-      failover and hint recording.  Every input (arrival times,
-      aliveness, beliefs, shed flags) is frozen at the epoch boundary,
-      so decisions never depend on cache timing.
-    * **Phase B (charging)** — each server charges its work items in
-      arrival order: one :meth:`~repro.fleet.server.FleetServer.serve`
-      call per item (scalar) or one
-      :meth:`~repro.fleet.server.FleetServer.serve_batch` (batched) —
-      documented bit-identical per request.
-    * **Phase C (queueing)** — per-server FIFO fold over the charged
-      cycles, applying the gray-stall service multiplier and failover
-      penalties; the bearing item's finish defines request latency.
-    """
-    from repro.fleet.cluster import (
-        FLEET_PERCENTILES,
-        FleetCluster,
-        FleetClusterConfig,
-        FleetKillEvent,
-        FleetRunResult,
-    )
-
-    if healing is None or healing.is_trivial:
-        raise ValueError(
-            "run_healing_cell needs a non-trivial SelfHealingConfig; "
-            "use run_fleet_cell for the legacy loop"
-        )
-    if dataplane not in ("scalar", "batched"):
-        raise ValueError(
-            f"dataplane must be 'scalar' or 'batched', got {dataplane!r}"
-        )
-    if requests <= 0:
-        raise ValueError(f"requests must be positive, got {requests}")
-    if not 0 <= warmup < requests:
-        raise ValueError(
-            f"warmup must be in [0, requests), got {warmup}/{requests}"
-        )
-    if epoch_requests <= 0:
-        raise ValueError(
-            f"epoch_requests must be positive, got {epoch_requests}"
-        )
-    config = healing
-    resolved = resolve_plan(plan)
-    clock = (
-        FaultClock(resolved)
-        if resolved is not None and resolved.rates.any_active
-        else None
-    )
-    n_epochs = (requests + epoch_requests - 1) // epoch_requests
-    schedule: Optional[OutageSchedule] = None
-    if clock is not None and (
-        clock.rates.server_kill > 0.0 or clock.rates.server_stall > 0.0
-    ):
-        schedule = draw_outage_schedule(clock, n_epochs, n_servers)
-
-    cluster_config = FleetClusterConfig(
-        n_servers=n_servers,
-        n_tenants=n_tenants,
-        n_keys=n_keys,
-        vnodes=vnodes,
-        tenant_ways=tenant_ways,
-        ddio_ways=ddio_ways,
-        engine=engine,
-    )
-    cluster = FleetCluster(cluster_config, seed=seed)
-    servers = cluster.servers
-    # Same sanitizer fallback as the legacy loop: deferred replay would
-    # decouple checks from the accesses they guard.
-    use_batched = dataplane == "batched" and all(
-        server.context.hierarchy.sanitizer is None for server in servers
-    )
-    generator = FleetTrafficGenerator(
-        n_tenants=n_tenants,
-        n_keys=n_keys,
-        theta=theta,
-        get_fraction=get_fraction,
-        offered_mrps=offered_mrps,
-        seed=seed + 17,
-    )
-    batch = generator.generate(requests)
-
-    # Replica sets live on the full static ring: slots for every
-    # request upfront, successor walks cached per unique slot.
-    slots = cluster.ring.slot_positions(
-        key_positions(batch.tenants, batch.keys)
-    )
-    replica_cache: Dict[int, List[int]] = {}
-
-    def replicas_of(slot: int) -> List[int]:
-        cached = replica_cache.get(slot)
-        if cached is None:
-            cached = cluster.ring.successors_at(slot, config.replication)
-            replica_cache[slot] = cached
-        return cached
-
-    detector = (
-        HeartbeatDetector(n_servers, config)
-        if config.detector_enabled
-        else None
-    )
-    believed_down: Set[int] = set()
-    admission = (
-        TokenBucketAdmission(
-            n_tenants,
-            config.admit_tenant_mrps,
-            config.admit_bucket_depth,
-        )
-        if config.admit_tenant_mrps is not None
-        else None
-    )
-    shedding: Set[int] = set()
-
-    latencies_us = np.full(requests, np.nan)
-    finishes = np.full(requests, np.nan)
-    kills: List[FleetKillEvent] = []
-    stall_log: List[Dict[str, int]] = []
-    reboot_log: List[Dict[str, Any]] = []
-    detections: List[Dict[str, Any]] = []
-    rejoins: List[Dict[str, Any]] = []
-    hints: List[List[Tuple[int, int]]] = [[] for _ in range(n_servers)]
-    pending_event: Dict[int, Tuple[int, str]] = {}
-    counters = {
-        "served": 0,
-        "rejected": 0,
-        "shed": 0,
-        "unavailable": 0,
-        "failovers": 0,
-        "hints_recorded": 0,
-        "hints_replayed": 0,
-        "reboots": 0,
-        "stall_events": 0,
-    }
-    per_epoch: Dict[str, List[int]] = {
-        key: [0] * n_epochs
-        for key in ("served", "rejected", "shed", "unavailable")
-    }
-    believed_down_series: List[int] = [0] * n_epochs
-
-    def replay_hints(server: FleetServer, boundary_cycles: float) -> None:
-        """Re-warm a rebooted server from its hint queue (in order)."""
-        queued = hints[server.server_id]
-        if not queued:
-            return
-        busy = boundary_cycles
-        if use_batched:
-            services = server.serve_batch(
-                np.array([t for t, _ in queued], dtype=np.int64),
-                np.array([k for _, k in queued], dtype=np.int64),
-                np.zeros(len(queued), dtype=bool),
-            )
-            for service in services:
-                busy += float(service)
-        else:
-            for tenant, key in queued:
-                # Intentional scalar reference path (mirrors serve()).
-                busy += float(server.serve(tenant, key, False))  # deepcheck: ignore[PERF001,PERF005]
-        server.busy_until_cycles = busy
-        counters["hints_replayed"] += len(queued)
-        hints[server.server_id] = []
-
-    for epoch_start in range(0, requests, epoch_requests):
-        epoch = epoch_start // epoch_requests
-        boundary_cycles = float(batch.arrivals_cycles[epoch_start])
-        if epoch > 0:
-            # 1. Recoveries due this boundary: reboot cold, replay hints.
-            for server in servers:
-                if (
-                    not server.alive
-                    and server.down_until_epoch > 0
-                    and epoch >= server.down_until_epoch
-                ):
-                    server.reboot(epoch_start)
-                    replay_hints(server, boundary_cycles)
-                    counters["reboots"] += 1
-                    reboot_log.append(
-                        {"server": server.name, "epoch": epoch}
-                    )
-            # 2. Scheduled kills (no last-server guard — see module doc).
-            if schedule is not None:
-                for sid in range(n_servers):
-                    server = servers[sid]
-                    if schedule.kill_fires[epoch, sid] and server.alive:
-                        server.kill(epoch_start)
-                        delay = int(schedule.recovery_epochs[epoch, sid])
-                        server.down_until_epoch = (
-                            epoch + delay if delay > 0 else -1
-                        )
-                        assert clock is not None
-                        clock.count("fleet.injected_server_kills")
-                        pending_event[sid] = (epoch, "kill")
-                        kills.append(
-                            FleetKillEvent(
-                                epoch=epoch,
-                                request_index=epoch_start,
-                                server=server.name,
-                            )
-                        )
-                # 3. Scheduled stalls (guarded: never gray the last
-                # alive server — stalls do not feed the durability
-                # curves, so the guard cannot break monotonicity).
-                for sid in range(n_servers):
-                    server = servers[sid]
-                    if not (
-                        schedule.stall_fires[epoch, sid] and server.alive
-                    ):
-                        continue
-                    if len(cluster.alive_servers) <= 1:
-                        continue
-                    until = epoch + int(schedule.stall_epochs[epoch, sid])
-                    if until > server.stalled_until_epoch:
-                        server.stall(until)
-                        assert clock is not None
-                        clock.count("fleet.injected_server_stalls")
-                        counters["stall_events"] += 1
-                        if sid not in pending_event:
-                            pending_event[sid] = (epoch, "stall")
-                        stall_log.append(
-                            {
-                                "server_id": sid,
-                                "epoch": epoch,
-                                "until_epoch": until,
-                            }
-                        )
-            # 4. Failure detection (or perfect knowledge).
-            if detector is not None:
-                beating = [
-                    server.alive and not server.stalled_at(epoch)
-                    for server in servers
-                ]
-                suspected, recovered = detector.observe_epoch(epoch, beating)
-                believed_down = detector.believed_down
-                for sid in suspected:
-                    event = pending_event.pop(sid, None)
-                    detections.append(
-                        {
-                            "server": servers[sid].name,
-                            "kind": event[1] if event else "unknown",
-                            "event_epoch": event[0] if event else None,
-                            "detected_epoch": epoch,
-                            "lag_epochs": (
-                                epoch - event[0] if event else None
-                            ),
-                        }
-                    )
-                for sid in recovered:
-                    pending_event.pop(sid, None)
-                    rejoins.append(
-                        {"server": servers[sid].name, "rejoin_epoch": epoch}
-                    )
-            else:
-                believed_down = {
-                    sid
-                    for sid in range(n_servers)
-                    if not servers[sid].alive
-                }
-            # Healthy beats clear stale pending events (stall ended
-            # before the detector ever noticed).
-            for sid in list(pending_event):
-                server = servers[sid]
-                if server.alive and not server.stalled_at(epoch):
-                    if detector is None or sid not in believed_down:
-                        del pending_event[sid]
-            # 5. Queue-lag watermark shedding with hysteresis.
-            if config.shed_lag_high_us is not None:
-                low = config.shed_lag_low_us
-                assert low is not None
-                for server in servers:
-                    lag_cycles = max(
-                        0.0, server.busy_until_cycles - boundary_cycles
-                    )
-                    lag_us = server.latency_us(lag_cycles)
-                    if lag_us > config.shed_lag_high_us:
-                        shedding.add(server.server_id)
-                    elif lag_us < low:
-                        shedding.discard(server.server_id)
-        believed_down_series[epoch] = len(believed_down)
-
-        # ---- Phase A: decisions (timing-independent) ----------------
-        epoch_stop = min(epoch_start + epoch_requests, requests)
-        items: Dict[int, List[_WorkItem]] = {}
-        penalties = np.zeros(epoch_stop - epoch_start)
-        for index in range(epoch_start, epoch_stop):
-            tenant = int(batch.tenants[index])
-            key = int(batch.keys[index])
-            is_get = bool(batch.is_get[index])
-            if admission is not None and not admission.admit(
-                tenant, float(batch.arrivals_cycles[index])
-            ):
-                counters["rejected"] += 1
-                per_epoch["rejected"][epoch] += 1
-                continue
-            replicas = replicas_of(int(slots[index]))
-            # Walk the replica set: skip believed-down replicas for
-            # free, pay a timeout on believed-up-but-dead ones, and
-            # bear the request on the first believed-up live server.
-            bearing_sid = -1
-            penalty = 0.0
-            for sid in replicas:
-                if sid in believed_down:
-                    continue
-                if not servers[sid].alive:
-                    penalty += config.failover_timeout_cycles
-                    counters["failovers"] += 1
-                    continue
-                bearing_sid = sid
-                break
-            if bearing_sid < 0:
-                counters["unavailable"] += 1
-                per_epoch["unavailable"][epoch] += 1
-                continue
-            if bearing_sid in shedding:
-                counters["shed"] += 1
-                per_epoch["shed"][epoch] += 1
-                continue
-            counters["served"] += 1
-            per_epoch["served"][epoch] += 1
-            penalties[index - epoch_start] = penalty
-            items.setdefault(bearing_sid, []).append(
-                _WorkItem(index, tenant, key, is_get, True)
-            )
-            if not is_get:
-                # SET fan-out: every other replica either serves the
-                # write (live) or gets a hint for rejoin replay.
-                for sid in replicas:
-                    if sid == bearing_sid:
-                        continue
-                    if sid in believed_down or not servers[sid].alive:
-                        hints[sid].append((tenant, key))
-                        counters["hints_recorded"] += 1
-                    else:
-                        items.setdefault(sid, []).append(
-                            _WorkItem(index, tenant, key, False, False)
-                        )
-
-        # ---- Phase B: charging ---- Phase C: queueing fold ----------
-        for sid in sorted(items):
-            server = servers[sid]
-            work = items[sid]
-            if use_batched:
-                services = server.serve_batch(
-                    np.array([w.tenant for w in work], dtype=np.int64),
-                    np.array([w.key for w in work], dtype=np.int64),
-                    np.array([w.is_get for w in work], dtype=bool),
-                )
-            else:
-                # Intentional scalar reference path (one serve per item).
-                services = [
-                    float(server.serve(w.tenant, w.key, w.is_get))  # deepcheck: ignore[PERF001,PERF005]
-                    for w in work
-                ]
-            factor = (
-                clock.rates.server_stall_factor
-                if clock is not None and server.stalled_at(epoch)
-                else 1.0
-            )
-            busy = server.busy_until_cycles
-            for item, service in zip(work, services):
-                arrival = float(batch.arrivals_cycles[item.request])
-                effective = arrival + (
-                    float(penalties[item.request - epoch_start])
-                    if item.bearing
-                    else 0.0
-                )
-                start = effective if effective > busy else busy
-                busy = start + float(service) * factor
-                if item.bearing:
-                    finishes[item.request] = busy
-                    latencies_us[item.request] = server.latency_us(
-                        busy - arrival
-                    )
-            server.busy_until_cycles = busy
-
-    # ---- Statistics (served requests only) --------------------------
-    measured_slice = slice(warmup, requests)
-    measured_lat = latencies_us[measured_slice]
-    served_mask = ~np.isnan(measured_lat)
-    measured = int(served_mask.sum())
-    if measured:
-        duration_cycles = float(
-            np.nanmax(finishes[measured_slice])
-            - batch.arrivals_cycles[warmup]
-        )
-    else:
-        duration_cycles = 0.0
-    duration_s = duration_cycles / (REFERENCE_FREQ_GHZ * 1e9)
-    goodput_mrps = measured / duration_s / 1e6 if duration_s > 0 else 0.0
-
-    def summary_of(values: np.ndarray) -> LatencySummary:
-        if values.size:
-            return summarize_latencies(values, percentiles=FLEET_PERCENTILES)
-        return LatencySummary(
-            percentiles={q: 0.0 for q in FLEET_PERCENTILES},
-            mean=0.0,
-            count=0,
-        )
-
-    tenant_summaries: List[LatencySummary] = []
-    measured_tenants = batch.tenants[measured_slice]
-    for tenant in range(n_tenants):
-        mask = (measured_tenants == tenant) & served_mask
-        tenant_summaries.append(summary_of(measured_lat[mask]))
-
-    window_p99: List[float] = []
-    for window_start in range(warmup, requests, epoch_requests):
-        window = latencies_us[
-            window_start : min(window_start + epoch_requests, requests)
-        ]
-        window = window[~np.isnan(window)]
-        # Served-only windows are ragged, so this stays a per-window
-        # loop (the vectorised reshape needs rectangular windows).
-        window_p99.append(  # deepcheck: ignore[PERF004]
-            float(np.percentile(window, 99.0)) if window.size else 0.0
-        )
-
-    self_healing: Dict[str, Any] = {
-        "config": config.to_dict(),
-        "counters": dict(counters),
-        "per_epoch": {k: list(v) for k, v in per_epoch.items()},
-        "believed_down_per_epoch": list(believed_down_series),
-        "detections": detections,
-        "rejoins": rejoins,
-        "reboots": reboot_log,
-        "stalls": [
-            {
-                "server": servers[entry["server_id"]].name,
-                "epoch": entry["epoch"],
-                "until_epoch": entry["until_epoch"],
-            }
-            for entry in stall_log
-        ],
-        "believed_down_at_end": sorted(
-            servers[sid].name for sid in believed_down
-        ),
-        "lost_key_fraction": lost_key_fraction(
-            cluster.ring,
-            [server.alive for server in servers],
-            n_tenants,
-            n_keys,
-            config.replication,
-        ),
-    }
-
-    return FleetRunResult(
-        n_servers=n_servers,
-        n_tenants=n_tenants,
-        requests=requests,
-        measured=measured,
-        goodput_mrps=goodput_mrps,
-        offered_mrps=offered_mrps,
-        duration_ms=duration_s * 1e3,
-        summary=summary_of(measured_lat[served_mask]),
-        tenant_summaries=tenant_summaries,
-        window_p99_us=window_p99,
-        server_stats=[server.stats() for server in cluster.servers],
-        kills=kills,
-        alive_at_end=len(cluster.alive_servers),
-        fault_counters=(
-            clock.stats.to_dict() if clock is not None else None
-        ),
-        self_healing=self_healing,
-    )

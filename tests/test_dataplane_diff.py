@@ -172,7 +172,7 @@ def test_fleet_identity_under_server_kills():
 
 
 def test_fleet_identity_with_self_healing():
-    """The self-healing loop (replication, detector, hinted handoff,
+    """The replicated fleet model (replication, detector, hinted handoff,
     admission + shedding) freezes every decision at epoch boundaries,
     so scalar and batched charging see identical work lists."""
     report = run_fleet_differential(

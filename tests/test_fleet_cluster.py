@@ -5,12 +5,10 @@ import json
 import pytest
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
-from repro.faults.plan import FaultPlan, FaultRates
-from repro.fleet.cluster import (
-    FleetCluster,
-    FleetClusterConfig,
-    run_fleet_cell,
-)
+from repro.experiments.fleet import run_fleet_availability_point
+from repro.faults.plan import FaultPlan, FaultRates, plan_for_class
+from repro.fleet.cluster import FleetClusterConfig, run_fleet_cell
+from repro.fleet.healing import SelfHealingConfig
 from repro.fleet.server import FleetServer, spec_for_server
 
 CELL_KW = dict(
@@ -64,25 +62,6 @@ class TestFleetCluster:
             FleetClusterConfig(n_servers=0, n_tenants=1)
         with pytest.raises(ValueError):
             FleetClusterConfig(n_servers=1, n_tenants=0)
-
-    def test_ring_tracks_membership(self):
-        cluster = FleetCluster(FleetClusterConfig(3, 2, n_keys=256))
-        assert len(cluster.ring) == 3
-        cluster.kill_server("server-1", 0)
-        assert len(cluster.ring) == 2
-        assert "server-1" not in cluster.ring
-        assert [s.name for s in cluster.alive_servers] == [
-            "server-0",
-            "server-2",
-        ]
-
-    def test_cannot_kill_twice_or_last(self):
-        cluster = FleetCluster(FleetClusterConfig(2, 1, n_keys=256))
-        cluster.kill_server("server-0", 0)
-        with pytest.raises(ValueError, match="already dead"):
-            cluster.kill_server("server-0", 0)
-        with pytest.raises(ValueError, match="last alive"):
-            cluster.kill_server("server-1", 0)
 
 
 class TestRunFleetCell:
@@ -154,3 +133,61 @@ class TestRunFleetCell:
     def test_payload_json_round_trips(self):
         payload = run_fleet_cell(2, 2, seed=0, **CELL_KW).to_dict()
         assert payload == json.loads(json.dumps(payload))
+
+
+class TestReshardModelRejectsStallAndReboot:
+    """Without self-healing, kills are permanent and servers never
+    stall, so a plan that stalls or reboots servers must fail loudly
+    instead of running permanent kills only."""
+
+    @pytest.mark.parametrize(
+        "healing", [None, {}, SelfHealingConfig()], ids=["none", "dict", "config"]
+    )
+    def test_gray_plan_without_healing_names_rates(self, healing):
+        plan = plan_for_class("fleet-gray", seed=7, intensity=2.0)
+        with pytest.raises(ValueError) as excinfo:
+            run_fleet_cell(3, 2, seed=0, plan=plan, healing=healing, **CELL_KW)
+        message = str(excinfo.value)
+        assert "server_stall=0.06" in message
+        assert "server_recovery_epochs_max=5" in message
+        assert "healing=" in message
+
+    def test_stall_only_plan_rejected(self):
+        plan = FaultPlan(seed=1, rates=FaultRates(server_stall=0.1))
+        with pytest.raises(ValueError, match="server_stall=0.1"):
+            run_fleet_cell(3, 2, seed=0, plan=plan.to_dict(), **CELL_KW)
+
+    def test_availability_point_with_trivial_healing_rejected(self):
+        with pytest.raises(ValueError, match="healing="):
+            run_fleet_availability_point(
+                2.0,
+                n_servers=4,
+                n_tenants=2,
+                requests=1500,
+                warmup=300,
+                epoch_requests=150,
+                n_keys=512,
+                healing={},
+            )
+
+    def test_server_kill_and_zero_gray_plans_accepted(self):
+        """Kill-only plans run; a zero-intensity gray plan keeps its
+        recovery delays but fires nothing, so it equals no plan."""
+        kill = run_fleet_cell(
+            3,
+            2,
+            seed=0,
+            plan=plan_for_class("server-kill", seed=7, intensity=12.0),
+            **CELL_KW,
+        )
+        assert kill.to_dict()["kills"]
+        assert "self_healing" not in kill.to_dict()
+        bare = run_fleet_cell(3, 2, seed=0, **CELL_KW)
+        zero_gray = run_fleet_cell(
+            3,
+            2,
+            seed=0,
+            plan=plan_for_class("fleet-gray", seed=7, intensity=0.0),
+            **CELL_KW,
+        )
+        assert _canon(zero_gray) == _canon(bare)

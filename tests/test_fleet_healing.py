@@ -2,9 +2,9 @@
 
 Covers the config/trivial-routing contract, the phi-accrual heartbeat
 detector, token-bucket admission, replica-set structure on the ring,
-lost-key monotonicity, the cluster's stall/rejoin guards, and the two
-lab experiments built on top (availability, durability) including
-bit-identical replay from persisted plans.
+lost-key monotonicity, and the two lab experiments built on top
+(availability, durability) including bit-identical replay from
+persisted plans.
 
 Hypothesis widens the structural properties (replica distinctness and
 nesting, detector quiescence, lost-key monotonicity) to arbitrary
@@ -31,7 +31,7 @@ from repro.experiments.fleet import (
     run_fleet_durability_point,
 )
 from repro.faults.plan import FaultPlan, FaultRates
-from repro.fleet.cluster import FleetCluster, FleetClusterConfig, run_fleet_cell
+from repro.fleet.cluster import run_fleet_cell
 from repro.fleet.healing import (
     HeartbeatDetector,
     SelfHealingConfig,
@@ -266,47 +266,6 @@ class TestLostKeyFraction:
             <= frac
         )
         assert lost_key_fraction(ring, alive_small, 2, 256, replication) <= frac
-
-
-class TestClusterGuards:
-    def _cluster(self, n=3):
-        return FleetCluster(FleetClusterConfig(n, 2, n_keys=256))
-
-    def test_cannot_stall_last_alive_server(self):
-        """Satellite (c): the stall guard mirrors the kill guard."""
-        cluster = self._cluster(2)
-        cluster.kill_server("server-0", 0)
-        with pytest.raises(ValueError, match="last alive"):
-            cluster.stall_server("server-1", until_epoch=4)
-
-    def test_cannot_stall_dead_server(self):
-        cluster = self._cluster(3)
-        cluster.kill_server("server-1", 0)
-        with pytest.raises(ValueError, match="already dead"):
-            cluster.stall_server("server-1", until_epoch=4)
-
-    def test_allow_last_kill_for_healing_path(self):
-        """With replication the healing loop may lose every server;
-        nested sampling forbids guard-induced schedule divergence."""
-        cluster = self._cluster(2)
-        cluster.kill_server("server-0", 0)
-        cluster.kill_server("server-1", 10, allow_last=True)
-        assert cluster.alive_servers == []
-
-    def test_rejoin_restores_exact_vnode_positions(self):
-        """Satellite (c): departure + rejoin is a routing no-op —
-        virtual-node positions are a pure function of the name."""
-        cluster = self._cluster(4)
-        ring = cluster.ring
-        before_positions = ring._ring_positions.tolist()
-        before_owners = [ring.nodes[i] for i in ring._ring_owners.tolist()]
-        cluster.depart_ring("server-2")
-        assert "server-2" not in ring
-        cluster.rejoin_ring("server-2")
-        cluster.rejoin_ring("server-2")  # idempotent
-        after_owners = [ring.nodes[i] for i in ring._ring_owners.tolist()]
-        assert ring._ring_positions.tolist() == before_positions
-        assert after_owners == before_owners
 
 
 class TestTrivialConfigTransparency:

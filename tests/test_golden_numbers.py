@@ -19,7 +19,22 @@ from repro.core.profiles import derive_preference_table
 from repro.experiments.fig05_access_time import run_fig05
 from repro.experiments.fig06_speedup import run_fig06
 from repro.experiments.fig07_ops_sweep import fig07_to_dict, run_fig07
+from repro.experiments.fleet import (
+    fleet_availability_to_dict,
+    fleet_durability_to_dict,
+    fleet_failover_to_dict,
+    fleet_scale_to_dict,
+    run_fleet_availability,
+    run_fleet_durability,
+    run_fleet_failover,
+    run_fleet_scale,
+)
 from repro.experiments.tables import run_table3, table3_to_dict
+from repro.lab.compare import (
+    compare_runs,
+    format_comparison_report,
+    load_baseline,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -164,3 +179,35 @@ class TestTable4PreferableSlices:
             for core, (primary, secondary) in table.items()
         }
         assert got == golden["preferable"]
+
+
+@pytest.mark.parametrize(
+    "name, filename, run, to_dict",
+    [
+        pytest.param(name, f"{name.replace('-', '_')}.json", run, to_dict,
+                     id=name)
+        for name, run, to_dict in (
+            ("fleet-scale", run_fleet_scale, fleet_scale_to_dict),
+            ("fleet-failover", run_fleet_failover, fleet_failover_to_dict),
+            ("fleet-availability", run_fleet_availability,
+             fleet_availability_to_dict),
+            ("fleet-durability", run_fleet_durability,
+             fleet_durability_to_dict),
+        )
+    ],
+)
+def test_fleet_golden(name, filename, run, to_dict):
+    """Each fleet golden, rerun at its own params and diffed by the same
+    comparison `repro lab compare <run> tests/golden` makes (the golden
+    file's stored ``rel_tol``; every golden metric must be compared)."""
+    golden = load(filename)
+    result = {"name": name, "result": to_dict(run(**golden["params"]))}
+    report = compare_runs(
+        {"experiments": {name: result}},
+        load_baseline(GOLDEN_DIR),
+        names=[name],
+    )
+    (comparison,) = report.experiments
+    assert comparison.rel_tol == golden["rel_tol"]
+    assert comparison.status == "ok", format_comparison_report(report)
+    assert not comparison.missing_in_run, comparison.missing_in_run

@@ -12,12 +12,15 @@ The harness reproduces that decomposition:
    DuT (:class:`~repro.net.chain.DutEnvironment`): NIC DMA via DDIO,
    PMD, service chain — on the cache simulator, yielding per-packet
    service cycles.
-2. **Queueing** — per-RX-queue FIFO waiting times via the Lindley
-   recursion, vectorised over millions of arrivals, with waits capped
-   at the RX-ring capacity (packets beyond it are drops).  The NIC's
-   per-packet floor (wire + PCIe/DDIO overhead — the cause of the
-   ~76 Gbps ceiling the paper attributes to the Mellanox NIC, PCIe
-   and DDIO) bounds each queue's drain rate.
+2. **Queueing** — each RX queue is an exact FIFO single server with a
+   finite ring (:func:`finite_queue_sim`): an arrival that finds the
+   ring full is dropped from the tail, and admitted packets wait for
+   every packet ahead of them.  It is computed in blocks of up to one
+   ring of admissions per numpy pass.  The NIC's per-packet floor
+   (wire + PCIe/DDIO overhead — the cause of the ~76 Gbps ceiling the
+   paper attributes to the Mellanox NIC, PCIe and DDIO) bounds each
+   queue's drain rate.  :func:`lindley_waits` is the infinite-buffer
+   Lindley recursion; with an unbounded ring the two agree.
 3. **Composition** — latency = loopback + wait + service; summaries
    use the paper's percentiles.
 """
@@ -25,7 +28,7 @@ The harness reproduces that decomposition:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,6 +120,16 @@ def finite_queue_sim(
     recursion it yields the correct ~``1 - capacity_ratio`` drop
     fraction and keeps the delivered packets' latency at the ring-full
     plateau the paper's 100 Gbps runs sit on.
+
+    Computed a block of up to *capacity* admissions at a time (see
+    docs/MODEL.md, "Queueing model"): with ``k`` packets admitted so
+    far, arrival ``t`` is admitted iff ``k < capacity`` or the
+    ``(k - capacity)``-th admitted packet has departed by ``t``.  So
+    the next *capacity* admissions depend only on departures already
+    known, and a ``searchsorted`` finds them.  Their departures are a
+    running sum while the server stays busy, and a scalar loop from
+    the first arrival that finds it idle.  The result is bit-identical
+    to the per-packet simulation.
     """
     arrivals = np.asarray(arrivals_ns, dtype=float)
     services = np.asarray(services_ns, dtype=float)
@@ -124,25 +137,57 @@ def finite_queue_sim(
         raise ValueError("arrivals and services must have equal length")
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
+    if np.any(np.diff(arrivals) < 0):
+        raise ValueError("arrival times must be non-decreasing")
     n = arrivals.size
     waits = np.full(n, np.nan)
-    dropped = np.zeros(n, dtype=bool)
-    # Departure times of admitted packets; head index marks the oldest
-    # packet that may still be in the system.
-    departures: List[float] = []
-    head = 0
+    dropped = np.ones(n, dtype=bool)
+    block = min(capacity, n)
+    steps = np.arange(block)
+    # Departure time of each admitted packet, in admission order.
+    departed = np.empty(n)
+    admitted = 0
+    next_arrival = 0
     last_departure = 0.0
-    for i in range(n):
-        t = arrivals[i]
-        while head < len(departures) and departures[head] <= t:
-            head += 1
-        if len(departures) - head >= capacity:
-            dropped[i] = True
-            continue
-        start = t if t > last_departure else last_departure
-        waits[i] = start - t
-        last_departure = start + services[i]
-        departures.append(last_departure)
+    while next_arrival < n:
+        if admitted < capacity:
+            # The first *capacity* arrivals always find room.
+            idx = steps
+        else:
+            free_at = np.searchsorted(
+                arrivals, departed[admitted - capacity : admitted - capacity + block]
+            )
+            idx = steps + np.maximum.accumulate(
+                np.maximum(free_at - steps, next_arrival)
+            )
+            idx = idx[: np.searchsorted(idx, n)]
+            if idx.size == 0:
+                break
+        t = arrivals[idx]
+        s = services[idx]
+        # While every packet finds the server busy, each starts when the
+        # one before departs; add.accumulate sums left to right, rounding
+        # exactly as ``start + service`` does one packet at a time.
+        ends = np.add.accumulate(np.concatenate(([last_departure], s)))
+        starts = ends[:-1]
+        departures = ends[1:]
+        idle = np.flatnonzero(t > starts)
+        if idle.size:
+            first = idle[0]
+            cur = float(starts[first])
+            tail = []
+            for arrival, service in zip(t[first:].tolist(), s[first:].tolist()):
+                cur = arrival if arrival > cur else cur
+                tail.append(cur)
+                cur = cur + service
+            starts = np.concatenate((starts[:first], tail))
+            departures = starts + s
+        waits[idx] = starts - t
+        dropped[idx] = False
+        departed[admitted : admitted + idx.size] = departures
+        admitted += idx.size
+        next_arrival = int(idx[-1]) + 1
+        last_departure = float(departures[-1])
     return waits, dropped
 
 
@@ -162,6 +207,37 @@ class LatencyRunResult:
     goodput_gbps: float = 0.0
 
 
+def _queue_waits(
+    arrivals_ns: np.ndarray,
+    services_ns: np.ndarray,
+    queue_ids: np.ndarray,
+    n_queues: int,
+    capacity: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`finite_queue_sim` per RX queue of a steered stream.
+
+    Returns per-packet ``(waits_ns, dropped)`` in stream order.  Raises
+    ``ValueError`` unless every queue id is an integer in
+    ``[0, n_queues)``.
+    """
+    # Partition packets by queue once; a stable sort keeps each queue's
+    # packets in arrival order.
+    order = np.argsort(queue_ids, kind="stable")
+    ids = np.arange(n_queues)
+    lo = np.searchsorted(queue_ids, ids, side="left", sorter=order)
+    hi = np.searchsorted(queue_ids, ids, side="right", sorter=order)
+    if int((hi - lo).sum()) != queue_ids.size:
+        raise ValueError(f"queue ids must be integers in [0, {n_queues})")
+    waits = np.empty(queue_ids.shape)
+    dropped = np.empty(queue_ids.shape, dtype=bool)
+    for start, stop in zip(lo.tolist(), hi.tolist()):
+        members = order[start:stop]
+        waits[members], dropped[members] = finite_queue_sim(
+            arrivals_ns[members], services_ns[members], capacity
+        )
+    return waits, dropped
+
+
 def simulate_queueing_latency(
     arrivals_ns: np.ndarray,
     sizes_bytes: np.ndarray,
@@ -179,7 +255,9 @@ def simulate_queueing_latency(
     Args:
         arrivals_ns: packet arrival times at the DuT.
         sizes_bytes: frame sizes.
-        queue_ids: RX queue per packet (from RSS / FlowDirector).
+        queue_ids: RX queue per packet (from RSS / FlowDirector), an
+            integer in ``[0, n_queues)``; any other id raises
+            ``ValueError``.
         service_ns: per-packet core service times (microsim samples).
         n_queues: number of RX queues / cores.
         nic: per-packet NIC floor model; effective service is the max
@@ -203,17 +281,13 @@ def simulate_queueing_latency(
     if not (arrivals.shape == sizes.shape == queues.shape == service.shape):
         raise ValueError("all per-packet arrays must have equal length")
     effective = np.maximum(service, nic.floor_ns(sizes))
-    latencies = np.empty_like(arrivals)
-    dropped = np.zeros(arrivals.shape, dtype=bool)
-    for queue in range(n_queues):
-        mask = queues == queue
-        if not mask.any():
-            continue
-        qa = arrivals[mask]
-        qs = effective[mask]
-        waits, q_dropped = finite_queue_sim(qa, qs, capacity=ring_capacity)
-        dropped[mask] = q_dropped
-        latencies[mask] = waits + qs + nic.fixed_latency_ns
+    latencies, dropped = _queue_waits(
+        arrivals, effective, queues, n_queues, capacity=ring_capacity
+    )
+    # Waits become latencies in place: one fewer packet-sized array at
+    # the peak.
+    latencies += effective
+    latencies += nic.fixed_latency_ns
     kept = ~dropped
     duration_s = (arrivals.max() - arrivals.min()) / 1e9 if arrivals.size > 1 else 1.0
     achieved_gbps = float(sizes[kept].sum() * 8 / max(duration_s, 1e-12) / 1e9)

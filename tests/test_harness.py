@@ -100,6 +100,10 @@ class TestFiniteQueue:
         with pytest.raises(ValueError):
             finite_queue_sim(np.array([0.0]), np.array([1.0]), capacity=0)
 
+    def test_decreasing_arrivals_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            finite_queue_sim(np.array([1.0, 0.5]), np.array([1.0, 1.0]), capacity=4)
+
 
 class TestNicModel:
     def test_floor_includes_wire_time(self):
@@ -160,3 +164,12 @@ class TestSimulateQueueingLatency:
             simulate_queueing_latency(
                 arrivals[:-1], sizes, queues, services, n_queues=4
             )
+
+    @pytest.mark.parametrize("bad_id", [-1, 4, 9, 1.5])
+    def test_queue_id_outside_range_rejected(self, bad_id):
+        """A packet no queue serves would leave its latency unset."""
+        arrivals, sizes, queues, services = self.make_stream(n=100)
+        queues = queues.astype(float)
+        queues[37] = bad_id
+        with pytest.raises(ValueError, match="queue ids"):
+            simulate_queueing_latency(arrivals, sizes, queues, services, n_queues=4)

@@ -1,35 +1,22 @@
-"""deepcheck: whole-program static analysis for the reproduction.
+"""deepcheck: whole-program seed-flow analysis for the reproduction.
 
 Where :mod:`repro.analysis.simcheck` lints one file at a time against
 the repo's determinism conventions, deepcheck builds a *whole-program*
 view — a module import graph and a call graph that resolves methods,
 decorators, ``functools.partial`` targets and the lab registry's
-string-named entry points — and runs three passes on top of it:
+string-named entry points
+(:mod:`~repro.analysis.deepcheck.callgraph`) — and runs an
+interprocedural seed/RNG taint pass on top of it
+(:mod:`~repro.analysis.deepcheck.dataflow`): the ``FLOW0xx`` rules for
+dropped seeds (the fig04 class of bug), RNG streams re-seeded from
+constants, and module-level state mutated in code that runs inside lab
+worker processes.
 
-1. **Hot-path propagation** (:mod:`~repro.analysis.deepcheck.hotpath`):
-   seeds known dataplane roots (the PMD burst loops, ``ServiceChain``
-   processing, the KVS serve loop, ``run_fleet_cell``) and propagates
-   hotness through call edges, accumulating the loop depth of every
-   callsite on the way down.
-2. **Interprocedural seed/RNG taint**
-   (:mod:`~repro.analysis.deepcheck.dataflow`): real data-flow across
-   call boundaries — dropped seeds (the fig04 class of bug), RNG
-   streams re-seeded from constants, and module-level state mutated in
-   code that runs inside lab worker processes.
-3. **Rule families** (:mod:`~repro.analysis.deepcheck.rules`):
-   ``PERF0xx`` (scalar Python on hot paths: per-packet loops, object
-   allocation and attribute churn in hot loops, ``list.append``,
-   per-element numpy calls, scalar engine calls where a batch API
-   exists) and ``FLOW0xx`` (the seed/state findings above).
+Performance is not modelled here: host time is measured per layer by
+the end-to-end benchmark (``e2ebench/``).
 
-The headline artifact is the **ranked vectorization worklist**
-(:mod:`~repro.analysis.deepcheck.report`): hot functions ordered by
-estimated per-packet cost x call-frequency weight, the execution plan
-for the ROADMAP item-2 vectorized-dataplane refactor.
-
-Run it as ``repro deepcheck report|worklist|graph``; see
-``docs/CHECKS.md`` ("Deep checks") for the rule catalogue, the ranking
-formula and the suppression-baseline workflow.
+Run it as ``repro deepcheck report|graph``; see ``docs/CHECKS.md``
+("Deep checks") for the rule catalogue and inline suppressions.
 """
 
 from repro.analysis.deepcheck.callgraph import (
@@ -38,36 +25,18 @@ from repro.analysis.deepcheck.callgraph import (
     FuncNode,
     build_callgraph,
 )
-from repro.analysis.deepcheck.hotpath import (
-    DEFAULT_ROOT_PATTERNS,
-    HotInfo,
-    estimate_cost,
-    propagate_hotness,
-    resolve_roots,
-)
 from repro.analysis.deepcheck.report import (
     DEEP_RULES,
     DeepcheckResult,
-    WorklistEntry,
     analyze,
-    load_baseline,
-    write_baseline,
 )
 
 __all__ = [
     "CallGraph",
     "CallSite",
     "DEEP_RULES",
-    "DEFAULT_ROOT_PATTERNS",
     "DeepcheckResult",
     "FuncNode",
-    "HotInfo",
-    "WorklistEntry",
     "analyze",
     "build_callgraph",
-    "estimate_cost",
-    "load_baseline",
-    "propagate_hotness",
-    "resolve_roots",
-    "write_baseline",
 ]

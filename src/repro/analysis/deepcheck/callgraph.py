@@ -33,7 +33,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.simcheck import collect_files
 
@@ -95,8 +95,6 @@ class CallSite:
     callee: str
     line: int
     col: int
-    #: How many loops enclose the callsite inside the calling function.
-    loop_depth: int
     #: ``call`` | ``ref`` | ``decorator`` | ``partial`` | ``getattr``.
     kind: str
 
@@ -107,14 +105,12 @@ class FuncNode:
 
     node_id: str
     rel: str
-    module: str
     name: str
     qualname: str
     class_name: Optional[str]
     line: int
     params: List[str]
     defaults: Dict[str, bool]  # param name -> has a default value
-    decorators: List[str]
     tree: ast.AST = field(repr=False)
 
     def seed_params(self) -> List[str]:
@@ -144,10 +140,18 @@ class CallGraph:
         #: registry string name -> node id (``ExperimentSpec(name=...,
         #: runner=...)`` and friends).
         self.entry_points: Dict[str, str] = {}
-        self.files: int = 0
+        #: rel path -> parsed module and its source lines (one parse
+        #: per file, shared with the seed-flow pass and suppressions).
+        self.trees: Dict[str, ast.Module] = {}
+        self.lines: Dict[str, List[str]] = {}
         self._classes: Dict[str, _ClassInfo] = {}  # "<rel>::<Class>"
 
     # -- queries -------------------------------------------------------
+
+    @property
+    def files(self) -> int:
+        """Number of parsed source files."""
+        return len(self.trees)
 
     def callees_of(self, node_id: str) -> List[CallSite]:
         """Outgoing edges of one function, in source order."""
@@ -181,46 +185,6 @@ class CallGraph:
         """Class metadata by defining file + class name."""
         return self._classes.get(f"{rel}::{name}")
 
-    def classes_named(self, name: str) -> List[_ClassInfo]:
-        """Every project class called *name*, sorted by defining file."""
-        return sorted(
-            (c for c in self._classes.values() if c.name == name),
-            key=lambda c: c.rel,
-        )
-
-    def class_has_method(self, class_name: str, method: str) -> bool:
-        """Whether any project class named *class_name* defines *method*."""
-        return any(method in c.methods for c in self.classes_named(class_name))
-
-    def overrides_of(self, class_name: str, method: str) -> List[str]:
-        """Node ids of *method* overrides in subclasses of *class_name*.
-
-        Used for dispatch widening: a call that resolves to an abstract
-        base method really executes one of these bodies.
-        """
-        out: List[str] = []
-        for key in sorted(self._classes):
-            info = self._classes[key]
-            if info.name == class_name or method not in info.methods:
-                continue
-            if self._derives_from(info, class_name):
-                out.append(info.methods[method])
-        return sorted(out)
-
-    def _derives_from(self, info: _ClassInfo, base_name: str) -> bool:
-        seen: Set[str] = set()
-        queue = list(info.bases)
-        while queue:
-            name = queue.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            if name == base_name:
-                return True
-            for cls in self.classes_named(name):
-                queue.extend(cls.bases)
-        return False
-
 
 # ----------------------------------------------------------------------
 # Per-file parsing
@@ -252,6 +216,7 @@ class _Source:
     rel: str
     module: str
     tree: ast.Module
+    lines: List[str]
     aliases: _Aliases
 
 
@@ -284,6 +249,7 @@ def _load_sources(paths: Sequence[Path], root: Path) -> List[_Source]:
                 rel=rel,
                 module=_rel_to_module(rel),
                 tree=tree,
+                lines=text.splitlines(),
                 aliases=_Aliases(tree),
             )
         )
@@ -384,7 +350,9 @@ class _Builder:
     def __init__(self, sources: List[_Source]) -> None:
         self.sources = sources
         self.graph = CallGraph()
-        self.graph.files = len(sources)
+        for src in sources:
+            self.graph.trees[src.rel] = src.tree
+            self.graph.lines[src.rel] = src.lines
         #: dotted module -> rel path.
         self.module_index: Dict[str, str] = {
             src.module: src.rel for src in sources
@@ -425,14 +393,12 @@ class _Builder:
         fn = FuncNode(
             node_id=node_id,
             rel=src.rel,
-            module=src.module,
             name=node.name,
             qualname=qualname,
             class_name=owner.name if owner else None,
             line=node.lineno,
             params=params,
             defaults=defaults,
-            decorators=[ast.unparse(d) for d in node.decorator_list],
             tree=node,
         )
         self.graph.functions[node_id] = fn
@@ -666,7 +632,6 @@ class _Builder:
                         callee=target,
                         line=decorator.lineno,
                         col=decorator.col_offset,
-                        loop_depth=0,
                         kind="decorator",
                     )
                 )
@@ -682,29 +647,15 @@ class _Builder:
     ) -> None:
         assert isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
 
-        def visit(node: ast.AST, loop_depth: int) -> None:
+        def visit(node: ast.AST) -> None:
+            # Pre-order, so nested defs contribute their callsites to
+            # the enclosing function in source order.
             for child in ast.iter_child_nodes(node):
-                child_depth = loop_depth
-                if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                    child_depth += 1
-                elif isinstance(
-                    child,
-                    (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-                ):
-                    child_depth += 1
-                elif isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ) and child is not func:
-                    # Nested defs contribute their own callsites at the
-                    # enclosing function's current loop depth.
-                    pass
                 if isinstance(child, ast.Call):
-                    self._link_call(
-                        src, owner, child, local_types, sites, child_depth
-                    )
-                visit(child, child_depth)
+                    self._link_call(src, owner, child, local_types, sites)
+                visit(child)
 
-        visit(func, 0)
+        visit(func)
 
     def _link_call(
         self,
@@ -713,7 +664,6 @@ class _Builder:
         call: ast.Call,
         local_types: Dict[str, str],
         sites: List[CallSite],
-        loop_depth: int,
     ) -> None:
         kind = "call"
         target: Optional[str] = None
@@ -731,7 +681,6 @@ class _Builder:
                             callee=target,
                             line=call.lineno,
                             col=call.col_offset,
-                            loop_depth=loop_depth,
                             kind="partial",
                         )
                     )
@@ -757,7 +706,6 @@ class _Builder:
                     callee=target,
                     line=call.lineno,
                     col=call.col_offset,
-                    loop_depth=loop_depth,
                     kind=kind,
                 )
             )
@@ -777,7 +725,6 @@ class _Builder:
                             callee=ref,
                             line=kw.value.lineno,
                             col=kw.value.col_offset,
-                            loop_depth=loop_depth,
                             kind="ref",
                         )
                     )
@@ -792,7 +739,6 @@ class _Builder:
                             callee=ref,
                             line=arg.lineno,
                             col=arg.col_offset,
-                            loop_depth=loop_depth,
                             kind="ref",
                         )
                     )
@@ -996,17 +942,3 @@ def build_callgraph(
     builder.infer_attr_types()
     builder.link()
     return builder.graph
-
-
-def iter_loops(func: ast.AST) -> Iterable[Tuple[ast.AST, int]]:
-    """Yield ``(loop node, nesting depth)`` for every loop in a def."""
-
-    def visit(node: ast.AST, depth: int) -> Iterator[Tuple[ast.AST, int]]:
-        for child in ast.iter_child_nodes(node):
-            child_depth = depth
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                child_depth += 1
-                yield child, child_depth
-            yield from visit(child, child_depth)
-
-    return visit(func, 0)

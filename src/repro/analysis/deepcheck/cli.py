@@ -1,4 +1,4 @@
-"""``repro deepcheck`` subcommands: report, worklist, graph."""
+"""``repro deepcheck`` subcommands: report, graph."""
 
 from __future__ import annotations
 
@@ -8,14 +8,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.deepcheck.report import (
-    DEEP_RULES,
-    analyze,
-    format_report,
-    format_worklist,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.deepcheck.report import DEEP_RULES, analyze, format_report
 
 __all__ = ["add_deepcheck_parser", "main"]
 
@@ -29,54 +22,21 @@ def _paths_and_root(args: argparse.Namespace) -> Tuple[List[Path], Path]:
     return [pkg], pkg.parent
 
 
-def _root_patterns(args: argparse.Namespace) -> Optional[List[str]]:
-    if not args.roots:
-        return None
-    return [p.strip() for p in args.roots.split(",") if p.strip()]
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.list_rules:
         for code in sorted(DEEP_RULES):
             print(f"{code}  {DEEP_RULES[code]}")
         return 0
     paths, root = _paths_and_root(args)
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and baseline_path.exists():
-        baseline = load_baseline(baseline_path)
-    result = analyze(
-        paths, root=root, root_patterns=_root_patterns(args), baseline=baseline
-    )
-    if args.write_baseline:
-        if baseline_path is None:
-            print(
-                "deepcheck: --write-baseline needs --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        write_baseline(baseline_path, result.graph, result.active)
-        print(
-            f"deepcheck: baseline written to {baseline_path} "
-            f"({len(result.active)} findings accepted)"
-        )
-        return 0
+    result = analyze(paths, root=root)
     mode = "json" if args.json else ("github" if args.github else "text")
-    print(format_report(result, mode, top=args.top))
+    print(format_report(result, mode))
     return 1 if result.active else 0
-
-
-def _cmd_worklist(args: argparse.Namespace) -> int:
-    paths, root = _paths_and_root(args)
-    result = analyze(paths, root=root, root_patterns=_root_patterns(args))
-    mode = "json" if args.json else "text"
-    print(format_worklist(result, mode, top=args.top))
-    return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     paths, root = _paths_and_root(args)
-    result = analyze(paths, root=root, root_patterns=_root_patterns(args))
+    result = analyze(paths, root=root)
     graph = result.graph
     if args.pattern:
         matches = graph.find(args.pattern)
@@ -115,12 +75,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     print(
         f"deepcheck graph: {summary['files']} files, "
         f"{summary['functions']} functions, {summary['edges']} edges, "
-        f"{summary['entry_points']} registry entry points, "
-        f"{summary['hot_functions']} hot functions from "
-        f"{len(result.roots)} dataplane roots"
+        f"{summary['entry_points']} registry entry points"
     )
-    for root_id in result.roots:
-        print(f"  root {root_id}")
     return 0
 
 
@@ -128,39 +84,21 @@ def add_deepcheck_parser(sub: argparse._SubParsersAction) -> None:
     """Attach the ``deepcheck`` subcommand tree to the main CLI."""
     p = sub.add_parser(
         "deepcheck",
-        help="whole-program hot-path & seed-flow analysis (worklist/report)",
+        help="whole-program seed-flow analysis over the call graph",
     )
     deep_sub = p.add_subparsers(dest="deepcheck_command", required=True)
 
-    q = deep_sub.add_parser("report", help="run all deep rules, gate on findings")
+    q = deep_sub.add_parser("report", help="run the FLOW rules, gate on findings")
     q.add_argument("paths", nargs="*", help="files/dirs (default: src/repro)")
     q.add_argument("--json", action="store_true", help="machine-readable output")
     q.add_argument("--github", action="store_true", help="GitHub annotations")
-    q.add_argument("--baseline", default=None, help="baseline JSON file")
-    q.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept current findings into --baseline and exit",
-    )
-    q.add_argument("--roots", default=None, help="override root patterns (csv)")
-    q.add_argument("--top", type=int, default=10, help="worklist rows in text mode")
     q.add_argument("--list-rules", action="store_true", help="list deep rule codes")
     q.set_defaults(func=_cmd_report)
-
-    q = deep_sub.add_parser(
-        "worklist", help="ranked vectorization worklist (hot functions)"
-    )
-    q.add_argument("paths", nargs="*", help="files/dirs (default: src/repro)")
-    q.add_argument("--json", action="store_true", help="machine-readable output")
-    q.add_argument("--top", type=int, default=20, help="rows to show")
-    q.add_argument("--roots", default=None, help="override root patterns (csv)")
-    q.set_defaults(func=_cmd_worklist)
 
     q = deep_sub.add_parser("graph", help="call-graph stats or one symbol's edges")
     q.add_argument("paths", nargs="*", help="files/dirs (default: src/repro)")
     q.add_argument("--json", action="store_true", help="machine-readable output")
     q.add_argument("--pattern", default=None, help="show edges of matching functions")
-    q.add_argument("--roots", default=None, help="override root patterns (csv)")
     q.set_defaults(func=_cmd_graph)
 
 
@@ -168,7 +106,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Standalone entry point (``python -m repro.analysis.deepcheck.cli``)."""
     parser = argparse.ArgumentParser(
         prog="deepcheck",
-        description="Whole-program hot-path & seed-flow static analysis.",
+        description="Whole-program seed-flow static analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     add_deepcheck_parser(sub)

@@ -31,7 +31,7 @@ derived streams through without a type system.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.deepcheck.callgraph import CallGraph, FuncNode
 from repro.analysis.simcheck import Finding
@@ -80,30 +80,16 @@ _MUTATORS: Set[str] = {
 }
 
 
-def _iter_calls(fn: FuncNode) -> Iterator[Tuple[ast.Call, int]]:
-    """Yield ``(call, loop_depth)`` for every call in *fn*'s body."""
+def _iter_calls(fn: FuncNode) -> Iterator[ast.Call]:
+    """Yield every call in *fn*'s body, in source (pre-)order."""
 
-    def visit(node: ast.AST, depth: int) -> Iterator[Tuple[ast.Call, int]]:
+    def visit(node: ast.AST) -> Iterator[ast.Call]:
         for child in ast.iter_child_nodes(node):
-            child_depth = depth
-            if isinstance(
-                child,
-                (
-                    ast.For,
-                    ast.AsyncFor,
-                    ast.While,
-                    ast.ListComp,
-                    ast.SetComp,
-                    ast.DictComp,
-                    ast.GeneratorExp,
-                ),
-            ):
-                child_depth += 1
             if isinstance(child, ast.Call):
-                yield child, child_depth
-            yield from visit(child, child_depth)
+                yield child
+            yield from visit(child)
 
-    return visit(fn.tree, 0)
+    return visit(fn.tree)
 
 
 def _expr_tainted(expr: ast.expr, tainted: Set[str]) -> bool:
@@ -205,7 +191,7 @@ def _seed_forwarded(call: ast.Call, callee: FuncNode, tainted: Set[str]) -> bool
 def _flow001(graph: CallGraph, fn: FuncNode, tainted: Set[str]) -> List[Finding]:
     findings: List[Finding] = []
     seen_lines: Set[int] = set()
-    for call, _depth in _iter_calls(fn):
+    for call in _iter_calls(fn):
         callee = _call_target(graph, fn, call)
         if callee is None or callee.node_id == fn.node_id:
             continue
@@ -243,7 +229,7 @@ def _flow002(graph: CallGraph, fn: FuncNode, tainted: Set[str]) -> List[Finding]
     if not seeded:
         return []
     findings: List[Finding] = []
-    for call, _depth in _iter_calls(fn):
+    for call in _iter_calls(fn):
         if _callable_name(call) not in RNG_CONSTRUCTORS:
             continue
         args: List[ast.expr] = list(call.args) + [
@@ -395,20 +381,15 @@ def _flow003(
     return findings
 
 
-def analyze_seed_flow(
-    graph: CallGraph,
-    module_trees: Optional[Dict[str, ast.Module]] = None,
-) -> List[Finding]:
+def analyze_seed_flow(graph: CallGraph) -> List[Finding]:
     """Run FLOW001/002/003 over the whole graph; sorted findings.
 
-    *module_trees* (rel path -> parsed module) enables FLOW003's
-    module-global collection; without it only FLOW001/002 run.
+    FLOW003's module globals come from the graph's parsed modules.
     """
     findings: List[Finding] = []
-    globals_by_rel: Dict[str, Set[str]] = {}
-    if module_trees:
-        for rel in sorted(module_trees):
-            globals_by_rel[rel] = collect_module_globals(module_trees[rel])
+    globals_by_rel: Dict[str, Set[str]] = {
+        rel: collect_module_globals(tree) for rel, tree in graph.trees.items()
+    }
     reachable = worker_reachable(graph)
     for node_id in sorted(graph.functions):
         fn = graph.functions[node_id]

@@ -1,75 +1,36 @@
-"""Deepcheck orchestration: findings, baselines, the ranked worklist.
+"""Deepcheck orchestration: run the seed-flow rules, apply suppressions.
 
-``analyze()`` builds the call graph, propagates hotness, runs the
-FLOW and PERF passes, applies the two suppression layers, and ranks
-every hot function into the **vectorization worklist**::
-
-    score = subtree_cost * (1 + loop_weight)
-
-estimated *inclusive* per-call cost (own AST weights plus every
-callee's subtree, dispatch-widened over subclass overrides) times the
-static call-frequency weight accumulated along the hottest path from a
-dataplane root.  The top of the list is the execution plan for the
-ROADMAP item-2 vectorized-dataplane refactor.
-
-Suppression layers:
-
-* ``# deepcheck: ignore[CODE,...]`` on the offending line — for
-  *justified* exceptions (intentional scalar reference paths); the
-  justification lives in the surrounding code.
-* A committed **baseline file** (JSON) of finding fingerprints
-  ``"CODE:path:symbol"`` — pre-existing findings accepted as debt.
-  Fingerprints use the enclosing function, not line numbers, so the
-  baseline survives unrelated edits.  CI fails on any finding not in
-  the baseline; ``--write-baseline`` refreshes it deliberately.
+``analyze()`` builds the call graph (one parse per file), runs the
+FLOW passes over it, and splits the findings into active and
+suppressed ones.  A finding is suppressed by an inline ignore comment
+on its line that names the rule (the syntax is in docs/CHECKS.md), for
+a *justified* exception whose reason lives next to it.  The CI gate
+fails on any active finding.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
 import json
 import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.deepcheck.callgraph import (
-    CallGraph,
-    build_callgraph,
-)
+from repro.analysis.deepcheck.callgraph import CallGraph, build_callgraph
 from repro.analysis.deepcheck.dataflow import analyze_seed_flow
-from repro.analysis.deepcheck.hotpath import (
-    HotInfo,
-    estimate_cost,
-    propagate_hotness,
-    resolve_roots,
-    subtree_cost,
-)
-from repro.analysis.deepcheck.rules import perf_findings
-from repro.analysis.simcheck import Finding, collect_files
+from repro.analysis.simcheck import Finding
 
 __all__ = [
     "DEEP_RULES",
     "DeepcheckResult",
-    "WorklistEntry",
     "analyze",
-    "fingerprint",
     "format_report",
-    "format_worklist",
-    "load_baseline",
-    "write_baseline",
 ]
 
 #: Rule catalogue (code -> one-line description), mirrored in
 #: docs/CHECKS.md.
 DEEP_RULES: Dict[str, str] = {
-    "PERF001": "per-item call to a project function inside a hot loop",
-    "PERF002": "object allocation inside a hot loop",
-    "PERF003": "list.append accumulation inside a hot loop",
-    "PERF004": "numpy call inside a scalar hot loop",
-    "PERF005": "scalar engine call in a hot loop where a batch API exists",
     "FLOW001": "seed/rng in scope but not forwarded across a call boundary",
     "FLOW002": "RNG re-seeded from constants inside a seeded context",
     "FLOW003": "module-level state mutated on a lab-worker path",
@@ -78,38 +39,6 @@ DEEP_RULES: Dict[str, str] = {
 _SUPPRESS_RE = re.compile(
     r"#\s*deepcheck:\s*ignore\[(?P<codes>[A-Z0-9,\s]+)\]"
 )
-
-_BASELINE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class WorklistEntry:
-    """One hot function, ranked for vectorization."""
-
-    node_id: str
-    path: str
-    qualname: str
-    line: int
-    root: str
-    depth: int
-    loop_weight: int
-    est_cost: int
-    subtree: int
-    score: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "node_id": self.node_id,
-            "path": self.path,
-            "qualname": self.qualname,
-            "line": self.line,
-            "root": self.root,
-            "depth": self.depth,
-            "loop_weight": self.loop_weight,
-            "est_cost": self.est_cost,
-            "subtree": self.subtree,
-            "score": self.score,
-        }
 
 
 @dataclass
@@ -120,12 +49,8 @@ class DeepcheckResult:
     n_functions: int
     n_edges: int
     n_entry_points: int
-    roots: List[str]
-    hot_count: int
-    worklist: List[WorklistEntry]
     active: List[Finding]
     suppressed: List[Finding]
-    baselined: List[Finding]
     graph: CallGraph = dataclasses.field(repr=False)
 
     def summary(self) -> Dict[str, object]:
@@ -134,155 +59,33 @@ class DeepcheckResult:
             "functions": self.n_functions,
             "edges": self.n_edges,
             "entry_points": self.n_entry_points,
-            "roots": self.roots,
-            "hot_functions": self.hot_count,
             "findings": len(self.active),
             "suppressed": len(self.suppressed),
-            "baselined": len(self.baselined),
         }
 
 
-def _load_trees(
-    paths: Sequence[Path], root: Path
-) -> Tuple[Dict[str, ast.Module], Dict[str, List[str]]]:
-    """rel path -> parsed module + raw lines (for suppressions)."""
-    trees: Dict[str, ast.Module] = {}
-    lines: Dict[str, List[str]] = {}
-    for path in collect_files(paths):
-        try:
-            text = path.read_text(encoding="utf-8")
-            tree = ast.parse(text, filename=str(path))
-        except (OSError, SyntaxError) as exc:
-            print(f"deepcheck: cannot parse {path}: {exc}", file=sys.stderr)
-            continue
-        try:
-            rel = str(path.relative_to(root))
-        except ValueError:
-            rel = str(path)
-        rel = rel.replace("\\", "/")
-        trees[rel] = tree
-        lines[rel] = text.splitlines()
-    return trees, lines
+def _suppressed_codes(line: str) -> Set[str]:
+    """Codes an inline ``deepcheck`` ignore comment on *line* names."""
+    match = _SUPPRESS_RE.search(line)
+    if match is None:
+        return set()
+    return {c.strip() for c in match.group("codes").split(",") if c.strip()}
 
 
-def _suppressions_for(lines: List[str]) -> Dict[int, Set[str]]:
-    """line number -> codes suppressed by a ``# deepcheck:`` comment."""
-    out: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(line)
-        if match is None:
-            continue
-        codes = {
-            c.strip() for c in match.group("codes").split(",") if c.strip()
-        }
-        out.setdefault(lineno, set()).update(codes)
-    return out
+def analyze(paths: Sequence[Path], root: Optional[Path] = None) -> DeepcheckResult:
+    """Run the seed-flow rules over *paths* (files or directories).
 
-
-def _symbol_for(graph: CallGraph, rel: str, line: int) -> str:
-    """Qualname of the function enclosing *line* in *rel* (or module)."""
-    best: Optional[str] = None
-    best_line = -1
-    for fn in graph.functions.values():
-        if fn.rel == rel and fn.line <= line and fn.line > best_line:
-            best, best_line = fn.qualname, fn.line
-    return best if best is not None else "<module>"
-
-
-def fingerprint(graph: CallGraph, finding: Finding) -> str:
-    """Stable id of a finding: ``CODE:path:enclosing-symbol``.
-
-    No line numbers — the baseline survives edits that move code
-    around without changing what the finding is about.
+    Findings are reported relative to *root* (default: the current
+    working directory).
     """
-    symbol = _symbol_for(graph, finding.path, finding.line)
-    return f"{finding.code}:{finding.path}:{symbol}"
-
-
-def load_baseline(path: Path) -> Set[str]:
-    """Fingerprints accepted by the committed baseline file."""
-    data = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or "fingerprints" not in data:
-        raise ValueError(f"not a deepcheck baseline: {path}")
-    return set(data["fingerprints"])
-
-
-def write_baseline(path: Path, graph: CallGraph, findings: Sequence[Finding]) -> None:
-    """Write the baseline covering *findings* (sorted, deduplicated)."""
-    prints = sorted({fingerprint(graph, f) for f in findings})
-    path.write_text(
-        json.dumps(
-            {"version": _BASELINE_VERSION, "fingerprints": prints},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-
-def _build_worklist(
-    graph: CallGraph, hot: Dict[str, HotInfo]
-) -> List[WorklistEntry]:
-    entries: List[WorklistEntry] = []
-    cost_cache: Dict[str, int] = {}
-    for node_id in sorted(hot):
-        fn = graph.functions[node_id]
-        info = hot[node_id]
-        entries.append(
-            WorklistEntry(
-                node_id=node_id,
-                path=fn.rel,
-                qualname=fn.qualname,
-                line=fn.line,
-                root=info.root,
-                depth=info.depth,
-                loop_weight=info.loop_weight,
-                est_cost=estimate_cost(fn),
-                subtree=subtree_cost(graph, node_id, cost_cache),
-                score=subtree_cost(graph, node_id, cost_cache)
-                * info.frequency_weight(),
-            )
-        )
-    entries.sort(key=lambda e: (-e.score, e.node_id))
-    return entries
-
-
-def analyze(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-    root_patterns: Optional[Sequence[str]] = None,
-    baseline: Optional[Set[str]] = None,
-) -> DeepcheckResult:
-    """Run the full deepcheck pipeline over *paths*.
-
-    Args:
-        paths: files or directories to scan.
-        root: base directory findings are reported relative to.
-        root_patterns: override the dataplane root patterns.
-        baseline: accepted fingerprints; matching findings move to
-            ``baselined`` instead of ``active``.
-    """
-    root = root if root is not None else Path.cwd()
-    graph = build_callgraph(paths, root=root)
-    trees, lines = _load_trees(paths, root)
-    roots = resolve_roots(graph, root_patterns)
-    hot = propagate_hotness(graph, roots)
-    findings = perf_findings(graph, hot, trees) + analyze_seed_flow(
-        graph, trees
-    )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    graph = build_callgraph(paths, root=root if root is not None else Path.cwd())
     active: List[Finding] = []
     suppressed: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in findings:
-        codes = _suppressions_for(lines.get(finding.path, [])).get(
-            finding.line, set()
-        )
-        if finding.code in codes:
+    for finding in analyze_seed_flow(graph):
+        lines = graph.lines.get(finding.path, [])
+        line = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
+        if finding.code in _suppressed_codes(line):
             suppressed.append(dataclasses.replace(finding, suppressed=True))
-        elif baseline and fingerprint(graph, finding) in baseline:
-            baselined.append(dataclasses.replace(finding, suppressed=True))
         else:
             active.append(finding)
     return DeepcheckResult(
@@ -290,49 +93,13 @@ def analyze(
         n_functions=len(graph.functions),
         n_edges=graph.n_edges(),
         n_entry_points=len(graph.entry_points),
-        roots=roots,
-        hot_count=len(hot),
-        worklist=_build_worklist(graph, hot),
         active=active,
         suppressed=suppressed,
-        baselined=baselined,
         graph=graph,
     )
 
 
-def format_worklist(
-    result: DeepcheckResult, mode: str = "text", top: Optional[int] = None
-) -> str:
-    """Render the ranked vectorization worklist."""
-    entries = result.worklist if top is None else result.worklist[:top]
-    if mode == "json":
-        return json.dumps(
-            {
-                "ranking": "score = subtree_cost * (1 + loop_weight)",
-                "worklist": [e.as_dict() for e in entries],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    lines = [
-        f"vectorization worklist — top {len(entries)} of "
-        f"{len(result.worklist)} hot functions "
-        f"(score = subtree cost x (1 + loop_weight))",
-        f"{'#':>3} {'score':>9} {'subtree':>8} {'own':>6} {'lw':>3} "
-        f"{'d':>2}  location",
-    ]
-    for rank, entry in enumerate(entries, start=1):
-        lines.append(
-            f"{rank:>3} {entry.score:>9} {entry.subtree:>8} "
-            f"{entry.est_cost:>6} {entry.loop_weight:>3} {entry.depth:>2}  "
-            f"{entry.path}:{entry.line} {entry.qualname}"
-        )
-    return "\n".join(lines)
-
-
-def format_report(
-    result: DeepcheckResult, mode: str = "text", top: int = 10
-) -> str:
+def format_report(result: DeepcheckResult, mode: str = "text") -> str:
     """Render findings + summary (text/json/github)."""
     if mode == "json":
         return json.dumps(
@@ -340,25 +107,17 @@ def format_report(
                 "summary": result.summary(),
                 "findings": [f.as_dict() for f in result.active],
                 "suppressed": [f.as_dict() for f in result.suppressed],
-                "baselined": [f.as_dict() for f in result.baselined],
-                "worklist": [e.as_dict() for e in result.worklist],
             },
             indent=2,
             sort_keys=True,
         )
-    lines: List[str] = []
-    for finding in result.active:
-        lines.append(finding.github() if mode == "github" else finding.text())
-    summary = result.summary()
+    lines: List[str] = [
+        finding.github() if mode == "github" else finding.text()
+        for finding in result.active
+    ]
     lines.append(
-        f"deepcheck: {summary['files']} files, "
-        f"{summary['functions']} functions, {summary['edges']} edges, "
-        f"{summary['hot_functions']} hot from {len(result.roots)} roots; "
-        f"{len(result.active)} findings "
-        f"({len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined)"
+        f"deepcheck: {result.files} files, {result.n_functions} functions, "
+        f"{result.n_edges} edges; {len(result.active)} findings "
+        f"({len(result.suppressed)} suppressed)"
     )
-    if result.active:
-        lines.append("")
-        lines.append(format_worklist(result, "text", top=top))
     return "\n".join(lines)

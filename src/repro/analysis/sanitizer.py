@@ -198,9 +198,9 @@ class CacheSanitizer:
         self._seq = 0
         self._tick_count = 0
         self._cursor = 0
-        # Registered pools, weakly referenced: entries outlive the
-        # experiment that built them only until the pool is collected,
-        # so stale segments can never shadow a live pool's addresses.
+        # Registered pools, oldest first, weakly referenced: entries
+        # outlive the experiment that built them only until the pool is
+        # collected.
         self._pools: List["weakref.ref[Any]"] = []
         self.violations = 0
         self.scans = 0
@@ -231,26 +231,13 @@ class CacheSanitizer:
 
         The pool must expose ``name``, ``base_phys``, ``element_size``,
         ``capacity`` and ``mbufs``; the sanitizer stores its shadow
-        free-set on the pool itself (``_san_free``) so the state dies
-        with the pool.
+        state on the pool itself (``_san_free``, ``_san_machine``) so
+        the state dies with the pool.  Until :meth:`attach_pool` names
+        its machine, DMA checks treat the pool as described in
+        :meth:`check_dma_span`.
         """
         pool._san_free = set(range(pool.capacity))
-        # A physical range has exactly one owner: a new pool evicts any
-        # previously registered pool it overlaps (experiments run back
-        # to back in one process rebuild their pools at the same
-        # physical base, and the stale pool may not be collected yet).
-        base = pool.base_phys
-        end = base + pool.element_size * pool.capacity
-        kept: List["weakref.ref[Any]"] = []
-        for ref in self._pools:
-            old = ref()
-            if old is None or old is pool:
-                continue
-            old_end = old.base_phys + old.element_size * old.capacity
-            if old.base_phys < end and base < old_end:
-                continue
-            kept.append(ref)
-        self._pools = kept
+        pool._san_machine = None
         self._pools.append(weakref.ref(pool))
         self.record(
             "register-pool",
@@ -259,6 +246,17 @@ class CacheSanitizer:
             elements=pool.capacity,
             element_size=pool.element_size,
         )
+
+    def attach_pool(self, pool: Any, hierarchy: Any) -> None:
+        """Scope *pool* to the machine whose DMA engine fills it.
+
+        Called when a NIC is wired to the pool (``Nic.__init__``).
+        Machines built side by side lay out their physical memory
+        independently, so their pools overlap in address; from now on
+        only DMA issued through *hierarchy* is checked against *pool*.
+        """
+        pool._san_machine = weakref.ref(hierarchy)
+        self.record("attach-pool", pool=pool.name)
 
     def on_alloc(self, pool: Any, mbuf: Any) -> None:
         """An mbuf left the free stack."""
@@ -300,21 +298,38 @@ class CacheSanitizer:
     # DMA span containment
     # ------------------------------------------------------------------
 
-    def check_dma_span(self, address: int, size: int, write: bool) -> None:
-        """Validate a DMA span against every registered pool segment.
+    def check_dma_span(
+        self, hierarchy: Any, address: int, size: int, write: bool
+    ) -> None:
+        """Validate a DMA span issued through *hierarchy*'s DMA engine.
 
-        A span that intersects a pool's memory must stay inside one
+        The span is checked against the newest registered pool it
+        intersects among that machine's pools and, unless this is the
+        process-global ``RF_SANITIZE`` sanitizer, the pools no NIC has
+        claimed (experiments run back to back in one process rebuild
+        their pools at the same physical base, and the stale pool may
+        not be collected yet).  It must stay inside one
         element's buffer region (metadata struct excluded — the NIC
         never DMAs over an mbuf header); writes must additionally
         target a currently-allocated element.  Spans outside every
-        registered pool (descriptor rings, KVS slabs) are not checked.
+        such pool (descriptor rings, KVS slabs) are not checked.
         """
         op = "dma-write" if write else "dma-read"
         compact = False
-        for ref in self._pools:
+        for ref in reversed(self._pools):
             pool = ref()
             if pool is None:
                 compact = True
+                continue
+            machine = pool._san_machine
+            if machine is None:
+                # No NIC has claimed the pool.  The process-global
+                # sanitizer serves every machine in the process, so it
+                # cannot tell whose pool this is; a sanitizer the caller
+                # built serves only the machines wired to it.
+                if self is _DEFAULT:
+                    continue
+            elif machine() is not hierarchy:
                 continue
             base = pool.base_phys
             end = base + pool.element_size * pool.capacity

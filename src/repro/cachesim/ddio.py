@@ -70,7 +70,7 @@ class DdioEngine:
         if san is not None:
             # Checked before any line lands: an overrun must be caught
             # pre-corruption, with the offending span in hand.
-            san.check_dma_span(address, size, write=True)
+            san.check_dma_span(hierarchy, address, size, write=True)
             san.tick(hierarchy, (size + CACHE_LINE - 1) // CACHE_LINE)
         if self.enabled and hierarchy.engine_name == "fast":
             # Flattened per-span path: identical outcomes, one closure
@@ -102,7 +102,7 @@ class DdioEngine:
             raise ValueError(f"size must be positive, got {size}")
         san = self.hierarchy.sanitizer
         if san is not None:
-            san.check_dma_span(address, size, write=False)
+            san.check_dma_span(self.hierarchy, address, size, write=False)
         if self.hierarchy.engine_name == "fast":
             lines, hits = self.hierarchy.fast_engine().dma_read_span(address, size)
             self.stats.read_lines += lines

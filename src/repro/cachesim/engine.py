@@ -111,11 +111,16 @@ class BatchResult:
         return [LEVEL_NAMES[code] for code in self.levels]
 
 
+def _is_scalar(value) -> bool:
+    """Whether *value* is one 0-d value (Python or numpy), not a sequence."""
+    return isinstance(value, int) or getattr(value, "ndim", None) == 0
+
+
 def _as_bool_list(kinds, n: int) -> List[bool]:
     """Normalise the *kinds* argument into one bool per access."""
     if kinds is None:
         return [False] * n
-    if isinstance(kinds, (bool, int)) and not isinstance(kinds, np.ndarray):
+    if _is_scalar(kinds):
         return [bool(kinds)] * n
     out = [bool(k) for k in kinds]
     if len(out) != n:
@@ -125,7 +130,7 @@ def _as_bool_list(kinds, n: int) -> List[bool]:
 
 def _as_core_list(core, n: int) -> Optional[List[int]]:
     """Return a per-access core list, or ``None`` for a scalar core."""
-    if isinstance(core, (int, np.integer)):
+    if _is_scalar(core):
         return None
     out = [int(c) for c in core]
     if len(out) != n:

@@ -296,23 +296,18 @@ class CacheHierarchy:
             return self.fast_engine().access_batch(addresses, kinds, core)
         if engine != "reference":
             raise ValueError(f"unknown engine {engine!r}")
-        from repro.cachesim.engine import BatchResult, LEVEL_NAMES
+        from repro.cachesim.engine import (
+            LEVEL_NAMES,
+            BatchResult,
+            _as_bool_list,
+            _as_core_list,
+        )
 
         n = len(addresses)
-        if kinds is None:
-            writes = [False] * n
-        elif isinstance(kinds, (bool, int)):
-            writes = [bool(kinds)] * n
-        else:
-            writes = [bool(k) for k in kinds]
-            if len(writes) != n:
-                raise ValueError(f"kinds has {len(writes)} entries for {n} addresses")
-        if isinstance(core, int):
-            cores = [core] * n
-        else:
-            cores = [int(c) for c in core]
-            if len(cores) != n:
-                raise ValueError(f"core has {len(cores)} entries for {n} addresses")
+        writes = _as_bool_list(kinds, n)
+        cores = _as_core_list(core, n)
+        if cores is None:
+            cores = [int(core)] * n
         if self.sanitizer is not None:
             self.sanitizer.tick(self, n)
         import numpy as np

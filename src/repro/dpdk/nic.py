@@ -97,6 +97,8 @@ class Nic:
             self._descriptor_base.append(allocator.buffer.virt_to_phys(virt))
         self.rx_ring_size = rx_ring_size
         self.stats = NicStats()
+        if mempool.sanitizer is not None:
+            mempool.sanitizer.attach_pool(mempool, ddio.hierarchy)
         #: Fault clock injecting wire-side faults, or ``None``.
         self.faults: Optional[FaultClock] = None
         if cache_director is not None:
@@ -167,15 +169,15 @@ class Nic:
         segment = head
         while True:
             take = min(remaining, segment.data_room)
-            segment.append(take)  # deepcheck: ignore[PERF003]
-            self.ddio.dma_write(segment.data_phys, take)  # deepcheck: ignore[PERF001]
+            segment.append(take)
+            self.ddio.dma_write(segment.data_phys, take)
             remaining -= take
             if remaining == 0:
                 break
-            extra = self.mempool.try_alloc()  # deepcheck: ignore[PERF001]
+            extra = self.mempool.try_alloc()
             if extra is None:
                 self.stats.rx_drops_no_mbuf += 1
-                self.mempool.free(head)  # deepcheck: ignore[PERF001]
+                self.mempool.free(head)
                 return None
             extra.pkt_len = 0
             segment.next = extra

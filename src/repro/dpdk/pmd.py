@@ -85,8 +85,8 @@ class PollModeDriver:
             # Intentional scalar reference path: the per-mbuf loop
             # mirrors DPDK's rx_burst semantics line by line; the
             # vectorized fast path lives in FastEngine.access_batch.
-            for line in mbuf.struct_lines():  # deepcheck: ignore[PERF001]
-                cycles += hierarchy.read(core, line)  # deepcheck: ignore[PERF005]
+            for line in mbuf.struct_lines():
+                cycles += hierarchy.read(core, line)
             if not mbuf.fcs_ok:
                 self.nic.mempool.free(mbuf)
                 self.fcs_discards += 1
@@ -94,7 +94,7 @@ class PollModeDriver:
                     clock.count("pmd.fcs_discards")
                 continue
             # Reference semantics: delivery order must match the ring.
-            mbufs.append(mbuf)  # deepcheck: ignore[PERF003]
+            mbufs.append(mbuf)
         return mbufs, cycles
 
     def rx_burst_batch(
@@ -179,6 +179,6 @@ class PollModeDriver:
         for mbuf in mbufs:
             cycles += self.costs.tx_per_packet
             # Intentional scalar reference path (see rx_burst).
-            cycles += hierarchy.write(core, mbuf.base_phys, CACHE_LINE)  # deepcheck: ignore[PERF005]
-            self.nic.transmit(mbuf)  # deepcheck: ignore[PERF001]
+            cycles += hierarchy.write(core, mbuf.base_phys, CACHE_LINE)
+            self.nic.transmit(mbuf)
         return cycles

@@ -31,17 +31,19 @@ class SliceSpeedupResult:
     normal_write_cycles: float
 
 
+def _access_all(hierarchy, core: int, addresses, write: bool) -> int:
+    """One fast-engine pass over *addresses* in order; total cycles.
+
+    Identical to one ``hierarchy.read``/``write`` per address (the
+    differential tests replay it that way).
+    """
+    return int(hierarchy.access_batch(addresses, write, core, engine="fast").cycles.sum())
+
+
 def _run_workload(hierarchy, core: int, line_addresses, n_ops: int, write: bool, rng) -> int:
     """Random single-line accesses over a buffer; returns total cycles."""
     indices = rng.integers(0, len(line_addresses), size=n_ops)
-    total = 0
-    if write:
-        for i in indices:
-            total += hierarchy.write(core, line_addresses[i], 1)
-    else:
-        for i in indices:
-            total += hierarchy.read(core, line_addresses[i], 1)
-    return total
+    return _access_all(hierarchy, core, np.asarray(line_addresses)[indices], write)
 
 
 def run_fig06(
@@ -77,11 +79,7 @@ def run_fig06(
         # state), then warm with the same operation type: sustained
         # writes leave a dirty steady state whose eviction drains
         # Fig. 6b measures.
-        for address in lines:
-            if write:
-                hierarchy.write(core, address, 1)
-            else:
-                hierarchy.read(core, address, 1)
+        _access_all(hierarchy, core, lines, write)
         _run_workload(ctx.hierarchy, core, lines, n_ops, write, np.random.default_rng(seed))
         return _run_workload(
             ctx.hierarchy, core, lines, n_ops, write, np.random.default_rng(seed + 1)

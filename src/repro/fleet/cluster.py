@@ -409,7 +409,7 @@ def run_fleet_cell(
         else:
             for tenant, key in queued:
                 # Intentional scalar reference path (mirrors serve()).
-                busy += float(server.serve(tenant, key, False))  # deepcheck: ignore[PERF001,PERF005]
+                busy += float(server.serve(tenant, key, False))
         server.busy_until_cycles = busy
         counters["hints_replayed"] += len(queued)
         hints[server.server_id] = []
@@ -602,7 +602,7 @@ def run_fleet_cell(
             else:
                 # Intentional scalar reference path (one serve per item).
                 services = [
-                    server.serve(tenants[r], keys[r], is_get[r])  # deepcheck: ignore[PERF001,PERF005]
+                    server.serve(tenants[r], keys[r], is_get[r])
                     for r in rows
                 ]
             factor = (
@@ -651,7 +651,7 @@ def run_fleet_cell(
         window = window[~np.isnan(window)]
         # Served-only windows are ragged, so this stays a per-window
         # loop (the vectorised reshape needs rectangular windows).
-        window_p99.append(  # deepcheck: ignore[PERF004]
+        window_p99.append(
             float(np.percentile(window, 99.0)) if window.size else 0.0
         )
 

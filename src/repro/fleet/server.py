@@ -199,7 +199,7 @@ class FleetServer:
                 # The record pass must run the real per-request control
                 # path (index probes, fault draws); only the cache
                 # charging below is batched.
-                fixed[i] = servers[int(tenants[i])].serve_one(  # deepcheck: ignore[PERF001]
+                fixed[i] = servers[int(tenants[i])].serve_one(
                     int(keys[i]), bool(is_get[i])
                 )
             bounds[n] = recorder.n_ops

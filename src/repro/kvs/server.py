@@ -129,7 +129,7 @@ class KvsServer:
             # Intentional scalar reference path: per-line charging in
             # request order; batched charging goes through
             # FleetServer.serve_batch's recorded replay instead.
-            for value_line in self.store.value_addresses(key):  # deepcheck: ignore[PERF001]
+            for value_line in self.store.value_addresses(key):
                 if is_get:
                     cycles += hierarchy.read(core, value_line, 1)
                 else:

@@ -84,7 +84,7 @@ class ServiceChain:
         # Intentional scalar reference path: NFs are a sequential
         # pipeline per packet by definition (FastClick semantics).
         for nf in self.nfs:
-            cycles += nf.process(core, mbuf)  # deepcheck: ignore[PERF001,PERF005]
+            cycles += nf.process(core, mbuf)
         self.packets_processed += 1
         return cycles
 
@@ -248,14 +248,14 @@ class DutEnvironment:
         # to end is the latency-harness contract (per-packet cycles).
         for mbuf in mbufs:
             if self.supervisor is not None:
-                nf_cycles = self.supervisor.process(core, mbuf)  # deepcheck: ignore[PERF001]
+                nf_cycles = self.supervisor.process(core, mbuf)
                 if nf_cycles is None:
-                    self.mempool.free(mbuf)  # deepcheck: ignore[PERF001]
+                    self.mempool.free(mbuf)
                     continue
                 cycles += nf_cycles
             else:
-                cycles += self.chain.process(core, mbuf)  # deepcheck: ignore[PERF001,PERF005]
-            survivors.append(mbuf)  # deepcheck: ignore[PERF003]
+                cycles += self.chain.process(core, mbuf)
+            survivors.append(mbuf)
         if not survivors:
             return None
         cycles += self.pmd.tx_burst(queue, survivors)

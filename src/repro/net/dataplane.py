@@ -156,7 +156,7 @@ class OpRecorder:
         for i, holder in enumerate(ddio_holders):
             # One tiny wrapper per DDIO holder per capture (not per
             # packet); pooling would leak recorder state across bursts.
-            holder.ddio = RecordingDdio(self, i)  # deepcheck: ignore[PERF002]
+            holder.ddio = RecordingDdio(self, i)
         try:
             yield
         finally:
@@ -207,9 +207,9 @@ class OpRecorder:
                 # engine charges op by op; the fast engine takes the
                 # whole stream through run_op_stream instead.
                 if kind == OP_DMA_WRITE:
-                    ddio.dma_write(first, size)  # deepcheck: ignore[PERF001]
+                    ddio.dma_write(first, size)
                 else:
-                    ddio.dma_read(first, size)  # deepcheck: ignore[PERF001]
+                    ddio.dma_read(first, size)
         return out
 
 

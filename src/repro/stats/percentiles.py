@@ -69,7 +69,7 @@ def summarize_latencies(
     if array.size == 0:
         raise ValueError("no samples")
     # One vectorized percentile call for all quantiles (bit-identical
-    # to per-q calls; deepcheck PERF004 flagged the scalar loop).
+    # to per-q calls).
     values = np.percentile(array, list(percentiles))
     return LatencySummary(
         percentiles={

@@ -1,7 +1,6 @@
-"""deepcheck: call-graph edge cases, hot-path propagation, seed-flow
-taint, the PERF/FLOW rule fixtures, baseline workflow, CLI exit codes,
-and the guarantee that the shipped tree (plus its committed baseline)
-is clean with the dataplane at the top of the worklist."""
+"""deepcheck: call-graph edge cases, seed-flow taint, the FLOW rule
+fixtures, CLI exit codes, and the guarantee that the shipped tree is
+clean with no finding suppressed."""
 
 import json
 import subprocess
@@ -13,26 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.deepcheck import (
-    DEEP_RULES,
-    DEFAULT_ROOT_PATTERNS,
-    analyze,
-    build_callgraph,
-    estimate_cost,
-    load_baseline,
-    propagate_hotness,
-    resolve_roots,
-    write_baseline,
-)
+from repro.analysis.deepcheck import DEEP_RULES, analyze, build_callgraph
 from repro.analysis.deepcheck.cli import main as deepcheck_main
-from repro.analysis.deepcheck.hotpath import MAX_LOOP_WEIGHT, subtree_cost
+from repro.analysis.deepcheck.dataflow import worker_reachable
 from repro.analysis.simcheck import run_simcheck
 
 FIXTURES = Path(__file__).parent / "fixtures" / "deepcheck"
 SIM_FIXTURES = Path(__file__).parent / "fixtures" / "simcheck"
 REPO = Path(__file__).parent.parent
 SRC_REPRO = REPO / "src" / "repro"
-BASELINE = REPO / ".deepcheck-baseline.json"
 
 
 def codes(findings):
@@ -71,47 +59,30 @@ def test_flow_worker_state_and_reseed():
         assert "finding:" in text[finding.line - 1]
 
 
+def test_analyze_parses_each_file_once(monkeypatch):
+    import ast
+
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = analyze([FIXTURES], root=FIXTURES)
+    assert result.files == 2
+    assert sorted(Path(p).name for p in parsed) == [
+        "fig04_dropped_seed.py",
+        "flow_worker_state.py",
+    ]
+
+
 def test_flow_worker_entry_point_registered():
     result = analyze([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
     assert result.graph.entry_points == {
         "fixture-exp": "flow_worker_state.py::run_exp"
     }
-
-
-# ----------------------------------------------------------------------
-# PERF fixtures: every rule fires inside the hot loop, none outside
-# ----------------------------------------------------------------------
-
-def test_perf_rules_fire_in_hot_loop():
-    result = analyze(
-        [FIXTURES / "perf_hot_loops.py"],
-        root=FIXTURES,
-        root_patterns=["Driver.poll"],
-    )
-    assert sorted(codes(result.active)) == [
-        "PERF001",
-        "PERF002",
-        "PERF003",
-        "PERF004",
-        "PERF005",
-    ]
-    assert codes(result.suppressed) == ["PERF005"]
-    text = (FIXTURES / "perf_hot_loops.py").read_text().splitlines()
-    for finding in result.active:
-        assert "finding:" in text[finding.line - 1]
-        assert "hot path" in finding.message
-
-
-def test_perf_rules_silent_off_the_hot_path():
-    # Same file, but no root resolves: cold code never fires PERF.
-    result = analyze(
-        [FIXTURES / "perf_hot_loops.py"],
-        root=FIXTURES,
-        root_patterns=["NoSuchClass.no_such_method"],
-    )
-    assert result.active == []
-    assert result.roots == []
-    assert result.worklist == []
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +226,7 @@ def test_callgraph_container_element_inference(tmp_path):
     graph = build_callgraph([tree], root=tree)
     sites = graph.callees_of("pipeline.py::Pipeline.run")
     apply_sites = [s for s in sites if s.callee == "stage.py::Stage.apply"]
-    assert apply_sites and apply_sites[0].loop_depth == 1
+    assert apply_sites
     assert graph.imports["pipeline.py"] == ["stage.py"]
 
 
@@ -264,6 +235,11 @@ def test_callgraph_cycles_terminate(tmp_path):
         tmp_path,
         {
             "mod.py": """
+            class ExperimentSpec:
+                def __init__(self, name, runner):
+                    self.runner = runner
+
+
             def ping(n):
                 if n <= 0:
                     return 0
@@ -279,86 +255,21 @@ def test_callgraph_cycles_terminate(tmp_path):
             def root(batches):
                 for batch in batches:
                     ping(batch)
+
+
+            def _build():
+                return ExperimentSpec(name="cycle", runner=root)
             """
         },
     )
     graph = build_callgraph([tree], root=tree)
-    roots = resolve_roots(graph, ["root"])
-    assert roots == ["mod.py::root"]
-    hot = propagate_hotness(graph, roots)
-    assert "mod.py::ping" in hot and "mod.py::pong" in hot
-    assert hot["mod.py::ping"].loop_weight <= MAX_LOOP_WEIGHT
-    # Inclusive cost through the cycle is finite and memo-safe.
-    cost = subtree_cost(graph, "mod.py::root")
-    assert 0 < cost <= 5_000_000
-
-
-def test_hotpath_loop_weight_accumulates(tmp_path):
-    tree = _write_tree(
-        tmp_path,
-        {
-            "mod.py": """
-            def inner(x):
-                return x * 2
-
-
-            def middle(xs):
-                total = 0
-                for x in xs:
-                    total += inner(x)
-                return total
-
-
-            def root(batches):
-                out = []
-                for batch in batches:
-                    out.append(middle(batch))
-                return out
-            """
-        },
-    )
-    graph = build_callgraph([tree], root=tree)
-    hot = propagate_hotness(graph, resolve_roots(graph, ["root"]))
-    assert hot["mod.py::root"].loop_weight == 0
-    assert hot["mod.py::middle"].loop_weight == 1
-    assert hot["mod.py::inner"].loop_weight == 2
-    assert hot["mod.py::inner"].depth == 2
-
-
-def test_subtree_cost_widens_over_dispatch(tmp_path):
-    # A call resolved to an abstract base method is priced at the most
-    # expensive override, so thin dispatchers don't rank as cheap.
-    tree = _write_tree(
-        tmp_path,
-        {
-            "mod.py": """
-            class Base:
-                def apply(self, item):
-                    raise NotImplementedError
-
-
-            class Heavy(Base):
-                def apply(self, item):
-                    total = 0
-                    for i in range(64):
-                        for j in range(64):
-                            total += i * j * item
-                    return total
-
-
-            def run(stage: Base, items):
-                for item in items:
-                    stage.apply(item)
-            """
-        },
-    )
-    graph = build_callgraph([tree], root=tree)
-    assert graph.overrides_of("Base", "apply") == ["mod.py::Heavy.apply"]
-    own = estimate_cost(graph.functions["mod.py::run"])
-    inclusive = subtree_cost(graph, "mod.py::run")
-    heavy = estimate_cost(graph.functions["mod.py::Heavy.apply"])
-    assert inclusive > own
-    assert inclusive > heavy  # the override's cost was pulled in
+    assert any(s.callee == "mod.py::pong" for s in graph.callees_of("mod.py::ping"))
+    assert any(s.callee == "mod.py::ping" for s in graph.callees_of("mod.py::pong"))
+    # The lab-worker reachability walk crosses the cycle and stops.
+    reachable = worker_reachable(graph)
+    assert {"mod.py::root", "mod.py::ping", "mod.py::pong"} <= set(reachable)
+    assert set(reachable.values()) == {"cycle"}
+    assert analyze([tree], root=tree).active == []
 
 
 @pytest.fixture(scope="module")
@@ -408,7 +319,7 @@ def _graph_snapshot(graph):
     return (
         sorted(graph.functions),
         {
-            caller: [(s.callee, s.line, s.col, s.loop_depth, s.kind) for s in sites]
+            caller: [(s.callee, s.line, s.col, s.kind) for s in sites]
             for caller, sites in graph.edges.items()
         },
         dict(graph.entry_points),
@@ -427,53 +338,6 @@ def test_graph_stable_under_input_order(order_tree, perm):
 
 
 # ----------------------------------------------------------------------
-# Baseline workflow
-# ----------------------------------------------------------------------
-
-def test_baseline_roundtrip(tmp_path):
-    result = analyze([FIXTURES / "fig04_dropped_seed.py"], root=FIXTURES)
-    assert result.active
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, result.graph, result.active)
-    fingerprints = load_baseline(baseline_file)
-    assert fingerprints == {
-        "FLOW001:fig04_dropped_seed.py:run_fig04"
-    }
-    again = analyze(
-        [FIXTURES / "fig04_dropped_seed.py"],
-        root=FIXTURES,
-        baseline=fingerprints,
-    )
-    assert again.active == []
-    assert codes(again.baselined) == ["FLOW001"]
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    # Fingerprints are CODE:path:symbol — inserting lines above the
-    # function must not invalidate the committed baseline.
-    source = (FIXTURES / "fig04_dropped_seed.py").read_text()
-    original = analyze([FIXTURES / "fig04_dropped_seed.py"], root=FIXTURES)
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, original.graph, original.active)
-    drifted_dir = tmp_path / "tree"
-    drifted_dir.mkdir()
-    drifted = drifted_dir / "fig04_dropped_seed.py"
-    drifted.write_text("# moved\n# down\n\n\n" + source)
-    result = analyze(
-        [drifted], root=drifted_dir, baseline=load_baseline(baseline_file)
-    )
-    assert result.active == []
-    assert codes(result.baselined) == ["FLOW001"]
-
-
-def test_baseline_rejects_foreign_json(tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text(json.dumps({"not": "a baseline"}))
-    with pytest.raises(ValueError):
-        load_baseline(bogus)
-
-
-# ----------------------------------------------------------------------
 # CLI: exit codes and machine-readable output
 # ----------------------------------------------------------------------
 
@@ -482,14 +346,14 @@ def test_cli_report_exit_codes(capsys):
     assert rc == 1
     out = capsys.readouterr().out
     assert "FLOW001" in out
-    assert "vectorization worklist" in out
+    assert "1 findings (1 suppressed)" in out
 
 
 def test_cli_report_json(capsys):
     rc = deepcheck_main(["report", "--json", str(FIXTURES)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {"summary", "findings", "suppressed", "worklist"} <= set(payload)
+    assert {"summary", "findings", "suppressed"} <= set(payload)
     assert payload["summary"]["findings"] == len(payload["findings"])
     assert {f["code"] for f in payload["findings"]} == {
         "FLOW001",
@@ -511,60 +375,8 @@ def test_cli_report_list_rules(capsys):
     rc = deepcheck_main(["report", "--list-rules"])
     assert rc == 0
     out = capsys.readouterr().out
-    for code in DEEP_RULES:
-        assert code in out
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    baseline_file = tmp_path / "bl.json"
-    rc = deepcheck_main(
-        [
-            "report",
-            "--baseline",
-            str(baseline_file),
-            "--write-baseline",
-            str(FIXTURES / "fig04_dropped_seed.py"),
-        ]
-    )
-    assert rc == 0
-    assert baseline_file.exists()
-    capsys.readouterr()
-    rc = deepcheck_main(
-        [
-            "report",
-            "--baseline",
-            str(baseline_file),
-            str(FIXTURES / "fig04_dropped_seed.py"),
-        ]
-    )
-    assert rc == 0
-    assert "0 findings" in capsys.readouterr().out
-
-
-def test_cli_write_baseline_requires_baseline_path(capsys):
-    rc = deepcheck_main(
-        ["report", "--write-baseline", str(FIXTURES / "fig04_dropped_seed.py")]
-    )
-    assert rc == 2
-
-
-def test_cli_worklist_json(capsys):
-    rc = deepcheck_main(
-        [
-            "worklist",
-            "--json",
-            "--roots",
-            "Driver.poll",
-            str(FIXTURES / "perf_hot_loops.py"),
-        ]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ranking"] == "score = subtree_cost * (1 + loop_weight)"
-    qualnames = [e["qualname"] for e in payload["worklist"]]
-    assert "Driver.poll" in qualnames
-    scores = [e["score"] for e in payload["worklist"]]
-    assert scores == sorted(scores, reverse=True)
+    listed = [line.split()[0] for line in out.splitlines()]
+    assert listed == sorted(DEEP_RULES) == ["FLOW001", "FLOW002", "FLOW003"]
 
 
 def test_cli_graph_pattern(capsys):
@@ -584,31 +396,18 @@ def test_cli_graph_pattern(capsys):
 
 
 # ----------------------------------------------------------------------
-# Shipped tree: clean against the committed baseline, dataplane on top
+# Shipped tree: clean with nothing suppressed
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def shipped():
-    return analyze(
-        [SRC_REPRO], root=SRC_REPRO.parent, baseline=load_baseline(BASELINE)
-    )
+    return analyze([SRC_REPRO], root=SRC_REPRO.parent)
 
 
 def test_shipped_tree_is_deepcheck_clean(shipped):
     details = "\n".join(f.text() for f in shipped.active)
     assert shipped.active == [], details
-    # Intentional scalar reference paths carry inline justifications.
-    assert len(shipped.suppressed) >= 10
-    assert len(shipped.baselined) > 0
-
-
-def test_shipped_worklist_ranks_dataplane(shipped):
-    top = shipped.worklist[:12]
-    top_paths = {entry.path for entry in top}
-    assert any(p.endswith("dpdk/pmd.py") for p in top_paths), top_paths
-    assert any(p.endswith("net/chain.py") for p in top_paths), top_paths
-    qualnames = {entry.qualname for entry in top}
-    assert qualnames & {"run_fleet_cell", "FleetServer.serve"}, qualnames
+    assert shipped.suppressed == []
 
 
 def test_shipped_graph_covers_tree(shipped):
@@ -616,8 +415,6 @@ def test_shipped_graph_covers_tree(shipped):
     assert shipped.n_functions > 800
     assert shipped.n_edges > 1000
     assert shipped.n_entry_points >= 20  # the lab registry's figures
-    assert len(shipped.roots) == len(DEFAULT_ROOT_PATTERNS)
-    assert shipped.hot_count > 100
 
 
 # ----------------------------------------------------------------------
@@ -686,8 +483,6 @@ def test_repro_deepcheck_subcommand():
             "repro",
             "deepcheck",
             "report",
-            "--baseline",
-            str(BASELINE),
         ],
         capture_output=True,
         text=True,

@@ -123,3 +123,19 @@ def test_sanitizer_fill_checks_identical_under_cat():
     assert (calls, cycles, fingerprint) == seen["reference"]
     # Both kinds of masked fill were checked: CAT demand fills and DDIO.
     assert {io for *_, io in calls} == {False, True}
+
+
+def test_fig06_batch_passes_match_per_access_loop(monkeypatch):
+    """Fig. 6 issues each pass as one fast-engine batch; its oracle is
+    the per-access ``read``/``write`` loop it replaced, on the
+    reference engine, over the same machines and address streams."""
+    from repro.experiments import fig06_speedup
+
+    def per_access(hierarchy, core, addresses, write):
+        access = hierarchy.write if write else hierarchy.read
+        return sum(access(core, int(address), 1) for address in addresses)
+
+    params = dict(working_set_bytes=320 * 1024, n_ops=400, seed=3)
+    fast = fig06_speedup.run_fig06(**params)
+    monkeypatch.setattr(fig06_speedup, "_access_all", per_access)
+    assert fig06_speedup.run_fig06(**params) == fast

@@ -15,6 +15,7 @@ in a few thousand accesses, plus the full published geometries.
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from repro.cachesim.diff import (
@@ -91,8 +92,17 @@ def test_single_core_stream(name):
     rng = random.Random(3)
     trace = random_trace(rng, 5000, 1)
     trace.cores = [2] * len(trace)
-    report = run_differential(builder(spec), trace, chunk_size=640)
+    report = run_differential(builder(spec), trace, chunk_size=640, keep_outcomes=True)
     assert report.equal, report.detail
+    # Python and numpy scalar cores, on both engines' access_batch.
+    for core in (2, np.int64(2), np.array(2)):
+        for engine in ("reference", "fast"):
+            h = build_hierarchy(spec)
+            batch = h.access_batch(trace.addresses, trace.writes, core, engine=engine)
+            outcomes = list(
+                zip(batch.cycles.tolist(), batch.levels.tolist(), batch.slices.tolist())
+            )
+            assert outcomes == report.reference_outcomes, (core, engine)
 
 
 def test_loads_only_default_kinds():
@@ -108,6 +118,12 @@ def test_loads_only_default_kinds():
         reference.access_line(core, address, False)
     fast.access_batch(trace.addresses, None, trace.cores, engine="fast")
     assert state_fingerprint(reference) == state_fingerprint(fast)
+    # Every scalar form of "all loads", on both engines' access_batch.
+    for kinds in (False, 0, np.bool_(False), np.array(False)):
+        for engine in ("reference", "fast"):
+            h = build_hierarchy(spec)
+            h.access_batch(trace.addresses, kinds, trace.cores, engine=engine)
+            assert state_fingerprint(h) == state_fingerprint(reference), (kinds, engine)
 
 
 @pytest.mark.parametrize("policy", ["lru", "plru", "random", "srrip", "brrip"])

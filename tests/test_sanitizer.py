@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import sanitizer as sanitizer_module
 from repro.analysis.sanitizer import (
     CacheSanitizer,
     SanitizerError,
+    default_sanitizer,
     resolve_sanitizer,
     sanitizer_enabled,
 )
@@ -20,6 +22,7 @@ from repro.cachesim.hierarchy import CacheHierarchy, LatencySpec
 from repro.cachesim.interconnect import RingInterconnect
 from repro.cachesim.llc import SlicedLLC
 from repro.dpdk.mempool import Mempool
+from repro.dpdk.nic import Nic
 from repro.mem.address import CACHE_LINE, PAGE_1G
 from repro.mem.allocator import ContiguousAllocator
 from repro.mem.hugepage import PhysicalAddressSpace
@@ -183,6 +186,54 @@ class TestDmaFaults:
         new_pool = make_pool(new_alloc, san)
         mbuf = new_pool.alloc()
         assert ddio.dma_write(mbuf.buf_phys, CACHE_LINE) == 1
+
+    def test_pools_are_scoped_to_their_machine(self):
+        """Two machines share one sanitizer and lay out identical
+        physical memory.  Machine B's pool must not stand in for A's
+        when A's NIC DMAs into an mbuf A has allocated."""
+        san = CacheSanitizer()
+        machines = []
+        for _ in range(2):
+            hierarchy = make_hierarchy(sanitizer=san)
+            alloc = ContiguousAllocator(
+                PhysicalAddressSpace(seed=0).mmap_hugepage(PAGE_1G)
+            )
+            pool = make_pool(alloc, san)
+            ddio = DdioEngine(hierarchy)
+            Nic(n_queues=1, mempool=pool, ddio=ddio, allocator=alloc)
+            machines.append((pool, ddio))
+        (pool_a, ddio_a), (pool_b, _) = machines
+        assert pool_a.base_phys == pool_b.base_phys
+        mbuf = pool_a.alloc()
+        assert ddio_a.dma_write(mbuf.buf_phys, CACHE_LINE) == 1
+        # A's own free elements are still guarded.
+        pool_a.free(mbuf)
+        with pytest.raises(SanitizerError) as excinfo:
+            ddio_a.dma_write(mbuf.buf_phys, CACHE_LINE)
+        assert raised_kind(excinfo) == "dma-into-free"
+        assert excinfo.value.details["element"] == mbuf.index
+
+    def test_global_sanitizer_checks_only_claimed_pools(self, monkeypatch):
+        """Under RF_SANITIZE one sanitizer serves every machine in the
+        process.  A pool no NIC has claimed (the rx-strategy ablation's)
+        must not be checked against another machine's DMA, such as a
+        KVS slab at the same physical address."""
+        monkeypatch.setenv("RF_SANITIZE", "1")
+        monkeypatch.setattr(sanitizer_module, "_DEFAULT", None)
+        san = default_sanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        alloc = ContiguousAllocator(
+            PhysicalAddressSpace(seed=0).mmap_hugepage(PAGE_1G)
+        )
+        pool = make_pool(alloc, san)
+        ddio = DdioEngine(hierarchy)
+        header = pool.mbufs[0].base_phys
+        assert ddio.dma_write(header, CACHE_LINE) == 1
+        # Once a NIC claims the pool, its own machine's DMA is checked.
+        Nic(n_queues=1, mempool=pool, ddio=ddio, allocator=alloc)
+        with pytest.raises(SanitizerError) as excinfo:
+            ddio.dma_write(header, CACHE_LINE)
+        assert raised_kind(excinfo) == "dma-span-overrun"
 
     def test_dma_outside_pools_unchecked(self, allocator):
         san = CacheSanitizer()

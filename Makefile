@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test e2e-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test diff-smoke e2e-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -18,13 +18,18 @@ test-fast:
 	$(PY) -m pytest tests/ -q -m "not slow"
 
 # Fast-vs-reference engine equivalence: the differential replay harness
-# plus the hypothesis property suite (see docs/MODEL.md).  The
-# dataplane-diff step then replays one trace and three fleet cells
-# (fault-free, re-shard kills, replicated gray failures) scalar-vs-
-# batched end to end as a standalone smoke on top of the marked tests
-# in tests/test_dataplane_diff.py.
+# plus the hypothesis property suite (see docs/MODEL.md), then the
+# dataplane smoke below.
 diff-test:
 	$(PY) -m pytest tests/ -q -m differential
+	$(MAKE) diff-smoke
+
+# Scalar-vs-batched dataplane smoke: replays one trace and three fleet
+# cells (fault-free, re-shard kills, replicated gray failures) end to
+# end, on top of the marked tests in tests/test_dataplane_diff.py.  The
+# batched dataplane reaches the batch engine through the NFs and the
+# PMD, interleaved with DDIO.
+diff-smoke:
 	$(PY) -c "from repro.cachesim.diff import run_dataplane_differential, run_fleet_differential; \
 	from repro.net.chain import simple_forwarding_chain; \
 	r = run_dataplane_differential(simple_forwarding_chain, n_packets=400); \

@@ -15,7 +15,13 @@ with everything loop-invariant hoisted out:
   instead of per-access Python parity loops;
 * the per-level cache probes are inlined dict/list operations rather
   than five layers of method calls, and LRU replacement is inlined
-  when every LLC slice runs the default ``lru`` policy.
+  when every LLC slice runs the default ``lru`` policy;
+* the batch loop also inlines the demand miss path: the L1 and L2
+  inserts and, on an inclusive LLC, the miss fill with its victim
+  pick, back-invalidation and write-back charge.  That inlined fill
+  falls back to the general fill helper for a non-LRU policy, for a
+  core under a CAT mask and under a sanitizer, so that every fill a
+  sanitizer sees runs its checked variant.
 
 Because the engine mutates the *same* ``DictCache``/``WayCache``/
 counter state the reference path uses, rare events that happen
@@ -234,6 +240,10 @@ class FastEngine:
         run_prefetcher = h._run_prefetcher
         hash_slice_of = llc.hash.slice_of
         lru_fast = all(s.policy_name == "lru" for s in llc.slices)
+        # The sanitizer is fixed at hierarchy construction.  Under one,
+        # every LLC fill runs the checked llc_fill bound at the end.
+        sanitizer = h.sanitizer
+        inline_llc_fill = lru_fast and sanitizer is None
         llc_stamps = [getattr(p, "_stamp", None) for p in llc_pols]
         # CAT mask cache, invalidated via the controller's generation.
         cat_cache: list = [None, -1, [None] * n_cores]
@@ -599,7 +609,7 @@ class FastEngine:
             # derived from the per-access level/cycle vectors at the
             # end — identical totals by construction; only
             # dram_writebacks (not derivable from the outcome vectors)
-            # is counted by the fill helpers on the real stats object.
+            # is counted on the real stats object.
             n = len(lines)
             if cores is None:
                 active_cores.add(the_core)
@@ -616,6 +626,14 @@ class FastEngine:
             # true contents so the back-invalidation skip keeps firing.
             if len(resident) > resident_cap:
                 rescan_resident()
+            # Per core: may an LLC miss fill run inlined below?  Only
+            # for the LRU policy, without a sanitizer (both fixed at
+            # rebuild) and outside any CAT mask — no user code runs
+            # mid-batch, so the masks cannot change under the loop.
+            # Every other fill goes through fill_llc.
+            inline_fill = [
+                inline_llc_fill and cat_allowed(c) is None for c in range(n_cores)
+            ]
             cycles_out: list = []
             levels_out: list = []
             ca = cycles_out.append
@@ -632,6 +650,8 @@ class FastEngine:
                 s2 = l2_sets[core][shift & l2_mask]
                 d = s2.pop(line, None)
                 if d is not None:
+                    # An L2 hit needs no residency update: a line in
+                    # this core's L2 already carries its residency bit.
                     s2[line] = d
                     c = (store_commit + rfo_l2) if write else l2_hit_lat
                     lv = 1
@@ -639,7 +659,8 @@ class FastEngine:
                     cnt = counts[slc]
                     cnt[EV_LOOKUPS] += 1
                     set_i = shift & llc_mask
-                    way = llc_where[slc][set_i].get(line)
+                    where = llc_where[slc][set_i]
+                    way = where.get(line)
                     if way is not None:
                         cnt[EV_HITS] += 1
                         pol = llc_pols[slc]
@@ -658,14 +679,87 @@ class FastEngine:
                     else:
                         cnt[EV_MISSES] += 1
                         c = (store_commit + rfo_dram) if write else dram_lat
-                        if inclusive:
-                            c += fill_llc(core, line, False, slc, stats)
                         lv = 3
-                    c += fill_l2(core, line, False, stats, slc)
+                        if inclusive:
+                            if inline_fill[core]:
+                                # fill_llc + llc_fill, inlined for an
+                                # unmasked LRU fill of a line the
+                                # lookup above just missed.
+                                cnt[EV_FILLS] += 1
+                                base = set_i * n_llc_ways
+                                tags = llc_tags[slc]
+                                dirt = llc_dirty[slc]
+                                stamp = llc_stamps[slc]
+                                pol = llc_pols[slc]
+                                pol._clock += 1
+                                if len(where) < n_llc_ways:
+                                    slot = tags.index(None, base, base + n_llc_ways)
+                                    tags[slot] = line
+                                    dirt[slot] = False
+                                    where[line] = slot - base
+                                    stamp[slot] = pol._clock
+                                else:
+                                    stamps = stamp[base:base + n_llc_ways]
+                                    slot = base + stamps.index(min(stamps))
+                                    vline = tags[slot]
+                                    vdirty = dirt[slot]
+                                    del where[vline]
+                                    tags[slot] = line
+                                    dirt[slot] = False
+                                    where[line] = slot - base
+                                    stamp[slot] = pol._clock
+                                    cnt[EV_EVICT] += 1
+                                    if vdirty:
+                                        cnt[EV_WB] += 1
+                                    # Inclusive back-invalidation over
+                                    # the victim's residency mask.
+                                    m = resident_get(vline)
+                                    if m is not None:
+                                        vshift = vline >> 6
+                                        vs1 = vshift & l1_mask
+                                        vs2 = vshift & l2_mask
+                                        while m:
+                                            b = m & -m
+                                            m -= b
+                                            vc = b.bit_length() - 1
+                                            d1 = l1_sets[vc][vs1].pop(vline, None)
+                                            d2 = l2_sets[vc][vs2].pop(vline, None)
+                                            if d1 or d2:
+                                                vdirty = True
+                                        del resident[vline]
+                                    if vdirty:
+                                        stats.dram_writebacks += 1
+                                        c += wb_dram_visible
+                            else:
+                                c += fill_llc(core, line, False, slc, stats)
+                    # fill_l2, inlined: the L2 probe above just missed,
+                    # so the insert never refreshes; seeding slice_memo
+                    # keeps a later dirty drain of this line from
+                    # recomputing the hash.  One residency add covers
+                    # both private inserts of this line.  It precedes
+                    # the victim drain, whose LLC fill could evict this
+                    # very line (the back-invalidation sweep must see
+                    # it), and is redone after the drain, because the
+                    # L1 insert below puts the line back.
+                    bit = 1 << core
+                    resident[line] = resident_get(line, 0) | bit
+                    if len(slice_memo) >= (1 << 20):
+                        slice_memo.clear()
+                    slice_memo[line] = slc
+                    if len(s2) >= l2_ways:
+                        vline = next(iter(s2))
+                        vdirty = s2.pop(vline)
+                        s2[line] = False
+                        # A clean victim of an inclusive LLC drains to
+                        # nothing: the LLC already holds it.
+                        if vdirty or not inclusive:
+                            c += drain_l2_victim(core, vline, vdirty, stats)
+                            resident[line] = resident_get(line, 0) | bit
+                    else:
+                        s2[line] = False
                 # fill_l1, inlined: the probe above just missed, so
                 # the line cannot be resident and the insert never
                 # refreshes.
-                resident_add(line, core)
                 if len(s1) >= l1_ways:
                     vline = next(iter(s1))
                     vdirty = s1.pop(vline)
@@ -1083,7 +1177,6 @@ class FastEngine:
             stats.cycles += total_c
             return np.array(out_list, dtype=np.int64)
 
-        sanitizer = h.sanitizer
         if sanitizer is not None:
             # SlicedLLC.fill's per-fill way-mask check: a masked fill
             # that newly inserts its line must land inside the mask.

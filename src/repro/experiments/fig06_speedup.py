@@ -107,7 +107,7 @@ def run_fig06(
             target_slice=target,
             block_lines=block_lines,
         )
-        lines = [array.line_address(i) for i in range(n_lines)]
+        lines = array.line_addresses().tolist()
         read = measure(lines, write=False)
         write = measure(lines, write=True)
         read_speedups.append((normal_read - read) / normal_read * 100.0)

@@ -11,7 +11,7 @@ the x-axis: inside L2 both schemes tie; between L2 and a slice
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -53,87 +53,61 @@ def _system_mops(per_core_cycles: List[int], n_ops: int, freq_ghz: float) -> flo
     return total / 1e6
 
 
-def _interleaved_addresses(
-    addr_fns: List[Callable[[int], int]],
-    indices: np.ndarray,
-) -> List[int]:
-    """Flatten an (ops, cores) index matrix into op-major addresses."""
-    n_cores = len(addr_fns)
-    return [
-        addr_fns[core](idx)
-        for row in indices.tolist()
-        for core, idx in zip(range(n_cores), row)
-    ]
-
-
 def _run_size(
     context: SliceAwareContext,
-    addr_fns: List[Callable[[int], int]],
-    n_lines: int,
+    table: np.ndarray,
     n_ops: int,
     write: bool,
     seed: int,
     engine: str = "fast",
 ) -> List[int]:
-    """Interleaved random accesses from every core; per-core cycles."""
+    """Interleaved random accesses from every core; per-core cycles.
+
+    *table* holds each core's array as one row of line addresses
+    (shape ``(n_cores, n_lines)``).  Every pass draws an
+    ``(ops, n_cores)`` index matrix and issues it op-major, core-minor.
+    """
     hierarchy = context.hierarchy
-    n_cores = len(addr_fns)
+    n_cores, n_lines = table.shape
     rng = np.random.default_rng(seed)
     warm_lines = min(n_lines, WARM_LINES_CAP)
     steady_ops = STEADY_OPS["write" if write else "read"]
+    core_ids = np.arange(n_cores)
     if engine == "fast":
         # Same access sequence as the reference loops below, issued
         # through the batch engine: warm each core sequentially, then
         # replay the op-major/core-minor interleaving via a per-access
         # core vector so cross-core LLC interactions are identical.
         for core in range(n_cores):
-            fn = addr_fns[core]
-            hierarchy.access_batch(
-                [fn(i) for i in range(warm_lines)], write, core, engine="fast"
-            )
-        core_vec = list(range(n_cores)) * steady_ops
+            hierarchy.access_batch(table[core, :warm_lines], write, core, engine="fast")
         indices = rng.integers(0, n_lines, size=(steady_ops, n_cores))
         hierarchy.access_batch(
-            _interleaved_addresses(addr_fns, indices), write, core_vec,
-            engine="fast",
+            table[core_ids, indices].ravel(), write,
+            list(range(n_cores)) * steady_ops, engine="fast",
         )
         indices = rng.integers(0, n_lines, size=(n_ops, n_cores))
         result = hierarchy.access_batch(
-            _interleaved_addresses(addr_fns, indices), write,
+            table[core_ids, indices].ravel(), write,
             list(range(n_cores)) * n_ops, engine="fast",
         )
         per_core = result.cycles.reshape(n_ops, n_cores).sum(axis=0)
         return [int(c) for c in per_core]
     if engine != "reference":
         raise ValueError(f"unknown engine {engine!r}")
+    access = hierarchy.write if write else hierarchy.read
     for core in range(n_cores):
-        fn = addr_fns[core]
-        for i in range(0, warm_lines):
-            if write:
-                hierarchy.write(core, fn(i), 1)
-            else:
-                hierarchy.read(core, fn(i), 1)
+        for address in table[core, :warm_lines].tolist():
+            access(core, address, 1)
     # Unmeasured randomised pass reaches steady state (STEADY_OPS).
     indices = rng.integers(0, n_lines, size=(steady_ops, n_cores))
-    for op in range(steady_ops):
-        for core in range(n_cores):
-            address = addr_fns[core](int(indices[op, core]))
-            if write:
-                hierarchy.write(core, address, 1)
-            else:
-                hierarchy.read(core, address, 1)
+    for row in table[core_ids, indices].tolist():
+        for core, address in enumerate(row):
+            access(core, address, 1)
     indices = rng.integers(0, n_lines, size=(n_ops, n_cores))
     cycles = [0] * n_cores
-    if write:
-        for op in range(n_ops):
-            row = indices[op]
-            for core in range(n_cores):
-                cycles[core] += hierarchy.write(core, addr_fns[core](int(row[core])), 1)
-    else:
-        for op in range(n_ops):
-            row = indices[op]
-            for core in range(n_cores):
-                cycles[core] += hierarchy.read(core, addr_fns[core](int(row[core])), 1)
+    for row in table[core_ids, indices].tolist():
+        for core, address in enumerate(row):
+            cycles[core] += access(core, address, 1)
     return cycles
 
 
@@ -172,39 +146,48 @@ def run_fig07(
             both produce identical numbers, ``"fast"`` runs the sweep
             several times faster and ``"reference"`` is its
             differential oracle.
+
+    Raises:
+        ValueError: ``n_ops`` is not positive, a size is under one
+            cache line, or ``n_cores`` is outside ``1..spec.n_cores``.
     """
     sizes = sizes if sizes is not None else list(PAPER_SIZES)
     n_cores = n_cores if n_cores is not None else spec.n_cores
+    if n_ops <= 0:
+        raise ValueError(f"n_ops must be positive, got {n_ops}")
+    if not 1 <= n_cores <= spec.n_cores:
+        raise ValueError(f"n_cores must be in 1..{spec.n_cores}, got {n_cores}")
+    for size in sizes:
+        if size < CACHE_LINE:
+            raise ValueError(f"sizes must be at least {CACHE_LINE} bytes, got {size}")
     result = OpsSweepResult(sizes=sizes, normal_mops={}, slice_mops={})
     for op_name, write in (("read", False), ("write", True)):
         normal_series: List[float] = []
         slice_series: List[float] = []
         for size in sizes:
             n_lines = size // CACHE_LINE
+            table = np.empty((n_cores, n_lines), dtype=np.uint64)
             # Normal: per-core contiguous arrays.
             ctx = SliceAwareContext(spec, hugepage_bytes=max(2 << 30, 2 * size * n_cores), seed=seed)
-            fns = []
+            offsets = np.arange(n_lines, dtype=np.uint64) * np.uint64(CACHE_LINE)
             for core in range(n_cores):
-                base = ctx.allocate_normal(size).base
-                fns.append(lambda i, b=base: b + i * CACHE_LINE)
-            cycles = _run_size(ctx, fns, n_lines, n_ops, write, seed, engine)
+                table[core] = np.uint64(ctx.allocate_normal(size).base) + offsets
+            cycles = _run_size(ctx, table, n_ops, write, seed, engine)
             normal_series.append(_system_mops(cycles, n_ops, spec.freq_ghz))
             # Slice-aware: per-core slice-local arrays.
             ctx = SliceAwareContext(spec, seed=seed)
             block = ctx.hash.n_slices
             span = n_lines * block * CACHE_LINE
-            fns = []
             for core in range(n_cores):
                 page = ctx.address_space.mmap_auto(span)
-                array = SliceLocalArray(
+                table[core] = SliceLocalArray(
                     base_phys=page.phys,
                     n_lines=n_lines,
                     slice_hash=ctx.hash,
                     target_slice=ctx.preferred_slice(core),
                     block_lines=block,
-                )
-                fns.append(array.line_address)
-            cycles = _run_size(ctx, fns, n_lines, n_ops, write, seed, engine)
+                ).line_addresses()
+            cycles = _run_size(ctx, table, n_ops, write, seed, engine)
             slice_series.append(_system_mops(cycles, n_ops, spec.freq_ghz))
         result.normal_mops[op_name] = normal_series
         result.slice_mops[op_name] = slice_series

@@ -110,9 +110,7 @@ def run_multitenant_experiment(
                         target_slice=target,
                         block_lines=block,
                     )
-                    tenant_lines.extend(
-                        array.line_address(i) for i in range(per_slice)
-                    )
+                    tenant_lines.extend(array.line_addresses().tolist())
                 addresses.append(tenant_lines[:n_lines])
             else:
                 page = context.address_space.mmap_auto(n_lines * CACHE_LINE)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.cachesim.hashfn import SliceHash
 from repro.mem.address import CACHE_LINE
 
@@ -78,6 +80,25 @@ class SliceLocalArray:
             offsets[index] = offset
         return block_base + offset * CACHE_LINE
 
+    def line_addresses(self) -> np.ndarray:
+        """Every line's physical address, as one ``uint64`` vector.
+
+        Equal to ``[line_address(i) for i in range(n_lines)]``, built
+        from the vectorised probe offsets; blocks that pass left
+        unresolved go through :meth:`line_address` one at a time.
+        """
+        offsets = self._offsets
+        if offsets is None:
+            offsets = self._fill_offsets()
+        if None in offsets:
+            for index, offset in enumerate(offsets):
+                if offset is None:
+                    self.line_address(index)
+        block_bases = np.uint64(self.base_phys) + np.arange(
+            self.n_lines, dtype=np.uint64
+        ) * np.uint64(self.block_bytes)
+        return block_bases + np.array(offsets, dtype=np.uint64) * np.uint64(CACHE_LINE)
+
     def _fill_offsets(self) -> List[Optional[int]]:
         """Probe every block in one vectorised pass over the hash.
 
@@ -91,8 +112,6 @@ class SliceLocalArray:
         slice_of_array = getattr(self.hash, "slice_of_array", None)
         if slice_of_array is None:
             return offsets
-        import numpy as np
-
         block_lines = self.block_lines
         line_offsets = np.arange(block_lines, dtype=np.uint64) * np.uint64(CACHE_LINE)
         chunk = max(1, (1 << 21) // block_lines)

@@ -125,6 +125,36 @@ def test_sanitizer_fill_checks_identical_under_cat():
     assert {io for *_, io in calls} == {False, True}
 
 
+def test_sanitizer_fill_checks_identical_batched_under_cat():
+    """The batch path under a sanitizer: every masked demand fill runs
+    the checked LLC fill, in the reference order, with DDIO writes
+    between batches."""
+    rng = random.Random(29)
+    spec = SMALL_HASWELL
+    trace = random_trace(rng, 6000, spec.n_cores)
+    seen = {}
+    for engine in ENGINES:
+        h = build_hierarchy(spec, sanitize=True)
+        cat = h.llc.cat
+        cat.define_clos(1, 0b00000011)
+        cat.define_clos(2, 0b11110000)
+        for core in range(spec.n_cores):
+            cat.assign_core(core, core % 3)
+        calls = record_fill_checks(h)
+        ddio = DdioEngine(h)
+        outcomes = []
+        for addresses, writes, cores in trace.chunks(500):
+            batch = h.access_batch(addresses, writes, cores, engine=engine)
+            outcomes.append(
+                (batch.cycles.tolist(), batch.levels.tolist(), batch.slices.tolist())
+            )
+            ddio.dma_write(addresses[0] ^ (1 << 22), 1500)
+        seen[engine] = (calls, outcomes, state_fingerprint(h))
+    calls, outcomes, fingerprint = seen["fast"]
+    assert (calls, outcomes, fingerprint) == seen["reference"]
+    assert {io for *_, io in calls} == {False, True}
+
+
 def test_fig06_batch_passes_match_per_access_loop(monkeypatch):
     """Fig. 6 issues each pass as one fast-engine batch; its oracle is
     the per-access ``read``/``write`` loop it replaced, on the

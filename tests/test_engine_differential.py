@@ -212,3 +212,38 @@ def test_chunk_size_does_not_matter():
     baseline = reports[0].fast_outcomes
     for report in reports[1:]:
         assert report.fast_outcomes == baseline
+
+
+@pytest.mark.parametrize("name", ["haswell-small", "skylake-small"])
+def test_cold_fill_writes_keep_residency_superset(name):
+    """Sequential cold-fill writes, one batch per core as in Fig. 7's
+    warm pass, then an interleaved random pass.  Outcomes match the
+    reference, and after every batch each line held in a core's L1/L2
+    carries that core's bit in the private-residency superset."""
+    spec = SPECS[name]
+    n_lines = 1024
+    rng = np.random.default_rng(5)
+    table = [
+        [(core << 24) + i * 64 for i in range(n_lines)]
+        for core in range(spec.n_cores)
+    ]
+    batches = [(table[core], core) for core in range(spec.n_cores)]
+    indices = rng.integers(0, n_lines, size=(2000, spec.n_cores))
+    batches.append(
+        (
+            [table[core][i] for row in indices.tolist() for core, i in enumerate(row)],
+            list(range(spec.n_cores)) * len(indices),
+        )
+    )
+    reference = build_hierarchy(spec)
+    fast = build_hierarchy(spec)
+    for addresses, core in batches:
+        expected = reference.access_batch(addresses, True, core, engine="reference")
+        got = fast.access_batch(addresses, True, core, engine="fast")
+        assert got.cycles.tolist() == expected.cycles.tolist()
+        assert got.levels.tolist() == expected.levels.tolist()
+        resident = fast._resident_superset
+        for c in range(spec.n_cores):
+            held = list(fast.l1s[c].lines()) + list(fast.l2s[c].lines())
+            assert all(resident.get(line, 0) >> c & 1 for line in held), c
+    assert state_fingerprint(reference) == state_fingerprint(fast)

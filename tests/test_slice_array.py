@@ -1,6 +1,9 @@
 """Unit tests for O(1) slice-local arrays."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cachesim.hashfn import ModularSliceHash, haswell_complex_hash
 from repro.mem.address import CACHE_LINE
@@ -92,3 +95,64 @@ class TestSliceLocalArray:
             set_index = (array.line_address(i) >> 6) & 2047
             counts[set_index] = counts.get(set_index, 0) + 1
         assert max(counts.values()) - min(counts.values()) <= 2
+
+
+class ScalarOnlyHash:
+    """The Haswell hash without ``slice_of_array`` (the scalar path)."""
+
+    def __init__(self):
+        inner = haswell_complex_hash(8)
+        self.n_slices = inner.n_slices
+        self.slice_of = inner.slice_of
+
+
+HASHES = {
+    "haswell-xor": haswell_complex_hash(8),
+    "skylake-modular": ModularSliceHash(18),
+    "scalar-only": ScalarOnlyHash(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASHES))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    base_line=st.integers(0, 1 << 26),
+    n_lines=st.integers(1, 300),
+    blocks_per_hash_block=st.integers(1, 2),
+    data=st.data(),
+)
+def test_line_addresses_match_line_address(
+    name, base_line, n_lines, blocks_per_hash_block, data
+):
+    """The vector form equals the per-index form, element for element."""
+    slice_hash = HASHES[name]
+    target = data.draw(st.integers(0, slice_hash.n_slices - 1))
+
+    def make():
+        return SliceLocalArray(
+            base_line * CACHE_LINE,
+            n_lines,
+            slice_hash,
+            target_slice=target,
+            block_lines=blocks_per_hash_block * slice_hash.n_slices,
+        )
+
+    scalar = make()
+    expected = [scalar.line_address(i) for i in range(n_lines)]
+    vector = make()
+    addresses = vector.line_addresses()
+    assert addresses.dtype == np.uint64
+    assert addresses.tolist() == expected
+    assert [vector.line_address(i) for i in range(n_lines)] == expected
+
+
+def test_line_addresses_probe_exhaustion_raises():
+    class StubbornHash:
+        n_slices = 4
+
+        def slice_of(self, address):
+            return 0
+
+    array = SliceLocalArray(0, 4, StubbornHash(), target_slice=3, block_lines=8)
+    with pytest.raises(LookupError):
+        array.line_addresses()

@@ -43,7 +43,8 @@ kind                      invariant
 ``double-residency``      a line resident in a slice it does not hash to, or
                           in two slices at once
 ``double-count``          a line occupying two ways of a set / shadow-map and
-                          tag array disagreeing (occupancy counted twice)
+                          tag array disagreeing (occupancy counted twice) /
+                          a slot's tag and dirty byte disagreeing on validity
 ``cat-violation``         a fill landing outside the CAT/DDIO way mask
 ``pool-corruption``       free-stack size disagreeing with the shadow free set
 ========================  =====================================================
@@ -390,6 +391,9 @@ class CacheSanitizer:
         Raises:
             SanitizerError: on the first violation found.
         """
+        # Imported here: repro.cachesim imports this module.
+        from repro.cachesim.cache import INVALID_TAG, INVALID_WAY
+
         llc = hierarchy.llc
         n_slices = llc.n_slices
         n_sets = llc.n_sets
@@ -418,7 +422,27 @@ class CacheSanitizer:
             where = slice_cache._where[set_i]
             tags = slice_cache._tags
             base = set_i * n_ways
-            valid = sum(1 for t in tags[base:base + n_ways] if t is not None)
+            valid = 0
+            for way, (tag, dirty) in enumerate(
+                zip(tags[base:base + n_ways], slice_cache._dirty[base:base + n_ways])
+            ):
+                # The tag and the dirty byte both encode validity; the
+                # free-way search trusts the byte, so a disagreement
+                # lets a fill overwrite a resident line.
+                if (tag != INVALID_TAG) != (dirty != INVALID_WAY):
+                    self._raise(
+                        "double-count",
+                        f"slice {slc} set {set_i} way {way}: tag {tag} "
+                        f"but dirty byte {dirty} — the two validity "
+                        "encodings disagree",
+                        slice=slc,
+                        set=set_i,
+                        way=way,
+                        tag=tag,
+                        dirty_byte=dirty,
+                    )
+                if tag != INVALID_TAG:
+                    valid += 1
             if valid != len(where):
                 self._raise(
                     "double-count",

@@ -10,11 +10,15 @@ Two implementations share one interface:
 
 Both store whole line addresses (the line address doubles as the tag;
 the set index is derived from it), track a dirty bit per line, and
-report evictions so the hierarchy can propagate write-backs.
+report evictions so the hierarchy can propagate write-backs.  A
+``WayCache`` keeps its per-slot state in typed buffers (``array`` and
+``bytearray``) that the garbage collector never walks element by
+element.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cachesim.replacement import make_policy
@@ -22,6 +26,14 @@ from repro.mem.address import CACHE_LINE_BITS, is_power_of_two
 
 #: An eviction: (line_address, was_dirty).
 Eviction = Tuple[int, bool]
+
+#: ``WayCache._dirty`` byte of an invalid way (valid ways hold 0 or 1).
+INVALID_WAY = 2
+
+#: ``WayCache._tags`` entry of an invalid way: all 64 bits set.  A line
+#: address is a multiple of the line size, so it is never this value,
+#: and every unsigned 64-bit line address still fits the buffer.
+INVALID_TAG = (1 << 64) - 1
 
 
 class DictCache:
@@ -130,12 +142,15 @@ class WayCache:
     ways and DDIO restricts I/O fills to (by default) 2 ways, so victim
     selection must understand way identity.
 
-    Set state is flat: ``_tags`` and ``_dirty`` hold one entry per
-    ``(set, way)`` slot at ``set_i * n_ways + way``, and one policy
-    object carries the replacement state of every set.  Only
-    ``_where`` (line -> way) stays per set, as dicts of ints the
-    garbage collector does not track.  A slice therefore owns a
-    constant number of GC-tracked containers whatever its set count.
+    Slot state lives in typed buffers indexed ``set_i * n_ways + way``:
+    ``_tags`` is an ``array('Q')`` of line addresses (:data:`INVALID_TAG`
+    for an invalid way) and ``_dirty`` a ``bytearray`` holding ``0`` (clean),
+    ``1`` (dirty) or :data:`INVALID_WAY`.  One policy object carries
+    the replacement state of every set in the same kind of buffer.
+    Only ``_where`` (line -> way) stays per set, as dicts of ints.  The
+    garbage collector visits none of these per slot, so a slice costs
+    a collection one element per set (the ``_where`` list's entry),
+    not three per way.
 
     Args:
         n_sets: number of sets (power of two).
@@ -164,8 +179,8 @@ class WayCache:
         self.name = name
         self.policy_name = policy
         self._set_mask = n_sets - 1
-        self._tags: List[Optional[int]] = [None] * (n_sets * n_ways)
-        self._dirty: List[bool] = [False] * (n_sets * n_ways)
+        self._tags = array("Q", [INVALID_TAG]) * (n_sets * n_ways)
+        self._dirty = bytearray([INVALID_WAY]) * (n_sets * n_ways)
         self._where: List[Dict[int, int]] = [{} for _ in range(n_sets)]
         self._policy = make_policy(policy, n_ways, seed=seed, n_sets=n_sets)
         self._all_ways = tuple(range(n_ways))
@@ -192,7 +207,7 @@ class WayCache:
             return False
         self._policy.touch(way, index)
         if write:
-            self._dirty[index * self.n_ways + way] = True
+            self._dirty[index * self.n_ways + way] = 1
         return True
 
     def contains(self, line_address: int) -> bool:
@@ -217,6 +232,10 @@ class WayCache:
         (regardless of way mask — a hit never migrates ways), else an
         invalid allowed way, else evict the policy's victim among the
         allowed ways.
+
+        Raises:
+            ValueError: if *allowed_ways* is empty or names a way
+                outside ``0..n_ways-1``.
         """
         index = (line_address >> CACHE_LINE_BITS) & self._set_mask
         where = self._where[index]
@@ -225,20 +244,26 @@ class WayCache:
         if existing is not None:
             self._policy.touch(existing, index)
             if dirty:
-                self._dirty[base + existing] = True
+                self._dirty[base + existing] = 1
             return None
         ways = self._all_ways if allowed_ways is None else tuple(allowed_ways)
         if not ways:
             raise ValueError("allowed_ways must be non-empty")
-        tags = self._tags
+        if allowed_ways is not None:
+            # A way past the set would alias a neighbour set's slot.
+            for way in ways:
+                if not 0 <= way < self.n_ways:
+                    raise ValueError(
+                        f"allowed way {way} outside 0..{self.n_ways - 1}"
+                    )
+        dirt = self._dirty
         for way in ways:
-            if tags[base + way] is None:
+            if dirt[base + way] == INVALID_WAY:
                 self._fill(index, way, line_address, dirty)
                 return None
         victim_way = self._policy.victim(ways, index)
-        victim_tag = tags[base + victim_way]
-        assert victim_tag is not None
-        victim_dirty = self._dirty[base + victim_way]
+        victim_tag = self._tags[base + victim_way]
+        victim_dirty = dirt[base + victim_way] == 1
         del where[victim_tag]
         self._fill(index, victim_way, line_address, dirty)
         return (victim_tag, victim_dirty)
@@ -246,7 +271,7 @@ class WayCache:
     def _fill(self, index: int, way: int, line_address: int, dirty: bool) -> None:
         slot = index * self.n_ways + way
         self._tags[slot] = line_address
-        self._dirty[slot] = dirty
+        self._dirty[slot] = 1 if dirty else 0
         self._where[index][line_address] = way
         self._policy.reset(way, index)
 
@@ -257,9 +282,9 @@ class WayCache:
         if way is None:
             return None
         slot = index * self.n_ways + way
-        self._tags[slot] = None
-        dirty = self._dirty[slot]
-        self._dirty[slot] = False
+        self._tags[slot] = INVALID_TAG
+        dirty = self._dirty[slot] == 1
+        self._dirty[slot] = INVALID_WAY
         return dirty
 
     def flush(self) -> List[Eviction]:
@@ -275,11 +300,11 @@ class WayCache:
         for index, where in enumerate(self._where):
             base = index * n_ways
             for line_address, way in where.items():
-                drained.append((line_address, dirty[base + way]))
+                drained.append((line_address, dirty[base + way] == 1))
             where.clear()
         size = len(self._tags)
-        self._tags[:] = [None] * size
-        dirty[:] = [False] * size
+        self._tags[:] = array("Q", [INVALID_TAG]) * size
+        dirty[:] = bytearray([INVALID_WAY]) * size
         return drained
 
     def occupancy(self) -> int:

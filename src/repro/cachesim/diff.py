@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cachesim.cache import INVALID_TAG
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.mem.address import CACHE_LINE
@@ -125,12 +126,12 @@ def state_fingerprint(hierarchy: CacheHierarchy) -> dict:
     fp["llc"] = [
         [
             sorted(
-                (tag, bool(dirty))
+                (tag, dirty == 1)
                 for tag, dirty in zip(
                     slc._tags[base:base + slc.n_ways],
                     slc._dirty[base:base + slc.n_ways],
                 )
-                if tag is not None
+                if tag != INVALID_TAG
             )
             for base in range(0, len(slc._tags), slc.n_ways)
         ]

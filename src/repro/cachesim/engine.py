@@ -67,6 +67,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.cachesim.cache import INVALID_WAY
 from repro.cachesim.counters import (
     EVENT_DDIO_FILLS,
     EVENT_DDIO_READS,
@@ -225,9 +226,10 @@ class FastEngine:
         l2_mask = h.l2s[0]._set_mask
         l1_ways = h.l1s[0].n_ways
         l2_ways = h.l2s[0].n_ways
-        # Per slice: the per-set ``_where`` dicts, and the flat tag,
-        # dirty and (LRU) stamp lists indexed ``set_i * n_ways + way``.
-        # All are cleared in place by drains, never replaced.
+        # Per slice: the per-set ``_where`` dicts, and the typed tag,
+        # dirty and (LRU) stamp buffers indexed ``set_i * n_ways + way``
+        # (see WayCache: a dirty byte of INVALID marks a free way).  All
+        # are cleared in place by drains, never replaced.
         llc_where = [s._where for s in llc.slices]
         llc_tags = [s._tags for s in llc.slices]
         llc_dirty = [s._dirty for s in llc.slices]
@@ -279,6 +281,7 @@ class FastEngine:
             return cat_cache[2][core]
 
         n_llc_ways = llc.n_ways
+        INVALID = INVALID_WAY
 
         def llc_fill(line, core, dirty, slc):
             # SlicedLLC.fill + WayCache.insert, inlined (demand fills
@@ -303,16 +306,15 @@ class FastEngine:
                 else:
                     pol.touch(existing, set_i)
                 if dirty:
-                    llc_dirty[slc][base + existing] = True
+                    llc_dirty[slc][base + existing] = 1
                 return None
             tags = llc_tags[slc]
             dirt = llc_dirty[slc]
             if allowed is None:
-                # len(where) counts the valid ways, so a shorter dict
-                # guarantees an invalid way exists; .index finds the
-                # lowest one — the same way the reference scan picks.
-                if len(where) < n_llc_ways:
-                    slot = tags.index(None, base, base + n_llc_ways)
+                # .find returns the lowest invalid way — the one the
+                # reference scan picks — without allocating.
+                slot = dirt.find(INVALID, base, base + n_llc_ways)
+                if slot >= 0:
                     tags[slot] = line
                     dirt[slot] = dirty
                     where[line] = slot - base
@@ -325,14 +327,16 @@ class FastEngine:
                 if lru_fast:
                     # .index finds the first of equal stamps, matching
                     # the reference LruPolicy's strict-less-than scan.
-                    stamps = stamp[base:base + n_llc_ways]
+                    # A list boxes each stamp once; min() and .index()
+                    # over the array would box them twice.
+                    stamps = stamp[base:base + n_llc_ways].tolist()
                     vslot = base + stamps.index(min(stamps))
                 else:
                     vslot = base + pol.victim(all_ways, set_i)
             else:
                 for w in allowed:
                     slot = base + w
-                    if tags[slot] is None:
+                    if dirt[slot] == INVALID:
                         tags[slot] = line
                         dirt[slot] = dirty
                         where[line] = w
@@ -465,7 +469,7 @@ class FastEngine:
                         llc_stamps[vslc][slot] = pol._clock
                     else:
                         pol.touch(way, set_i)
-                    llc_dirty[vslc][slot] = True
+                    llc_dirty[vslc][slot] = 1
                 else:
                     fill_llc(core, vline, True, vslc, stats)
                 return wb_frac[core][vslc]
@@ -692,14 +696,14 @@ class FastEngine:
                                 stamp = llc_stamps[slc]
                                 pol = llc_pols[slc]
                                 pol._clock += 1
-                                if len(where) < n_llc_ways:
-                                    slot = tags.index(None, base, base + n_llc_ways)
+                                slot = dirt.find(INVALID, base, base + n_llc_ways)
+                                if slot >= 0:
                                     tags[slot] = line
                                     dirt[slot] = False
                                     where[line] = slot - base
                                     stamp[slot] = pol._clock
                                 else:
-                                    stamps = stamp[base:base + n_llc_ways]
+                                    stamps = stamp[base:base + n_llc_ways].tolist()
                                     slot = base + stamps.index(min(stamps))
                                     vline = tags[slot]
                                     vdirty = dirt[slot]
@@ -801,7 +805,7 @@ class FastEngine:
 
         # line -> (slc, set_i, base, where, pol, stamp, tags, dirty)
         # memo for the replay paths, where ``base`` is the set's first
-        # slot in the slice's flat lists.  Every container it holds is
+        # slot in the slice's slot buffers.  Every container it holds is
         # stable for the model's lifetime (drains clear them in
         # place).  Size-capped like slice_memo.
         set_memo: dict = {}
@@ -907,16 +911,16 @@ class FastEngine:
                         stamp[base + existing] = pol._clock
                     else:
                         pol.touch(existing, set_i)
-                    dirt[base + existing] = True
+                    dirt[base + existing] = 1
                     continue
                 if two_ddio and lru_fast:
                     s0 = base + dw0
                     s1 = base + dw1
-                    if tags[s0] is None:
+                    if dirt[s0] == INVALID:
                         vw = dw0
                         vtag = None
                         vdirty = False
-                    elif tags[s1] is None:
+                    elif dirt[s1] == INVALID:
                         vw = dw1
                         vtag = None
                         vdirty = False
@@ -928,7 +932,7 @@ class FastEngine:
                 else:
                     vw = -1
                     for w in ddio_ways:
-                        if tags[base + w] is None:
+                        if dirt[base + w] == INVALID:
                             vw = w
                             break
                     if vw < 0:
@@ -947,7 +951,7 @@ class FastEngine:
                         vdirty = False
                 slot = base + vw
                 tags[slot] = line
-                dirt[slot] = True
+                dirt[slot] = 1
                 where[line] = vw
                 if lru_fast:
                     pol._clock += 1

@@ -1,10 +1,12 @@
 """Replacement policies for way-organised cache sets.
 
 One policy object holds the replacement state of *every* set of a
-cache (an LLC slice) in flat lists indexed ``set_i * stride + k``, so a
-slice costs a handful of containers however many sets it has.  Methods
-take the way first and the set index second (default ``0``): a policy
-built with ``n_sets=1`` is the classic single-set state machine.
+cache (an LLC slice) in one typed buffer indexed ``set_i * stride + k``
+(an ``array`` or ``bytearray``; only RRPVs wider than 8 bits, which
+no shipped policy uses, fall back to a list), so the garbage collector
+never walks it element by element however many sets the slice has.  Methods take
+the way first and the set index second (default ``0``): a policy built
+with ``n_sets=1`` is the classic single-set state machine.
 
 Policies support *way masks* (needed for CAT and DDIO): victim
 selection can be restricted to an allowed subset of ways.  All policies
@@ -14,7 +16,8 @@ implement :class:`ReplacementPolicy`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Protocol, Sequence
+from array import array
+from typing import Dict, MutableSequence, Protocol, Sequence
 
 
 class ReplacementPolicy(Protocol):
@@ -35,6 +38,12 @@ def _check_geometry(n_ways: int, n_sets: int) -> None:
         raise ValueError(f"n_ways must be positive, got {n_ways}")
     if n_sets <= 0:
         raise ValueError(f"n_sets must be positive, got {n_sets}")
+
+
+def _rrpv_buffer(n: int, max_rrpv: int) -> MutableSequence[int]:
+    """*n* RRPVs, all at *max_rrpv*: a ``bytearray`` up to 8 bits, else
+    a list (no default policy uses more than 2 bits)."""
+    return bytearray([max_rrpv]) * n if max_rrpv < 256 else [max_rrpv] * n
 
 
 class _PerSetRng:
@@ -68,7 +77,7 @@ class LruPolicy:
         _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
         self._clock = 0
-        self._stamp: List[int] = [-1] * (n_sets * n_ways)
+        self._stamp = array("q", [-1]) * (n_sets * n_ways)
 
     def touch(self, way: int, set_i: int = 0) -> None:
         self._clock += 1
@@ -107,7 +116,7 @@ class TreePlruPolicy:
         _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
         self._stride = max(1, n_ways - 1)
-        self._bits: List[int] = [0] * (n_sets * self._stride)
+        self._bits = bytearray(n_sets * self._stride)
 
     def touch(self, way: int, set_i: int = 0) -> None:
         # Walk from root to the leaf, setting each bit to point *away*
@@ -204,7 +213,7 @@ class SrripPolicy:
         self.n_ways = n_ways
         self.max_rrpv = (1 << bits) - 1
         self.insert_rrpv = self.max_rrpv - 1
-        self._rrpv: List[int] = [self.max_rrpv] * (n_sets * n_ways)
+        self._rrpv = _rrpv_buffer(n_sets * n_ways, self.max_rrpv)
 
     def touch(self, way: int, set_i: int = 0) -> None:
         self._rrpv[set_i * self.n_ways + way] = 0

@@ -18,6 +18,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.cachesim.cache import INVALID_TAG
+from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.diff import (
     make_rare_events,
     random_trace,
@@ -247,3 +249,93 @@ def test_cold_fill_writes_keep_residency_superset(name):
             held = list(fast.l1s[c].lines()) + list(fast.l2s[c].lines())
             assert all(resident.get(line, 0) >> c & 1 for line in held), c
     assert state_fingerprint(reference) == state_fingerprint(fast)
+
+
+def same_set_lines(hierarchy, count, skip=0):
+    """*count* lines of LLC slice ``slice_of(0)``, set 0, after *skip*."""
+    llc = hierarchy.llc
+    home = llc.slice_of(0)
+    stride = llc.n_sets * 64
+    lines = (k * stride for k in range(1 << 16))
+    found = [line for line in lines if llc.slice_of(line) == home]
+    return found[skip:skip + count]
+
+
+def full_set_with_holes(spec, holes):
+    """A reference and a fast-engine hierarchy whose LLC set 0 of slice
+    ``slice_of(0)`` is full, then has the lines in *holes* clflushed."""
+    pair = []
+    for engine in ("reference", "fast"):
+        h = build_hierarchy(spec)
+        h.set_engine(engine)
+        for line in same_set_lines(h, spec.llc_ways):
+            h.llc.fill(line, core=0)
+        slice_cache = h.llc.slices[h.llc.slice_of(0)]
+        for way in holes:
+            h.clflush(slice_cache._tags[way])
+        pair.append(h)
+    return pair
+
+
+@pytest.mark.parametrize("name", ["haswell-small", "skylake-small"])
+@pytest.mark.parametrize("write", [False, True])
+def test_refill_takes_lowest_invalid_way(name, write):
+    """Demand refills of a set with invalid way 0 and a middle way, on
+    both engines in lockstep: the lines the set newly takes in land in
+    its lowest invalid ways.  An inclusive LLC fills on the miss, a
+    non-inclusive one on the L2 evictions."""
+    spec = SPECS[name]
+    reference, fast = full_set_with_holes(spec, (0, spec.llc_ways // 2))
+    new = same_set_lines(reference, spec.l2_ways + 2, skip=spec.llc_ways)
+    for line in new:
+        outcomes = []
+        for h in (reference, fast):
+            slice_cache = h.llc.slices[h.llc.slice_of(0)]
+            free = [w for w in range(spec.llc_ways) if slice_cache._tags[w] == INVALID_TAG]
+            before = set(slice_cache.lines())
+            batch = h.access_batch([line], write, 0, engine=h.engine_name)
+            outcomes.append((batch.cycles.tolist(), batch.levels.tolist()))
+            added = set(slice_cache.lines()) - before
+            # One access can fill twice (a dirty L1 victim's drain and
+            # the L2 victim it forces); each takes the lowest free way.
+            ways = sorted(slice_cache.way_of(a) for a in added)
+            assert ways == free[:len(ways)] or len(ways) > len(free)
+        assert outcomes[0] == outcomes[1]
+        assert state_fingerprint(reference) == state_fingerprint(fast)
+    for h in (reference, fast):
+        assert INVALID_TAG not in h.llc.slices[h.llc.slice_of(0)]._tags[:spec.llc_ways]
+
+
+@pytest.mark.parametrize("name", ["haswell-small", "skylake-small"])
+def test_ddio_refill_takes_lowest_invalid_ddio_way(name):
+    """DMA writes into a set with way 0, a middle way and both DDIO
+    ways invalid land in the DDIO ways, lowest first."""
+    spec = SPECS[name]
+    reference, fast = full_set_with_holes(spec, (0, spec.llc_ways // 2))
+    ddio_ways = reference.llc.ddio_way_tuple
+    new = same_set_lines(reference, 2, skip=spec.llc_ways)
+    for h in (reference, fast):
+        slice_cache = h.llc.slices[h.llc.slice_of(0)]
+        for way in ddio_ways:
+            h.clflush(slice_cache._tags[way])
+        ddio = DdioEngine(h)
+        for line in new:
+            assert ddio.dma_write(line, 64) == 1
+        assert [slice_cache.way_of(line) for line in new] == sorted(ddio_ways)
+    assert state_fingerprint(reference) == state_fingerprint(fast)
+
+
+@pytest.mark.parametrize("name", ["haswell-small", "skylake-small"])
+def test_lines_past_2_63_identical(name):
+    """``access_batch`` takes any uint64 address: writes to lines at
+    and past 2**63, enough to fill, evict and write back LLC lines,
+    give the same outcomes and state on both engines."""
+    spec = SPECS[name]
+    addrs = np.uint64(1 << 63) + np.arange(3000, dtype=np.uint64) * np.uint64(7 * 64)
+    outcomes = []
+    for engine in ("reference", "fast"):
+        h = build_hierarchy(spec)
+        h.set_engine(engine)
+        batch = h.access_batch(addrs, True, 0, engine=engine)
+        outcomes.append((batch.cycles.tolist(), state_fingerprint(h)))
+    assert outcomes[0] == outcomes[1]

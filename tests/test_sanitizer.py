@@ -16,6 +16,7 @@ from repro.analysis.sanitizer import (
     resolve_sanitizer,
     sanitizer_enabled,
 )
+from repro.cachesim.cache import INVALID_TAG, INVALID_WAY
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.hashfn import haswell_complex_hash
 from repro.cachesim.hierarchy import CacheHierarchy, LatencySpec
@@ -309,6 +310,7 @@ class TestScanFaults:
         # the bounds check can flag this set.
         slice_cache._where[set_index][line] = llc.n_ways
         slice_cache._tags[(set_index + 1) * llc.n_ways] = line
+        slice_cache._dirty[(set_index + 1) * llc.n_ways] = 0
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
@@ -326,15 +328,44 @@ class TestScanFaults:
         set_index = (line >> 6) & (llc.n_sets - 1)
         way = slice_cache._where[set_index][line]
         other_way = (way + 1) % llc.n_ways
-        # Tag array holds the line in a different way than the map says,
-        # with a bogus valid tag taking its place.
+        # Tag array holds the line in a different way than the map says.
+        # The dirty byte moves with the tag, so both slots stay
+        # self-consistent and the valid-way count still matches: only
+        # the shadow-map-vs-tag comparison can flag this set.
         slot = set_index * llc.n_ways + way
         other_slot = set_index * llc.n_ways + other_way
         slice_cache._tags[other_slot] = slice_cache._tags[slot]
-        slice_cache._tags[slot] = None
+        slice_cache._dirty[other_slot] = slice_cache._dirty[slot]
+        slice_cache._tags[slot] = INVALID_TAG
+        slice_cache._dirty[slot] = INVALID_WAY
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
+        assert excinfo.value.details["line"] == line
+        assert excinfo.value.details["way"] == way
+
+    @pytest.mark.parametrize("valid_tag", [True, False])
+    def test_double_count_validity_encodings_disagree(self, valid_tag):
+        # One corrupted dirty byte: a resident line's slot marked
+        # invalid (a later fill would overwrite it), or a free slot
+        # marked clean.
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        llc = hierarchy.llc
+        line = 0
+        slice_cache = llc.slices[llc.slice_of(line)]
+        slice_cache.insert(line)
+        set_index = (line >> 6) & (llc.n_sets - 1)
+        way = slice_cache._where[set_index][line]
+        if not valid_tag:
+            way = (way + 1) % llc.n_ways
+        slot = set_index * llc.n_ways + way
+        slice_cache._dirty[slot] = INVALID_WAY if valid_tag else 0
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "double-count"
+        assert excinfo.value.details["set"] == set_index
+        assert excinfo.value.details["way"] == way
 
     def test_cat_violation_scan(self):
         san = CacheSanitizer()

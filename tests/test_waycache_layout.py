@@ -1,13 +1,16 @@
-"""The flat-array WayCache layout against a per-set reference model.
+"""The flat-buffer WayCache layout against a per-set reference model.
 
 :class:`WayCache` keeps each slice's tags, dirty bits and replacement
-state in flat per-slice lists indexed ``set_i * n_ways + way``.  The
+state in typed per-slice buffers indexed ``set_i * n_ways + way``.  The
 model below keeps the same state the eager way — one tag list, one
 dirty list, one shadow dict and one single-set policy object per set,
 set ``i``'s stochastic policy seeded with ``seed + i``.  Hypothesis
 drives both through insert/lookup/invalidate/flush streams under CAT
 and DDIO way masks, for every replacement policy, and requires the
-same return values and the same per-set contents throughout.
+same return values and the same per-set contents throughout.  The
+buffers are decoded (tag ``INVALID_TAG`` -> ``None``, dirty byte ->
+``bool``)
+after checking that the two validity encodings agree slot by slot.
 """
 
 import gc
@@ -17,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.cache import WayCache
-from repro.cachesim.replacement import make_policy
+from repro.cachesim.cache import INVALID_TAG, INVALID_WAY, WayCache
+from repro.cachesim.replacement import SrripPolicy, make_policy
 from repro.mem.address import CACHE_LINE
 
 POLICIES = ["lru", "plru", "random", "srrip", "brrip"]
@@ -93,12 +96,25 @@ class PerSetWayCache:
         return drained
 
 
+def decoded_set(flat: WayCache, index: int):
+    """Set *index*'s ``(tags, dirty)`` as the model holds them: ``None``
+    for an invalid way's tag, ``bool`` dirty bits (``False`` when
+    invalid).  The tag and the dirty byte must agree on validity."""
+    base = index * flat.n_ways
+    tags = flat._tags[base:base + flat.n_ways]
+    dirty = flat._dirty[base:base + flat.n_ways]
+    for tag, byte in zip(tags, dirty):
+        assert byte in (0, 1, INVALID_WAY)
+        assert (tag == INVALID_TAG) == (byte == INVALID_WAY), (tag, byte)
+    return (
+        [None if tag == INVALID_TAG else tag for tag in tags],
+        [byte == 1 for byte in dirty],
+    )
+
+
 def assert_same_sets(flat: WayCache, model: PerSetWayCache) -> None:
-    n_ways = flat.n_ways
     for index in range(flat.n_sets):
-        base = index * n_ways
-        assert flat._tags[base:base + n_ways] == model.tags[index]
-        assert flat._dirty[base:base + n_ways] == model.dirty[index]
+        assert decoded_set(flat, index) == (model.tags[index], model.dirty[index])
         assert flat._where[index] == model.where[index]
 
 
@@ -133,6 +149,7 @@ def cache_streams(draw):
     return policy, n_sets, n_ways, seed, ops
 
 
+@pytest.mark.differential
 class TestFlatLayoutMatchesPerSetModel:
     @settings(max_examples=200, deadline=None)
     @given(stream=cache_streams())
@@ -189,6 +206,41 @@ def tracked_objects_added(n_sets: int, n_ways: int, policy: str) -> int:
     return added
 
 
+def tracked_elements_added(n_sets: int, n_ways: int, policy: str):
+    """``(cache, elements)``: one new WayCache and the number of
+    elements a collection visits in the GC-tracked containers that
+    building it left alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_objects()
+        seen = {id(obj) for obj in before}
+        seen.update((id(before), id(seen)))
+        cache = WayCache(n_sets, n_ways, policy=policy)
+        elements = 0
+        for obj in gc.get_objects():
+            if id(obj) not in seen:
+                elements += len(gc.get_referents(obj))
+    finally:
+        gc.enable()
+    return cache, elements
+
+
+def policy_state(cache: WayCache):
+    """The policy's per-slot state buffer (``None`` for ``random``)."""
+    for name in ("_stamp", "_bits", "_rrpv"):
+        if hasattr(cache._policy, name):
+            return getattr(cache._policy, name)
+    return None
+
+
+def never_walked(buffer) -> bool:
+    """A collection visits none of *buffer*'s items: it is untracked,
+    or (``array.array`` on CPython 3.10+, a GC-tracked heap type) its
+    only referent is its type."""
+    return not gc.is_tracked(buffer) or gc.get_referents(buffer) == [type(buffer)]
+
+
 class TestConstructionCost:
     @pytest.mark.parametrize("policy", POLICIES)
     def test_tracked_objects_independent_of_set_count(self, policy):
@@ -197,10 +249,106 @@ class TestConstructionCost:
         assert full == tiny
         assert full <= 12
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_tracked_elements_independent_of_set_count(self, policy):
+        # The one per-set element is the _where list's reference to
+        # that set's shadow dict (an untracked dict of ints); nothing
+        # a collection visits grows with the ways.
+        n_ways = 20 if policy != "plru" else 16
+        full, full_elements = tracked_elements_added(2048, n_ways, policy)
+        tiny, tiny_elements = tracked_elements_added(2, n_ways, policy)
+        assert full_elements - len(full._where) == tiny_elements - len(tiny._where)
+        assert not any(gc.is_tracked(where) for where in full._where)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_slot_buffers_are_not_walked(self, policy):
+        cache = WayCache(2048, 16, policy=policy)
+        assert not gc.is_tracked(cache._dirty)
+        assert never_walked(cache._tags)
+        state = policy_state(cache)
+        assert (state is None) == (policy == "random")
+        if state is not None:
+            assert never_walked(state)
+        if policy in ("plru", "srrip", "brrip"):
+            assert not gc.is_tracked(state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dirty_flags_are_bools(self, policy):
+        dirty = {0: True, CACHE_LINE: False, 2 * CACHE_LINE: False}
+        cache = WayCache(1, 2, policy=policy, seed=5)
+        cache.insert(0, dirty=True)
+        cache.insert(CACHE_LINE, dirty=False)
+        assert cache.invalidate(0) is True
+        assert cache.invalidate(CACHE_LINE) is False
+        cache.insert(0, dirty=True)
+        cache.insert(CACHE_LINE, dirty=False)
+        line, was_dirty = cache.insert(2 * CACHE_LINE)
+        assert was_dirty is dirty[line]
+        drained = cache.flush()
+        assert len(drained) == 2
+        for line, was_dirty in drained:
+            assert was_dirty is dirty[line]
+
     def test_flush_keeps_containers(self):
         cache = WayCache(8, 4)
         tags, dirty, where = cache._tags, cache._dirty, cache._where
         cache.insert(0, dirty=True)
         assert cache.flush() == [(0, True)]
         assert cache._tags is tags and cache._dirty is dirty and cache._where is where
-        assert tags == [None] * 32 and dirty == [False] * 32
+        for index in range(8):
+            assert decoded_set(cache, index) == ([None] * 4, [False] * 4)
+
+
+class TestAllowedWaysBounds:
+    @pytest.mark.parametrize("mask", [[2], [-1], [5], [0, 2]])
+    def test_out_of_range_way_raises(self, mask):
+        # Set 0's way 2 is set 1's way 0 in the flat layout (and way
+        # -1 is set 3's last slot); the fill must not alias it, nor
+        # take a valid way of a mask that also names a bad one.
+        cache = WayCache(4, 2)
+        with pytest.raises(ValueError, match="outside"):
+            cache.insert(0, allowed_ways=mask)
+        for index in range(4):
+            assert decoded_set(cache, index) == ([None] * 2, [False] * 2)
+        assert cache.occupancy() == 0
+        set1 = [CACHE_LINE, 5 * CACHE_LINE]
+        for line in set1:
+            assert cache.insert(line) is None
+        assert sorted(cache.lines()) == set1
+
+
+class TestRrpvWidth:
+    @pytest.mark.parametrize("bits", [1, 2, 8, 9, 16, 40, 64, 70])
+    def test_any_rrpv_width_ages_to_its_maximum(self, bits):
+        # A bytearray up to 8 bits, a list past them: no limit on the
+        # width, values up to 2**bits - 1 round-trip exactly.
+        policy = SrripPolicy(2, bits=bits, n_sets=2)
+        top = (1 << bits) - 1
+        assert list(policy._rrpv) == [top] * 4
+        policy.reset(0, 1)
+        policy.reset(1, 1)
+        policy.touch(1, 1)
+        # One aging pass takes way 0 from top - 1 to top.
+        assert policy.victim((0, 1), 1) == 0
+        assert list(policy._rrpv) == [top, top, top, 1]
+
+
+class TestTagRange:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_any_64_bit_line_address_round_trips(self, policy):
+        # The tag buffer is unsigned: lines at and past 2**63 are
+        # stored, evicted and invalidated like any other.
+        cache = WayCache(2, 2, policy=policy, seed=1)
+        top = (1 << 64) - 2 * CACHE_LINE
+        lines = [1 << 63, top, (1 << 63) + 2 * CACHE_LINE]
+        assert cache.insert(lines[0], dirty=True) is None
+        assert cache.insert(lines[1]) is None
+        victim = cache.insert(lines[2])
+        assert victim is not None and victim[0] in lines[:2]
+        assert victim[1] is (victim[0] == lines[0])
+        kept = [line for line in lines if line != victim[0]]
+        assert sorted(cache.lines()) == sorted(kept)
+        assert decoded_set(cache, 0)[0].count(None) == 0
+        for line in kept:
+            assert cache.invalidate(line) is False
+        assert decoded_set(cache, 0) == ([None] * 2, [False] * 2)

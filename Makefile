@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test diff-smoke e2e-test bench bench-full bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test diff-smoke e2e-test bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -51,13 +51,6 @@ diff-smoke:
 e2e-test:
 	$(PY) -m pytest e2ebench/tests -q
 
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only -q -s
-
-# Closer to the paper's sample counts (10x samples; much slower).
-bench-full:
-	REPRO_BENCH_SCALE=10 $(PY) -m pytest benchmarks/ --benchmark-only -q -s
-
 # Persisted perf trajectory: measure the declared suite, write the next
 # BENCH_NNNN.json, and gate it against the previous artifact (see
 # docs/BENCH.md).  BENCH_SCALE/BENCH_ARGS tune sizing, e.g.
@@ -87,7 +80,9 @@ figures:
 	$(PY) -m repro table 2
 	$(PY) -m repro table 4
 
-# Run the whole experiment matrix (reduced scale) into $(LAB_DIR).
+# Run the whole experiment matrix (reduced scale) into $(LAB_DIR); every
+# paper claim declared for that scale is checked, and a violated one
+# fails the run.
 lab:
 	$(PY) -m repro lab run --all --jobs $(LAB_JOBS) --out $(LAB_DIR)
 
@@ -134,4 +129,4 @@ fleet-smoke:
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; true
-	rm -rf .pytest_cache .benchmarks src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info

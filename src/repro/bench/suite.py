@@ -7,10 +7,9 @@ Each :class:`BenchEntry` names either a lab-registered experiment
 * ``smoke`` — seconds-per-entry sizing for CI and tests;
 * ``full`` — the sizing the trajectory artifacts are recorded at.
 
-``REPRO_BENCH_SCALE`` multiplies the parameters named in ``scaled``
-(the same knob the ``benchmarks/`` suite honours), so one environment
-variable moves the whole suite between quick smoke and paper-scale
-sampling.  Every entry declares its *work units* — how many simulated
+``REPRO_BENCH_SCALE`` multiplies the parameters named in ``scaled``,
+so one environment variable moves the whole suite between quick smoke
+and paper-scale sampling.  Every entry declares its *work units* — how many simulated
 ops/packets/requests one execution performs — which is what turns raw
 wall-clock nanoseconds into the ops/sec and Mpps rates the trajectory
 reports.

@@ -13,10 +13,11 @@ of hot data".  This module implements that extension:
   Migrations are real work: the line is read from its old home and
   written to the new one, charged to the migrating core.
 
-The ablation benchmark (`benchmarks/test_ablation_migration.py`) shows
-the point of it: with a drifting hot set, static slice-aware placement
-decays to normal-allocation performance, while periodic migration
-keeps the hot set in the fast slice.
+The ``ablation-migration`` lab experiment and
+``tests/test_ablations.py::TestMigrationExperiment`` show the trade-off:
+with a drifting hot set, migration follows the drift but pays for its
+copies, so it only matches or beats static slice-aware placement when
+the hot set drifts slowly.
 """
 
 from __future__ import annotations

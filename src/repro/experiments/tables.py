@@ -182,8 +182,9 @@ def run_table3(
     """Compute Table 3 by driving the Fig. 13/14 runners.
 
     Defaults use reduced packet counts so the table is cheap to print
-    from the CLI; the paper-scale numbers come from the benchmark
-    suite (or ``repro fig 13``/``fig 14`` at full counts).
+    from the CLI.  The paper-scale numbers come from
+    ``repro lab run table3 --scale full``, which drives both runners
+    with the Fig. 13 spec's full packet counts and runs.
     """
     from repro.experiments.fig13_forwarding import run_fig13
     from repro.experiments.fig14_service_chain import run_fig14

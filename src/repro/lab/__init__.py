@@ -3,10 +3,12 @@
 The lab turns the repo's one-figure-at-a-time entry points into a
 declarative, runnable evaluation matrix:
 
-* :mod:`repro.lab.spec` — the :class:`ExperimentSpec` declaration and
-  the :class:`Registry` holding them.
+* :mod:`repro.lab.spec` — the :class:`ExperimentSpec` declaration, the
+  paper :class:`Claim` its payload must show, and the :class:`Registry`
+  holding them.
 * :mod:`repro.lab.registry` — the default registry covering every
-  figure, table, headroom, and ablation entry point.
+  figure, table, headroom, and ablation entry point, each with its
+  paper claims.
 * :mod:`repro.lab.runner` — a :class:`~concurrent.futures.ProcessPoolExecutor`
   matrix runner with per-task timeouts, bounded retries, sweep
   splitting, and a live progress reporter.
@@ -30,10 +32,11 @@ from repro.lab.compare import (
 )
 from repro.lab.registry import default_registry
 from repro.lab.runner import RunReport, run_matrix
-from repro.lab.spec import ExperimentSpec, Registry, SplitSpec, derive_seed
+from repro.lab.spec import Claim, ExperimentSpec, Registry, SplitSpec, derive_seed
 from repro.lab.store import RunStore, load_run
 
 __all__ = [
+    "Claim",
     "ComparisonReport",
     "ExperimentComparison",
     "ExperimentSpec",

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 from repro.lab.compare import (
     compare_runs,
@@ -47,6 +47,14 @@ def _cmd_lab_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _claim_tally(verdicts: List[Dict[str, str]]) -> str:
+    """``held/checked`` for one experiment's claim verdicts."""
+    if not verdicts:
+        return "-"
+    held = sum(v["verdict"] == "held" for v in verdicts)
+    return f"{held}/{len(verdicts)}"
+
+
 def _cmd_lab_run(args: argparse.Namespace) -> int:
     if not args.names and not args.all:
         print("lab run: give experiment names or --all", file=sys.stderr)
@@ -66,20 +74,23 @@ def _cmd_lab_run(args: argparse.Namespace) -> int:
     manifest_path = RunStore(out_dir).write_report(report)
     print(f"run: seed={report.seed} scale={report.scale} jobs={report.jobs} "
           f"wall={report.wall_clock_s:.1f}s")
-    print("experiment             | status | tasks | attempts | seconds")
+    print("experiment             | status | tasks | attempts | seconds | claims")
     for name in sorted(report.experiments):
         e = report.experiments[name]
         print(
             f"{name:<22} | {e.status:<6} | {e.tasks:>5} | {e.attempts:>8} "
-            f"| {e.duration_s:>7.1f}"
+            f"| {e.duration_s:>7.1f} | {_claim_tally(e.claims)}"
         )
+    verdicts = [v for e in report.experiments.values() for v in e.claims]
+    if verdicts:
+        print(f"claims: {_claim_tally(verdicts)} held")
     failed = report.failed_names()
     if failed:
         for name in failed:
             print(f"FAILED {name}: {report.experiments[name].error}", file=sys.stderr)
         print(
-            f"lab run: {len(failed)} experiment(s) still failing after "
-            f"{report.retries} retries: {', '.join(failed)} — exiting nonzero",
+            f"lab run: {len(failed)} experiment(s) failed: "
+            f"{', '.join(failed)} — exiting nonzero",
             file=sys.stderr,
         )
     print(f"wrote {manifest_path}")
@@ -158,6 +169,8 @@ def _cmd_lab_report(args: argparse.Namespace) -> int:
         )
         if entry.get("status") != "ok":
             print(f"    error: {entry.get('error')}")
+        for verdict in entry.get("claims", []):
+            print(f"    [{verdict['verdict']}] {verdict['ref']}: {verdict['text']}")
     return 0 if manifest.get("ok") else 1
 
 

@@ -14,7 +14,11 @@ Execution model:
   recorded as ``failed`` in the manifest and the rest of the matrix
   still completes;
 * task seeds derive deterministically from the run's base seed, so
-  results are bit-identical regardless of ``--jobs``.
+  results are bit-identical regardless of ``--jobs``;
+* after merging and serializing, an experiment that ran at exactly
+  its preset's parameters has its paper claims checked; a violated
+  claim fails the experiment without a retry (the result is
+  deterministic, so a rerun would violate it again).
 """
 
 from __future__ import annotations
@@ -94,6 +98,10 @@ class ExperimentOutcome:
     result: Any = None          # merged result object (in-process use)
     payload: Any = None         # JSON-ready serialized result
     duration_ns: int = 0        # summed ns-resolution task durations
+    #: One ``{"ref", "text", "verdict"}`` record per checked claim;
+    #: ``verdict`` is ``"held"``, ``"violated"`` or the error a check
+    #: raised.  Empty when the run's parameters were overridden.
+    claims: List[Dict[str, str]] = field(default_factory=list)
 
 
 @dataclass
@@ -280,6 +288,22 @@ def _run_tasks_pooled(
     return outcomes
 
 
+def check_claims(
+    spec: ExperimentSpec, scale: str, payload: Any
+) -> List[Dict[str, str]]:
+    """Check every claim *spec* declares at *scale* against *payload*."""
+    verdicts = []
+    for claim in spec.claims:
+        if scale not in claim.scales:
+            continue
+        try:
+            verdict = "held" if claim.check(payload) else "violated"
+        except Exception as exc:  # noqa: BLE001 - a broken check fails its claim
+            verdict = f"check raised {_describe_error(exc)}"
+        verdicts.append({"ref": claim.ref, "text": claim.text, "verdict": verdict})
+    return verdicts
+
+
 def build_tasks(
     spec: ExperimentSpec, params: Mapping[str, Any], base_seed: int
 ) -> List[LabTask]:
@@ -315,7 +339,8 @@ def run_matrix(
         timeout_s: per-task wall-clock budget (``None`` = unlimited).
         retries: extra attempts after a task fails/crashes/times out.
         params_override: per-experiment parameter overrides, e.g.
-            ``{"fig13": {"n_bulk_packets": 4000}}``.
+            ``{"fig13": {"n_bulk_packets": 4000}}``; an experiment that
+            no longer runs at its preset's parameters checks no claims.
         progress: callable receiving one line per task completion.
 
     Returns:
@@ -390,13 +415,28 @@ def run_matrix(
                 f"{o.task.label}: {o.error}" for o in failures
             )
         else:
-            results = [o.result for o in spec_outcomes]
-            merged = (
-                spec.split.merge(exp_params[spec.name], results)
-                if spec.split is not None
-                else results[0]
-            )
-            outcome.result = merged
-            outcome.payload = spec.serializer(merged)
+            try:
+                results = [o.result for o in spec_outcomes]
+                merged = (
+                    spec.split.merge(exp_params[spec.name], results)
+                    if spec.split is not None
+                    else results[0]
+                )
+                outcome.result = merged
+                outcome.payload = spec.serializer(merged)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash
+                outcome.status = "failed"
+                outcome.error = _describe_error(exc)
+            else:
+                if exp_params[spec.name] == spec.params_for(scale):
+                    outcome.claims = check_claims(spec, scale, outcome.payload)
+                broken = [
+                    f"{v['ref']}: {v['text']} ({v['verdict']})"
+                    for v in outcome.claims
+                    if v["verdict"] != "held"
+                ]
+                if broken:
+                    outcome.status = "failed"
+                    outcome.error = "claim not held: " + "; ".join(broken)
         report.experiments[spec.name] = outcome
     return report

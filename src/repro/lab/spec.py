@@ -2,9 +2,10 @@
 
 An :class:`ExperimentSpec` is the declarative contract one experiment
 offers the orchestrator: how to run it, at which default/reduced
-parameters, how to serialize its result to JSON, and (optionally) how
-to split it into independent sub-tasks that workers can execute in
-parallel and merge back bit-identically.
+parameters, how to serialize its result to JSON, (optionally) how to
+split it into independent sub-tasks that workers can execute in
+parallel and merge back bit-identically, and which of the paper's
+qualitative results (:class:`Claim`) its payload must show.
 """
 
 from __future__ import annotations
@@ -48,6 +49,26 @@ class SplitSpec:
     merge: Callable[[Mapping[str, Any], Sequence[Any]], Any]
 
 
+#: The parameter presets every spec declares.
+SCALES = ("reduced", "full")
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative paper result, checked against a serialized payload.
+
+    ``check(payload)`` returns whether the claim holds.  ``scales``
+    names the presets whose parameters are large enough for it to
+    hold; the runner checks a claim only when the experiment ran at
+    exactly one of those presets' parameters.
+    """
+
+    ref: str
+    text: str
+    check: Callable[[Any], bool]
+    scales: Tuple[str, ...] = SCALES
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One registered experiment/ablation.
@@ -66,6 +87,8 @@ class ExperimentSpec:
         tolerances: per-metric-prefix overrides, each entry either
             ``{"rel": x}`` or ``{"abs": y}``.
         tags: free-form labels (``"sweep"``, ``"extension"``, ...).
+        claims: the paper results the payload must show (see
+            :class:`Claim`).
     """
 
     name: str
@@ -80,6 +103,7 @@ class ExperimentSpec:
     rel_tol: float = 1e-6
     tolerances: Mapping[str, Dict[str, float]] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
+    claims: Tuple[Claim, ...] = ()
 
     def params_for(self, scale: str) -> Dict[str, Any]:
         """The parameter set for ``"full"`` or ``"reduced"`` scale."""

@@ -4,7 +4,7 @@ Run-directory layout::
 
     <out_dir>/
         manifest.json        # run-level metadata + per-experiment index
-        fig05.json           # one artifact per successful experiment
+        fig05.json           # one artifact per experiment with a payload
         fig13.json
         ...
 
@@ -100,8 +100,11 @@ class RunStore:
                 "duration_s": round(outcome.duration_s, 3),
                 "duration_ns": int(outcome.duration_ns),
                 "artifact": None,
+                "claims": outcome.claims,
             }
-            if outcome.status == "ok":
+            # An experiment that failed only its claims still has a
+            # payload, and the artifact shows what the claim saw.
+            if outcome.payload is not None:
                 artifact = {
                     "schema_version": SCHEMA_VERSION,
                     "name": name,
@@ -121,7 +124,7 @@ class RunStore:
                     json.dumps(artifact, indent=2, sort_keys=True) + "\n"
                 )
                 entry["artifact"] = path.name
-            else:
+            if outcome.status != "ok":
                 entry["error"] = outcome.error
             index[name] = entry
 
@@ -152,8 +155,8 @@ def load_run(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a run directory back into memory.
 
     Returns ``{"manifest": <manifest dict>, "experiments": {name:
-    <artifact dict>}}``; failed experiments appear in the manifest but
-    have no artifact entry.
+    <artifact dict>}}``; experiments that failed before producing a
+    payload appear in the manifest but have no artifact entry.
     """
     root = Path(path)
     manifest_path = root / MANIFEST_NAME

@@ -6,6 +6,7 @@ from repro.cachesim.cache import WayCache
 from repro.cachesim.replacement import BrripPolicy, SrripPolicy, make_policy
 from repro.experiments.ablations import (
     run_ddio_ways_ablation,
+    run_migration_experiment,
     run_mtu_eviction_experiment,
     run_prefetcher_ablation,
     run_replacement_ablation,
@@ -159,12 +160,41 @@ class TestMtuEviction:
         shallow = run_mtu_eviction_experiment(queue_depth=64)
         deep = run_mtu_eviction_experiment(queue_depth=768)
         assert deep.eviction_fraction >= shallow.eviction_fraction
-        assert deep.mean_read_cycles >= shallow.mean_read_cycles
+        assert deep.mean_read_cycles > shallow.mean_read_cycles
 
     def test_small_packets_rarely_evicted(self):
         small = run_mtu_eviction_experiment(queue_depth=512, packet_size=64)
         big = run_mtu_eviction_experiment(queue_depth=512, packet_size=1500)
         assert small.eviction_fraction <= big.eviction_fraction
+
+    def test_deep_queue_evicts_mtu_headers_not_small_ones(self):
+        """§8: full-MTU DDIO churn under a deep queue evicts enqueued
+        headers before the core polls them; 64 B frames do not."""
+        deep = run_mtu_eviction_experiment(queue_depth=768, packet_size=1500)
+        small = run_mtu_eviction_experiment(queue_depth=768, packet_size=64)
+        assert deep.eviction_fraction > small.eviction_fraction
+
+
+class TestMigrationExperiment:
+    """§8: hot-set drift, static slice placement vs monitored migration."""
+
+    def test_placement_helps_under_fast_and_slow_drift(self):
+        fast = run_migration_experiment(ops_per_phase=4_000)
+        slow = run_migration_experiment(ops_per_phase=16_000)
+        assert fast.static_slice < fast.normal
+        assert slow.migrating < slow.normal
+
+    @pytest.mark.slow
+    def test_migration_amortises_its_copies_on_slow_drift(self):
+        """Migration gains on slow drift relative to fast drift and is
+        at least competitive with static placement there; both need
+        phases long enough for the monitor to promote."""
+        fast = run_migration_experiment(ops_per_phase=40_000)
+        slow = run_migration_experiment(ops_per_phase=160_000)
+        assert fast.static_slice < fast.normal
+        assert slow.migrating < slow.normal
+        assert slow.migration_gain_pct() > fast.migration_gain_pct() - 0.5
+        assert slow.migration_gain_pct() > -2.0
 
 
 class TestReplacementAblation:

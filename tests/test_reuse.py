@@ -124,3 +124,28 @@ class TestFig8CapacityAnalysis:
         slice_rate = hit_rate_at(distances, slice_capacity)
         llc_rate = hit_rate_at(distances, llc_capacity)
         assert llc_rate > slice_rate + 0.02
+
+    @staticmethod
+    def _capacity_gaps(horizons):
+        """LLC-minus-one-slice LRU hit rate over the paper's 2^24-key
+        Zipf(0.99) stream, at each request horizon."""
+        from repro.kvs.workload import ZipfKeys
+
+        keys = ZipfKeys(1 << 24, 0.99, seed=0).keys(horizons[-1])
+        gaps = []
+        for horizon in horizons:
+            distances = reuse_distances(keys[:horizon])
+            gaps.append(hit_rate_at(distances, 327_680) - hit_rate_at(distances, 40_960))
+        return gaps
+
+    def test_capacity_gap_opens_with_horizon(self):
+        gaps = self._capacity_gaps((15_000, 120_000))
+        assert gaps[-1] > gaps[0]
+
+    @pytest.mark.slow
+    def test_capacity_gap_at_sustained_load(self):
+        """Toward steady state the gap outgrows what the NUCA saving of
+        one-slice placement can pay back (EXPERIMENTS.md, Fig. 8)."""
+        gaps = self._capacity_gaps((150_000, 1_200_000))
+        assert gaps[-1] > gaps[0]
+        assert gaps[-1] > 0.04

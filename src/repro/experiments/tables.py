@@ -173,16 +173,17 @@ def table2_to_dict(classes: list) -> dict:
 
 def run_table3(
     offered_gbps: float = 100.0,
-    n_bulk_packets: int = 60_000,
-    micro_packets: int = 1500,
+    n_bulk_packets: int = 20_000,
+    micro_packets: int = 500,
     runs: int = 1,
     seed: int = 0,
     dataplane: str = "scalar",
 ) -> List[Table3Row]:
     """Compute Table 3 by driving the Fig. 13/14 runners.
 
-    Defaults use reduced packet counts so the table is cheap to print
-    from the CLI.  The paper-scale numbers come from
+    The defaults are the reduced packet counts (20k bulk / 500 micro /
+    1 run) that ``repro table 3`` and the lab's reduced preset pass, so
+    the table is cheap to print.  The paper-scale numbers come from
     ``repro lab run table3 --scale full``, which drives both runners
     with the Fig. 13 spec's full packet counts and runs.
     """

@@ -320,12 +320,9 @@ def run_fleet_cell(
         seed=seed,
     )
     servers = cluster.servers
-    # A runtime CacheSanitizer needs its checks interleaved with the
-    # accesses they guard; deferred replay breaks that, so fall back to
-    # scalar charging (identical results, no speedup) when one is on.
-    use_batched = dataplane == "batched" and all(
-        server.context.hierarchy.sanitizer is None for server in servers
-    )
+    # serve_batch itself drops to per-request charging under a runtime
+    # CacheSanitizer (see repro.kvs.server.serve_requests).
+    use_batched = dataplane == "batched"
     generator = FleetTrafficGenerator(
         n_tenants=n_tenants,
         n_keys=n_keys,

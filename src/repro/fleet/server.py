@@ -36,7 +36,7 @@ from repro.cachesim.machines import (
     build_hierarchy,
 )
 from repro.core.slice_aware import SliceAwareContext
-from repro.kvs.server import KvsServer
+from repro.kvs.server import KvsServer, serve_requests
 from repro.kvs.store import KvsStore
 
 #: The fleet's machine mix, cycled by server id.
@@ -173,41 +173,14 @@ class FleetServer:
     ) -> np.ndarray:
         """Serve many requests (arrival order) in one charging pass.
 
-        Control pass: the real :meth:`KvsServer.serve_one` runs per
-        request with the server's hierarchy and every tenant's DDIO
-        engine swapped for an :class:`~repro.net.dataplane.OpRecorder`
-        — RX buffer rotation, request counters and fixed costs evolve
-        exactly as in :meth:`serve`.  Charging pass: the interleaved
-        op stream replays in one flattened engine pass, with each DMA
-        span routed back to its owning tenant's engine
-        (``multi_ddio``), so per-request cycles, cache state and every
-        per-tenant DDIO counter match the scalar loop bit for bit.
+        The shared :func:`~repro.kvs.server.serve_requests` record/replay
+        over every tenant's server: per-request cycles, cache state and
+        every per-tenant DDIO counter match calling :meth:`serve` per
+        request bit for bit.
         """
-        from repro.net.dataplane import OpRecorder, segment_sums
-
-        n = len(tenants)
-        if not (n == len(keys) == len(is_get)):
-            raise ValueError("tenants/keys/is_get must have equal length")
-        recorder = OpRecorder()
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        fixed = np.zeros(n, dtype=np.int64)
-        servers = self._tenants
-        hierarchy = self.context.hierarchy
-        with recorder.capture(hierarchy, servers):
-            for i in range(n):
-                bounds[i] = recorder.n_ops
-                # The record pass must run the real per-request control
-                # path (index probes, fault draws); only the cache
-                # charging below is batched.
-                fixed[i] = servers[int(tenants[i])].serve_one(
-                    int(keys[i]), bool(is_get[i])
-                )
-            bounds[n] = recorder.n_ops
-        per_op = recorder.replay(
-            hierarchy, [t.ddio for t in servers], multi_ddio=True
-        )
-        self.served += n
-        return fixed + segment_sums(per_op, bounds)
+        cycles = serve_requests(self._tenants, keys, is_get, tenants)
+        self.served += len(cycles)
+        return cycles
 
     def kill(self, request_index: int) -> None:
         """Mark this server dead (chaos server-kill fault)."""

@@ -8,6 +8,12 @@ the response header and the NIC DMA-reads it back out.  Every memory
 touch runs on the cache simulator, so the reported cycles-per-request
 — and hence transactions per second — reflect placement policy,
 slice distance, DDIO churn and capacity effects together.
+
+Request streams are charged through :func:`serve_requests`, the same
+record/replay as the batched dataplane (:mod:`repro.net.dataplane`):
+the real :meth:`KvsServer.serve_one` runs per request with the cache
+swapped for an op recorder, then one engine pass per chunk replays
+the ops.
 """
 
 from __future__ import annotations
@@ -22,12 +28,17 @@ from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, KvsRequestFault
 from repro.kvs.store import KvsStore
 from repro.mem.address import CACHE_LINE
+from repro.net.dataplane import OpRecorder, segment_sums
 
 #: The paper's request packets: 128 B TCP.
 REQUEST_BYTES = 128
 
 #: Response: header + 64 B value.
 RESPONSE_BYTES = 64 + 64
+
+#: Requests recorded per replay: bounds the op list (about six ops per
+#: single-line request) on long warm-up streams.
+REPLAY_CHUNK = 1024
 
 
 @dataclass
@@ -126,9 +137,8 @@ class KvsServer:
             else:
                 cycles += hierarchy.write(core, value_line, 1)
         else:
-            # Intentional scalar reference path: per-line charging in
-            # request order; batched charging goes through
-            # FleetServer.serve_batch's recorded replay instead.
+            # Per-line charging in request order; under serve_requests
+            # these calls record ops for the batched replay.
             for value_line in self.store.value_addresses(key):
                 if is_get:
                     cycles += hierarchy.read(core, value_line, 1)
@@ -148,6 +158,9 @@ class KvsServer:
     ) -> KvsWorkloadResult:
         """Serve a request stream; returns aggregate statistics.
 
+        Charged through :func:`serve_requests`: one recorded replay per
+        chunk, or the per-request loop under a sanitizer or fault clock.
+
         Args:
             keys: request keys.
             is_get: per-request GET flag (same length as *keys*).
@@ -156,17 +169,78 @@ class KvsServer:
         """
         if len(keys) != len(is_get):
             raise ValueError("keys and is_get must have equal length")
+        if warmup < 0:
+            raise ValueError(f"warmup must be non-negative, got {warmup}")
         if warmup >= len(keys):
             raise ValueError("warmup must leave requests to measure")
-        total = 0
-        for i in range(warmup):
-            self.serve_one(int(keys[i]), bool(is_get[i]))
-        measured = 0
-        for i in range(warmup, len(keys)):
-            total += self.serve_one(int(keys[i]), bool(is_get[i]))
-            measured += 1
+        cycles = serve_requests([self], keys, is_get)
         return KvsWorkloadResult(
-            requests=measured,
-            total_cycles=total,
+            requests=len(keys) - warmup,
+            total_cycles=int(cycles[warmup:].sum()),
             freq_ghz=self.context.spec.freq_ghz,
         )
+
+
+def serve_requests(
+    servers: Sequence[KvsServer],
+    keys: Sequence[int],
+    is_get: Sequence[bool],
+    tenants: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Serve a request stream in arrival order; returns per-request cycles.
+
+    *servers* are tenant servers sharing one hierarchy; request ``i``
+    goes to ``servers[tenants[i]]`` (``servers[0]`` when *tenants* is
+    ``None``).
+
+    Control pass: the real :meth:`KvsServer.serve_one` runs per request
+    with the hierarchy and every server's DDIO engine swapped for an
+    :class:`~repro.net.dataplane.OpRecorder`, so RX buffer rotation,
+    request counters and fixed costs evolve exactly as in the scalar
+    loop.  Charging pass: the interleaved op stream replays in order,
+    each DMA span routed back to its server's engine (``multi_ddio``
+    when there is more than one), so per-request cycles, cache state
+    and DDIO counters match the scalar loop bit for bit.  Streams
+    replay in chunks of :data:`REPLAY_CHUNK` requests.
+
+    The per-request ``serve_one`` loop remains the fallback: a runtime
+    sanitizer needs its checks interleaved with the accesses, and a
+    fault clock must raise :class:`KvsRequestFault` at the failing
+    request with the cache state it had then.
+    """
+    n = len(keys)
+    if len(is_get) != n or (tenants is not None and len(tenants) != n):
+        raise ValueError("tenants/keys/is_get must have equal length")
+    key_list = np.asarray(keys).tolist()
+    get_list = np.asarray(is_get, dtype=bool).tolist()
+    tenant_list = [0] * n if tenants is None else np.asarray(tenants).tolist()
+    serves = [server.serve_one for server in servers]
+    hierarchy = servers[0].hierarchy
+    if hierarchy.sanitizer is not None or any(
+        server.faults is not None for server in servers
+    ):
+        return np.array(
+            [serves[t](k, g) for t, k, g in zip(tenant_list, key_list, get_list)],
+            dtype=np.int64,
+        )
+    ddios = [server.ddio for server in servers]
+    multi_ddio = len(servers) > 1
+    out = np.empty(n, dtype=np.int64)
+    for start in range(0, n, REPLAY_CHUNK):
+        stop = min(start + REPLAY_CHUNK, n)
+        recorder = OpRecorder()
+        ops = recorder.ops
+        bounds = []
+        fixed = []
+        with recorder.capture(hierarchy, servers):
+            for t, k, g in zip(
+                tenant_list[start:stop], key_list[start:stop], get_list[start:stop]
+            ):
+                bounds.append(len(ops))
+                fixed.append(serves[t](k, g))
+            bounds.append(len(ops))
+        per_op = recorder.replay(hierarchy, ddios, multi_ddio)
+        out[start:stop] = np.asarray(fixed, dtype=np.int64) + segment_sums(
+            per_op, np.asarray(bounds, dtype=np.int64)
+        )
+    return out

@@ -194,6 +194,10 @@ _GOLDEN_ADAPTERS = {
         "fig07",
         ("sizes", "normal_mops", "slice_mops"),
     ),
+    "fig08_kvs.json": (
+        "fig08",
+        ("tps_millions", "cycles_per_request"),
+    ),
     "table3_throughput.json": (
         "table3",
         ("rows",),

@@ -20,6 +20,7 @@ from repro.core.profiles import derive_preference_table
 from repro.experiments.fig05_access_time import run_fig05
 from repro.experiments.fig06_speedup import run_fig06
 from repro.experiments.fig07_ops_sweep import fig07_to_dict, run_fig07
+from repro.experiments.fig08_kvs import fig08_to_dict, run_fig08
 from repro.experiments.fleet import (
     fleet_availability_to_dict,
     fleet_durability_to_dict,
@@ -36,13 +37,19 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 
 FIG05_PARAMS = {"core": 0, "runs": 3, "seed": 0}
 FIG06_PARAMS = {"core": 0, "n_ops": 2000, "seed": 0}
-# Matches the lab registry's reduced fig07/table3 parameters (plus the
+# Matches the lab registry's reduced fig07/fig08/table3 parameters (plus the
 # base seed 0 a lab run derives), so `repro lab compare <run>
 # tests/golden` checks these numbers on every smoke matrix.
 FIG07_PARAMS = {
     "n_ops": 200,
     "sizes": [128 * 1024, 512 * 1024, 2 << 20],
     "engine": "fast",
+    "seed": 0,
+}
+FIG08_PARAMS = {
+    "n_keys": 1 << 18,
+    "warmup_requests": 3_000,
+    "measured_requests": 800,
     "seed": 0,
 }
 TABLE3_PARAMS = {
@@ -138,6 +145,13 @@ def regenerate() -> None:
         json.dumps(fig07, indent=2) + "\n"
     )
 
+    kvs = fig08_to_dict(run_fig08(**FIG08_PARAMS))
+    fig08 = {"params": FIG08_PARAMS, "rel_tol": 1e-6}
+    fig08.update(kvs)
+    (GOLDEN_DIR / "fig08_kvs.json").write_text(
+        json.dumps(fig08, indent=2) + "\n"
+    )
+
     rows = table3_to_dict(run_table3(**TABLE3_PARAMS))
     table3 = {"params": TABLE3_PARAMS, "rel_tol": 1e-6}
     table3.update(rows)
@@ -190,7 +204,7 @@ def regenerate() -> None:
     (GOLDEN_DIR / "fleet_durability.json").write_text(
         json.dumps(durability, indent=2) + "\n"
     )
-    print(f"wrote 9 golden files to {GOLDEN_DIR}")
+    print(f"wrote 10 golden files to {GOLDEN_DIR}")
 
 
 if __name__ == "__main__":

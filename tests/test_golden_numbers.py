@@ -19,6 +19,7 @@ from repro.core.profiles import derive_preference_table
 from repro.experiments.fig05_access_time import run_fig05
 from repro.experiments.fig06_speedup import run_fig06
 from repro.experiments.fig07_ops_sweep import fig07_to_dict, run_fig07
+from repro.experiments.fig08_kvs import fig08_to_dict, run_fig08
 from repro.experiments.fleet import (
     fleet_availability_to_dict,
     fleet_durability_to_dict,
@@ -141,6 +142,23 @@ class TestFig07OpsSweep:
                 assert payload["slice_mops"]["read"][i] > (
                     payload["normal_mops"]["read"][i]
                 )
+
+
+def test_fig08_golden():
+    """Fig. 8 at its golden params, diffed by the comparison `repro lab
+    compare <run> tests/golden` makes: all 24 cells, at the golden's
+    ``rel_tol``."""
+    golden = load("fig08_kvs.json")
+    payload = fig08_to_dict(run_fig08(**golden["params"]))
+    report = compare_runs(
+        {"experiments": {"fig08": {"name": "fig08", "result": payload}}},
+        load_baseline(GOLDEN_DIR),
+        names=["fig08"],
+    )
+    (comparison,) = report.experiments
+    assert comparison.rel_tol == golden["rel_tol"]
+    assert comparison.status == "ok", format_comparison_report(report)
+    assert comparison.compared == 24
 
 
 class TestTable3Throughput:

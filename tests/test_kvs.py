@@ -153,6 +153,17 @@ class TestKvsServer:
         with pytest.raises(ValueError):
             server.run([1], [True], warmup=1)
 
+    def test_run_rejects_negative_warmup(self, small_rig):
+        store = KvsStore(small_rig, core=0, n_keys=16, slice_aware=False)
+        server = KvsServer(small_rig, store, core=0)
+        with pytest.raises(ValueError, match="warmup"):
+            server.run([1, 2, 3], [True] * 3, warmup=-1)
+        # The same check guards the per-request fallback a clock selects.
+        server.faults = _clock()
+        with pytest.raises(ValueError, match="warmup"):
+            server.run([1, 2, 3], [True] * 3, warmup=-1)
+        assert server.requests_served == 0
+
     def test_requests_travel_through_ddio(self, small_rig):
         store = KvsStore(small_rig, core=0, n_keys=16, slice_aware=False)
         server = KvsServer(small_rig, store, core=0)

@@ -132,7 +132,7 @@ class TestGoldenBaseline:
         baseline = load_baseline(GOLDEN_DIR)
         assert baseline["manifest"]["kind"] == "golden-baseline"
         assert set(baseline["experiments"]) == {
-            "fig05", "fig06", "fig07", "table3", "table4",
+            "fig05", "fig06", "fig07", "fig08", "table3", "table4",
             "fleet-scale", "fleet-failover",
             "fleet-availability", "fleet-durability",
         }
@@ -145,7 +145,7 @@ class TestGoldenBaseline:
         """The end-to-end acceptance path: run → store → compare → PASS."""
         report = run_matrix(
             [
-                "fig05", "fig06", "fig07", "table3", "table4",
+                "fig05", "fig06", "fig07", "fig08", "table3", "table4",
                 "fleet-scale", "fleet-failover",
                 "fleet-availability", "fleet-durability",
             ],

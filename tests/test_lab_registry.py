@@ -1,5 +1,6 @@
 """Registry completeness + per-experiment JSON round-trips."""
 
+import inspect
 import json
 
 import pytest
@@ -164,3 +165,13 @@ def test_serializer_round_trips(name):
     assert outcome.status == "ok", outcome.error
     payload = outcome.payload
     assert payload == json.loads(json.dumps(payload))
+
+
+def test_table3_library_defaults_are_the_reduced_preset():
+    """A direct ``run_table3()`` call sizes its traffic like ``repro
+    table 3`` and the reduced lab preset, not a count of its own."""
+    from repro.experiments.tables import run_table3
+
+    preset = default_registry().get("table3").params_for("reduced")
+    signature = inspect.signature(run_table3)
+    assert {name: signature.parameters[name].default for name in preset} == preset

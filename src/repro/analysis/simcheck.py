@@ -152,14 +152,9 @@ _FAULT_PLAN_SUFFIX = "faults/plan.py"
 _AMBIGUOUS_METHODS: Set[str] = {"get", "items", "values", "update", "copy", "pop"}
 
 #: The access-API surface that must stay in lock-step between the
-#: reference hierarchy and the fast engine (rule SIM201).  Maps method
-#: name → per-side parameter names that are allowed to be exclusive.
-_PARITY_METHODS: Dict[str, Dict[str, Set[str]]] = {
-    "read": {"hierarchy": set(), "engine": set()},
-    "write": {"hierarchy": set(), "engine": set()},
-    # The reference side owns the dispatch kwarg selecting the engine.
-    "access_batch": {"hierarchy": {"engine"}, "engine": set()},
-}
+#: reference hierarchy and the fast engine (rule SIM201): same methods,
+#: same parameter names on both sides.
+_PARITY_METHODS: Tuple[str, ...] = ("read", "write", "access_batch")
 
 _SUPPRESS_RE = re.compile(
     r"#\s*simcheck:\s*ignore(?!-file)(?:\[(?P<codes>[A-Z0-9,\s]+)\])?"
@@ -679,7 +674,7 @@ def _check_engine_parity(files: Sequence[_SourceFile], index: _Index) -> List[Fi
             )
         )
 
-    for method, extras in _PARITY_METHODS.items():
+    for method in _PARITY_METHODS:
         h_sig = hierarchy.get(method)
         e_sig = engine.get(method)
         if h_sig is None or e_sig is None:
@@ -690,8 +685,8 @@ def _check_engine_parity(files: Sequence[_SourceFile], index: _Index) -> List[Fi
                 "the engines must expose the same surface",
             )
             continue
-        h_params = set(h_sig.params) - extras["hierarchy"]
-        e_params = set(e_sig.params) - extras["engine"]
+        h_params = set(h_sig.params)
+        e_params = set(e_sig.params)
         if h_params != e_params:
             only_h = sorted(h_params - e_params)
             only_e = sorted(e_params - h_params)

@@ -284,7 +284,6 @@ def _setup_dataplane_forwarding(params: Mapping[str, Any], seed: int) -> Any:
     from repro.net.trace import CampusTraceGenerator
 
     config = DutConfig(
-        engine=str(params["engine"]),
         dataplane=str(params["dataplane"]),
         n_mbufs=int(params["n_mbufs"]),
     )
@@ -301,8 +300,8 @@ def _run_dataplane_forwarding(
     """Time one forwarding microsim pass over the prebuilt trace.
 
     The scalar/batched entry pair shares this runner; only the
-    ``engine``/``dataplane`` parameters differ, so the trajectory ratio
-    between the two entries is the end-to-end dataplane speedup.
+    ``dataplane`` parameter differs, so the trajectory ratio between
+    the two entries is the end-to-end dataplane speedup on one engine.
     """
     env, packets, queues = context
     cycles = env.service_cycles(packets, queues)
@@ -363,12 +362,10 @@ def default_suite() -> List[BenchEntry]:
             smoke_params={
                 "n_ops": 100,
                 "sizes": [128 * 1024, 2 << 20],
-                "engine": "fast",
             },
             full_params={
                 "n_ops": 800,
                 "sizes": [128 * 1024, 512 * 1024, 2 << 20, 8 << 20],
-                "engine": "fast",
             },
             scaled=("n_ops",),
             work=_fig07_work,
@@ -384,14 +381,12 @@ def default_suite() -> List[BenchEntry]:
                 "n_bulk_packets": 4_000,
                 "micro_packets": 128,
                 "runs": 1,
-                "engine": "fast",
             },
             full_params={
                 "offered_gbps": 100.0,
                 "n_bulk_packets": 40_000,
                 "micro_packets": 1000,
                 "runs": 1,
-                "engine": "fast",
             },
             scaled=("n_bulk_packets", "micro_packets"),
             work=_nfv_work,
@@ -399,20 +394,18 @@ def default_suite() -> List[BenchEntry]:
         ),
         BenchEntry(
             name="dataplane-forwarding-scalar",
-            title="Forwarding microsim, scalar reference dataplane",
+            title="Forwarding microsim, scalar dataplane",
             kind="micro",
             runner=_run_dataplane_forwarding,
             setup=_setup_dataplane_forwarding,
             smoke_params={
                 "n_packets": 800,
                 "n_mbufs": 1024,
-                "engine": "reference",
                 "dataplane": "scalar",
             },
             full_params={
                 "n_packets": 8_000,
                 "n_mbufs": 1024,
-                "engine": "reference",
                 "dataplane": "scalar",
             },
             scaled=("n_packets",),
@@ -428,13 +421,11 @@ def default_suite() -> List[BenchEntry]:
             smoke_params={
                 "n_packets": 800,
                 "n_mbufs": 1024,
-                "engine": "fast",
                 "dataplane": "batched",
             },
             full_params={
                 "n_packets": 8_000,
                 "n_mbufs": 1024,
-                "engine": "fast",
                 "dataplane": "batched",
             },
             scaled=("n_packets",),
@@ -535,7 +526,6 @@ def default_suite() -> List[BenchEntry]:
                 "epoch_requests": 300,
                 "n_keys": 1 << 10,
                 "offered_mrps": 16.0,
-                "engine": "fast",
             },
             full_params={
                 "server_counts": [2, 4],
@@ -544,7 +534,6 @@ def default_suite() -> List[BenchEntry]:
                 "warmup": 2_000,
                 "epoch_requests": 1_000,
                 "offered_mrps": 16.0,
-                "engine": "fast",
             },
             scaled=("requests",),
             work=_fleet_scale_work,
@@ -564,7 +553,6 @@ def default_suite() -> List[BenchEntry]:
                 "epoch_requests": 150,
                 "n_keys": 1 << 10,
                 "offered_mrps": 16.0,
-                "engine": "fast",
             },
             full_params={
                 "intensities": [0.0, 2.0, 6.0, 8.0],
@@ -575,7 +563,6 @@ def default_suite() -> List[BenchEntry]:
                 "epoch_requests": 500,
                 "n_keys": 1 << 12,
                 "offered_mrps": 16.0,
-                "engine": "fast",
             },
             scaled=("requests",),
             work=_fleet_availability_work,

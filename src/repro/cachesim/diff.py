@@ -13,21 +13,43 @@ the final state.
 The same helpers back ``tests/test_engine_differential.py`` and the
 Hypothesis property tests, so a shrunk counterexample from either can be
 replayed here verbatim.
+
+Every hierarchy serves on the fast engine; :func:`reference_engine` is
+the one way to build the oracle side, whose hierarchies serve every
+demand access and DMA span through ``access_line`` and the reference
+DDIO loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cachesim.cache import INVALID_TAG
 from repro.cachesim.ddio import DdioEngine
-from repro.cachesim.hierarchy import CacheHierarchy
+from repro.cachesim.hierarchy import START_ENGINE, CacheHierarchy
 from repro.mem.address import CACHE_LINE
 
 #: Maps ``AccessResult.level`` strings onto the engine's level codes.
 LEVEL_CODES: Dict[str, int] = {"l1": 0, "l2": 1, "llc": 2, "dram": 3}
+
+
+@contextlib.contextmanager
+def reference_engine() -> Iterator[None]:
+    """Start every hierarchy built inside the block on the reference path.
+
+    Those hierarchies never build a fast engine: ``read``/``write``,
+    ``access_batch`` and NIC DMA all loop the per-line reference code,
+    which makes whatever ran inside the block the differential oracle
+    of the same code run outside it.
+    """
+    token = START_ENGINE.set("reference")
+    try:
+        yield
+    finally:
+        START_ENGINE.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +272,7 @@ def _fast_outcomes(
     writes: Sequence[bool],
     cores: Sequence[int],
 ) -> List[Tuple[int, int, int]]:
-    batch = hierarchy.access_batch(addresses, writes, cores, engine="fast")
+    batch = hierarchy.access_batch(addresses, writes, cores)
     return list(
         zip(
             batch.cycles.tolist(),
@@ -286,12 +308,11 @@ def run_differential(
         per-access outcome matches AND the final state fingerprints
         (including uncore counters) are identical.
     """
-    reference = build()
+    with reference_engine():
+        reference = build()
+    # The fast side serves as production call sites do, so rare events
+    # dispatch to the engine too (DdioEngine's flattened DMA spans).
     fast = build()
-    # Install the fast engine for real on the fast hierarchy so rare
-    # events dispatch exactly as production call sites would (in
-    # particular DdioEngine's flattened DMA spans).
-    fast.set_engine("fast")
     ref_out: List[Tuple[int, int, int]] = []
     fast_out: List[Tuple[int, int, int]] = []
     chunks = trace.chunks(chunk_size)
@@ -359,18 +380,18 @@ def run_dataplane_differential(
     n_packets: int = 1000,
     trace_seed: int = 7,
     rate_pps: float = 1e6,
-    scalar_engine: str = "reference",
-    batched_engine: str = "fast",
     plan: Optional[object] = None,
     **config_kwargs,
 ) -> DataplaneDiffReport:
     """Replay one packet trace through the scalar and batched dataplanes.
 
     Builds two identically-configured :class:`~repro.net.chain.
-    DutEnvironment` instances — one ``dataplane="scalar"`` on
-    *scalar_engine*, one ``dataplane="batched"`` on *batched_engine* —
-    drives the same :class:`~repro.net.trace.CampusTraceGenerator`
-    trace through both in arrival order, and compares every observable
+    DutEnvironment` instances — the oracle ``dataplane="scalar"`` on
+    the reference engine, ``dataplane="batched"`` on the fast one (or
+    on the reference engine too, when the whole call runs inside
+    :func:`reference_engine`) — drives the same
+    :class:`~repro.net.trace.CampusTraceGenerator` trace through both
+    in arrival order, and compares every observable
     the batched rewrite could possibly perturb: per-packet cycles
     (including ``None`` drop positions), NIC and DDIO statistics,
     mempool occupancy and allocation failures, PMD FCS discards,
@@ -386,10 +407,8 @@ def run_dataplane_differential(
     from repro.net.chain import DutConfig, DutEnvironment
     from repro.net.trace import CampusTraceGenerator
 
-    def run(engine: str, dataplane: str):
-        config = DutConfig(
-            engine=engine, dataplane=dataplane, **config_kwargs
-        )
+    def run(dataplane: str):
+        config = DutConfig(dataplane=dataplane, **config_kwargs)
         resolved = resolve_plan(plan)
         faults = FaultClock(resolved) if resolved is not None else None
         env = DutEnvironment(config, chain_factory=chain_factory, faults=faults)
@@ -399,8 +418,10 @@ def run_dataplane_differential(
         queues = [p.packet_id % env.nic.n_queues for p in packets]
         return env.service_cycles(packets, queues), env
 
-    scalar_cycles, scalar_env = run(scalar_engine, "scalar")
-    batched_cycles, batched_env = run(batched_engine, "batched")
+    with reference_engine():
+        scalar_cycles, scalar_env = run("scalar")
+    assert scalar_env.hierarchy.engine_name == "reference"
+    batched_cycles, batched_env = run("batched")
 
     observables = [
         ("per_packet_cycles", scalar_cycles, batched_cycles),

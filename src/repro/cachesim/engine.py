@@ -31,8 +31,8 @@ correctly.  There is no shadow state to synchronise.  NIC DMA traffic
 is *not* rare in the forwarding experiments, so it gets its own
 flattened path (:meth:`FastEngine.dma_write_span` /
 :meth:`~FastEngine.dma_read_span`, dispatched by
-:class:`~repro.cachesim.ddio.DdioEngine` whenever the hierarchy has
-``engine_name == "fast"``), including a private-cache residency
+:class:`~repro.cachesim.ddio.DdioEngine` unless the hierarchy runs
+the reference oracle), including a private-cache residency
 superset that skips the per-core invalidation snoop for payload lines
 no core ever pulled into an L1/L2.  Within a batch the engine
 covers every event the reference demand path can produce (cascaded
@@ -48,12 +48,11 @@ counters and final cache contents.
 
 Caveats (checked or documented):
 
-* The engine snapshots the :class:`LatencySpec` values, the CAT
-  generation and the LLC geometry; :meth:`FastEngine.refresh` (called
-  by ``access_batch`` and ``CacheHierarchy.set_engine``) rebuilds the
-  tables when they changed.  Mutating ``hierarchy.latency`` between
-  *scalar* fast calls without re-installing the engine is not
-  supported.
+* The engine snapshots the (frozen) :class:`LatencySpec`, the LLC
+  geometry and its DDIO ways; :meth:`FastEngine.refresh` (called by
+  the batch and DMA entry points and when ``read``/``write`` are
+  installed) rebuilds the tables when they changed.  CAT masks are
+  re-read through the controller's generation counter.
 * Replacement policies other than ``lru`` are driven through their
   normal ``touch``/``victim``/``reset`` methods — correct for every
   policy, just without the inlined fast path.
@@ -172,6 +171,7 @@ class FastEngine:
             id(h.llc.hash),
             id(h.llc.interconnect),
             h.llc.base_latency,
+            h.llc.ddio_way_tuple,
             h.n_cores,
             h.inclusive,
             lat.l1_hit,

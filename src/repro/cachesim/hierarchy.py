@@ -31,6 +31,7 @@ invalidates private copies via :meth:`CacheHierarchy.invalidate_private`
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -40,9 +41,12 @@ from repro.cachesim.llc import SlicedLLC
 from repro.mem.address import CACHE_LINE, line_address
 
 
-@dataclass
+@dataclass(frozen=True)
 class LatencySpec:
     """Cycle costs of the memory hierarchy (defaults: Haswell @ 3.2 GHz).
+
+    Frozen: the fast engine serves scalar reads and writes from tables
+    snapshotted from these values, so a spec never changes in place.
 
     Attributes:
         l1_hit: load-to-use latency of an L1 hit.
@@ -106,8 +110,19 @@ class AccessResult:
     slice_index: Optional[int] = None
 
 
+#: Engine a new hierarchy starts on.  Always ``"fast"``, except inside
+#: :func:`repro.cachesim.diff.reference_engine`, which builds the
+#: differential oracle's hierarchies on :meth:`CacheHierarchy.access_line`.
+START_ENGINE: ContextVar[str] = ContextVar("START_ENGINE", default="fast")
+
+
 class CacheHierarchy:
     """Per-core L1/L2 private caches over a shared sliced LLC.
+
+    Demand accesses (``read``/``write``/``access_batch``) and NIC DMA
+    spans are served by the hierarchy's :class:`~repro.cachesim.engine.
+    FastEngine`, built on the first access.  ``access_line`` is the
+    per-access reference path the engine is checked against.
 
     Args:
         n_cores: number of cores on the socket.
@@ -166,9 +181,9 @@ class CacheHierarchy:
         # private-cache probes).
         self._active_cores: set = set()
         #: Which access engine serves ``read``/``write``/``access_batch``:
-        #: ``"reference"`` (this module's per-access path) or ``"fast"``
-        #: (:mod:`repro.cachesim.engine`).  Switch via :meth:`set_engine`.
-        self.engine_name = "reference"
+        #: ``"fast"`` (:mod:`repro.cachesim.engine`) or the differential
+        #: oracle ``"reference"`` (this module's per-access path).
+        self.engine_name = START_ENGINE.get()
         self._fast_engine = None
         #: Optional runtime invariant checker (see
         #: :mod:`repro.analysis.sanitizer`); shared with the LLC so
@@ -246,36 +261,32 @@ class CacheHierarchy:
         return self._fast_engine
 
     def set_engine(self, name: str) -> None:
-        """Select the access engine: ``"reference"`` or ``"fast"``.
+        """Select the access engine: ``"fast"`` or ``"reference"``.
 
-        With ``"fast"``, :meth:`read` and :meth:`write` are rebound to
-        the flattened engine (identical outcomes, several times
-        faster); ``"reference"`` restores this module's per-access
-        implementations.  NIC DMA also switches to the engine's
-        flattened span path while ``"fast"`` is selected; everything
-        else (``clflush``, CAT, ``warm``) always runs the reference
-        code — both engines share one cache state, so they interleave
-        freely.
+        The differential oracle's switch (product code never calls it):
+        ``"reference"`` serves :meth:`read`, :meth:`write`,
+        :meth:`access_batch` and NIC DMA through :meth:`access_line`;
+        ``"fast"`` returns them to the engine.  Everything else
+        (``clflush``, CAT, ``warm``) always runs the reference code —
+        both engines share one cache state, so they interleave freely.
         """
-        if name == "fast":
-            engine = self.fast_engine()
-            engine.refresh()
-            self.read = engine.read  # type: ignore[method-assign]
-            self.write = engine.write  # type: ignore[method-assign]
-        elif name == "reference":
-            self.__dict__.pop("read", None)
-            self.__dict__.pop("write", None)
-        else:
+        if name not in ("fast", "reference"):
             raise ValueError(f"unknown engine {name!r}")
+        # Drop the engine's bound read/write; the next access reinstalls
+        # them (refreshed) if the engine is fast.
+        self.__dict__.pop("read", None)
+        self.__dict__.pop("write", None)
         self.engine_name = name
 
-    def access_batch(
-        self,
-        addresses,
-        kinds=None,
-        core=0,
-        engine: Optional[str] = None,
-    ):
+    def _install_fast(self):
+        """Route :meth:`read`/:meth:`write` straight to the engine."""
+        engine = self.fast_engine()
+        engine.refresh()
+        self.read = engine.read  # type: ignore[method-assign]
+        self.write = engine.write  # type: ignore[method-assign]
+        return engine
+
+    def access_batch(self, addresses, kinds=None, core=0):
         """Resolve a vector of line accesses; returns a ``BatchResult``.
 
         Args:
@@ -284,18 +295,13 @@ class CacheHierarchy:
                 per-access sequence (truthy = store).
             core: issuing core — a scalar, or one entry per access for
                 interleaved multi-core streams.
-            engine: override the engine for this call (defaults to
-                :attr:`engine_name`).
 
-        Both engines produce identical results (machine-checked by the
-        differential suite); ``"fast"`` is the vectorised hot path,
-        ``"reference"`` loops :meth:`access_line`.
+        The fast engine resolves the whole vector in one pass; on the
+        reference engine the same call loops :meth:`access_line`, with
+        identical results (machine-checked by the differential suite).
         """
-        engine = engine if engine is not None else self.engine_name
-        if engine == "fast":
+        if self.engine_name == "fast":
             return self.fast_engine().access_batch(addresses, kinds, core)
-        if engine != "reference":
-            raise ValueError(f"unknown engine {engine!r}")
         from repro.cachesim.engine import (
             LEVEL_NAMES,
             BatchResult,
@@ -326,10 +332,14 @@ class CacheHierarchy:
 
     def read(self, core: int, address: int, size: int = CACHE_LINE) -> int:
         """Read ``[address, address+size)``; returns total stall cycles."""
+        if self.engine_name == "fast":
+            return self._install_fast().read(core, address, size)
         return self._span(core, address, size, write=False)
 
     def write(self, core: int, address: int, size: int = CACHE_LINE) -> int:
         """Write ``[address, address+size)``; returns total stall cycles."""
+        if self.engine_name == "fast":
+            return self._install_fast().write(core, address, size)
         return self._span(core, address, size, write=True)
 
     def _span(self, core: int, address: int, size: int, write: bool) -> int:

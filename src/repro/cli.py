@@ -375,6 +375,9 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     name = artifact.get("name")
     persisted = artifact["result"]
     kwargs = dict(artifact.get("params") or {})
+    # Artifacts from before the chaos runners lost their ``engine``
+    # argument persist ``"engine": "fast"``, the only engine there is.
+    kwargs.pop("engine", None)
     if artifact.get("seed") is not None:
         kwargs.setdefault("seed", artifact["seed"])
     kwargs["plans"] = persisted["plans"]

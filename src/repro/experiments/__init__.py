@@ -11,3 +11,15 @@ checks each one's paper claims; so can users, directly:
 Scale parameters default to CI-friendly sizes; pass larger values to
 approach the paper's sample counts (see EXPERIMENTS.md).
 """
+
+
+def require_fast_engine(value: str) -> None:
+    """Check the ``engine`` argument the pinned runners still take.
+
+    ``run_fig07`` and the four fleet sweeps keep it only because the
+    benchmark's pinned params (``e2ebench/digests.json``) and the fleet
+    goldens name it.  Every hierarchy serves on the fast engine, so
+    ``"fast"`` is the one value accepted.
+    """
+    if value != "fast":
+        raise ValueError(f"engine must be 'fast', got {value!r}")

@@ -106,7 +106,6 @@ def run_chaos_tail_arm(
     micro_packets: int = 2500,
     runs: int = 2,
     seed: int = 0,
-    engine: str = "fast",
     intensity: float = 1.0,
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
@@ -129,7 +128,6 @@ def run_chaos_tail_arm(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        engine=engine,
         fault_plan=plan,
         watermarks=watermarks,
     )
@@ -143,7 +141,6 @@ def run_chaos_tail(
     micro_packets: int = 2500,
     runs: int = 2,
     seed: int = 0,
-    engine: str = "fast",
     intensity: float = 1.0,
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
@@ -167,7 +164,6 @@ def run_chaos_tail(
                 micro_packets=micro_packets,
                 runs=runs,
                 seed=seed,
-                engine=engine,
                 intensity=intensity,
                 watermarks=watermarks,
                 plans={fault_class: plan.to_dict()},
@@ -330,7 +326,6 @@ def run_degradation_point(
     micro_packets: int = 1500,
     runs: int = 1,
     seed: int = 0,
-    engine: str = "fast",
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> DegradationPoint:
@@ -356,7 +351,6 @@ def run_degradation_point(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        engine=engine,
         fault_plan=plan,
         watermarks=watermarks,
     )
@@ -385,7 +379,6 @@ def run_degradation_knee(
     micro_packets: int = 1500,
     runs: int = 1,
     seed: int = 0,
-    engine: str = "fast",
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> DegradationKneeResult:
@@ -417,7 +410,6 @@ def run_degradation_knee(
                     micro_packets=micro_packets,
                     runs=runs,
                     seed=seed,
-                    engine=engine,
                     watermarks=watermarks,
                     plans=plans,
                 )

@@ -32,12 +32,12 @@ class SliceSpeedupResult:
 
 
 def _access_all(hierarchy, core: int, addresses, write: bool) -> int:
-    """One fast-engine pass over *addresses* in order; total cycles.
+    """One batch over *addresses* in order; total cycles.
 
     Identical to one ``hierarchy.read``/``write`` per address (the
     differential tests replay it that way).
     """
-    return int(hierarchy.access_batch(addresses, write, core, engine="fast").cycles.sum())
+    return int(hierarchy.access_batch(addresses, write, core).cycles.sum())
 
 
 def _run_workload(hierarchy, core: int, line_addresses, n_ops: int, write: bool, rng) -> int:

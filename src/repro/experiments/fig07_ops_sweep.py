@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, MachineSpec
 from repro.core.slice_aware import SliceAwareContext
+from repro.experiments import require_fast_engine
 from repro.mem.address import CACHE_LINE
 from repro.mem.slice_array import SliceLocalArray
 
@@ -59,13 +60,15 @@ def _run_size(
     n_ops: int,
     write: bool,
     seed: int,
-    engine: str = "fast",
 ) -> List[int]:
     """Interleaved random accesses from every core; per-core cycles.
 
     *table* holds each core's array as one row of line addresses
-    (shape ``(n_cores, n_lines)``).  Every pass draws an
-    ``(ops, n_cores)`` index matrix and issues it op-major, core-minor.
+    (shape ``(n_cores, n_lines)``).  Each core first warms its array
+    sequentially; then every pass draws an ``(ops, n_cores)`` index
+    matrix and issues it op-major, core-minor, as one batch with a
+    per-access core vector, so cross-core LLC interactions are those of
+    the interleaved per-access loop.
     """
     hierarchy = context.hierarchy
     n_cores, n_lines = table.shape
@@ -73,42 +76,19 @@ def _run_size(
     warm_lines = min(n_lines, WARM_LINES_CAP)
     steady_ops = STEADY_OPS["write" if write else "read"]
     core_ids = np.arange(n_cores)
-    if engine == "fast":
-        # Same access sequence as the reference loops below, issued
-        # through the batch engine: warm each core sequentially, then
-        # replay the op-major/core-minor interleaving via a per-access
-        # core vector so cross-core LLC interactions are identical.
-        for core in range(n_cores):
-            hierarchy.access_batch(table[core, :warm_lines], write, core, engine="fast")
-        indices = rng.integers(0, n_lines, size=(steady_ops, n_cores))
-        hierarchy.access_batch(
-            table[core_ids, indices].ravel(), write,
-            list(range(n_cores)) * steady_ops, engine="fast",
-        )
-        indices = rng.integers(0, n_lines, size=(n_ops, n_cores))
-        result = hierarchy.access_batch(
-            table[core_ids, indices].ravel(), write,
-            list(range(n_cores)) * n_ops, engine="fast",
-        )
-        per_core = result.cycles.reshape(n_ops, n_cores).sum(axis=0)
-        return [int(c) for c in per_core]
-    if engine != "reference":
-        raise ValueError(f"unknown engine {engine!r}")
-    access = hierarchy.write if write else hierarchy.read
     for core in range(n_cores):
-        for address in table[core, :warm_lines].tolist():
-            access(core, address, 1)
+        hierarchy.access_batch(table[core, :warm_lines], write, core)
     # Unmeasured randomised pass reaches steady state (STEADY_OPS).
     indices = rng.integers(0, n_lines, size=(steady_ops, n_cores))
-    for row in table[core_ids, indices].tolist():
-        for core, address in enumerate(row):
-            access(core, address, 1)
+    hierarchy.access_batch(
+        table[core_ids, indices].ravel(), write, list(range(n_cores)) * steady_ops
+    )
     indices = rng.integers(0, n_lines, size=(n_ops, n_cores))
-    cycles = [0] * n_cores
-    for row in table[core_ids, indices].tolist():
-        for core, address in enumerate(row):
-            cycles[core] += access(core, address, 1)
-    return cycles
+    result = hierarchy.access_batch(
+        table[core_ids, indices].ravel(), write, list(range(n_cores)) * n_ops
+    )
+    per_core = result.cycles.reshape(n_ops, n_cores).sum(axis=0)
+    return [int(c) for c in per_core]
 
 
 def simulated_accesses(sizes: List[int], n_ops: int, n_cores: int) -> int:
@@ -132,7 +112,7 @@ def run_fig07(
     n_ops: int = 2000,
     n_cores: int = None,
     seed: int = 0,
-    engine: str = "fast",
+    engine: str = "fast",  # pinned: e2ebench/digests.json and the fig07 golden
 ) -> OpsSweepResult:
     """Run the Fig. 7 sweep for reads and writes.
 
@@ -142,15 +122,15 @@ def run_fig07(
         n_ops: measured random accesses per core per point.
         n_cores: cores used (default: all).
         seed: RNG seed.
-        engine: cache-access engine (``"fast"`` or ``"reference"``);
-            both produce identical numbers, ``"fast"`` runs the sweep
-            several times faster and ``"reference"`` is its
-            differential oracle.
+        engine: must be ``"fast"``; kept because the benchmark's
+            pinned params and the golden baseline name it.
 
     Raises:
         ValueError: ``n_ops`` is not positive, a size is under one
-            cache line, or ``n_cores`` is outside ``1..spec.n_cores``.
+            cache line, ``n_cores`` is outside ``1..spec.n_cores`` or
+            ``engine`` is not ``"fast"``.
     """
+    require_fast_engine(engine)
     sizes = sizes if sizes is not None else list(PAPER_SIZES)
     n_cores = n_cores if n_cores is not None else spec.n_cores
     if n_ops <= 0:
@@ -172,7 +152,7 @@ def run_fig07(
             offsets = np.arange(n_lines, dtype=np.uint64) * np.uint64(CACHE_LINE)
             for core in range(n_cores):
                 table[core] = np.uint64(ctx.allocate_normal(size).base) + offsets
-            cycles = _run_size(ctx, table, n_ops, write, seed, engine)
+            cycles = _run_size(ctx, table, n_ops, write, seed)
             normal_series.append(_system_mops(cycles, n_ops, spec.freq_ghz))
             # Slice-aware: per-core slice-local arrays.
             ctx = SliceAwareContext(spec, seed=seed)
@@ -187,7 +167,7 @@ def run_fig07(
                     target_slice=ctx.preferred_slice(core),
                     block_lines=block,
                 ).line_addresses()
-            cycles = _run_size(ctx, table, n_ops, write, seed, engine)
+            cycles = _run_size(ctx, table, n_ops, write, seed)
             slice_series.append(_system_mops(cycles, n_ops, spec.freq_ghz))
         result.normal_mops[op_name] = normal_series
         result.slice_mops[op_name] = slice_series

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.experiments import require_fast_engine
 from repro.faults.plan import FaultPlan, plan_for_class, resolve_plan
 from repro.fleet.cluster import FleetRunResult, run_fleet_cell
 
@@ -96,7 +97,6 @@ def run_fleet_scale_cell(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
     seed: int = 0,
     dataplane: str = "scalar",
 ) -> Dict[str, Any]:
@@ -114,7 +114,6 @@ def run_fleet_scale_cell(
         epoch_requests=epoch_requests,
         tenant_ways=tenant_ways,
         ddio_ways=ddio_ways,
-        engine=engine,
         seed=seed,
         dataplane=dataplane,
     )
@@ -134,11 +133,12 @@ def run_fleet_scale(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
+    engine: str = "fast",  # pinned: e2ebench/digests.json and fleet goldens
     seed: int = 0,
     dataplane: str = "scalar",
 ) -> FleetScaleResult:
     """Sweep fleet shape; every cell serves *requests* Zipf requests."""
+    require_fast_engine(engine)
     servers_grid = [
         int(v)
         for v in (server_counts if server_counts is not None
@@ -163,7 +163,6 @@ def run_fleet_scale(
             epoch_requests=epoch_requests,
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
-            engine=engine,
             seed=seed,
             dataplane=dataplane,
         )
@@ -349,7 +348,6 @@ def run_fleet_failover_point(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
     seed: int = 0,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> FleetFailoverPoint:
@@ -373,7 +371,6 @@ def run_fleet_failover_point(
         epoch_requests=epoch_requests,
         tenant_ways=tenant_ways,
         ddio_ways=ddio_ways,
-        engine=engine,
         seed=seed,
         plan=plan,
     )
@@ -399,11 +396,12 @@ def run_fleet_failover(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
+    engine: str = "fast",  # pinned: e2ebench/digests.json and fleet goldens
     seed: int = 0,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> FleetFailoverResult:
     """Sweep server-kill intensity at one fleet shape."""
+    require_fast_engine(engine)
     grid = [
         float(v)
         for v in (intensities if intensities is not None
@@ -430,7 +428,6 @@ def run_fleet_failover(
             epoch_requests=epoch_requests,
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
-            engine=engine,
             seed=seed,
             plans=plans,
         )
@@ -629,7 +626,6 @@ def run_fleet_availability_point(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
     seed: int = 0,
     healing: Optional[Mapping[str, Any]] = None,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
@@ -654,7 +650,6 @@ def run_fleet_availability_point(
         epoch_requests=epoch_requests,
         tenant_ways=tenant_ways,
         ddio_ways=ddio_ways,
-        engine=engine,
         seed=seed,
         plan=plan,
         healing=healing_config,
@@ -682,12 +677,13 @@ def run_fleet_availability(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
+    engine: str = "fast",  # pinned: e2ebench/digests.json and fleet goldens
     seed: int = 0,
     healing: Optional[Mapping[str, Any]] = None,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> FleetAvailabilityResult:
     """Sweep gray-failure intensity under the replicated fleet model."""
+    require_fast_engine(engine)
     grid = [
         float(v)
         for v in (intensities if intensities is not None
@@ -717,7 +713,6 @@ def run_fleet_availability(
             epoch_requests=epoch_requests,
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
-            engine=engine,
             seed=seed,
             healing=healing_config,
             plans=plans,
@@ -898,7 +893,6 @@ def run_fleet_durability_point(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
     seed: int = 0,
     healing: Optional[Mapping[str, Any]] = None,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
@@ -926,7 +920,6 @@ def run_fleet_durability_point(
         epoch_requests=epoch_requests,
         tenant_ways=tenant_ways,
         ddio_ways=ddio_ways,
-        engine=engine,
         seed=seed,
         plan=plan,
         healing=base,
@@ -970,12 +963,13 @@ def run_fleet_durability(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
+    engine: str = "fast",  # pinned: e2ebench/digests.json and fleet goldens
     seed: int = 0,
     healing: Optional[Mapping[str, Any]] = None,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> FleetDurabilityResult:
     """Sweep replication factor × permanent-kill intensity."""
+    require_fast_engine(engine)
     replication_grid = [
         int(v)
         for v in (replications if replications is not None
@@ -1009,7 +1003,6 @@ def run_fleet_durability(
             epoch_requests=epoch_requests,
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
-            engine=engine,
             seed=seed,
             healing=base,
             plans=plans,

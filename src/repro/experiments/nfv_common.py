@@ -76,7 +76,6 @@ def measure_service_times(
     micro_packets: int = 4000,
     n_cores: int = 8,
     seed: int = 0,
-    engine: str = "fast",
     faults: Optional[FaultClock] = None,
     watermarks: Optional[Tuple[int, int]] = None,
     dataplane: str = "scalar",
@@ -94,7 +93,6 @@ def measure_service_times(
             cache_director=cache_director,
             n_cores=n_cores,
             seed=seed,
-            engine=engine,
             watermarks=watermarks,
             dataplane=dataplane,
         ),
@@ -119,7 +117,6 @@ def run_nfv_experiment(
     ring_capacity: int = 1024,
     nic: Optional[NicModel] = None,
     seed: int = 0,
-    engine: str = "fast",
     fault_plan: Optional[object] = None,
     watermarks: Optional[Tuple[int, int]] = None,
     dataplane: str = "scalar",
@@ -147,7 +144,6 @@ def run_nfv_experiment(
         micro_packets=micro_packets,
         n_cores=n_cores,
         seed=seed,
-        engine=engine,
         faults=clock,
         watermarks=watermarks,
         dataplane=dataplane,

@@ -196,7 +196,6 @@ def run_table3(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        engine="fast",
         dataplane=dataplane,
     )
     service_chain = run_fig14(

@@ -87,7 +87,6 @@ class FleetClusterConfig:
     vnodes: int = 64
     tenant_ways: Optional[int] = None
     ddio_ways: Optional[int] = None
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if self.n_servers <= 0:
@@ -116,7 +115,6 @@ class FleetCluster:
                 seed=derive_seed(seed, "fleet-server", server_id),
                 tenant_ways=config.tenant_ways,
                 ddio_ways=config.ddio_ways,
-                engine=config.engine,
             )
             for server_id in range(config.n_servers)
         ]
@@ -228,7 +226,6 @@ def run_fleet_cell(
     epoch_requests: int = 500,
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
-    engine: str = "fast",
     seed: int = 0,
     plan: Optional[object] = None,
     dataplane: str = "scalar",
@@ -315,7 +312,6 @@ def run_fleet_cell(
             vnodes=vnodes,
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
-            engine=engine,
         ),
         seed=seed,
     )

@@ -61,7 +61,6 @@ class FleetServer:
             cluster so servers are decorrelated).
         tenant_ways: CAT ways per tenant (default: even split).
         ddio_ways: per-server DDIO way budget (default: spec's).
-        engine: cache-access engine (``"fast"``/``"reference"``).
         spec: override the machine spec (default: the fleet mix).
 
     Every tenant serves from its own core (``tenant % n_cores``) with
@@ -77,7 +76,6 @@ class FleetServer:
         seed: int = 0,
         tenant_ways: Optional[int] = None,
         ddio_ways: Optional[int] = None,
-        engine: str = "fast",
         spec: Optional[MachineSpec] = None,
     ) -> None:
         if n_tenants <= 0:
@@ -100,7 +98,6 @@ class FleetServer:
         self._n_keys = n_keys
         self._seed = seed
         self._ddio_ways = ddio_ways
-        self._engine = engine
         self._provision()
         #: Simulated time (cycles) this server is busy until.
         self.busy_until_cycles = 0.0
@@ -155,7 +152,6 @@ class FleetServer:
                     self.context,
                     store,
                     core=self.tenant_cores[tenant],
-                    engine=self._engine,
                 )
             )
 

@@ -70,9 +70,6 @@ class KvsServer:
         rx_buffers: rotating RX buffer count (models the mbuf ring).
         fixed_cost: per-request instruction cost (parse, hash, respond)
             outside the measured memory accesses.
-        engine: cache-access engine for the request loop (``"fast"``
-            or the per-access ``"reference"`` oracle; identical
-            outcomes).
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class KvsServer:
         core: int = 0,
         rx_buffers: int = 1024,
         fixed_cost: int = 30,
-        engine: str = "fast",
     ) -> None:
         if rx_buffers <= 0:
             raise ValueError(f"rx_buffers must be positive, got {rx_buffers}")
@@ -91,7 +87,6 @@ class KvsServer:
         self.core = core
         self.fixed_cost = fixed_cost
         self.hierarchy = context.hierarchy
-        self.hierarchy.set_engine(engine)
         self.ddio = DdioEngine(self.hierarchy)
         buf = context.allocate_normal(rx_buffers * REQUEST_BYTES)
         self._rx_buffers = [

@@ -123,6 +123,16 @@ def _knee_merge(params: Mapping[str, Any], results: Sequence[Any]) -> Any:
     return assemble_degradation_knee(params, list(results))
 
 
+def _fleet_task_base(params: Mapping[str, Any]) -> Dict[str, Any]:
+    """A fleet preset minus the pinned ``engine``, which only the whole
+    sweep runners take (the benchmark pins and the goldens name it)."""
+    from repro.experiments import require_fast_engine
+
+    base = dict(params)
+    require_fast_engine(base.pop("engine", "fast"))
+    return base
+
+
 def _fleet_scale_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """One task per (server count, tenant count) grid cell."""
     from repro.experiments.fleet import (
@@ -130,7 +140,7 @@ def _fleet_scale_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
         DEFAULT_TENANT_COUNTS,
     )
 
-    base = dict(params)
+    base = _fleet_task_base(params)
     servers = base.pop("server_counts", None) or list(DEFAULT_SERVER_COUNTS)
     tenants = base.pop("tenant_counts", None) or list(DEFAULT_TENANT_COUNTS)
     return [
@@ -150,7 +160,7 @@ def _fleet_failover_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """One task per intensity point of the failover sweep."""
     from repro.experiments.fleet import DEFAULT_FAILOVER_INTENSITIES
 
-    base = dict(params)
+    base = _fleet_task_base(params)
     grid = base.pop("intensities", None)
     grid = [float(v) for v in (grid or DEFAULT_FAILOVER_INTENSITIES)]
     return [dict(base, intensity=intensity) for intensity in grid]
@@ -168,7 +178,7 @@ def _fleet_availability_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]
     """One task per intensity point of the availability sweep."""
     from repro.experiments.fleet import DEFAULT_AVAILABILITY_INTENSITIES
 
-    base = dict(params)
+    base = _fleet_task_base(params)
     grid = base.pop("intensities", None)
     grid = [float(v) for v in (grid or DEFAULT_AVAILABILITY_INTENSITIES)]
     return [dict(base, intensity=intensity) for intensity in grid]
@@ -189,7 +199,7 @@ def _fleet_durability_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
         DEFAULT_DURABILITY_REPLICATIONS,
     )
 
-    base = dict(params)
+    base = _fleet_task_base(params)
     replications = base.pop("replications", None)
     replications = [
         int(v) for v in (replications or DEFAULT_DURABILITY_REPLICATIONS)
@@ -287,7 +297,7 @@ def _knee_inside_sweep(payload: Mapping[str, Any]) -> bool:
 
 
 def _packet_counts(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """The Fig. 13 traffic sizing Table 3 shares (Table 3 takes no engine)."""
+    """The Fig. 13 traffic sizing Table 3 shares."""
     return {k: params[k] for k in ("n_bulk_packets", "micro_packets", "runs")}
 
 
@@ -368,14 +378,12 @@ def _build() -> Registry:
         "n_bulk_packets": 150_000,
         "micro_packets": 2500,
         "runs": 2,
-        "engine": "fast",
     }
     fig13_reduced = {
         "offered_gbps": 100.0,
         "n_bulk_packets": 20_000,
         "micro_packets": 500,
         "runs": 1,
-        "engine": "fast",
     }
 
     registry.register(ExperimentSpec(
@@ -809,7 +817,6 @@ def _build() -> Registry:
             "n_bulk_packets": 60_000,
             "micro_packets": 1500,
             "runs": 2,
-            "engine": "fast",
         },
         reduced_params={
             "chain": "forwarding",
@@ -818,7 +825,6 @@ def _build() -> Registry:
             "n_bulk_packets": 15_000,
             "micro_packets": 400,
             "runs": 1,
-            "engine": "fast",
         },
         split=SplitSpec(
             task_runner=run_chaos_tail_arm,
@@ -839,7 +845,6 @@ def _build() -> Registry:
             "n_bulk_packets": 60_000,
             "micro_packets": 1500,
             "runs": 1,
-            "engine": "fast",
         },
         reduced_params={
             "fault_class": "mixed",
@@ -849,7 +854,6 @@ def _build() -> Registry:
             "n_bulk_packets": 12_000,
             "micro_packets": 400,
             "runs": 1,
-            "engine": "fast",
         },
         split=SplitSpec(
             task_runner=run_degradation_point,

@@ -140,10 +140,6 @@ class DutConfig:
     data_room: int = DEFAULT_DATAROOM
     ddio_enabled: bool = True
     seed: int = 0
-    #: Cache-access engine for the microsimulation: ``"fast"`` or the
-    #: per-access ``"reference"`` oracle (identical outcomes; see
-    #: ``repro.cachesim.engine``).
-    engine: str = "fast"
     #: Optional mempool ``(low, high)`` in-use watermarks; when set the
     #: NIC sheds load under pressure instead of exhausting the pool.
     watermarks: Optional[Tuple[int, int]] = None
@@ -180,10 +176,6 @@ class DutEnvironment:
         self.context = SliceAwareContext(config.spec, seed=config.seed)
         hierarchy = self.context.hierarchy
         self.hierarchy = hierarchy
-        # Rebinds hierarchy.read/write when config.engine == "fast", so
-        # the PMD, NFs and DDIO path all go through the fast engine
-        # without knowing about it (also validates the engine name).
-        hierarchy.set_engine(config.engine)
         self.ddio = DdioEngine(hierarchy, enabled=config.ddio_enabled)
         director: Optional[CacheDirector] = None
         data_room = config.data_room

@@ -144,9 +144,9 @@ class OpRecorder:
         control code calls (the NIC; each fleet tenant's KVS server).
         The i-th holder's spans are tagged with DDIO index ``i`` so the
         replay can route them to the matching real engine.  Instance
-        attributes are restored exactly on exit — including the case
-        where ``set_engine("fast")`` had installed the fast engine's
-        bound methods over ``read``/``write``.
+        attributes are restored exactly on exit — including the fast
+        engine's bound ``read``/``write``, which a hierarchy installs
+        over its own methods on its first access.
         """
         saved_read = hierarchy.__dict__.get("read")
         saved_write = hierarchy.__dict__.get("write")

@@ -24,7 +24,6 @@ TINY = {
     "micro_packets": 200,
     "runs": 1,
     "seed": 0,
-    "engine": "fast",
 }
 
 
@@ -87,7 +86,6 @@ class TestDegradationKnee:
         "micro_packets": 150,
         "runs": 1,
         "seed": 0,
-        "engine": "fast",
     }
 
     def test_goodput_monotone_in_intensity(self):

@@ -203,7 +203,7 @@ def test_template_stable_capture_counts_packets():
     packets = trace(200)
     queues = [p.packet_id % 8 for p in packets]
     scalar_env = make_env(dataplane="scalar")
-    batched_env = make_env(dataplane="batched", engine="fast")
+    batched_env = make_env(dataplane="batched")
     scalar_env.service_cycles(packets, queues)
     batched_env.service_cycles(packets, queues)
     assert (
@@ -292,8 +292,11 @@ def test_dataplane_bench_entries_registered():
         ["dataplane-forwarding-scalar", "dataplane-forwarding-batched"]
     )
     assert scalar.smoke_params["dataplane"] == "scalar"
-    assert scalar.smoke_params["engine"] == "reference"
     assert batched.smoke_params["dataplane"] == "batched"
-    assert batched.smoke_params["engine"] == "fast"
+    # One engine for both: the pair differs only in the dataplane.
+    for params in ("smoke_params", "full_params"):
+        assert {**getattr(scalar, params), "dataplane": None} == {
+            **getattr(batched, params), "dataplane": None
+        }
     # Same work law, so trajectory rates are directly comparable.
     assert scalar.work is batched.work

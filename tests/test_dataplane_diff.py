@@ -7,8 +7,11 @@ cycles including drop positions, NIC/DDIO/mempool statistics, NF
 control state, injected-fault counters and the deep cache-state
 fingerprint (see :func:`repro.cachesim.diff.run_dataplane_differential`).
 
-Hypothesis widens the sweep to arbitrary trace seeds, sizes, engine
-pairings and chaos plans; failures shrink to a minimal configuration.
+The scalar side always runs on the reference engine; the batched side
+runs on the fast engine, or on the reference engine too when the whole
+replay runs inside ``reference_engine()``.  Hypothesis widens the sweep
+to arbitrary trace seeds, sizes, engines and chaos plans; failures
+shrink to a minimal configuration.
 """
 
 import os
@@ -30,6 +33,8 @@ from repro.net.chain import (
     simple_forwarding_chain,
 )
 from repro.net.trace import CampusTraceGenerator
+
+from tests.engines import run_on
 
 pytestmark = pytest.mark.differential
 
@@ -76,10 +81,11 @@ def assert_equal_report(report):
 @pytest.mark.parametrize("batched_engine", ["reference", "fast"])
 def test_dataplane_identity(chain, batched_engine):
     """Both chains, batched on either engine, vs the scalar reference."""
-    report = run_dataplane_differential(
+    report = run_on(
+        batched_engine,
+        run_dataplane_differential,
         CHAINS[chain],
         n_packets=300,
-        batched_engine=batched_engine,
         n_mbufs=256,
     )
     assert_equal_report(report)
@@ -126,9 +132,7 @@ def test_zero_rate_plan_is_fault_free():
     results = {}
     for label, plan in (("bare", None), ("zero", FaultPlan(seed=3))):
         for dataplane in ("scalar", "batched"):
-            config = DutConfig(
-                engine="fast", dataplane=dataplane, n_mbufs=256
-            )
+            config = DutConfig(dataplane=dataplane, n_mbufs=256)
             faults = FaultClock(plan) if plan is not None else None
             env = DutEnvironment(
                 config, chain_factory=simple_forwarding_chain, faults=faults
@@ -240,11 +244,12 @@ def chaos_plans(draw):
 def test_dataplane_identity_property(
     trace_seed, n_packets, chain, batched_engine, ddio_enabled, plan
 ):
-    report = run_dataplane_differential(
+    report = run_on(
+        batched_engine,
+        run_dataplane_differential,
         CHAINS[chain],
         n_packets=n_packets,
         trace_seed=trace_seed,
-        batched_engine=batched_engine,
         plan=plan,
         ddio_enabled=ddio_enabled,
         n_mbufs=128,

@@ -1,9 +1,11 @@
-"""Differential tests for the entry points that default to the fast engine.
+"""Differential tests for entry points that serve on the fast engine.
 
-The KVS server and the NFV experiments run ``engine="fast"`` unless told
-otherwise; ``engine="reference"`` is their oracle.  Each test runs one
-small workload on both engines and requires identical results.  The last
-one checks that a sanitizer sees the same way-mask checks on both.
+Every hierarchy serves on the fast engine; the same code run inside
+``reference_engine()`` is its oracle (``tests.engines.run_oracle``
+checks that the oracle side really ran ``access_line``).  Each test
+runs one small workload both ways and requires identical results.  The
+sanitizer tests check that a sanitizer sees the same way-mask checks on
+both.
 """
 
 import dataclasses
@@ -24,9 +26,9 @@ from repro.kvs.workload import GetSetMix, ZipfKeys
 from repro.mem.address import CACHE_LINE
 from repro.net.chain import router_napt_lb_chain
 
-pytestmark = pytest.mark.differential
+from tests.engines import ENGINES, start_on, run_on
 
-ENGINES = ("reference", "fast")
+pytestmark = pytest.mark.differential
 
 
 @pytest.mark.parametrize("slice_aware", [True, False])
@@ -34,27 +36,31 @@ def test_kvs_get_set_cycles_identical(slice_aware):
     n_keys = 1 << 12
     keys = ZipfKeys(n_keys, 0.99, seed=3).keys(600, np.random.default_rng(9))
     ops = GetSetMix(0.5).operations(600, np.random.default_rng(12))
-    runs = {}
-    for engine in ENGINES:
+
+    def serve():
         context = SliceAwareContext(HASWELL_E5_2667V3, seed=2)
         store = KvsStore(context, core=0, n_keys=n_keys, slice_aware=slice_aware)
-        server = KvsServer(context, store, core=0, engine=engine)
+        server = KvsServer(context, store, core=0)
         cycles = [server.serve_one(int(k), bool(g)) for k, g in zip(keys, ops)]
-        runs[engine] = (cycles, state_fingerprint(context.hierarchy))
+        return cycles, state_fingerprint(context.hierarchy)
+
+    runs = {engine: run_on(engine, serve) for engine in ENGINES}
     assert runs["fast"] == runs["reference"]
 
 
 def test_kvs_server_defaults_to_fast():
     context = SliceAwareContext(HASWELL_E5_2667V3, seed=2)
     store = KvsStore(context, core=0, n_keys=256, slice_aware=False)
-    KvsServer(context, store, core=0)
+    server = KvsServer(context, store, core=0)
     assert context.hierarchy.engine_name == "fast"
+    server.serve_one(1, True)
+    assert context.hierarchy._fast_engine is not None
 
 
 def test_nfv_chain_comparison_identical():
     """Both arms of the Router-NAPT-LB chain (Fig. 14's configuration)."""
-    payloads = {
-        engine: json.dumps(
+    def compare():
+        return json.dumps(
             comparison_to_dict(
                 compare_cache_director(
                     lambda: router_napt_lb_chain(hw_offload=True),
@@ -64,13 +70,12 @@ def test_nfv_chain_comparison_identical():
                     micro_packets=48,
                     runs=1,
                     seed=0,
-                    engine=engine,
                 )
             ),
             sort_keys=True,
         )
-        for engine in ENGINES
-    }
+
+    payloads = {engine: run_on(engine, compare) for engine in ENGINES}
     assert payloads["fast"] == payloads["reference"]
 
 
@@ -101,14 +106,14 @@ def test_sanitizer_fill_checks_identical_under_cat():
     dma = {i: rng.choice([64, 256, 1500]) for i in rng.sample(range(len(trace)), 300)}
     seen = {}
     for engine in ENGINES:
-        h = build_hierarchy(spec, sanitize=True)
+        h = start_on(engine, build_hierarchy, spec, sanitize=True)
+        assert h.engine_name == engine
         cat = h.llc.cat
         cat.define_clos(1, 0b00001111)
         cat.define_clos(2, 0b00111100)
         for core in range(spec.n_cores):
             cat.assign_core(core, core % 3)
         calls = record_fill_checks(h)
-        h.set_engine(engine)
         ddio = DdioEngine(h)
         cycles = []
         for i, (address, write, core) in enumerate(
@@ -134,7 +139,8 @@ def test_sanitizer_fill_checks_identical_batched_under_cat():
     trace = random_trace(rng, 6000, spec.n_cores)
     seen = {}
     for engine in ENGINES:
-        h = build_hierarchy(spec, sanitize=True)
+        h = start_on(engine, build_hierarchy, spec, sanitize=True)
+        assert h.engine_name == engine
         cat = h.llc.cat
         cat.define_clos(1, 0b00000011)
         cat.define_clos(2, 0b11110000)
@@ -144,7 +150,7 @@ def test_sanitizer_fill_checks_identical_batched_under_cat():
         ddio = DdioEngine(h)
         outcomes = []
         for addresses, writes, cores in trace.chunks(500):
-            batch = h.access_batch(addresses, writes, cores, engine=engine)
+            batch = h.access_batch(addresses, writes, cores)
             outcomes.append(
                 (batch.cycles.tolist(), batch.levels.tolist(), batch.slices.tolist())
             )
@@ -168,4 +174,4 @@ def test_fig06_batch_passes_match_per_access_loop(monkeypatch):
     params = dict(working_set_bytes=320 * 1024, n_ops=400, seed=3)
     fast = fig06_speedup.run_fig06(**params)
     monkeypatch.setattr(fig06_speedup, "_access_all", per_access)
-    assert fig06_speedup.run_fig06(**params) == fast
+    assert run_on("reference", fig06_speedup.run_fig06, **params) == fast

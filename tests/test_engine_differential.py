@@ -32,6 +32,8 @@ from repro.cachesim.machines import (
     build_hierarchy,
 )
 
+from tests.engines import ENGINES, start_on
+
 pytestmark = pytest.mark.differential
 
 SMALL_HASWELL = dataclasses.replace(
@@ -98,9 +100,9 @@ def test_single_core_stream(name):
     assert report.equal, report.detail
     # Python and numpy scalar cores, on both engines' access_batch.
     for core in (2, np.int64(2), np.array(2)):
-        for engine in ("reference", "fast"):
-            h = build_hierarchy(spec)
-            batch = h.access_batch(trace.addresses, trace.writes, core, engine=engine)
+        for engine in ENGINES:
+            h = start_on(engine, build_hierarchy, spec)
+            batch = h.access_batch(trace.addresses, trace.writes, core)
             outcomes = list(
                 zip(batch.cycles.tolist(), batch.levels.tolist(), batch.slices.tolist())
             )
@@ -118,13 +120,13 @@ def test_loads_only_default_kinds():
     fast = build_hierarchy(spec)
     for address, core in zip(trace.addresses, trace.cores):
         reference.access_line(core, address, False)
-    fast.access_batch(trace.addresses, None, trace.cores, engine="fast")
+    fast.access_batch(trace.addresses, None, trace.cores)
     assert state_fingerprint(reference) == state_fingerprint(fast)
     # Every scalar form of "all loads", on both engines' access_batch.
     for kinds in (False, 0, np.bool_(False), np.array(False)):
-        for engine in ("reference", "fast"):
-            h = build_hierarchy(spec)
-            h.access_batch(trace.addresses, kinds, trace.cores, engine=engine)
+        for engine in ENGINES:
+            h = start_on(engine, build_hierarchy, spec)
+            h.access_batch(trace.addresses, kinds, trace.cores)
             assert state_fingerprint(h) == state_fingerprint(reference), (kinds, engine)
 
 
@@ -143,13 +145,13 @@ def test_replacement_policies(policy):
 
 @pytest.mark.parametrize("name", ["haswell-small", "skylake-small"])
 def test_scalar_fast_path(name):
-    """set_engine("fast") rebinds read/write; they must stay identical."""
+    """The first access installs the engine's read/write; they must
+    match ``access_line`` access by access."""
     spec = SPECS[name]
     rng = random.Random(13)
     trace = random_trace(rng, 4000, spec.n_cores)
     reference = build_hierarchy(spec)
     fast = build_hierarchy(spec)
-    fast.set_engine("fast")
     for address, write, core in zip(trace.addresses, trace.writes, trace.cores):
         expected = reference.access_line(core, address, write).cycles
         if write:
@@ -237,11 +239,11 @@ def test_cold_fill_writes_keep_residency_superset(name):
             list(range(spec.n_cores)) * len(indices),
         )
     )
-    reference = build_hierarchy(spec)
+    reference = start_on("reference", build_hierarchy, spec)
     fast = build_hierarchy(spec)
     for addresses, core in batches:
-        expected = reference.access_batch(addresses, True, core, engine="reference")
-        got = fast.access_batch(addresses, True, core, engine="fast")
+        expected = reference.access_batch(addresses, True, core)
+        got = fast.access_batch(addresses, True, core)
         assert got.cycles.tolist() == expected.cycles.tolist()
         assert got.levels.tolist() == expected.levels.tolist()
         resident = fast._resident_superset
@@ -265,9 +267,8 @@ def full_set_with_holes(spec, holes):
     """A reference and a fast-engine hierarchy whose LLC set 0 of slice
     ``slice_of(0)`` is full, then has the lines in *holes* clflushed."""
     pair = []
-    for engine in ("reference", "fast"):
-        h = build_hierarchy(spec)
-        h.set_engine(engine)
+    for engine in ENGINES:
+        h = start_on(engine, build_hierarchy, spec)
         for line in same_set_lines(h, spec.llc_ways):
             h.llc.fill(line, core=0)
         slice_cache = h.llc.slices[h.llc.slice_of(0)]
@@ -293,7 +294,7 @@ def test_refill_takes_lowest_invalid_way(name, write):
             slice_cache = h.llc.slices[h.llc.slice_of(0)]
             free = [w for w in range(spec.llc_ways) if slice_cache._tags[w] == INVALID_TAG]
             before = set(slice_cache.lines())
-            batch = h.access_batch([line], write, 0, engine=h.engine_name)
+            batch = h.access_batch([line], write, 0)
             outcomes.append((batch.cycles.tolist(), batch.levels.tolist()))
             added = set(slice_cache.lines()) - before
             # One access can fill twice (a dirty L1 victim's drain and
@@ -333,9 +334,8 @@ def test_lines_past_2_63_identical(name):
     spec = SPECS[name]
     addrs = np.uint64(1 << 63) + np.arange(3000, dtype=np.uint64) * np.uint64(7 * 64)
     outcomes = []
-    for engine in ("reference", "fast"):
-        h = build_hierarchy(spec)
-        h.set_engine(engine)
-        batch = h.access_batch(addrs, True, 0, engine=engine)
+    for engine in ENGINES:
+        h = start_on(engine, build_hierarchy, spec)
+        batch = h.access_batch(addrs, True, 0)
         outcomes.append((batch.cycles.tolist(), state_fingerprint(h)))
     assert outcomes[0] == outcomes[1]

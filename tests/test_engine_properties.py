@@ -104,10 +104,9 @@ class TestBatchMatchesReference:
     @seed(2026)
     @given(steps=traces)
     def test_scalar_engine_calls(self, steps):
-        """read()/write() rebound by set_engine("fast"), access by access."""
+        """read()/write() on the engine the first access installs."""
         reference = build_hierarchy(SMALL_HASWELL)
         fast = build_hierarchy(SMALL_HASWELL)
-        fast.set_engine("fast")
         for address, write, core in steps:
             expected = reference.access_line(core, address, write).cycles
             got = (

@@ -24,18 +24,23 @@ from repro.kvs.server import REPLAY_CHUNK, KvsServer, KvsWorkloadResult
 from repro.kvs.store import KvsStore
 from repro.kvs.workload import GetSetMix, ZipfKeys
 
+from tests.engines import start_on
+
 pytestmark = pytest.mark.differential
 
 N_KEYS = 1 << 10
 
 
 def _server(engine="fast", value_size=64, sanitize=None):
-    hierarchy = build_hierarchy(HASWELL_E5_2667V3, seed=2, sanitize=sanitize)
+    hierarchy = start_on(
+        engine, build_hierarchy, HASWELL_E5_2667V3, seed=2, sanitize=sanitize
+    )
+    assert hierarchy.engine_name == engine
     context = SliceAwareContext(HASWELL_E5_2667V3, hierarchy=hierarchy, seed=2)
     store = KvsStore(
         context, core=0, n_keys=N_KEYS, slice_aware=True, value_size=value_size
     )
-    return KvsServer(context, store, core=0, rx_buffers=64, engine=engine)
+    return KvsServer(context, store, core=0, rx_buffers=64)
 
 
 def _stream(n, get_fraction, seed=0):

@@ -110,7 +110,7 @@ class TestParallelIdentity:
         params = self.TINY["fig13"]
         report = run_matrix(["fig13"], jobs=2, seed=0, params_override=self.TINY)
         direct = comparison_to_dict(
-            run_fig13(seed=0, engine="fast", offered_gbps=100.0, **params)
+            run_fig13(seed=0, offered_gbps=100.0, **params)
         )
         assert json.dumps(report.experiments["fig13"].payload, sort_keys=True) == (
             json.dumps(direct, sort_keys=True)

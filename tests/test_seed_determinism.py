@@ -17,16 +17,19 @@ from repro.net.chain import simple_forwarding_chain
 from repro.net.harness import simulate_queueing_latency
 from repro.net.trace import CampusTraceGenerator
 
+from tests.engines import run_on
+
 
 def _service_times(engine: str) -> np.ndarray:
-    return measure_service_times(
+    return run_on(
+        engine,
+        measure_service_times,
         simple_forwarding_chain,
         cache_director=False,
         steering_kind="rss",
         generator=CampusTraceGenerator(seed=3),
         micro_packets=400,
         seed=3,
-        engine=engine,
     )
 
 
@@ -44,8 +47,8 @@ def _queueing_summary():
 
 class TestHarnessDeterminism:
     def test_service_times_byte_identical(self):
-        first = _service_times("reference")
-        second = _service_times("reference")
+        first = _service_times("fast")
+        second = _service_times("fast")
         assert first.tobytes() == second.tobytes()
 
     def test_fast_engine_matches_reference_service_times(self):

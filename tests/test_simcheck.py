@@ -82,7 +82,7 @@ PARITY_OK = {
             def write(self, core, address):
                 pass
 
-            def access_batch(self, core, addresses, writes, engine=None):
+            def access_batch(self, core, addresses, writes):
                 pass
         """,
     "cachesim/engine.py": """
@@ -140,9 +140,28 @@ def test_sim201_flags_kwarg_drift(tmp_path):
     assert "prefetch" in result.active[0].message
 
 
-def test_sim201_allows_engine_dispatch_kwarg():
-    # The real tree relies on the `engine` kwarg being whitelisted on
-    # the hierarchy side of access_batch; PARITY_OK above encodes it.
+def test_sim201_flags_hierarchy_only_engine_kwarg(tmp_path):
+    # No kwarg is exempt: a per-call engine override on the hierarchy
+    # side only is drift like any other.
+    files = dict(PARITY_OK)
+    files["cachesim/hierarchy.py"] = """
+        class CacheHierarchy:
+            def read(self, core, address):
+                pass
+
+            def write(self, core, address):
+                pass
+
+            def access_batch(self, core, addresses, writes, engine=None):
+                pass
+        """
+    _write_tree(tmp_path, files)
+    result = run_simcheck([tmp_path], root=tmp_path)
+    assert codes(result.active) == ["SIM201"]
+    assert "engine" in result.active[0].message
+
+
+def test_sim201_clean_on_the_real_tree():
     result = run_simcheck([SRC_REPRO / "cachesim"], root=SRC_REPRO)
     assert [f for f in result.active if f.code == "SIM201"] == []
 

@@ -19,16 +19,16 @@ test-fast:
 
 # Fast-vs-reference engine equivalence: the differential replay harness
 # plus the hypothesis property suite (see docs/MODEL.md), then the
-# dataplane smoke below.
+# record/replay smoke below.
 diff-test:
 	$(PY) -m pytest tests/ -q -m differential
 	$(MAKE) diff-smoke
 
-# Scalar-vs-batched dataplane smoke: replays one trace and three fleet
-# cells (fault-free, re-shard kills, replicated gray failures) end to
-# end, on top of the marked tests in tests/test_dataplane_diff.py.  The
-# batched dataplane reaches the batch engine through the NFs and the
-# PMD, interleaved with DDIO.
+# Record/replay vs per-item oracle smoke: charges one packet trace and
+# three fleet cells (fault-free, re-shard kills, replicated gray
+# failures) both ways end to end, on top of the marked tests in
+# tests/test_dataplane_diff.py.  The replay reaches the engine through
+# the NFs and the PMD, interleaved with DDIO.
 diff-smoke:
 	$(PY) -c "from repro.cachesim.diff import run_dataplane_differential, run_fleet_differential; \
 	from repro.net.chain import simple_forwarding_chain; \
@@ -44,7 +44,7 @@ diff-smoke:
 	plan=plan_for_class('fleet-gray', seed=7, intensity=6.0), \
 	healing={'replication': 2, 'detector_enabled': True}); \
 	assert h.equal, h.detail; \
-	print('dataplane-diff: scalar == batched on', r.n_packets, 'packets +', f.n_packets, '+', k.n_packets, '+', h.n_packets, 'fleet requests')"
+	print('replay-diff: per-item == record/replay on', r.n_packets, 'packets +', f.n_packets, '+', k.n_packets, '+', h.n_packets, 'fleet requests')"
 
 # Tests of the end-to-end benchmark's own scripts (e2ebench/, outside
 # tier-1; see e2ebench/BENCH.md).

@@ -152,10 +152,6 @@ def _micro_dma_work(params: Mapping[str, Any]) -> Dict[str, float]:
     return {"packets": float(params["n_spans"])}
 
 
-def _dataplane_work(params: Mapping[str, Any]) -> Dict[str, float]:
-    return {"packets": float(params["n_packets"])}
-
-
 def _ring_work(params: Mapping[str, Any]) -> Dict[str, float]:
     # Every lookup batch routes n_lookups pairs; one membership change
     # halfway re-routes the same batch against the rebuilt table.
@@ -278,48 +274,6 @@ def _micro_dma_metrics(payload: Mapping[str, Any]) -> Dict[str, float]:
     return {"dma_read_hit_lines": float(payload["dma_read_hits"])}
 
 
-def _setup_dataplane_forwarding(params: Mapping[str, Any], seed: int) -> Any:
-    """Build a fresh DuT + campus trace; excluded from the sample."""
-    from repro.net.chain import DutConfig, DutEnvironment, simple_forwarding_chain
-    from repro.net.trace import CampusTraceGenerator
-
-    config = DutConfig(
-        dataplane=str(params["dataplane"]),
-        n_mbufs=int(params["n_mbufs"]),
-    )
-    env = DutEnvironment(config, chain_factory=simple_forwarding_chain)
-    generator = CampusTraceGenerator(seed=seed)
-    packets = generator.generate(int(params["n_packets"]), rate_pps=1e6)
-    queues = [p.packet_id % env.nic.n_queues for p in packets]
-    return env, packets, queues
-
-
-def _run_dataplane_forwarding(
-    params: Mapping[str, Any], seed: int, context: Any
-) -> Dict[str, Any]:
-    """Time one forwarding microsim pass over the prebuilt trace.
-
-    The scalar/batched entry pair shares this runner; only the
-    ``dataplane`` parameter differs, so the trajectory ratio between
-    the two entries is the end-to-end dataplane speedup on one engine.
-    """
-    env, packets, queues = context
-    cycles = env.service_cycles(packets, queues)
-    serviced = [c for c in cycles if c is not None]
-    return {
-        "serviced": len(serviced),
-        "dropped": len(cycles) - len(serviced),
-        "total_cycles": int(sum(serviced)),
-    }
-
-
-def _dataplane_metrics(payload: Mapping[str, Any]) -> Dict[str, float]:
-    return {
-        "serviced_packets": float(payload["serviced"]),
-        "dropped_packets": float(payload["dropped"]),
-    }
-
-
 def _run_ring_routing(params: Mapping[str, Any], seed: int) -> Dict[str, Any]:
     """Time bulk consistent-hash routing plus one failover re-route."""
     import numpy as np
@@ -391,46 +345,6 @@ def default_suite() -> List[BenchEntry]:
             scaled=("n_bulk_packets", "micro_packets"),
             work=_nfv_work,
             metrics=_nfv_metrics,
-        ),
-        BenchEntry(
-            name="dataplane-forwarding-scalar",
-            title="Forwarding microsim, scalar dataplane",
-            kind="micro",
-            runner=_run_dataplane_forwarding,
-            setup=_setup_dataplane_forwarding,
-            smoke_params={
-                "n_packets": 800,
-                "n_mbufs": 1024,
-                "dataplane": "scalar",
-            },
-            full_params={
-                "n_packets": 8_000,
-                "n_mbufs": 1024,
-                "dataplane": "scalar",
-            },
-            scaled=("n_packets",),
-            work=_dataplane_work,
-            metrics=_dataplane_metrics,
-        ),
-        BenchEntry(
-            name="dataplane-forwarding-batched",
-            title="Forwarding microsim, batched record/replay dataplane",
-            kind="micro",
-            runner=_run_dataplane_forwarding,
-            setup=_setup_dataplane_forwarding,
-            smoke_params={
-                "n_packets": 800,
-                "n_mbufs": 1024,
-                "dataplane": "batched",
-            },
-            full_params={
-                "n_packets": 8_000,
-                "n_mbufs": 1024,
-                "dataplane": "batched",
-            },
-            scaled=("n_packets",),
-            work=_dataplane_work,
-            metrics=_dataplane_metrics,
         ),
         BenchEntry(
             name="fig14-service-chain",

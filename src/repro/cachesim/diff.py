@@ -17,7 +17,9 @@ replayed here verbatim.
 Every hierarchy serves on the fast engine; :func:`reference_engine` is
 the one way to build the oracle side, whose hierarchies serve every
 demand access and DMA span through ``access_line`` and the reference
-DDIO loop.
+DDIO loop.  Likewise every packet trace and request stream is charged
+by record/replay (:mod:`repro.net.dataplane`); :func:`per_item_oracle`
+is the one way to charge them through the per-item loops instead.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.cachesim.cache import INVALID_TAG
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.hierarchy import START_ENGINE, CacheHierarchy
 from repro.mem.address import CACHE_LINE
+from repro.net.dataplane import PER_ITEM_ORACLE
 
 #: Maps ``AccessResult.level`` strings onto the engine's level codes.
 LEVEL_CODES: Dict[str, int] = {"l1": 0, "l2": 1, "llc": 2, "dram": 3}
@@ -50,6 +53,22 @@ def reference_engine() -> Iterator[None]:
         yield
     finally:
         START_ENGINE.reset(token)
+
+
+@contextlib.contextmanager
+def per_item_oracle() -> Iterator[None]:
+    """Charge every stream inside the block one item at a time.
+
+    ``DutEnvironment.service_cycles`` then calls ``process_packet`` per
+    packet and ``serve_requests`` calls ``serve_one`` per request, the
+    differential oracle of the chunked record/replay that runs outside
+    the block.
+    """
+    token = PER_ITEM_ORACLE.set(True)
+    try:
+        yield
+    finally:
+        PER_ITEM_ORACLE.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -348,13 +367,13 @@ def run_differential(
 
 
 # ----------------------------------------------------------------------
-# Dataplane-level differential replay (scalar vs batched)
+# Dataplane-level differential replay (per-item oracle vs record/replay)
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class DataplaneDiffReport:
-    """Outcome of one scalar-vs-batched dataplane replay."""
+    """Outcome of one per-item-vs-record/replay comparison."""
 
     n_packets: int
     equal: bool
@@ -383,21 +402,23 @@ def run_dataplane_differential(
     plan: Optional[object] = None,
     **config_kwargs,
 ) -> DataplaneDiffReport:
-    """Replay one packet trace through the scalar and batched dataplanes.
+    """Charge one packet trace per packet and by record/replay; compare.
 
     Builds two identically-configured :class:`~repro.net.chain.
-    DutEnvironment` instances — the oracle ``dataplane="scalar"`` on
-    the reference engine, ``dataplane="batched"`` on the fast one (or
-    on the reference engine too, when the whole call runs inside
-    :func:`reference_engine`) — drives the same
-    :class:`~repro.net.trace.CampusTraceGenerator` trace through both
-    in arrival order, and compares every observable
-    the batched rewrite could possibly perturb: per-packet cycles
-    (including ``None`` drop positions), NIC and DDIO statistics,
-    mempool occupancy and allocation failures, PMD FCS discards,
+    DutEnvironment` instances — the oracle inside
+    :func:`reference_engine` and :func:`per_item_oracle` (one
+    ``process_packet`` per packet, every access through
+    ``access_line``), the other as product code runs it (chunked
+    record/replay on the fast engine, or on the reference engine too
+    when the whole call runs inside :func:`reference_engine`) — drives
+    the same :class:`~repro.net.trace.CampusTraceGenerator` trace
+    through both in arrival order, and compares every observable the
+    replay could possibly perturb: per-packet cycles (including
+    ``None`` drop positions), NIC and DDIO statistics, mempool
+    occupancy and allocation failures, PMD FCS discards,
     descriptor-ring slots, chain/NF control counters, injected-fault
-    counters (when *plan* arms a chaos plan, applied to both sides
-    from the same seed), and the deep cache-state fingerprint.
+    counters (when *plan* arms a chaos plan, applied to both sides from
+    the same seed), and the deep cache-state fingerprint.
 
     Extra keyword arguments become shared
     :class:`~repro.net.chain.DutConfig` fields (``cache_director``,
@@ -407,101 +428,78 @@ def run_dataplane_differential(
     from repro.net.chain import DutConfig, DutEnvironment
     from repro.net.trace import CampusTraceGenerator
 
-    def run(dataplane: str):
-        config = DutConfig(dataplane=dataplane, **config_kwargs)
+    def run():
         resolved = resolve_plan(plan)
         faults = FaultClock(resolved) if resolved is not None else None
-        env = DutEnvironment(config, chain_factory=chain_factory, faults=faults)
+        env = DutEnvironment(
+            DutConfig(**config_kwargs), chain_factory=chain_factory, faults=faults
+        )
         packets = CampusTraceGenerator(seed=trace_seed).generate(
             n_packets, rate_pps=rate_pps
         )
         queues = [p.packet_id % env.nic.n_queues for p in packets]
         return env.service_cycles(packets, queues), env
 
-    with reference_engine():
-        scalar_cycles, scalar_env = run("scalar")
-    assert scalar_env.hierarchy.engine_name == "reference"
-    batched_cycles, batched_env = run("batched")
+    with reference_engine(), per_item_oracle():
+        oracle_cycles, oracle_env = run()
+    assert oracle_env.hierarchy.engine_name == "reference"
+    replay_cycles, replay_env = run()
 
-    observables = [
-        ("per_packet_cycles", scalar_cycles, batched_cycles),
-        ("nic_stats", scalar_env.nic.stats, batched_env.nic.stats),
-        ("ddio_stats", scalar_env.ddio.stats, batched_env.ddio.stats),
-        (
-            "mempool",
-            (scalar_env.mempool.available, scalar_env.mempool.alloc_failures),
-            (
-                batched_env.mempool.available,
-                batched_env.mempool.alloc_failures,
-            ),
-        ),
-        (
-            "fcs_discards",
-            scalar_env.pmd.fcs_discards,
-            batched_env.pmd.fcs_discards,
-        ),
-        (
-            "descriptor_slots",
-            scalar_env.nic._descriptor_slot,
-            batched_env.nic._descriptor_slot,
-        ),
-        (
-            "chain_counters",
-            _chain_counters(scalar_env),
-            _chain_counters(batched_env),
-        ),
-        (
-            "fault_counters",
-            scalar_env.faults.stats.to_dict()
-            if scalar_env.faults is not None
-            else None,
-            batched_env.faults.stats.to_dict()
-            if batched_env.faults is not None
-            else None,
-        ),
-        (
-            "state_fingerprint",
-            state_fingerprint(scalar_env.hierarchy),
-            state_fingerprint(batched_env.hierarchy),
-        ),
-    ]
+    def observe(env) -> List[Tuple[str, object]]:
+        faults = env.faults.stats.to_dict() if env.faults is not None else None
+        return [
+            ("nic_stats", env.nic.stats),
+            ("ddio_stats", env.ddio.stats),
+            ("mempool", (env.mempool.available, env.mempool.alloc_failures)),
+            ("fcs_discards", env.pmd.fcs_discards),
+            ("descriptor_slots", env.nic._descriptor_slot),
+            ("chain_counters", _chain_counters(env)),
+            ("fault_counters", faults),
+            ("state_fingerprint", state_fingerprint(env.hierarchy)),
+        ]
+
     report = DataplaneDiffReport(n_packets=n_packets, equal=True)
-    for name, scalar_value, batched_value in observables:
-        if scalar_value != batched_value:
+    observables = [("per_packet_cycles", oracle_cycles, replay_cycles)] + [
+        (name, want, got)
+        for (name, want), (_, got) in zip(observe(oracle_env), observe(replay_env))
+    ]
+    for name, want, got in observables:
+        if want != got:
             report.equal = False
             report.mismatches.append(name)
     if not report.equal:
         first = report.mismatches[0]
         if first == "per_packet_cycles":
-            for i, (s, b) in enumerate(zip(scalar_cycles, batched_cycles)):
-                if s != b:
+            for i, (want, got) in enumerate(zip(oracle_cycles, replay_cycles)):
+                if want != got:
                     report.detail = (
-                        f"packet {i}: scalar cycles {s} != batched {b}"
+                        f"packet {i}: per-packet cycles {want} != replayed {got}"
                     )
                     break
         else:
-            report.detail = f"dataplanes diverge in: {report.mismatches}"
+            report.detail = f"charging paths diverge in: {report.mismatches}"
     return report
 
 
 def run_fleet_differential(**cell_kwargs) -> DataplaneDiffReport:
-    """Run one fleet cell scalar and batched; compare full payloads.
+    """Run one fleet cell per request and by record/replay; compare.
 
     Keyword arguments are forwarded to
-    :func:`~repro.fleet.cluster.run_fleet_cell` (minus ``dataplane``,
-    which this sets per side).  The comparison covers the entire
+    :func:`~repro.fleet.cluster.run_fleet_cell`; the oracle side runs
+    inside :func:`per_item_oracle`.  The comparison covers the entire
     persisted cell payload — latency summaries, goodput, per-server
     stats, kill events and fault counters — the strongest observable
     equality the fleet path exposes.
     """
     from repro.fleet.cluster import run_fleet_cell
 
-    scalar = run_fleet_cell(dataplane="scalar", **cell_kwargs).to_dict()
-    batched = run_fleet_cell(dataplane="batched", **cell_kwargs).to_dict()
-    requests = int(scalar["requests"])
+    with per_item_oracle():
+        oracle = run_fleet_cell(**cell_kwargs).to_dict()
+    replayed = run_fleet_cell(**cell_kwargs).to_dict()
+    requests = int(oracle["requests"])
     report = DataplaneDiffReport(n_packets=requests, equal=True)
-    for key in scalar:
-        if scalar[key] != batched[key]:
+    for key in oracle:
+        if oracle[key] != replayed[key]:
             report.equal = False
             report.mismatches.append(key)
     if not report.equal:

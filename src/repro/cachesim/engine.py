@@ -1300,16 +1300,16 @@ class FastEngine:
         ``aux`` is the issuing core for demand ops or the index into
         *ddios* for DMA ops (only consulted when ``multi_ddio`` is
         set, e.g. one engine per fleet tenant).  Ops execute strictly
-        in order, so a stream recorded from the scalar dataplane
+        in order, so a stream recorded from the per-item loops
         replays with bit-identical cache outcomes and exact
         ``DdioStats``.  Demand ops return their stall cycles; DMA ops
-        contribute 0, mirroring the scalar path where ``DdioEngine``
+        contribute 0, mirroring the per-item loops where ``DdioEngine``
         calls are not charged to any packet.
 
         The caller must ensure no :class:`CacheSanitizer` is installed:
         deferred replay cannot reproduce the sanitizer's check/tick
-        interleaving (the batched dataplane falls back to the scalar
-        loop in that case).
+        interleaving (``repro.net.dataplane.charges_per_item`` sends
+        such streams through the per-item loops instead).
         """
         self.refresh()
         return self._run_ops(ops, self.hierarchy.stats, ddios, multi_ddio)

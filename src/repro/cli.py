@@ -89,15 +89,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             micro_packets=args.micro,
             runs=args.runs,
             seed=args.seed,
-            dataplane=args.dataplane,
         )
         if args.json:
-            payload = tables.table3_to_dict(rows)
-            # Provenance: record non-default charging mode only, so
-            # scalar artifacts stay byte-identical to prior goldens.
-            if args.dataplane != "scalar":
-                payload["dataplane"] = args.dataplane
-            return _emit_json(payload)
+            return _emit_json(tables.table3_to_dict(rows))
         print(tables.format_table3(rows))
     else:
         if args.json:
@@ -191,15 +185,9 @@ def _cmd_fig(args: argparse.Namespace) -> int:
             micro_packets=args.micro,
             runs=args.runs,
             seed=seed,
-            dataplane=args.dataplane,
         )
         if args.json:
-            payload = comparison_to_dict(results)
-            # Provenance: record non-default charging mode only, so
-            # scalar artifacts stay byte-identical to prior goldens.
-            if args.dataplane != "scalar":
-                payload["dataplane"] = args.dataplane
-            return _emit_json(payload)
+            return _emit_json(comparison_to_dict(results))
         print(fmt(results))
         return 0
     if number == 15:
@@ -427,7 +415,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             offered_mrps=args.offered,
             epoch_requests=args.epoch,
             seed=args.seed,
-            dataplane=args.dataplane,
         )
         if args.json:
             return _emit_json(fleet_scale_to_dict(result))
@@ -637,12 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--runs", type=int, default=1, help="table 3: runs per arm")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--dataplane",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help="table 3: microsim charging mode (identical results)",
-    )
     p.add_argument("--json", action="store_true", help="emit the JSON payload")
     p.set_defaults(func=_cmd_table)
 
@@ -656,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--micro", type=int, default=2500, help="microsim packets")
     p.add_argument("--verify", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--dataplane",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help="figs 1/13/14: microsim charging mode (identical results)",
-    )
     p.add_argument("--json", action="store_true", help="emit the JSON payload")
     p.set_defaults(func=_cmd_fig)
 
@@ -743,12 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--offered", type=float, default=16.0, help="offered load (Mrps)")
     q.add_argument("--epoch", type=int, default=2_000, help="requests per epoch")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument(
-        "--dataplane",
-        choices=("scalar", "batched"),
-        default="scalar",
-        help="per-server charging mode (identical results)",
-    )
     q.add_argument("--json", action="store_true", help="emit the JSON payload")
     q.set_defaults(func=_cmd_fleet)
 

@@ -21,7 +21,6 @@ def run_fig13_arm(
     micro_packets: int = 4000,
     runs: int = 3,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> NfvExperimentResult:
     """One arm (DPDK or +CacheDirector) of Fig. 13, independently runnable.
 
@@ -38,7 +37,6 @@ def run_fig13_arm(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
 
 
@@ -48,7 +46,6 @@ def run_fig13(
     micro_packets: int = 4000,
     runs: int = 3,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> Dict[str, NfvExperimentResult]:
     """Forwarding at 100 Gbps with RSS steering over 8 cores."""
     return compare_cache_director(
@@ -59,7 +56,6 @@ def run_fig13(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
 
 

@@ -31,7 +31,6 @@ def run_fig14_arm(
     runs: int = 3,
     hw_offload: bool = True,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> NfvExperimentResult:
     """One arm of Fig. 14, independently runnable (see Fig. 13's twin)."""
     return run_nfv_experiment(
@@ -43,7 +42,6 @@ def run_fig14_arm(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
 
 
@@ -54,7 +52,6 @@ def run_fig14(
     runs: int = 3,
     hw_offload: bool = True,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> Dict[str, NfvExperimentResult]:
     """Stateful chain at 100 Gbps with FlowDirector steering."""
     return compare_cache_director(
@@ -65,7 +62,6 @@ def run_fig14(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
 
 

@@ -72,10 +72,6 @@ class FleetScaleResult:
     tenant_counts: List[int]
     offered_mrps: float
     cells: List[Dict[str, Any]]  # row-major: servers outer, tenants inner
-    #: Charging mode the cells ran under ("scalar"/"batched"); batched
-    #: runs record it in the artifact, scalar artifacts stay
-    #: byte-identical to pre-batching goldens.
-    dataplane: str = "scalar"
 
     def cell(self, n_servers: int, n_tenants: int) -> Dict[str, Any]:
         """The payload for one grid shape."""
@@ -98,7 +94,6 @@ def run_fleet_scale_cell(
     tenant_ways: Optional[int] = None,
     ddio_ways: Optional[int] = None,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> Dict[str, Any]:
     """One independently-runnable grid cell (fault-free)."""
     result = run_fleet_cell(
@@ -115,7 +110,6 @@ def run_fleet_scale_cell(
         tenant_ways=tenant_ways,
         ddio_ways=ddio_ways,
         seed=seed,
-        dataplane=dataplane,
     )
     return result.to_dict()
 
@@ -135,7 +129,6 @@ def run_fleet_scale(
     ddio_ways: Optional[int] = None,
     engine: str = "fast",  # pinned: e2ebench/digests.json and fleet goldens
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> FleetScaleResult:
     """Sweep fleet shape; every cell serves *requests* Zipf requests."""
     require_fast_engine(engine)
@@ -164,7 +157,6 @@ def run_fleet_scale(
             tenant_ways=tenant_ways,
             ddio_ways=ddio_ways,
             seed=seed,
-            dataplane=dataplane,
         )
         for n_servers in servers_grid
         for n_tenants in tenants_grid
@@ -174,7 +166,6 @@ def run_fleet_scale(
         tenant_counts=tenants_grid,
         offered_mrps=offered_mrps,
         cells=cells,
-        dataplane=dataplane,
     )
 
 
@@ -204,25 +195,17 @@ def assemble_fleet_scale(
         tenant_counts=tenants_grid,
         offered_mrps=float(params.get("offered_mrps", 2.0)),
         cells=list(cell_results),
-        dataplane=str(params.get("dataplane", "scalar")),
     )
 
 
 def fleet_scale_to_dict(result: FleetScaleResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted scale artifact).
-
-    The ``dataplane`` key appears only for batched runs so scalar
-    artifacts stay byte-identical to the pre-batching goldens.
-    """
-    payload: Dict[str, Any] = {
+    """JSON-ready form (the persisted scale artifact)."""
+    return {
         "server_counts": list(result.server_counts),
         "tenant_counts": list(result.tenant_counts),
         "offered_mrps": result.offered_mrps,
         "cells": list(result.cells),
     }
-    if result.dataplane != "scalar":
-        payload["dataplane"] = result.dataplane
-    return payload
 
 
 def format_fleet_scale(result: FleetScaleResult) -> str:

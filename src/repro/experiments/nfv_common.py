@@ -78,15 +78,12 @@ def measure_service_times(
     seed: int = 0,
     faults: Optional[FaultClock] = None,
     watermarks: Optional[Tuple[int, int]] = None,
-    dataplane: str = "scalar",
 ) -> np.ndarray:
     """Cache-simulate a packet sample; returns service times (ns).
 
     With a fault clock, packets lost to injected faults (wire drops,
     FCS discards, allocation failures, NF crashes) are excluded from
     the sample and accounted in the clock's structured counters.
-    ``dataplane="batched"`` charges the sample through the recorded
-    op-stream replay instead of per-packet calls (identical results).
     """
     env = DutEnvironment(
         DutConfig(
@@ -94,7 +91,6 @@ def measure_service_times(
             n_cores=n_cores,
             seed=seed,
             watermarks=watermarks,
-            dataplane=dataplane,
         ),
         chain_factory,
         faults=faults,
@@ -119,7 +115,6 @@ def run_nfv_experiment(
     seed: int = 0,
     fault_plan: Optional[object] = None,
     watermarks: Optional[Tuple[int, int]] = None,
-    dataplane: str = "scalar",
 ) -> NfvExperimentResult:
     """Full pipeline for one configuration; medians over *runs*.
 
@@ -146,7 +141,6 @@ def run_nfv_experiment(
         seed=seed,
         faults=clock,
         watermarks=watermarks,
-        dataplane=dataplane,
     )
     if service_samples.size == 0:
         # Every microsim packet was lost to injected faults (only

@@ -177,7 +177,6 @@ def run_table3(
     micro_packets: int = 500,
     runs: int = 1,
     seed: int = 0,
-    dataplane: str = "scalar",
 ) -> List[Table3Row]:
     """Compute Table 3 by driving the Fig. 13/14 runners.
 
@@ -196,7 +195,6 @@ def run_table3(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
     service_chain = run_fig14(
         offered_gbps=offered_gbps,
@@ -204,7 +202,6 @@ def run_table3(
         micro_packets=micro_packets,
         runs=runs,
         seed=seed,
-        dataplane=dataplane,
     )
     return table3_rows(forwarding, service_chain)
 

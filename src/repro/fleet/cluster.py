@@ -10,10 +10,11 @@ stream through it, epoch by epoch, in three phases:
   aliveness, beliefs, shed flags) is frozen at the epoch boundary, so
   decisions never depend on cache timing.
 * **Phase B (charging)** — each server charges its work items in
-  arrival order: one :meth:`~repro.fleet.server.FleetServer.serve`
-  call per item (``dataplane="scalar"``) or one
-  :meth:`~repro.fleet.server.FleetServer.serve_batch` pass
-  (``"batched"``) — bit-identical per request.
+  arrival order through one
+  :meth:`~repro.fleet.server.FleetServer.serve_batch` call, the
+  record/replay of :func:`~repro.kvs.server.serve_requests` —
+  bit-identical per request to one
+  :meth:`~repro.fleet.server.FleetServer.serve` call per item.
 * **Phase C (queueing)** — a per-server FIFO fold over the charged
   cycles, applying the gray-stall service multiplier and failover
   penalties; the bearing item's finish defines request latency.
@@ -228,7 +229,6 @@ def run_fleet_cell(
     ddio_ways: Optional[int] = None,
     seed: int = 0,
     plan: Optional[object] = None,
-    dataplane: str = "scalar",
     healing: Optional[object] = None,
 ) -> FleetRunResult:
     """Simulate one fleet shape under one (optional) fault plan.
@@ -237,11 +237,10 @@ def run_fleet_cell(
     latency/goodput statistics (cold caches).  ``plan`` — a
     :class:`~repro.faults.plan.FaultPlan` or its persisted dict form —
     arms the fleet outage sites; ``None`` or all-zero rates leave every
-    code path and RNG stream untouched.  ``dataplane`` selects how
-    Phase B charges a server's work items: ``"scalar"`` serves one
-    request at a time (the reference), ``"batched"`` replays each
-    server's op stream in one flattened engine pass — results are
-    bit-identical because Phase A never depends on cache timing.
+    code path and RNG stream untouched.  Phase B replays each
+    server's work items through :meth:`FleetServer.serve_batch`;
+    results equal one ``serve`` per item because Phase A never depends
+    on cache timing.
 
     ``healing`` — a :class:`~repro.fleet.healing.SelfHealingConfig` or
     its dict form — selects the replicated membership model; ``None``
@@ -252,10 +251,6 @@ def run_fleet_cell(
     rejected with :class:`ValueError` rather than silently dropped.
     """
     config = resolve_healing(healing)
-    if dataplane not in ("scalar", "batched"):
-        raise ValueError(
-            f"dataplane must be 'scalar' or 'batched', got {dataplane!r}"
-        )
     if requests <= 0:
         raise ValueError(f"requests must be positive, got {requests}")
     if not 0 <= warmup < requests:
@@ -316,9 +311,6 @@ def run_fleet_cell(
         seed=seed,
     )
     servers = cluster.servers
-    # serve_batch itself drops to per-request charging under a runtime
-    # CacheSanitizer (see repro.kvs.server.serve_requests).
-    use_batched = dataplane == "batched"
     generator = FleetTrafficGenerator(
         n_tenants=n_tenants,
         n_keys=n_keys,
@@ -391,18 +383,13 @@ def run_fleet_cell(
         if not queued:
             return
         busy = boundary_cycles
-        if use_batched:
-            services = server.serve_batch(
-                np.array([t for t, _ in queued], dtype=np.int64),
-                np.array([k for _, k in queued], dtype=np.int64),
-                np.zeros(len(queued), dtype=bool),
-            )
-            for service in services:
-                busy += float(service)
-        else:
-            for tenant, key in queued:
-                # Intentional scalar reference path (mirrors serve()).
-                busy += float(server.serve(tenant, key, False))
+        services = server.serve_batch(
+            np.array([t for t, _ in queued], dtype=np.int64),
+            np.array([k for _, k in queued], dtype=np.int64),
+            np.zeros(len(queued), dtype=bool),
+        )
+        for service in services:
+            busy += float(service)
         server.busy_until_cycles = busy
         counters["hints_replayed"] += len(queued)
         hints[server.server_id] = []
@@ -588,16 +575,9 @@ def run_fleet_cell(
         for sid in sorted(work):
             server = servers[sid]
             rows, bearing = work[sid]
-            if use_batched:
-                services = server.serve_batch(
-                    batch.tenants[rows], batch.keys[rows], batch.is_get[rows]
-                )
-            else:
-                # Intentional scalar reference path (one serve per item).
-                services = [
-                    server.serve(tenants[r], keys[r], is_get[r])
-                    for r in rows
-                ]
+            services = server.serve_batch(
+                batch.tenants[rows], batch.keys[rows], batch.is_get[rows]
+            )
             factor = (
                 clock.rates.server_stall_factor
                 if clock is not None and server.stalled_at(epoch)

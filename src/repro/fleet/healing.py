@@ -41,8 +41,8 @@ model, which uses the mechanisms defined here:
   token bucket over arrival time, plus a per-server queue-lag
   watermark with hysteresis, both evaluated only at epoch boundaries
   or from arrival times so decisions never depend on cache timing
-  (which is what keeps the scalar and batched dataplanes
-  bit-identical).
+  (which is what keeps the record/replay charging bit-identical to
+  one request at a time).
 
 Determinism contract: all randomness is the outage schedule, drawn
 upfront through the plan's :class:`~repro.faults.plan.FaultClock`
@@ -268,7 +268,7 @@ class TokenBucketAdmission:
 
     Refill is proportional to inter-arrival cycles at the reference
     clock, so admit/reject decisions are a pure function of the
-    traffic stream — identical under both dataplanes by construction.
+    traffic stream — identical however the requests are charged.
     """
 
     def __init__(

@@ -10,8 +10,8 @@ touch runs on the cache simulator, so the reported cycles-per-request
 slice distance, DDIO churn and capacity effects together.
 
 Request streams are charged through :func:`serve_requests`, the same
-record/replay as the batched dataplane (:mod:`repro.net.dataplane`):
-the real :meth:`KvsServer.serve_one` runs per request with the cache
+record/replay as the NFV microsim (:mod:`repro.net.dataplane`): the
+real :meth:`KvsServer.serve_one` runs per request with the cache
 swapped for an op recorder, then one engine pass per chunk replays
 the ops.
 """
@@ -28,17 +28,18 @@ from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, KvsRequestFault
 from repro.kvs.store import KvsStore
 from repro.mem.address import CACHE_LINE
-from repro.net.dataplane import OpRecorder, segment_sums
+from repro.net.dataplane import (
+    OpRecorder,
+    charges_per_item,
+    chunk_bounds,
+    segment_sums,
+)
 
 #: The paper's request packets: 128 B TCP.
 REQUEST_BYTES = 128
 
 #: Response: header + 64 B value.
 RESPONSE_BYTES = 64 + 64
-
-#: Requests recorded per replay: bounds the op list (about six ops per
-#: single-line request) on long warm-up streams.
-REPLAY_CHUNK = 1024
 
 
 @dataclass
@@ -133,7 +134,7 @@ class KvsServer:
                 cycles += hierarchy.write(core, value_line, 1)
         else:
             # Per-line charging in request order; under serve_requests
-            # these calls record ops for the batched replay.
+            # these calls record ops for the replay.
             for value_line in self.store.value_addresses(key):
                 if is_get:
                     cycles += hierarchy.read(core, value_line, 1)
@@ -191,14 +192,16 @@ def serve_requests(
     Control pass: the real :meth:`KvsServer.serve_one` runs per request
     with the hierarchy and every server's DDIO engine swapped for an
     :class:`~repro.net.dataplane.OpRecorder`, so RX buffer rotation,
-    request counters and fixed costs evolve exactly as in the scalar
+    request counters and fixed costs evolve exactly as in the per-request
     loop.  Charging pass: the interleaved op stream replays in order,
     each DMA span routed back to its server's engine (``multi_ddio``
     when there is more than one), so per-request cycles, cache state
-    and DDIO counters match the scalar loop bit for bit.  Streams
-    replay in chunks of :data:`REPLAY_CHUNK` requests.
+    and DDIO counters match the per-request loop bit for bit.  Streams
+    replay in chunks of :data:`repro.net.dataplane.REPLAY_CHUNK`
+    requests.
 
-    The per-request ``serve_one`` loop remains the fallback: a runtime
+    The per-request ``serve_one`` loop runs instead where
+    :func:`~repro.net.dataplane.charges_per_item` says so: a runtime
     sanitizer needs its checks interleaved with the accesses, and a
     fault clock must raise :class:`KvsRequestFault` at the failing
     request with the cache state it had then.
@@ -211,8 +214,8 @@ def serve_requests(
     tenant_list = [0] * n if tenants is None else np.asarray(tenants).tolist()
     serves = [server.serve_one for server in servers]
     hierarchy = servers[0].hierarchy
-    if hierarchy.sanitizer is not None or any(
-        server.faults is not None for server in servers
+    if charges_per_item(
+        hierarchy, any(server.faults is not None for server in servers)
     ):
         return np.array(
             [serves[t](k, g) for t, k, g in zip(tenant_list, key_list, get_list)],
@@ -221,8 +224,7 @@ def serve_requests(
     ddios = [server.ddio for server in servers]
     multi_ddio = len(servers) > 1
     out = np.empty(n, dtype=np.int64)
-    for start in range(0, n, REPLAY_CHUNK):
-        stop = min(start + REPLAY_CHUNK, n)
+    for start, stop in chunk_bounds(n):
         recorder = OpRecorder()
         ops = recorder.ops
         bounds = []

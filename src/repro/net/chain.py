@@ -11,7 +11,7 @@ This is the microsimulation that feeds the latency harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,12 @@ from repro.dpdk.mempool import Mempool
 from repro.dpdk.nic import Nic
 from repro.dpdk.pmd import PollModeDriver
 from repro.faults.plan import FaultClock
+from repro.net.dataplane import (
+    OpRecorder,
+    charges_per_item,
+    chunk_bounds,
+    segment_sums,
+)
 from repro.net.nf import (
     LpmRouter,
     MacSwapForwarder,
@@ -40,7 +46,6 @@ from repro.net.nf import (
     RoundRobinLoadBalancer,
 )
 from repro.net.packet import Packet
-from repro.net.packet_batch import PacketBatch
 
 
 class ServiceChain:
@@ -143,11 +148,6 @@ class DutConfig:
     #: Optional mempool ``(low, high)`` in-use watermarks; when set the
     #: NIC sheds load under pressure instead of exhausting the pool.
     watermarks: Optional[Tuple[int, int]] = None
-    #: Dataplane flavour: ``"scalar"`` processes packets one at a time;
-    #: ``"batched"`` records each burst's op stream and charges it in
-    #: one flattened engine pass (bit-identical results — see
-    #: ``repro.net.dataplane``).
-    dataplane: str = "scalar"
 
 
 class DutEnvironment:
@@ -168,10 +168,6 @@ class DutEnvironment:
         chain_factory: Callable[[], ServiceChain] = simple_forwarding_chain,
         faults: Optional[FaultClock] = None,
     ) -> None:
-        if config.dataplane not in ("scalar", "batched"):
-            raise ValueError(
-                f"dataplane must be 'scalar' or 'batched', got {config.dataplane!r}"
-            )
         self.config = config
         self.context = SliceAwareContext(config.spec, seed=config.seed)
         hierarchy = self.context.hierarchy
@@ -258,43 +254,42 @@ class DutEnvironment:
     ) -> List[Optional[int]]:
         """Microsimulate many packets; returns per-packet cycles.
 
-        Dispatches to :meth:`service_cycles_batch` when the config
-        selects the batched dataplane; results are bit-identical either
-        way.
+        Charges the trace through :meth:`service_cycles_batch` one
+        bounded chunk (:data:`repro.net.dataplane.REPLAY_CHUNK` packets)
+        at a time, in arrival order.  Where
+        :func:`~repro.net.dataplane.charges_per_item` says so (a runtime
+        sanitizer, or the differential oracle) every packet goes through
+        :meth:`process_packet` instead.
         """
         if len(packets) != len(queues):
             raise ValueError("packets and queues must have equal length")
-        if self.config.dataplane == "batched":
-            return self.service_cycles_batch(packets, queues)
-        return [self.process_packet(p, q) for p, q in zip(packets, queues)]
+        if charges_per_item(self.hierarchy):
+            return [self.process_packet(p, q) for p, q in zip(packets, queues)]
+        cycles: List[Optional[int]] = []
+        for start, stop in chunk_bounds(len(packets)):
+            cycles += self.service_cycles_batch(
+                packets[start:stop], queues[start:stop]
+            )
+        return cycles
 
     def service_cycles_batch(
-        self,
-        packets: Union[Sequence[Packet], PacketBatch],
-        queues: Sequence[int],
+        self, packets: Sequence[Packet], queues: Sequence[int]
     ) -> List[Optional[int]]:
-        """Batched microsimulation: record per packet, charge per trace.
+        """Record per packet, then charge the whole batch in one replay.
 
         Runs the real control path (:meth:`process_packet`) for every
         packet with the cache model swapped for an
         :class:`~repro.net.dataplane.OpRecorder`, then replays the
-        whole interleaved op stream through one flattened engine pass.
+        interleaved op stream through one flattened engine pass.
         Drops, fault draws, allocations and all stats are decided by
-        the scalar code itself; per-packet cycles come out bit-identical
-        (proven by ``repro.cachesim.diff.run_dataplane_differential``).
-
-        With a :class:`CacheSanitizer` installed this falls back to the
-        scalar loop (deferred charging would break its interleaved
-        checks); results are unchanged, only the speedup is lost.
+        the per-packet code itself; per-packet cycles come out
+        bit-identical to calling :meth:`process_packet` per packet
+        (``repro.cachesim.diff.run_dataplane_differential`` checks it).
+        :meth:`service_cycles` bounds the batch and first checks that
+        no sanitizer needs the per-packet loop.
         """
-        if isinstance(packets, PacketBatch):
-            packets = packets.to_packets()
         if len(packets) != len(queues):
             raise ValueError("packets and queues must have equal length")
-        if self.hierarchy.sanitizer is not None:
-            return [self.process_packet(p, q) for p, q in zip(packets, queues)]
-        from repro.net.dataplane import OpRecorder, segment_sums
-
         recorder = OpRecorder()
         n = len(packets)
         bounds = np.empty(n + 1, dtype=np.int64)
@@ -349,7 +344,7 @@ class DutEnvironment:
 
     def _record_template(
         self,
-        recorder: "OpRecorder",
+        recorder: OpRecorder,
         packets: Sequence[Packet],
         queues: Sequence[int],
         sizes: Sequence[int],
@@ -368,7 +363,7 @@ class DutEnvironment:
         ``rx_burst`` → chain → ``tx_burst`` would, and still runs the
         real ``chain.process`` per packet (NF state must evolve
         normally).  The differential harness compares this route
-        against the scalar path configuration by configuration.
+        against the per-packet path configuration by configuration.
         """
         nic = self.nic
         costs = self.pmd.costs

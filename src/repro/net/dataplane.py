@@ -1,42 +1,45 @@
-"""Record/replay machinery behind the batched dataplane.
+"""Record/replay: the one way the dataplane charges the cache model.
 
-The scalar dataplane charges every cache access and every DMA span the
-moment it happens, one :meth:`CacheHierarchy.read` or
-:meth:`DdioEngine.dma_write` call at a time.  Whether a packet is
-dropped, which mbuf it gets, which fault draws fire — none of that
-depends on cache *timing*; cache state only determines cycle counts.
-The batched dataplane exploits exactly that split:
+Whether a packet is dropped, which mbuf it gets, which fault draws
+fire — none of that depends on cache *timing*; cache state only
+determines cycle counts.  NFV packet traces
+(:meth:`~repro.net.chain.DutEnvironment.service_cycles`) and KVS / fleet
+request streams (:func:`~repro.kvs.server.serve_requests`) are charged
+by exploiting exactly that split, in chunks of at most
+:data:`REPLAY_CHUNK` items:
 
 1. **Control pass** — run the real NIC/mempool/PMD/chain/supervisor
-   code per packet, in arrival order, with the hierarchy's ``read``/
-   ``write`` and the NIC's DDIO engine swapped for an
+   (or KVS) code per item, in arrival order, with the hierarchy's
+   ``read``/``write`` and the DDIO engines swapped for an
    :class:`OpRecorder`.  Every drop decision, fault draw, allocation
-   and counter update happens exactly as in the scalar path (it *is*
-   the scalar code); the recorder just captures the op stream —
-   demand spans and DMA spans, interleaved in program order — instead
-   of walking the cache model.
-2. **Charging pass** — replay the recorded stream, in order, through
-   :meth:`FastEngine.run_op_stream` (one flattened loop over the whole
-   trace) or through the reference methods when the fast engine is not
-   selected.  Because the ops execute in the order the scalar path
-   would have issued them, every hit, victim, write-back and uncore
-   counter lands identically — the differential harness
-   (:func:`repro.cachesim.diff.run_dataplane_differential`) proves it.
+   and counter update happens exactly as in the per-item loop (it *is*
+   that code); the recorder just captures the op stream — demand spans
+   and DMA spans, interleaved in program order — instead of walking the
+   cache model.
+2. **Charging pass** — replay the recorded chunk, in order, through
+   :meth:`FastEngine.run_op_stream` (one flattened loop), or through the
+   reference methods on a hierarchy built inside
+   :func:`repro.cachesim.diff.reference_engine`.  Because the ops
+   execute in the order the per-item loop would have issued them, every
+   hit, victim, write-back and uncore counter lands identically.
 
-Per-packet cycles are then the control pass's fixed costs plus the
+Per-item cycles are then the control pass's fixed costs plus the
 segment sums of the replayed demand-op cycles (DMA ops charge nothing
-to packets, mirroring the scalar path).
+to items).  Chunking changes nothing but peak memory: the control pass
+never reads cache state, so where the stream is cut is invisible.
 
-The one configuration this cannot serve is a hierarchy with a runtime
-:class:`CacheSanitizer`: its DMA-overrun checks must interleave with
-the accesses they guard, which deferred replay breaks.  Callers fall
-back to the scalar loop in that case (results are identical either
-way; only the speedup is lost).
+The per-item loops remain as the fallback :func:`charges_per_item`
+decides — a runtime :class:`CacheSanitizer` must interleave its
+DMA-overrun checks with the accesses they guard, and a KVS fault clock
+must raise at the failing request with the cache state it had then —
+and as the differential oracle, reached only through
+:func:`repro.cachesim.diff.per_item_oracle`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -45,6 +48,33 @@ from repro.cachesim.engine import OP_DMA_READ, OP_DMA_WRITE, OP_READ, OP_WRITE
 from repro.mem.address import CACHE_LINE
 
 _LINE_MASK = ~(CACHE_LINE - 1)
+
+#: Items (packets or requests) recorded per replay.  Bounds the op list
+#: — a dozen tuples per NFV packet, about six per KVS request — so peak
+#: memory does not grow with the trace length.
+REPLAY_CHUNK = 128
+
+#: Set only inside :func:`repro.cachesim.diff.per_item_oracle`: every
+#: stream is charged one item at a time, the record/replay's oracle.
+PER_ITEM_ORACLE: ContextVar[bool] = ContextVar("PER_ITEM_ORACLE", default=False)
+
+
+def charges_per_item(hierarchy, fault_clock: bool = False) -> bool:
+    """Whether a stream on *hierarchy* must skip record/replay.
+
+    True under the differential oracle switch, with a runtime sanitizer
+    installed, or when *fault_clock* says a KVS server injects request
+    faults (see the module docstring for why each needs the per-item
+    loop).
+    """
+    return PER_ITEM_ORACLE.get() or hierarchy.sanitizer is not None or fault_clock
+
+
+def chunk_bounds(n: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of each replay chunk over *n* items."""
+    chunk = REPLAY_CHUNK
+    for start in range(0, n, chunk):
+        yield start, min(start + chunk, n)
 
 
 class RecordingDdio:
@@ -179,12 +209,12 @@ class OpRecorder:
     ) -> np.ndarray:
         """Charge the recorded stream in order; returns per-op cycles.
 
-        With the fast engine selected (and no sanitizer — the callers
-        guarantee it) the whole stream runs through one
-        :meth:`FastEngine.run_op_stream` call; otherwise each op goes
-        through the reference methods it displaced.  Either way the
-        call sequence is the one the scalar path would have made, so
-        outcomes are bit-identical.
+        On the fast engine (and with no sanitizer — callers check
+        :func:`charges_per_item`) the whole stream runs through one
+        :meth:`FastEngine.run_op_stream` call; on an oracle hierarchy
+        each op goes through the reference methods it displaced.
+        Either way the call sequence is the one the per-item loop would
+        have made, so outcomes are bit-identical.
         """
         n = self.n_ops
         if n == 0:

@@ -54,7 +54,7 @@ class NetworkFunction:
     #: Fixed instruction cost per packet (cycles), excluding memory.
     base_cost: int = 40
     name: str = "nf"
-    #: Opt-in contract for the batched template route: ``True`` means
+    #: Opt-in contract for the template recording route: ``True`` means
     #: :meth:`process` issues the same hierarchy accesses and returns
     #: the same cycle count for every packet carried by the same
     #: (core, mbuf) pair — no dependence on payload bytes, flow

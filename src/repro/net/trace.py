@@ -20,7 +20,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.net.packet import FiveTuple, Packet, PROTO_TCP, PROTO_UDP
-from repro.net.packet_batch import PacketBatch
 
 
 @dataclass(frozen=True)
@@ -147,29 +146,6 @@ class CampusTraceGenerator:
             for i in range(n_packets)
         ]
 
-    def generate_batch(
-        self,
-        n_packets: int,
-        rate_pps: float,
-        seed_offset: int = 0,
-    ) -> PacketBatch:
-        """Batched :meth:`generate`: same draws, one structured array.
-
-        Makes the *same RNG calls in the same order* as
-        :meth:`generate`, so ``generate_batch(...).to_packets()`` is
-        packet-for-packet identical to the scalar list (sizes, flows,
-        arrivals, ids).
-        """
-        if rate_pps <= 0:
-            raise ValueError(f"rate_pps must be positive, got {rate_pps}")
-        rng = np.random.default_rng(self.seed + 17 + seed_offset)
-        sizes = self.sizes(n_packets, rng)
-        flows = self.flow_indices(n_packets, rng)
-        gaps_ns = rng.exponential(1e9 / rate_pps, size=n_packets)
-        return PacketBatch.from_arrays(
-            sizes, flows, np.cumsum(gaps_ns), self._flows
-        )
-
     def generate_arrays(
         self,
         n_packets: int,
@@ -254,13 +230,3 @@ class FixedSizeTraffic:
             )
             for i in range(n_packets)
         ]
-
-    def generate_batch(self, n_packets: int, seed_offset: int = 0) -> PacketBatch:
-        """Batched :meth:`generate` (same RNG draws, one array)."""
-        rng = np.random.default_rng(self._campus.seed + 31 + seed_offset)
-        flows = self._campus.flow_indices(n_packets, rng)
-        gaps_ns = rng.exponential(1e9 / self.traffic_class.rate_pps, size=n_packets)
-        sizes = np.full(n_packets, self.traffic_class.packet_size, dtype=np.int64)
-        return PacketBatch.from_arrays(
-            sizes, flows, np.cumsum(gaps_ns), self._campus._flows
-        )

@@ -95,6 +95,12 @@ class TestDdioWaysAblation:
         results = run_ddio_ways_ablation(ways_options=(2, 8), micro_packets=300)
         assert results[8] <= results[2] * 1.05
 
+    def test_more_ways_keep_more_of_the_backlog(self):
+        """A backlog of distinct buffers outgrows 2 I/O ways, so the way
+        count shows (one packet at a time it reused a single mbuf)."""
+        results = run_ddio_ways_ablation(ways_options=(2, 8), micro_packets=2000)
+        assert results[8] < results[2]
+
 
 class TestPrefetcherAblation:
     @pytest.fixture(scope="class")

@@ -1,10 +1,10 @@
-"""Unit tests for the batched dataplane building blocks.
+"""Unit tests for the dataplane building blocks.
 
-The scalar-vs-batched *replay* equalities live in
+The per-item-vs-record/replay equalities live in
 ``tests/test_dataplane_diff.py`` (marked ``differential``); this file
-pins the individual pieces — the batch containers, the PMD's
+pins the individual pieces — the mbuf batch container, the PMD's
 descriptor-line charge, the batched burst/chain/serve paths against
-their scalar twins on identical fresh state, and the bench harness's
+their per-item twins on identical fresh state, and the bench harness's
 setup phase.
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.measure import measure_entry
 from repro.bench.suite import BenchEntry
-from repro.cachesim.diff import state_fingerprint
+from repro.cachesim.diff import per_item_oracle, state_fingerprint
 from repro.dpdk.mbuf_batch import MbufBatch
 from repro.fleet.server import FleetServer
 from repro.net.chain import (
@@ -28,7 +28,6 @@ from repro.net.nf import (
     Napt,
     RoundRobinLoadBalancer,
 )
-from repro.net.packet_batch import PacketBatch
 from repro.net.trace import CampusTraceGenerator
 
 
@@ -43,27 +42,8 @@ def trace(n, seed=3):
 
 
 # ----------------------------------------------------------------------
-# Batch containers
+# Batch container
 # ----------------------------------------------------------------------
-
-def test_packet_batch_roundtrip():
-    packets = trace(64)
-    batch = PacketBatch.from_packets(packets)
-    assert len(batch) == len(packets)
-    back = batch.to_packets()
-    for original, restored in zip(packets, back):
-        assert restored.packet_id == original.packet_id
-        assert restored.size == original.size
-        assert restored.flow == original.flow
-        assert restored.arrival_ns == original.arrival_ns
-
-
-def test_packet_batch_flow_tuple_matches_packets():
-    packets = trace(32)
-    batch = PacketBatch.from_packets(packets)
-    for i, packet in enumerate(packets):
-        assert batch.flow_tuple(i) == packet.flow
-
 
 def test_mbuf_batch_struct_lines_match_scalar():
     env = make_env()
@@ -202,19 +182,15 @@ def test_template_stable_capture_counts_packets():
     """The cached-template fast path still counts every packet."""
     packets = trace(200)
     queues = [p.packet_id % 8 for p in packets]
-    scalar_env = make_env(dataplane="scalar")
-    batched_env = make_env(dataplane="batched")
-    scalar_env.service_cycles(packets, queues)
+    scalar_env = make_env()
+    batched_env = make_env()
+    with per_item_oracle():
+        scalar_env.service_cycles(packets, queues)
     batched_env.service_cycles(packets, queues)
     assert (
         batched_env.chain.packets_processed
         == scalar_env.chain.packets_processed
     )
-
-
-def test_dataplane_config_validation():
-    with pytest.raises(ValueError):
-        DutEnvironment(DutConfig(dataplane="vectorised"))
 
 
 # ----------------------------------------------------------------------
@@ -283,20 +259,3 @@ def test_bench_setup_runs_untimed_per_pass():
     measurement = measure_entry(entry, warmup=1, samples=2)
     assert calls == {"setup": 3, "run": 3}
     assert len(measurement.samples_ns) == 2
-
-
-def test_dataplane_bench_entries_registered():
-    from repro.bench.suite import suite_by_name
-
-    scalar, batched = suite_by_name(
-        ["dataplane-forwarding-scalar", "dataplane-forwarding-batched"]
-    )
-    assert scalar.smoke_params["dataplane"] == "scalar"
-    assert batched.smoke_params["dataplane"] == "batched"
-    # One engine for both: the pair differs only in the dataplane.
-    for params in ("smoke_params", "full_params"):
-        assert {**getattr(scalar, params), "dataplane": None} == {
-            **getattr(batched, params), "dataplane": None
-        }
-    # Same work law, so trajectory rates are directly comparable.
-    assert scalar.work is batched.work

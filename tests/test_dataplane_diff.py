@@ -1,17 +1,18 @@
-"""Scalar-vs-batched dataplane replay: the bit-identity contract.
+"""Per-item oracle vs record/replay: the bit-identity contract.
 
 Every test here drives the *same* packet trace (or fleet workload)
-through the scalar reference dataplane and the batched record/replay
-dataplane and asserts byte-for-byte equal observables — per-packet
-cycles including drop positions, NIC/DDIO/mempool statistics, NF
-control state, injected-fault counters and the deep cache-state
-fingerprint (see :func:`repro.cachesim.diff.run_dataplane_differential`).
+through the per-item loops (inside ``per_item_oracle()``) and the
+chunked record/replay that product code runs, and asserts
+byte-for-byte equal observables — per-packet cycles including drop
+positions, NIC/DDIO/mempool statistics, NF control state,
+injected-fault counters and the deep cache-state fingerprint (see
+:func:`repro.cachesim.diff.run_dataplane_differential`).
 
-The scalar side always runs on the reference engine; the batched side
+The NFV oracle always runs on the reference engine; the replay side
 runs on the fast engine, or on the reference engine too when the whole
-replay runs inside ``reference_engine()``.  Hypothesis widens the sweep
-to arbitrary trace seeds, sizes, engines and chaos plans; failures
-shrink to a minimal configuration.
+comparison runs inside ``reference_engine()``.  Hypothesis widens the
+sweep to arbitrary trace seeds, sizes, engines and chaos plans;
+failures shrink to a minimal configuration.
 """
 
 import os
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cachesim.diff import (
+    per_item_oracle,
     run_dataplane_differential,
     run_fleet_differential,
     state_fingerprint,
@@ -78,11 +80,11 @@ def assert_equal_report(report):
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
-@pytest.mark.parametrize("batched_engine", ["reference", "fast"])
-def test_dataplane_identity(chain, batched_engine):
-    """Both chains, batched on either engine, vs the scalar reference."""
+@pytest.mark.parametrize("replay_engine", ["reference", "fast"])
+def test_dataplane_identity(chain, replay_engine):
+    """Both chains, replayed on either engine, vs the per-packet oracle."""
     report = run_on(
-        batched_engine,
+        replay_engine,
         run_dataplane_differential,
         CHAINS[chain],
         n_packets=300,
@@ -125,27 +127,27 @@ def test_dataplane_identity_under_chaos(chain):
     assert_equal_report(report)
 
 
+def _zero_rate_run(packets, plan):
+    faults = FaultClock(plan) if plan is not None else None
+    env = DutEnvironment(
+        DutConfig(n_mbufs=256), chain_factory=simple_forwarding_chain, faults=faults
+    )
+    queues = [p.packet_id % env.nic.n_queues for p in packets]
+    return env.service_cycles(packets, queues), state_fingerprint(env.hierarchy)
+
+
 def test_zero_rate_plan_is_fault_free():
     """An all-zero plan draws nothing: bit-identical to no plan at all,
-    on both dataplanes."""
+    per packet and replayed."""
     packets = CampusTraceGenerator(seed=9).generate(250, rate_pps=1e6)
     results = {}
     for label, plan in (("bare", None), ("zero", FaultPlan(seed=3))):
-        for dataplane in ("scalar", "batched"):
-            config = DutConfig(dataplane=dataplane, n_mbufs=256)
-            faults = FaultClock(plan) if plan is not None else None
-            env = DutEnvironment(
-                config, chain_factory=simple_forwarding_chain, faults=faults
-            )
-            queues = [p.packet_id % env.nic.n_queues for p in packets]
-            cycles = env.service_cycles(packets, queues)
-            results[label, dataplane] = (
-                cycles,
-                state_fingerprint(env.hierarchy),
-            )
-    baseline = results["bare", "scalar"]
+        with per_item_oracle():
+            results[label, "per-item"] = _zero_rate_run(packets, plan)
+        results[label, "replay"] = _zero_rate_run(packets, plan)
+    baseline = results["bare", "per-item"]
     for key, value in results.items():
-        assert value == baseline, f"{key} diverges from bare scalar"
+        assert value == baseline, f"{key} diverges from bare per-item"
 
 
 def test_fleet_identity():
@@ -161,7 +163,7 @@ def test_fleet_identity():
 
 
 def test_fleet_identity_under_server_kills():
-    """Kill draws happen per epoch before any serving, so the batched
+    """Kill draws happen per epoch before any serving, so the
     per-server replay sees the same surviving ring."""
     report = run_fleet_differential(
         n_servers=4,
@@ -178,7 +180,7 @@ def test_fleet_identity_under_server_kills():
 def test_fleet_identity_with_self_healing():
     """The replicated fleet model (replication, detector, hinted handoff,
     admission + shedding) freezes every decision at epoch boundaries,
-    so scalar and batched charging see identical work lists."""
+    so per-request and replayed charging see identical work lists."""
     report = run_fleet_differential(
         n_servers=4,
         n_tenants=3,
@@ -237,15 +239,15 @@ def chaos_plans(draw):
     trace_seed=st.integers(0, 2**16),
     n_packets=st.integers(40, 160),
     chain=st.sampled_from(sorted(CHAINS)),
-    batched_engine=st.sampled_from(["reference", "fast"]),
+    replay_engine=st.sampled_from(["reference", "fast"]),
     ddio_enabled=st.booleans(),
     plan=chaos_plans(),
 )
 def test_dataplane_identity_property(
-    trace_seed, n_packets, chain, batched_engine, ddio_enabled, plan
+    trace_seed, n_packets, chain, replay_engine, ddio_enabled, plan
 ):
     report = run_on(
-        batched_engine,
+        replay_engine,
         run_dataplane_differential,
         CHAINS[chain],
         n_packets=n_packets,

@@ -20,9 +20,10 @@ from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, FaultPlan, FaultRates, KvsRequestFault
 from repro.fleet.server import FleetServer
 from repro.kvs import server as kvs_server
-from repro.kvs.server import REPLAY_CHUNK, KvsServer, KvsWorkloadResult
+from repro.kvs.server import KvsServer, KvsWorkloadResult
 from repro.kvs.store import KvsStore
 from repro.kvs.workload import GetSetMix, ZipfKeys
+from repro.net.dataplane import REPLAY_CHUNK
 
 from tests.engines import start_on
 

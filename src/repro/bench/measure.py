@@ -118,26 +118,10 @@ class EntryMeasurement:
 def _resolve_execution(
     entry: BenchEntry, params: Mapping[str, Any], seed: int
 ):
-    """Bind per-pass (prepare, execute) closures + the recorded seed.
-
-    ``prepare`` runs the entry's untimed setup (fixture assembly) and
-    returns a context; ``execute(context)`` is the timed computation.
-    Entries without a setup get a no-op prepare.
-    """
+    """Bind the timed pass as a closure, plus the recorded seed."""
     if entry.kind == "micro":
         runner = entry.runner
-        setup = entry.setup
-        if setup is not None:
-
-            def prepare() -> Any:
-                return setup(params, seed)
-
-            def execute(context: Any) -> Any:
-                return runner(params, seed, context)
-
-            return prepare, execute, seed
-
-        return (lambda: None), (lambda _ctx: runner(params, seed)), seed
+        return (lambda: runner(params, seed)), seed
     from repro.lab.registry import default_registry
 
     spec = default_registry().get(entry.experiment)
@@ -147,10 +131,10 @@ def _resolve_execution(
         entry_seed = spec.seed_for(seed)
         kwargs.setdefault("seed", entry_seed)
 
-    def execute_experiment(_ctx: Any) -> Any:
+    def execute_experiment() -> Any:
         return spec.serializer(spec.runner(**kwargs))
 
-    return (lambda: None), execute_experiment, entry_seed
+    return execute_experiment, entry_seed
 
 
 def measure_entry(
@@ -172,22 +156,20 @@ def measure_entry(
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     params = entry.params_for(scale)
-    prepare, execute, entry_seed = _resolve_execution(entry, params, seed)
+    execute, entry_seed = _resolve_execution(entry, params, seed)
     for _ in range(warmup):
-        execute(prepare())
+        execute()
     samples_ns: List[int] = []
     payload: Any = None
     for _ in range(samples):
-        context = prepare()
         # Collect before each timed pass so a sample measures the
-        # entry's own work, not this pass's setup or the cyclic
-        # garbage (mempool <-> mbuf, hierarchy <-> engine) the
-        # *previous* pass left behind — without this, collector pauses
-        # land inside whichever entry happens to run next and skew its
-        # samples.
+        # entry's own work, not the cyclic garbage (mempool <-> mbuf)
+        # the *previous* pass left behind — without this, collector
+        # pauses land inside whichever entry happens to run next and
+        # skew its samples.
         gc.collect()
         start = time.perf_counter_ns()  # simcheck: ignore[SIM001] timing is provenance, not a result
-        payload = execute(context)
+        payload = execute()
         samples_ns.append(time.perf_counter_ns() - start)  # simcheck: ignore[SIM001] provenance only
     measurement = EntryMeasurement(
         name=entry.name,

@@ -60,13 +60,7 @@ class BenchEntry:
         kind: ``"experiment"`` (lab-registry runner) or ``"micro"``
             (self-contained callable).
         experiment: lab registry name for ``kind="experiment"``.
-        runner: ``fn(params, seed) -> payload`` for ``kind="micro"``;
-            with ``setup`` present, ``fn(params, seed, context)``.
-        setup: optional untimed ``fn(params, seed) -> context`` run
-            before every pass (like ``timeit``'s setup statement) —
-            fixtures such as environments and traces are rebuilt fresh
-            per pass but excluded from the sample, so the entry times
-            the computation it names rather than fixture assembly.
+        runner: ``fn(params, seed) -> payload`` for ``kind="micro"``.
         smoke_params / full_params: the two parameter points.
         scaled: integer parameters multiplied by ``REPRO_BENCH_SCALE``.
         work: ``fn(params) -> {"ops": N, "packets": M, ...}`` — the
@@ -84,7 +78,6 @@ class BenchEntry:
     work: Callable[[Mapping[str, Any]], Dict[str, float]]
     experiment: Optional[str] = None
     runner: Optional[Callable[..., Any]] = None
-    setup: Optional[Callable[[Mapping[str, Any], int], Any]] = None
     scaled: Tuple[str, ...] = ()
     metrics: Optional[Callable[[Any], Dict[str, float]]] = None
 

@@ -60,6 +60,7 @@ Caveats (checked or documented):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import repeat as _repeat
 from typing import List, Optional, Sequence, Tuple, Union
@@ -150,14 +151,22 @@ class FastEngine:
     Args:
         hierarchy: the hierarchy to accelerate.  The engine keeps no
             cache contents of its own — every probe and fill mutates
-            the hierarchy's structures in place.
+            the hierarchy's structures in place.  It holds the
+            hierarchy only weakly, and no closure it builds refers to
+            it, so the hierarchy (which owns the engine) is freed by
+            refcount alone once its last user drops it.
     """
 
     def __init__(self, hierarchy) -> None:
-        self.hierarchy = hierarchy
+        self._hierarchy_ref = weakref.ref(hierarchy)
         self._key: Optional[tuple] = None
         self._access = None
         self._rebuild()
+
+    @property
+    def hierarchy(self):
+        """The accelerated hierarchy (held through a weak reference)."""
+        return self._hierarchy_ref()
 
     # ------------------------------------------------------------------
     # Table building / staleness
@@ -239,7 +248,13 @@ class FastEngine:
         counts = [sc.counts for sc in llc.counters.slices]
         active_cores = h._active_cores
         prefetchers = h.prefetchers
-        run_prefetcher = h._run_prefetcher
+        hierarchy_ref = self._hierarchy_ref
+
+        def run_prefetcher(core, line):
+            # Through the weak reference: a bound h._run_prefetcher
+            # would close the hierarchy -> engine -> hierarchy cycle.
+            hierarchy_ref()._run_prefetcher(core, line)
+
         hash_slice_of = llc.hash.slice_of
         lru_fast = all(s.policy_name == "lru" for s in llc.slices)
         # The sanitizer is fixed at hierarchy construction.  Under one,
@@ -251,8 +266,11 @@ class FastEngine:
         cat_cache: list = [None, -1, [None] * n_cores]
         # line -> slice memo: the mapping is a pure function of the
         # hash (cleared on rebuild, size-capped so huge working sets
-        # cannot balloon it).  Write-back drains and the scalar path
-        # hit it instead of recomputing the parity hash per line.
+        # cannot balloon it).  Write-back drains, the scalar path and
+        # the replay and DMA span paths hit it instead of recomputing
+        # the parity hash per line; the set index and slot base follow
+        # from the line by shift and mask.  It maps ints to ints, so
+        # the collector never tracks it.
         slice_memo: dict = {}
         slice_memo_get = slice_memo.get
 
@@ -377,36 +395,19 @@ class FastEngine:
         # a per-line superset because every private-cache insert funnels
         # through code that ORs the filling core in: the engine's own
         # fill helpers below, and the reference `_fill_l1`/`_fill_l2`
-        # (hooked once, the first time an engine is built, so
-        # `access_line`, `prefetch_line` and `warm` are covered too).
-        # `clflush`/DMA/`drop_all` only remove lines, which cannot break
-        # a superset.  When it outgrows the private caches' true
-        # capacity it is rebuilt from the real set dicts (cheap: bounded
-        # by actual occupancy).
-        resident = getattr(h, "_resident_superset", None)
-        first_hook = resident is None
-        if first_hook:
+        # once the map exists (so `access_line`, `prefetch_line` and
+        # `warm` are covered too).  `clflush`/DMA/`drop_all` only
+        # remove lines, which cannot break a superset.  When it
+        # outgrows the private caches' true capacity it is rebuilt from
+        # the real set dicts (cheap: bounded by actual occupancy).
+        resident = h._resident_superset
+        if resident is None:
             resident = {}
             h._resident_superset = resident
         resident_get = resident.get
 
         def resident_add(line, core):
             resident[line] = resident_get(line, 0) | (1 << core)
-
-        if first_hook:
-            ref_fill_l1 = type(h)._fill_l1
-            ref_fill_l2 = type(h)._fill_l2
-
-            def _fill_l1_hooked(core, line, dirty):
-                resident[line] = resident_get(line, 0) | (1 << core)
-                return ref_fill_l1(h, core, line, dirty)
-
-            def _fill_l2_hooked(core, line, dirty):
-                resident[line] = resident_get(line, 0) | (1 << core)
-                return ref_fill_l2(h, core, line, dirty)
-
-            h._fill_l1 = _fill_l1_hooked
-            h._fill_l2 = _fill_l2_hooked
 
         resident_cap = 1024 + 4 * n_cores * (
             (l1_mask + 1) * l1_ways + (l2_mask + 1) * l2_ways
@@ -803,64 +804,6 @@ class FastEngine:
         dw0, dw1 = (ddio_ways if two_ddio else (0, 0))
         EV_DDIO_F, EV_DDIO_R = EVENT_DDIO_FILLS, EVENT_DDIO_READS
 
-        # line -> (slc, set_i, base, where, pol, stamp, tags, dirty)
-        # memo for the replay paths, where ``base`` is the set's first
-        # slot in the slice's slot buffers.  Every container it holds is
-        # stable for the model's lifetime (drains clear them in
-        # place).  Size-capped like slice_memo.
-        set_memo: dict = {}
-        set_memo_get = set_memo.get
-
-        def set_lookup(line):
-            slc = slice_memo_get(line)
-            if slc is None:
-                slc = slice_lookup(line)
-            set_i = (line >> 6) & llc_mask
-            info = (
-                slc,
-                set_i,
-                set_i * n_llc_ways,
-                llc_where[slc][set_i],
-                llc_pols[slc],
-                llc_stamps[slc],
-                llc_tags[slc],
-                llc_dirty[slc],
-            )
-            if len(set_memo) >= (1 << 20):
-                set_memo.clear()
-            set_memo[line] = info
-            return info
-
-        # (first, last) span -> (rows, slc_pairs, probes): DMA spans
-        # repeat heavily (the same mbuf payload lines, the rotating
-        # descriptor ring), so the per-line address and set resolution
-        # is computed once per distinct span.  ``rows`` are
-        # ``(line, *set_lookup(line))`` tuples; ``slc_pairs`` aggregates
-        # the span's fixed line->slice distribution so per-line counter
-        # increments collapse to one add per slice; ``probes`` pairs
-        # each line with its set's ``_where`` dict for the read path.
-        span_infos: dict = {}
-        span_infos_get = span_infos.get
-
-        def span_info_rows(first, last):
-            rows = tuple(
-                (line,) + (set_memo_get(line) or set_lookup(line))
-                for line in range(first, last + CACHE_LINE, CACHE_LINE)
-            )
-            per_slc: dict = {}
-            for row in rows:
-                slc = row[1]
-                per_slc[slc] = per_slc.get(slc, 0) + 1
-            entry = (
-                rows,
-                tuple(per_slc.items()),
-                tuple((row[0], row[4]) for row in rows),
-            )
-            if len(span_infos) >= (1 << 18):
-                span_infos.clear()
-            span_infos[(first, last)] = entry
-            return entry
-
         def dma_fill_span(first, last, stats):
             # DdioEngine.dma_write with DDIO enabled, flattened:
             # per line, CacheHierarchy.dma_fill_line == invalidate_
@@ -868,33 +811,22 @@ class FastEngine:
             # The residency map skips the (usually fruitless)
             # private-cache snoop for payload lines no core ever read,
             # and sweeps only the cores in a resident line's mask.
+            # Each line's set is resolved afresh (slice from the int
+            # memo, set and slot base by shift and mask): DMA spans
+            # mostly land in fresh buffers, so a per-span memo would
+            # mostly miss and allocate.
             if len(resident) > resident_cap:
                 rescan_resident()
-            if first == last:
-                # Single-line spans (completion descriptors) rotate
-                # through the whole ring, so caching one span entry
-                # per slot would build 1000s of single-use entries;
-                # the per-line memo alone serves them.
-                info = set_memo_get(first)
-                if info is None:
-                    info = set_lookup(first)
-                rows = ((first,) + info,)
-                cnt = counts[info[0]]
+            for line in range(first, last + CACHE_LINE, CACHE_LINE):
+                slc = slice_memo_get(line)
+                if slc is None:
+                    slc = slice_lookup(line)
+                cnt = counts[slc]
                 cnt[EV_DDIO_F] += 1
                 cnt[EV_FILLS] += 1
-            else:
-                entry = span_infos_get((first, last))
-                if entry is None:
-                    entry = span_info_rows(first, last)
-                rows = entry[0]
-                for slc, v in entry[1]:
-                    cnt = counts[slc]
-                    cnt[EV_DDIO_F] += v
-                    cnt[EV_FILLS] += v
-            for line, slc, set_i, base, where, pol, stamp, tags, dirt in rows:
+                shift = line >> 6
                 m = resident_get(line)
                 if m is not None:
-                    shift = line >> 6
                     s1i = shift & l1_mask
                     s2i = shift & l2_mask
                     while m:
@@ -904,6 +836,12 @@ class FastEngine:
                         l1_sets[c][s1i].pop(line, None)
                         l2_sets[c][s2i].pop(line, None)
                     del resident[line]
+                set_i = shift & llc_mask
+                base = set_i * n_llc_ways
+                where = llc_where[slc][set_i]
+                pol = llc_pols[slc]
+                stamp = llc_stamps[slc]
+                dirt = llc_dirty[slc]
                 existing = where.get(line)
                 if existing is not None:
                     if lru_fast:
@@ -913,6 +851,7 @@ class FastEngine:
                         pol.touch(existing, set_i)
                     dirt[base + existing] = 1
                     continue
+                tags = llc_tags[slc]
                 if two_ddio and lru_fast:
                     s0 = base + dw0
                     s1 = base + dw1
@@ -960,9 +899,6 @@ class FastEngine:
                     pol.reset(vw, set_i)
                 if vtag is None:
                     continue
-                # Evictions are rare on steady-state spans (lines are
-                # usually re-touches), so their counters stay inline.
-                cnt = counts[slc]
                 cnt[EV_EVICT] += 1
                 if vdirty:
                     cnt[EV_WB] += 1
@@ -983,31 +919,21 @@ class FastEngine:
                         del resident[vtag]
                 if vdirty:
                     stats.dram_writebacks += 1
-            return len(rows)
+            return (last - first) // CACHE_LINE + 1
 
         def dma_read_span(first, last):
             # DdioEngine.dma_read, flattened: count the lookup and
             # probe without touching replacement state (reads never
             # allocate).  Returns (lines, hits).
-            if first == last:
-                # Same single-line shortcut as dma_fill_span: ring
-                # descriptors rotate, so keep them out of span_infos.
-                info = set_memo_get(first)
-                if info is None:
-                    info = set_lookup(first)
-                counts[info[0]][EV_DDIO_R] += 1
-                return 1, (1 if first in info[3] else 0)
-            entry = span_infos_get((first, last))
-            if entry is None:
-                entry = span_info_rows(first, last)
-            rows, slc_pairs, probes = entry
-            for slc, v in slc_pairs:
-                counts[slc][EV_DDIO_R] += v
             hits = 0
-            for line, where in probes:
-                if line in where:
+            for line in range(first, last + CACHE_LINE, CACHE_LINE):
+                slc = slice_memo_get(line)
+                if slc is None:
+                    slc = slice_lookup(line)
+                counts[slc][EV_DDIO_R] += 1
+                if line in llc_where[slc][(line >> 6) & llc_mask]:
                     hits += 1
-            return len(rows), hits
+            return (last - first) // CACHE_LINE + 1, hits
 
         def run_ops(ops, stats, ddios, multi):
             # Replay a recorded dataplane op stream (demand spans and
@@ -1060,22 +986,24 @@ class FastEngine:
                                 n_l2 += 1
                                 lv = 1
                             else:
-                                info = set_memo_get(line)
-                                if info is None:
-                                    info = set_lookup(line)
-                                slc = info[0]
+                                slc = slice_memo_get(line)
+                                if slc is None:
+                                    slc = slice_lookup(line)
                                 cnt = counts[slc]
                                 cnt[EV_LOOKUPS] += 1
-                                way = info[3].get(line)
+                                set_i = shift & llc_mask
+                                way = llc_where[slc][set_i].get(line)
                                 if way is not None:
                                     cnt[EV_HITS] += 1
                                     n_llc += 1
-                                    pol = info[4]
+                                    pol = llc_pols[slc]
                                     if lru_fast:
                                         pol._clock += 1
-                                        info[5][info[2] + way] = pol._clock
+                                        llc_stamps[slc][
+                                            set_i * n_llc_ways + way
+                                        ] = pol._clock
                                     else:
-                                        pol.touch(way, info[1])
+                                        pol.touch(way, set_i)
                                     if write:
                                         cc = store_commit + rfo_llc[core][slc]
                                     else:
@@ -1094,17 +1022,14 @@ class FastEngine:
                                         )
                                 # fill_l2, inlined: the L2 probe above
                                 # just missed, so the insert never
-                                # refreshes; seeding slice_memo keeps
-                                # a later dirty drain of this line from
-                                # recomputing the hash.  The residency
+                                # refreshes (the slice lookup above
+                                # already memoised the line's slice for
+                                # a later dirty drain).  The residency
                                 # add must precede the victim drain —
                                 # its LLC fill could evict this very
                                 # line, and the back-invalidation sweep
                                 # must see it as resident.
                                 resident_add(line, core)
-                                if len(slice_memo) >= (1 << 20):
-                                    slice_memo.clear()
-                                slice_memo[line] = slc
                                 if len(s2) >= l2_ways:
                                     v2line = next(iter(s2))
                                     v2dirty = s2.pop(v2line)
@@ -1253,10 +1178,11 @@ class FastEngine:
             ``access_line`` calls would have produced.
         """
         self.refresh()
+        h = self._hierarchy_ref()
         n = len(addresses)
-        san = self.hierarchy.sanitizer
+        san = h.sanitizer
         if san is not None and n:
-            san.tick(self.hierarchy, n)
+            san.tick(h, n)
         if n == 0:
             empty_i64 = np.zeros(0, dtype=np.int64)
             return BatchResult(
@@ -1278,7 +1204,7 @@ class FastEngine:
         cores = _as_core_list(core, n)
         the_core = int(core) if cores is None else 0
         cycles_arr, levels_arr = self._run_batch(
-            lines, writes, slcs_arr.tolist(), cores, the_core, self.hierarchy.stats
+            lines, writes, slcs_arr.tolist(), cores, the_core, h.stats
         )
         # Slice indices only apply to accesses that reached the LLC;
         # private-cache hits report -1, recovered here vectorised
@@ -1331,10 +1257,11 @@ class FastEngine:
             raise ValueError(f"size must be positive, got {size}")
         first = address & _LINE_MASK
         last = (address + size - 1) & _LINE_MASK
-        san = self.hierarchy.sanitizer
+        h = self._hierarchy_ref()
+        san = h.sanitizer
         if san is not None:
-            san.tick(self.hierarchy, (last - first) // CACHE_LINE + 1)
-        stats = self.hierarchy.stats
+            san.tick(h, (last - first) // CACHE_LINE + 1)
+        stats = h.stats
         access = self._access
         if first == last:
             return access(core, first, write, -1, stats)[0]

@@ -185,6 +185,11 @@ class CacheHierarchy:
         #: oracle ``"reference"`` (this module's per-access path).
         self.engine_name = START_ENGINE.get()
         self._fast_engine = None
+        #: Line -> bitmask of the cores whose L1/L2 may hold it, a
+        #: superset the fast engine builds with itself (``None`` until
+        #: then) and uses to skip fruitless invalidation sweeps.  The
+        #: private fills below keep it a superset.
+        self._resident_superset: Optional[dict] = None
         #: Optional runtime invariant checker (see
         #: :mod:`repro.analysis.sanitizer`); shared with the LLC so
         #: masked fills are verified at fill time.
@@ -360,6 +365,9 @@ class CacheHierarchy:
 
     def _fill_l1(self, core: int, line: int, dirty: bool) -> int:
         """Install a line in L1; returns visible drain cycles."""
+        resident = self._resident_superset
+        if resident is not None:
+            resident[line] = resident.get(line, 0) | (1 << core)
         victim = self.l1s[core].insert(line, dirty=dirty)
         if victim is None or not victim[1]:
             return 0
@@ -370,6 +378,9 @@ class CacheHierarchy:
 
     def _fill_l2(self, core: int, line: int, dirty: bool) -> int:
         """Install a line in L2; returns visible drain cycles."""
+        resident = self._resident_superset
+        if resident is not None:
+            resident[line] = resident.get(line, 0) | (1 << core)
         victim = self.l2s[core].insert(line, dirty=dirty)
         return self._drain_l2_victim(core, victim)
 

@@ -3,16 +3,13 @@
 The per-item-vs-record/replay equalities live in
 ``tests/test_dataplane_diff.py`` (marked ``differential``); this file
 pins the individual pieces — the mbuf batch container, the PMD's
-descriptor-line charge, the batched burst/chain/serve paths against
-their per-item twins on identical fresh state, and the bench harness's
-setup phase.
+descriptor-line charge, and the batched burst/chain/serve paths against
+their per-item twins on identical fresh state.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.measure import measure_entry
-from repro.bench.suite import BenchEntry
 from repro.cachesim.diff import per_item_oracle, state_fingerprint
 from repro.dpdk.mbuf_batch import MbufBatch
 from repro.fleet.server import FleetServer
@@ -224,38 +221,3 @@ def test_fleet_serve_batch_validates_lengths():
     with pytest.raises(ValueError):
         server.serve_batch([0, 0], [1], [True])
 
-
-# ----------------------------------------------------------------------
-# Bench harness setup phase
-# ----------------------------------------------------------------------
-
-def test_bench_setup_runs_untimed_per_pass():
-    """``setup`` builds a fresh context for every pass (warmup and
-    timed) and the runner receives it; fixture work stays out of the
-    measured payload only via timing, which we can't assert here — but
-    the call pattern is pinned."""
-    calls = {"setup": 0, "run": 0}
-
-    def setup(params, seed):
-        calls["setup"] += 1
-        return {"token": calls["setup"], "n": params["n"]}
-
-    def runner(params, seed, context):
-        calls["run"] += 1
-        assert context["token"] == calls["run"]
-        assert context["n"] == params["n"]
-        return {"value": context["token"]}
-
-    entry = BenchEntry(
-        name="setup-probe",
-        title="setup-phase probe",
-        kind="micro",
-        runner=runner,
-        setup=setup,
-        smoke_params={"n": 4},
-        full_params={"n": 4},
-        work=lambda params: {"ops": float(params["n"])},
-    )
-    measurement = measure_entry(entry, warmup=1, samples=2)
-    assert calls == {"setup": 3, "run": 3}
-    assert len(measurement.samples_ns) == 2

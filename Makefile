@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test diff-smoke e2e-test bench-trajectory quick examples figures lab lab-compare check deepcheck lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test diff-smoke e2e-test bench-trajectory quick examples figures lab lab-compare check lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -90,14 +90,10 @@ lab:
 lab-compare:
 	$(PY) -m repro lab compare $(LAB_DIR) tests/golden
 
-# Static analysis of simulation invariants (see docs/CHECKS.md).
+# Static analysis of simulation invariants, the SIM and FLOW rules;
+# fails on any unsuppressed finding (see docs/CHECKS.md).
 check:
 	$(PY) -m repro check
-
-# Whole-program seed-flow analysis; fails on any unsuppressed finding
-# (see docs/CHECKS.md, "Deep checks").
-deepcheck:
-	$(PY) -m repro deepcheck report
 
 # check + ruff + mypy (ruff/mypy are optional extras: pip install -e .[lint]).
 lint: check

@@ -2,36 +2,15 @@
 
 Two complementary layers (see ``docs/CHECKS.md``):
 
-* :mod:`repro.analysis.simcheck` — AST-based linter enforcing the
-  determinism conventions (rule codes ``SIMxxx``), run as
-  ``repro check``.
+* :mod:`repro.analysis.simcheck` — the static analyser run as
+  ``repro check``: per-file determinism rules (``SIMxxx``) and, over a
+  whole-program call graph (:mod:`repro.analysis.deepcheck`), the
+  seed-flow rules (``FLOWxxx``).
 * :mod:`repro.analysis.sanitizer` — opt-in runtime instrumentation
   (``RF_SANITIZE=1`` or ``sanitize=True``) catching memory-model and
-  cache-coherence violations as structured :class:`SanitizerError`\\ s.
+  cache-coherence violations as structured ``SanitizerError``\\ s.
+
+The package re-exports nothing: the cache and mempool import the
+sanitizer on every product run, and must not compile the static
+analyser along with it.
 """
-
-from repro.analysis.sanitizer import (
-    CacheSanitizer,
-    SanitizerError,
-    default_sanitizer,
-    resolve_sanitizer,
-    sanitizer_enabled,
-)
-from repro.analysis.simcheck import (
-    CheckResult,
-    Finding,
-    RULES,
-    run_simcheck,
-)
-
-__all__ = [
-    "CacheSanitizer",
-    "CheckResult",
-    "Finding",
-    "RULES",
-    "SanitizerError",
-    "default_sanitizer",
-    "resolve_sanitizer",
-    "run_simcheck",
-    "sanitizer_enabled",
-]

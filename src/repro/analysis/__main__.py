@@ -1,8 +1,8 @@
-"""``python -m repro.analysis`` — run the simcheck linter."""
+"""``python -m repro.analysis`` — the same command as ``repro check``."""
 
 import sys
 
-from repro.analysis.simcheck import main
+from repro.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["check", *sys.argv[1:]]))

@@ -30,12 +30,8 @@ from __future__ import annotations
 
 import ast
 import re
-import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.analysis.simcheck import collect_files
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = [
     "CallGraph",
@@ -119,7 +115,7 @@ class FuncNode:
 
 
 @dataclass
-class _ClassInfo:
+class ClassInfo:
     rel: str
     name: str
     line: int
@@ -140,11 +136,10 @@ class CallGraph:
         #: registry string name -> node id (``ExperimentSpec(name=...,
         #: runner=...)`` and friends).
         self.entry_points: Dict[str, str] = {}
-        #: rel path -> parsed module and its source lines (one parse
-        #: per file, shared with the seed-flow pass and suppressions).
+        #: rel path -> parsed module (the trees the graph was built
+        #: from; the FLOW rules read module globals from them).
         self.trees: Dict[str, ast.Module] = {}
-        self.lines: Dict[str, List[str]] = {}
-        self._classes: Dict[str, _ClassInfo] = {}  # "<rel>::<Class>"
+        self._classes: Dict[str, ClassInfo] = {}  # "<rel>::<Class>"
 
     # -- queries -------------------------------------------------------
 
@@ -181,7 +176,7 @@ class CallGraph:
                 out.append(node_id)
         return sorted(out)
 
-    def class_info(self, rel: str, name: str) -> Optional[_ClassInfo]:
+    def class_info(self, rel: str, name: str) -> Optional[ClassInfo]:
         """Class metadata by defining file + class name."""
         return self._classes.get(f"{rel}::{name}")
 
@@ -191,7 +186,7 @@ class CallGraph:
 # ----------------------------------------------------------------------
 
 
-class _Aliases:
+class Aliases:
     """Local name -> dotted path, from the file's import statements."""
 
     def __init__(self, tree: ast.Module) -> None:
@@ -209,15 +204,25 @@ class _Aliases:
     def dotted(self, name: str) -> Optional[str]:
         return self.map.get(name)
 
+    def resolve(self, expr: ast.expr) -> Optional[str]:
+        """``a.b.c`` with ``a`` replaced by what it was imported as."""
+        parts: List[str] = []
+        node = expr
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        parts.append(self.map.get(node.id, node.id))
+        return ".".join(reversed(parts))
+
 
 @dataclass
 class _Source:
-    path: Path
     rel: str
     module: str
     tree: ast.Module
-    lines: List[str]
-    aliases: _Aliases
+    aliases: Aliases
 
 
 def _rel_to_module(rel: str) -> str:
@@ -227,34 +232,6 @@ def _rel_to_module(rel: str) -> str:
     elif rel.endswith(".py"):
         rel = rel[: -len(".py")]
     return rel.replace("/", ".")
-
-
-def _load_sources(paths: Sequence[Path], root: Path) -> List[_Source]:
-    sources: List[_Source] = []
-    for path in collect_files(paths):
-        try:
-            text = path.read_text(encoding="utf-8")
-            tree = ast.parse(text, filename=str(path))
-        except (OSError, SyntaxError) as exc:
-            print(f"deepcheck: cannot parse {path}: {exc}", file=sys.stderr)
-            continue
-        try:
-            rel = str(path.relative_to(root))
-        except ValueError:
-            rel = str(path)
-        rel = rel.replace("\\", "/")
-        sources.append(
-            _Source(
-                path=path,
-                rel=rel,
-                module=_rel_to_module(rel),
-                tree=tree,
-                lines=text.splitlines(),
-                aliases=_Aliases(tree),
-            )
-        )
-    sources.sort(key=lambda s: s.rel)
-    return sources
 
 
 def _iter_defs(
@@ -352,7 +329,6 @@ class _Builder:
         self.graph = CallGraph()
         for src in sources:
             self.graph.trees[src.rel] = src.tree
-            self.graph.lines[src.rel] = src.lines
         #: dotted module -> rel path.
         self.module_index: Dict[str, str] = {
             src.module: src.rel for src in sources
@@ -420,7 +396,7 @@ class _Builder:
             text = ast.unparse(base).rsplit(".", 1)[-1]
             if text.isidentifier():
                 bases.append(text)
-        info = _ClassInfo(
+        info = ClassInfo(
             rel=src.rel,
             name=node.name,
             line=node.lineno,
@@ -669,7 +645,7 @@ class _Builder:
         target: Optional[str] = None
         func = call.func
         # functools.partial(f, ...) -> partial edge to f.
-        dotted = self._dotted(src, func)
+        dotted = src.aliases.resolve(func)
         if dotted in ("functools.partial", "partial"):
             if call.args:
                 target = self._resolve_expr(
@@ -774,18 +750,6 @@ class _Builder:
                 return src
         raise KeyError(rel)
 
-    def _dotted(self, src: _Source, func: ast.expr) -> Optional[str]:
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = src.aliases.dotted(node.id) or node.id
-        parts.append(base)
-        return ".".join(reversed(parts))
-
     def _resolve_expr(
         self,
         src: _Source,
@@ -854,10 +818,10 @@ class _Builder:
             return info.methods[sorted(info.methods)[0]]
         return None
 
-    def _lookup_method(self, info: _ClassInfo, method: str) -> Optional[str]:
+    def _lookup_method(self, info: ClassInfo, method: str) -> Optional[str]:
         """MRO-ish lookup: the class, then its project-local bases."""
         seen: Set[str] = set()
-        queue: List[_ClassInfo] = [info]
+        queue: List[ClassInfo] = [info]
         while queue:
             current = queue.pop(0)
             key = f"{current.rel}::{current.name}"
@@ -879,7 +843,7 @@ class _Builder:
         method: str,
         local_types: Dict[str, str],
     ) -> Optional[str]:
-        receiver_class: Optional[_ClassInfo] = None
+        receiver_class: Optional[ClassInfo] = None
         if isinstance(receiver, ast.Name):
             if receiver.id == "self" and owner is not None:
                 receiver_class = self.graph.class_info(src.rel, owner.name)
@@ -916,7 +880,7 @@ class _Builder:
                 return candidates[0]
         return None
 
-    def _unique_class(self, name: str) -> Optional[_ClassInfo]:
+    def _unique_class(self, name: str) -> Optional[ClassInfo]:
         keys = self.class_keys.get(name, [])
         if not keys:
             return None
@@ -925,18 +889,24 @@ class _Builder:
         return self.graph._classes[keys[0]]
 
 
-def build_callgraph(
-    paths: Sequence[Path],
-    root: Optional[Path] = None,
-) -> CallGraph:
-    """Build the whole-program graph for *paths* (files/directories).
+def build_callgraph(trees: Mapping[str, ast.Module]) -> CallGraph:
+    """Build the whole-program graph from already parsed modules.
 
-    The result is a pure function of the file *set*: inputs are sorted
-    and every index iterates in sorted order, so shuffling the input
-    list (or the filesystem's directory order) cannot change the graph.
+    *trees* maps each file's path relative to the scan root (which
+    also names its module: ``repro/dpdk/pmd.py`` is ``repro.dpdk.pmd``)
+    to its parsed tree.  The result is a pure function of that mapping:
+    every index iterates in sorted order, so the order the files were
+    found in cannot change the graph.
     """
-    root = root if root is not None else Path.cwd()
-    sources = _load_sources(paths, root)
+    sources = [
+        _Source(
+            rel=rel,
+            module=_rel_to_module(rel),
+            tree=trees[rel],
+            aliases=Aliases(trees[rel]),
+        )
+        for rel in sorted(trees)
+    ]
     builder = _Builder(sources)
     builder.collect()
     builder.infer_attr_types()

@@ -1,19 +1,24 @@
 """Interprocedural seed/RNG taint analysis (the ``FLOW0xx`` family).
 
-simcheck's SIM101/102 reason about one file at a time with a
-signature index; this pass has the whole call graph, so it can follow
-a seed across a call boundary and prove it was dropped on the floor:
+``repro check`` runs these rules over the call graph it builds from
+its one parse of the tree, so they can follow a seed across a call
+boundary and prove it was dropped on the floor:
 
 * **FLOW001** — a function that *has* a seed/rng in scope calls a
-  function that *accepts* one (with a default) without forwarding it.
-  The callee silently falls back to its default stream — the exact
-  shape of the fig04 dropped-seed bug fixed in PR 3.
+  function that *accepts* one (with a default) without binding it: no
+  keyword, no positional argument in its slot, no ``**`` splat.  The
+  callee silently falls back to its default stream — the exact shape
+  of the fig04 dropped-seed bug.  Passing some other seed-derived
+  value (a ``plan``, a config) does not count: the callee's own seed
+  still takes its default.
 * **FLOW002** — a seeded context (seed/rng parameter, or a method of a
   class whose ``__init__`` takes one) constructs a fresh RNG from
-  constants only.  Deriving from the ambient seed is fine — the fault
-  layer's per-site streams (``default_rng([plan.seed, crc32(site)])``)
-  and the purpose-keyed ``default_rng([seed, 101])`` idiom both pass,
-  because the constructor arguments are seed-tainted.
+  constant arguments only.  Deriving from the ambient seed is fine —
+  the fault layer's per-site streams
+  (``default_rng([plan.seed, crc32(site)])``) and the purpose-keyed
+  ``default_rng([seed, 101])`` idiom both pass, because the
+  constructor arguments are seed-tainted.  A constructor given no
+  argument at all is SIM002's finding, not this one.
 * **FLOW003** — code reachable from a lab registry entry point mutates
   a module-level object in place (``append``/``update``/subscript
   store/...).  Lab experiments run in worker processes; module state
@@ -31,14 +36,14 @@ derived streams through without a type system.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.deepcheck.callgraph import CallGraph, FuncNode
-from repro.analysis.simcheck import Finding
 
 __all__ = [
     "RNG_CONSTRUCTORS",
     "SEED_ATTRS",
+    "RawFinding",
     "analyze_seed_flow",
     "collect_module_globals",
     "tainted_names",
@@ -64,6 +69,10 @@ RNG_CONSTRUCTORS: Set[str] = {
     "PCG64",
     "Philox",
 }
+
+#: ``(code, rel path, anchor node, message)``: a rule hit before
+#: ``repro check`` turns it into a located, suppressible ``Finding``.
+RawFinding = Tuple[str, str, ast.AST, str]
 
 #: Method names that mutate a list/dict/set in place.
 _MUTATORS: Set[str] = {
@@ -166,8 +175,8 @@ def _callable_name(call: ast.Call) -> str:
     return ""
 
 
-def _seed_forwarded(call: ast.Call, callee: FuncNode, tainted: Set[str]) -> bool:
-    """Whether *call* threads a seed into *callee* by any route."""
+def _seed_forwarded(call: ast.Call, callee: FuncNode) -> bool:
+    """Whether *call* binds one of *callee*'s seed/rng parameters."""
     seed_params = callee.seed_params()
     # Explicit keyword, or a **kwargs splat that could carry one.
     for kw in call.keywords:
@@ -175,21 +184,11 @@ def _seed_forwarded(call: ast.Call, callee: FuncNode, tainted: Set[str]) -> bool
             return True
     # Enough positionals to cover the first seed parameter.
     positions = [callee.params.index(p) for p in seed_params]
-    if positions and len(call.args) > min(positions):
-        return True
-    # Any tainted expression anywhere in the call (seed wrapped in a
-    # config object, rng passed under another parameter name, ...).
-    for arg in call.args:
-        if _expr_tainted(arg, tainted):
-            return True
-    for kw in call.keywords:
-        if _expr_tainted(kw.value, tainted):
-            return True
-    return False
+    return bool(positions) and len(call.args) > min(positions)
 
 
-def _flow001(graph: CallGraph, fn: FuncNode, tainted: Set[str]) -> List[Finding]:
-    findings: List[Finding] = []
+def _flow001(graph: CallGraph, fn: FuncNode) -> List[RawFinding]:
+    findings: List[RawFinding] = []
     seen_lines: Set[int] = set()
     for call in _iter_calls(fn):
         callee = _call_target(graph, fn, call)
@@ -202,52 +201,48 @@ def _flow001(graph: CallGraph, fn: FuncNode, tainted: Set[str]) -> List[Finding]
             callee.defaults.get(p, False) for p in seed_params
         ):
             continue
-        if _seed_forwarded(call, callee, tainted):
+        if _seed_forwarded(call, callee):
             continue
         if call.lineno in seen_lines:
             continue
         seen_lines.add(call.lineno)
         findings.append(
-            Finding(
-                code="FLOW001",
-                path=fn.rel,
-                line=call.lineno,
-                col=call.col_offset,
-                message=(
-                    f"seed/rng in scope but not forwarded to "
-                    f"'{callee.qualname}' (accepts "
-                    f"'{', '.join(seed_params)}'): the callee falls back "
-                    f"to its default stream (fig04 dropped-seed class)"
-                ),
+            (
+                "FLOW001",
+                fn.rel,
+                call,
+                f"seed/rng in scope but not forwarded to "
+                f"'{callee.qualname}' (accepts "
+                f"'{', '.join(seed_params)}'): the callee falls back "
+                f"to its default stream (fig04 dropped-seed class)",
             )
         )
     return findings
 
 
-def _flow002(graph: CallGraph, fn: FuncNode, tainted: Set[str]) -> List[Finding]:
+def _flow002(
+    graph: CallGraph, fn: FuncNode, tainted: Set[str]
+) -> List[RawFinding]:
     seeded = bool(fn.seed_params()) or _class_is_seeded(graph, fn)
     if not seeded:
         return []
-    findings: List[Finding] = []
+    findings: List[RawFinding] = []
     for call in _iter_calls(fn):
         if _callable_name(call) not in RNG_CONSTRUCTORS:
             continue
         args: List[ast.expr] = list(call.args) + [
             kw.value for kw in call.keywords
         ]
-        if any(_expr_tainted(arg, tainted) for arg in args):
-            continue  # derived stream (plan.seed, [seed, purpose], ...)
+        if not args or any(_expr_tainted(arg, tainted) for arg in args):
+            continue  # unseeded (SIM002) or derived ([seed, purpose], ...)
         findings.append(
-            Finding(
-                code="FLOW002",
-                path=fn.rel,
-                line=call.lineno,
-                col=call.col_offset,
-                message=(
-                    f"'{_callable_name(call)}' re-seeded from constants "
-                    f"inside seeded '{fn.qualname}': derive the stream "
-                    f"from the ambient seed instead"
-                ),
+            (
+                "FLOW002",
+                fn.rel,
+                call,
+                f"'{_callable_name(call)}' re-seeded from constants "
+                f"inside seeded '{fn.qualname}': derive the stream "
+                f"from the ambient seed instead",
             )
         )
     return findings
@@ -321,7 +316,7 @@ def _flow003(
     fn: FuncNode,
     module_globals: Set[str],
     entry: str,
-) -> List[Finding]:
+) -> List[RawFinding]:
     declared_global: Set[str] = set()
     for node in ast.walk(fn.tree):
         if isinstance(node, ast.Global):
@@ -331,7 +326,7 @@ def _flow003(
     # exempt cache idiom and only in-place mutation is flagged.
     shadowed = _local_names(fn) - declared_global
     candidates = module_globals - shadowed
-    findings: List[Finding] = []
+    findings: List[RawFinding] = []
     for node in ast.walk(fn.tree):
         name: Optional[str] = None
         where: Optional[ast.AST] = None
@@ -365,28 +360,24 @@ def _flow003(
                     name, where = target.id, node
         if name is not None and where is not None:
             findings.append(
-                Finding(
-                    code="FLOW003",
-                    path=fn.rel,
-                    line=getattr(where, "lineno", fn.line),
-                    col=getattr(where, "col_offset", 0),
-                    message=(
-                        f"module-level '{name}' mutated in place on a "
-                        f"lab-worker path (reached from entry point "
-                        f"'{entry}'): state diverges across worker "
-                        f"processes"
-                    ),
+                (
+                    "FLOW003",
+                    fn.rel,
+                    where,
+                    f"module-level '{name}' mutated in place on a "
+                    f"lab-worker path (reached from entry point "
+                    f"'{entry}'): state diverges across worker processes",
                 )
             )
     return findings
 
 
-def analyze_seed_flow(graph: CallGraph) -> List[Finding]:
-    """Run FLOW001/002/003 over the whole graph; sorted findings.
+def analyze_seed_flow(graph: CallGraph) -> List[RawFinding]:
+    """Run FLOW001/002/003 over the whole graph.
 
     FLOW003's module globals come from the graph's parsed modules.
     """
-    findings: List[Finding] = []
+    findings: List[RawFinding] = []
     globals_by_rel: Dict[str, Set[str]] = {
         rel: collect_module_globals(tree) for rel, tree in graph.trees.items()
     }
@@ -396,10 +387,9 @@ def analyze_seed_flow(graph: CallGraph) -> List[Finding]:
         tainted = tainted_names(fn)
         has_context = bool(tainted) or _class_is_seeded(graph, fn)
         if has_context:
-            findings.extend(_flow001(graph, fn, tainted))
+            findings.extend(_flow001(graph, fn))
             findings.extend(_flow002(graph, fn, tainted))
         entry = reachable.get(node_id)
         if entry is not None and globals_by_rel.get(fn.rel):
             findings.extend(_flow003(fn, globals_by_rel[fn.rel], entry))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

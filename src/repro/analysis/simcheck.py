@@ -1,45 +1,50 @@
-"""simcheck: repo-specific static analysis for simulation invariants.
+"""simcheck: the repo's static analyser for simulation invariants.
 
 The reproduction's headline guarantee is bit-identical determinism:
 parallel lab runs equal serial runs, goldens hold across machines, and
-every experiment is a pure function of its ``seed``.  ``simcheck`` is
-an AST-based linter (stdlib :mod:`ast`, no dependencies) that turns the
-coding conventions protecting that guarantee into machine-checked
-rules:
+every experiment is a pure function of its ``seed``.  ``simcheck``
+(stdlib :mod:`ast`, no dependencies) turns the coding conventions
+protecting that guarantee into machine-checked rules.  It parses each
+file once; the per-file ``SIM`` rules walk those trees, and the
+whole-program ``FLOW`` rules run over the call graph built from the
+same trees (:mod:`repro.analysis.deepcheck`):
 
-====== =================================================================
-code   rule
-====== =================================================================
-SIM001 nondeterminism source called (``time.time``, ``random.random``,
-       ``np.random.rand``, ``datetime.now``, ``os.urandom``, …)
-SIM002 unseeded RNG constructed (``np.random.default_rng()`` or
-       ``random.Random()`` with no arguments)
-SIM003 iteration over a set literal / ``set()`` call (hash-order
-       dependent) without ``sorted()``
-SIM101 seed not threaded: a function taking ``seed``/``rng`` calls a
-       stochastic callee (one that accepts ``seed``/``rng``) without
-       passing either through
-SIM102 typing lie: a ``seed``/``rng``/``Generator`` parameter defaults
-       to ``None`` but is not annotated ``Optional``
-SIM201 engine parity: the fast engine and the reference hierarchy
-       expose different access-API surfaces (method or kwarg drift)
-SIM301 experiment module not registered in ``lab/registry.py``
-SIM302 experiment module missing the serializer contract (no ``run_*``
-       or no ``*_to_dict`` top-level function)
-SIM401 fault-injection code constructs its own RNG instead of drawing
-       from ``FaultClock.stream(site)`` (breaks per-site replay)
-====== =================================================================
+======= ================================================================
+code    rule
+======= ================================================================
+SIM001  nondeterminism source called (``time.time``, ``random.random``,
+        ``np.random.rand``, ``datetime.now``, ``os.urandom``, …)
+SIM002  unseeded RNG constructed (``np.random.default_rng()`` or
+        ``random.Random()`` with no arguments)
+SIM003  iteration over a set literal / ``set()`` call (hash-order
+        dependent) without ``sorted()``
+SIM102  typing lie: a ``seed``/``rng``/``Generator`` parameter defaults
+        to ``None`` but is not annotated ``Optional``
+SIM201  engine parity: the fast engine and the reference hierarchy
+        expose different access-API surfaces (method or kwarg drift)
+SIM301  experiment module not registered in ``lab/registry.py``
+SIM302  experiment module missing the serializer contract (no ``run_*``
+        or no ``*_to_dict`` top-level function)
+SIM401  fault-injection code constructs its own RNG instead of drawing
+        from ``FaultClock.stream(site)`` (breaks per-site replay)
+FLOW001 a seed/rng in scope is not bound to a resolved callee's
+        defaulted ``seed``/``rng`` parameter (the fig04 dropped seed)
+FLOW002 an RNG re-seeded from constant arguments in a seeded context
+FLOW003 module-level state mutated on a lab-worker path
+======= ================================================================
 
 Suppressions
 ------------
 
-Append ``# simcheck: ignore[SIM001]`` (or a comma-separated list, or a
-bare ``# simcheck: ignore``) to the offending line, ideally with a
-justification after the bracket.  File-scope findings (SIM301/SIM302
-anchor at line 1) are silenced with ``# simcheck: ignore-file[SIMxxx]``
-anywhere in the file.  A module that is deliberately a support library
-rather than an experiment entry point can opt out of SIM301/SIM302
-with a ``# simcheck: support-module`` comment anywhere in the file.
+Append ``# simcheck: ignore[SIM001]`` (or ``ignore[FLOW001]``, a
+comma-separated list, or a bare ``# simcheck: ignore``) to the
+offending line, ideally with a justification after the bracket.  Any
+code, and the file-scope SIM301/SIM302 findings (anchored at line 1)
+in particular, is silenced file-wide with
+``# simcheck: ignore-file[CODE]`` anywhere in the file.  A module that
+is deliberately a support library rather than an experiment entry
+point can opt out of SIM301/SIM302 with a
+``# simcheck: support-module`` comment anywhere in the file.
 
 Run it as ``repro check`` (or ``python -m repro.analysis``); see
 ``docs/CHECKS.md`` for the full rule catalogue and CI wiring.
@@ -48,6 +53,7 @@ Run it as ``repro check`` (or ``python -m repro.analysis``); see
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import re
 import sys
@@ -55,12 +61,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.deepcheck.callgraph import (
+    Aliases,
+    CallGraph,
+    ClassInfo,
+    build_callgraph,
+)
+from repro.analysis.deepcheck.dataflow import analyze_seed_flow
+
 __all__ = [
     "CheckResult",
     "Finding",
     "RULES",
     "collect_files",
-    "main",
+    "format_result",
     "run_simcheck",
 ]
 
@@ -69,12 +83,14 @@ RULES: Dict[str, str] = {
     "SIM001": "nondeterminism source called in simulation code",
     "SIM002": "RNG constructed without a seed",
     "SIM003": "iteration over an unordered set (hash-order dependent)",
-    "SIM101": "seed/rng parameter not threaded to a stochastic callee",
     "SIM102": "seed/rng parameter defaults to None but is not Optional",
     "SIM201": "fast engine and reference hierarchy API surfaces differ",
     "SIM302": "experiment module misses the run_*/*_to_dict contract",
     "SIM301": "experiment module not registered in the lab registry",
     "SIM401": "fault-injection code constructs an RNG outside FaultClock",
+    "FLOW001": "seed/rng in scope but not forwarded across a call boundary",
+    "FLOW002": "RNG re-seeded from constants inside a seeded context",
+    "FLOW003": "module-level state mutated on a lab-worker path",
 }
 
 #: Dotted call targets that introduce nondeterminism (after normalising
@@ -147,10 +163,6 @@ _FAULT_NAME_RE = re.compile(r"(?<!de)fault|inject", re.IGNORECASE)
 _FAULT_MODULE_RE = re.compile(r"(^|/)faults/")
 _FAULT_PLAN_SUFFIX = "faults/plan.py"
 
-#: Method names shared with dict/str builtins; attribute calls to these
-#: are never matched against the project signature index by name alone.
-_AMBIGUOUS_METHODS: Set[str] = {"get", "items", "values", "update", "copy", "pop"}
-
 #: The access-API surface that must stay in lock-step between the
 #: reference hierarchy and the fast engine (rule SIM201): same methods,
 #: same parameter names on both sides.
@@ -203,8 +215,10 @@ class Finding:
 class CheckResult:
     """Outcome of one simcheck run."""
 
-    findings: List[Finding] = field(default_factory=list)
-    files: int = 0
+    findings: List[Finding]
+    files: int
+    #: The whole-program call graph the FLOW rules ran over.
+    graph: CallGraph = field(repr=False)
 
     @property
     def active(self) -> List[Finding]:
@@ -215,23 +229,6 @@ class CheckResult:
     def suppressed(self) -> List[Finding]:
         """Findings silenced by an ignore comment."""
         return [f for f in self.findings if f.suppressed]
-
-
-@dataclass
-class _FuncSig:
-    """Signature facts simcheck needs about one function or method."""
-
-    name: str
-    qualname: str
-    params: List[str]
-    required: int
-    is_method: bool
-    line: int
-    path: str
-
-    def seed_positions(self) -> List[int]:
-        """Indices of seed/rng parameters in positional order."""
-        return [i for i, p in enumerate(self.params) if p in _SEED_PARAMS]
 
 
 @dataclass
@@ -290,116 +287,6 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
     return sorted(out)
 
 
-class _ImportTracker:
-    """Map local names to the dotted module paths they came from."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-
-    def resolve_call(self, func: ast.expr) -> Optional[str]:
-        """Resolve a call target to a dotted path, or ``None``."""
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self.aliases.get(node.id, node.id)
-        parts.append(base)
-        dotted = ".".join(reversed(parts))
-        return dotted.replace("numpy.", "np.", 1) if dotted.startswith("numpy.") else dotted
-
-
-def _iter_functions(tree: ast.Module) -> Iterable[Tuple[Optional[str], ast.AST]]:
-    """Yield ``(class_name, funcdef)`` for every def in a module."""
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
-            for sub in node.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield node.name, sub
-
-
-def _signature(
-    owner: Optional[str],
-    node: ast.AST,
-    rel: str,
-) -> Optional[_FuncSig]:
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
-    params = [a.arg for a in args.posonlyargs + args.args]
-    is_method = owner is not None and bool(params) and params[0] in ("self", "cls")
-    if is_method:
-        params = params[1:]
-    n_defaults = len(args.defaults)
-    required = len(params) - n_defaults
-    kwonly = [a.arg for a in args.kwonlyargs]
-    return _FuncSig(
-        name=node.name,
-        qualname=f"{owner}.{node.name}" if owner else node.name,
-        params=params + kwonly,
-        required=max(required, 0),
-        is_method=is_method,
-        line=node.lineno,
-        path=rel,
-    )
-
-
-class _Index:
-    """Project-wide signature and class index for cross-call rules."""
-
-    def __init__(self, files: Sequence[_SourceFile]) -> None:
-        # name → signatures (functions, methods and class constructors).
-        self.by_name: Dict[str, List[_FuncSig]] = {}
-        # "<path-suffix>::<Class>" → {method name → sig}.
-        self.classes: Dict[str, Dict[str, _FuncSig]] = {}
-        for src in files:
-            for owner, node in _iter_functions(src.tree):
-                sig = _signature(owner, node, src.rel)
-                if sig is None:
-                    continue
-                if owner is not None:
-                    self.classes.setdefault(
-                        f"{src.rel}::{owner}", {}
-                    )[sig.name] = sig
-                key = sig.name
-                if owner is not None and sig.name == "__init__":
-                    key = owner  # constructors are called by class name
-                if sig.name.startswith("__") and sig.name != "__init__":
-                    continue
-                self.by_name.setdefault(key, []).append(sig)
-
-    def seeded_sigs(self, name: str) -> List[_FuncSig]:
-        """Signatures under *name* — only if **all** accept seed/rng."""
-        sigs = self.by_name.get(name, [])
-        if not sigs:
-            return []
-        if all(sig.seed_positions() for sig in sigs):
-            return sigs
-        return []
-
-    def find_class(self, path_suffix: str, name: str) -> Optional[Dict[str, _FuncSig]]:
-        """Locate a class's method map by path suffix + class name."""
-        for key, methods in self.classes.items():
-            rel, _, cls = key.partition("::")
-            if cls == name and rel.replace("\\", "/").endswith(path_suffix):
-                return methods
-        return None
-
-
 def _annotation_is_optional(annotation: Optional[ast.expr]) -> bool:
     if annotation is None:
         return True  # unannotated: nothing to lie about
@@ -411,39 +298,47 @@ def _annotation_is_optional(annotation: Optional[ast.expr]) -> bool:
     )
 
 
-class _FileVisitor(ast.NodeVisitor):
-    """Per-file checks: SIM001, SIM002, SIM003, SIM101, SIM102."""
+def _finding(code: str, rel: str, node: ast.AST, message: str) -> Finding:
+    """A finding anchored at *node*, 1-based in both line and column.
 
-    def __init__(self, src: _SourceFile, index: _Index) -> None:
+    A module node (no position) anchors at 1:1, where the file-scope
+    rules report.
+    """
+    return Finding(
+        code=code,
+        path=rel,
+        line=getattr(node, "lineno", 1),
+        col=getattr(node, "col_offset", 0) + 1,
+        message=message,
+    )
+
+
+class _FileVisitor(ast.NodeVisitor):
+    """Per-file checks: SIM001, SIM002, SIM003, SIM102, SIM401."""
+
+    def __init__(self, src: _SourceFile) -> None:
         self.src = src
-        self.index = index
-        self.imports = _ImportTracker(src.tree)
+        self.aliases = Aliases(src.tree)
         self.findings: List[Finding] = []
-        # Stack of seed/rng parameter-name sets for enclosing functions.
-        self._seed_scope: List[Set[str]] = []
         # Stack of enclosing function names (for SIM401's name heuristic).
         self._func_stack: List[str] = []
-        rel = src.rel.replace("\\", "/")
         self._fault_module = bool(
-            _FAULT_MODULE_RE.search(rel)
-        ) and not rel.endswith(_FAULT_PLAN_SUFFIX)
-        self._fault_plan_module = rel.endswith(_FAULT_PLAN_SUFFIX)
+            _FAULT_MODULE_RE.search(src.rel)
+        ) and not src.rel.endswith(_FAULT_PLAN_SUFFIX)
+        self._fault_plan_module = src.rel.endswith(_FAULT_PLAN_SUFFIX)
 
     def _emit(self, code: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0) + 1
-        self.findings.append(
-            Finding(code=code, path=self.src.rel, line=line, col=col, message=message)
-        )
+        self.findings.append(_finding(code, self.src.rel, node, message))
 
-    # -- SIM001 / SIM002 / SIM101 on calls -----------------------------
+    # -- SIM001 / SIM002 on calls ---------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self.imports.resolve_call(node.func)
+        dotted = self.aliases.resolve(node.func)
         if dotted is not None:
+            if dotted.startswith("numpy."):
+                dotted = "np." + dotted[len("numpy."):]
             self._check_nondet(node, dotted)
             self._check_fault_rng(node, dotted)
-        self._check_seed_threading(node)
         self.generic_visit(node)
 
     # -- SIM401 on RNG construction in fault-injection code -------------
@@ -512,67 +407,7 @@ class _FileVisitor(ast.NodeVisitor):
                     "`np.random.default_rng(seed)`",
                 )
 
-    def _check_seed_threading(self, node: ast.Call) -> None:
-        if not self._seed_scope or not self._seed_scope[-1]:
-            return
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            dotted = self.imports.resolve_call(func)
-            if dotted is not None and "." in dotted:
-                name = dotted.rsplit(".", 1)[1]
-        elif isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name) and self.imports.resolve_call(func):
-                resolved = self.imports.resolve_call(func)
-                if resolved and resolved.split(".", 1)[0] in (
-                    "np",
-                    "time",
-                    "random",
-                    "os",
-                    "datetime",
-                ):
-                    return  # stdlib/numpy surface — SIM001's domain
-            name = func.attr
-            if name in _AMBIGUOUS_METHODS:
-                return
-        else:
-            return
-        sigs = self.index.seeded_sigs(name)
-        if not sigs:
-            return
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(
-            kw.arg is None for kw in node.keywords
-        ):
-            return  # *args / **kwargs: not statically analysable
-        kw_names = {kw.arg for kw in node.keywords if kw.arg is not None}
-        if kw_names & set(_SEED_PARAMS):
-            return
-        for arg in node.args:
-            if isinstance(arg, ast.Name) and arg.id in _SEED_PARAMS:
-                return
-            if isinstance(arg, ast.Attribute) and arg.attr in _SEED_PARAMS:
-                return
-        n_pos = len(node.args)
-        required = min(sig.required for sig in sigs)
-        n_supplied = n_pos + len(kw_names)
-        if n_supplied < required:
-            return  # cannot be this callee (missing required params)
-        # Positionally covered seed params count as threaded.
-        if any(pos < n_pos for sig in sigs for pos in sig.seed_positions()):
-            return
-        seed_names = sorted(
-            {p for sig in sigs for p in sig.params if p in _SEED_PARAMS}
-        )
-        self._emit(
-            "SIM101",
-            node,
-            f"`{name}()` accepts {'/'.join(seed_names)} but this call "
-            "threads neither, breaking the seed chain of the enclosing "
-            f"function (which takes {'/'.join(sorted(self._seed_scope[-1]))})",
-        )
-
-    # -- SIM102 + seed scope on function definitions --------------------
+    # -- SIM102 on function definitions ---------------------------------
 
     def _visit_funcdef(self, node: ast.AST) -> None:
         assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -603,12 +438,9 @@ class _FileVisitor(ast.NodeVisitor):
                     "Optional — annotate "
                     f"`Optional[{annotation_text}]`",
                 )
-        seed_params = {a.arg for a in all_args if a.arg in _SEED_PARAMS}
-        self._seed_scope.append(seed_params)
         self._func_stack.append(node.name)
         self.generic_visit(node)
         self._func_stack.pop()
-        self._seed_scope.pop()
 
     visit_FunctionDef = _visit_funcdef
     visit_AsyncFunctionDef = _visit_funcdef
@@ -655,38 +487,45 @@ class _FileVisitor(ast.NodeVisitor):
 # Cross-file rules
 # ----------------------------------------------------------------------
 
-def _check_engine_parity(files: Sequence[_SourceFile], index: _Index) -> List[Finding]:
-    hierarchy = index.find_class("cachesim/hierarchy.py", "CacheHierarchy")
-    engine = index.find_class("cachesim/engine.py", "FastEngine")
+def _find_class(
+    graph: CallGraph, path_suffix: str, name: str
+) -> Optional[ClassInfo]:
+    """Class *name* as defined in a file whose path ends in *path_suffix*."""
+    for rel in sorted(graph.trees):
+        info = graph.class_info(rel, name) if rel.endswith(path_suffix) else None
+        if info is not None:
+            return info
+    return None
+
+
+def _check_engine_parity(graph: CallGraph) -> List[Finding]:
+    hierarchy = _find_class(graph, "cachesim/hierarchy.py", "CacheHierarchy")
+    engine = _find_class(graph, "cachesim/engine.py", "FastEngine")
     if hierarchy is None or engine is None:
         return []
     findings: List[Finding] = []
-
-    def emit(sig_map: Dict[str, _FuncSig], message: str) -> None:
-        anchor = next(iter(sig_map.values()))
-        findings.append(
-            Finding(
-                code="SIM201",
-                path=anchor.path,
-                line=anchor.line,
-                col=1,
-                message=message,
-            )
-        )
-
     for method in _PARITY_METHODS:
-        h_sig = hierarchy.get(method)
-        e_sig = engine.get(method)
-        if h_sig is None or e_sig is None:
-            missing = "CacheHierarchy" if h_sig is None else "FastEngine"
-            emit(
-                engine if h_sig is None else hierarchy,
-                f"access-API method `{method}` missing from {missing} — "
-                "the engines must expose the same surface",
+        h_id = hierarchy.methods.get(method)
+        e_id = engine.methods.get(method)
+        if h_id is None or e_id is None:
+            lacking = hierarchy if h_id is None else engine
+            findings.append(
+                Finding(
+                    code="SIM201",
+                    path=lacking.rel,
+                    line=lacking.line,
+                    col=1,
+                    message=(
+                        f"access-API method `{method}` missing from "
+                        f"{lacking.name} — the engines must expose the "
+                        "same surface"
+                    ),
+                )
             )
             continue
-        h_params = set(h_sig.params)
-        e_params = set(e_sig.params)
+        h_fn = graph.functions[h_id]
+        h_params = set(h_fn.params)
+        e_params = set(graph.functions[e_id].params)
         if h_params != e_params:
             only_h = sorted(h_params - e_params)
             only_e = sorted(e_params - h_params)
@@ -695,10 +534,14 @@ def _check_engine_parity(files: Sequence[_SourceFile], index: _Index) -> List[Fi
                 drift.append(f"CacheHierarchy-only kwargs {only_h}")
             if only_e:
                 drift.append(f"FastEngine-only kwargs {only_e}")
-            emit(
-                hierarchy,
-                f"access-API method `{method}` signature drift: "
-                + "; ".join(drift),
+            findings.append(
+                _finding(
+                    "SIM201",
+                    h_fn.rel,
+                    h_fn.tree,
+                    f"access-API method `{method}` signature drift: "
+                    + "; ".join(drift),
+                )
             )
     return findings
 
@@ -716,8 +559,7 @@ def _registry_imports(registry: _SourceFile) -> Set[str]:
 
 def _check_experiment_hygiene(files: Sequence[_SourceFile]) -> List[Finding]:
     registry = next(
-        (f for f in files if f.rel.replace("\\", "/").endswith("lab/registry.py")),
-        None,
+        (f for f in files if f.rel.endswith("lab/registry.py")), None
     )
     experiments = [
         f
@@ -747,33 +589,27 @@ def _check_experiment_hygiene(files: Sequence[_SourceFile]) -> List[Finding]:
             if not has_serializer:
                 missing.append("a `*_to_dict` serializer")
             findings.append(
-                Finding(
-                    code="SIM302",
-                    path=src.rel,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"experiment module `{module}` misses "
-                        + " and ".join(missing)
-                        + " — every experiment must honour the "
-                        "--seed/--json contract (mark deliberate "
-                        "libraries with `# simcheck: support-module`)"
-                    ),
+                _finding(
+                    "SIM302",
+                    src.rel,
+                    src.tree,
+                    f"experiment module `{module}` misses "
+                    + " and ".join(missing)
+                    + " — every experiment must honour the "
+                    "--seed/--json contract (mark deliberate "
+                    "libraries with `# simcheck: support-module`)",
                 )
             )
         if registered is not None and module not in registered:
             findings.append(
-                Finding(
-                    code="SIM301",
-                    path=src.rel,
-                    line=1,
-                    col=1,
-                    message=(
-                        f"experiment module `{module}` is not imported "
-                        "by lab/registry.py — register it so `repro lab "
-                        "run --all` and CI cover it (or mark it "
-                        "`# simcheck: support-module`)"
-                    ),
+                _finding(
+                    "SIM301",
+                    src.rel,
+                    src.tree,
+                    f"experiment module `{module}` is not imported "
+                    "by lab/registry.py — register it so `repro lab "
+                    "run --all` and CI cover it (or mark it "
+                    "`# simcheck: support-module`)",
                 )
             )
     return findings
@@ -791,9 +627,9 @@ def _load(path: Path, root: Path) -> Optional[_SourceFile]:
         print(f"simcheck: cannot parse {path}: {exc}", file=sys.stderr)
         return None
     try:
-        rel = str(path.relative_to(root))
+        rel = path.relative_to(root).as_posix()
     except ValueError:
-        rel = str(path)
+        rel = path.as_posix()
     suppressions, file_ignores, support = _parse_suppressions(text)
     return _SourceFile(
         path=path,
@@ -822,14 +658,7 @@ def _apply_suppressions(
             elif isinstance(codes, set) and finding.code in codes:
                 suppressed = True
         if suppressed:
-            finding = Finding(
-                code=finding.code,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                suppressed=True,
-            )
+            finding = dataclasses.replace(finding, suppressed=True)
         out.append(finding)
     return out
 
@@ -841,6 +670,9 @@ def run_simcheck(
     exclude: Optional[Set[str]] = None,
 ) -> CheckResult:
     """Run every rule over *paths* (files or directories).
+
+    Each file is parsed once: the per-file rules walk the trees and the
+    call graph for the cross-file and FLOW rules is built from them.
 
     Args:
         paths: what to scan.
@@ -858,21 +690,25 @@ def run_simcheck(
         for src in (_load(p, root) for p in collect_files(paths))
         if src is not None
     ]
-    index = _Index(files)
+    graph = build_callgraph({src.rel: src.tree for src in files})
     findings: List[Finding] = []
     for src in files:
-        visitor = _FileVisitor(src, index)
+        visitor = _FileVisitor(src)
         visitor.visit(src.tree)
         findings.extend(visitor.findings)
-    findings.extend(_check_engine_parity(files, index))
+    findings.extend(_check_engine_parity(graph))
     findings.extend(_check_experiment_hygiene(files))
+    findings.extend(
+        _finding(code, rel, node, message)
+        for code, rel, node, message in analyze_seed_flow(graph)
+    )
     if select:
         findings = [f for f in findings if f.code in select]
     if exclude:
         findings = [f for f in findings if f.code not in exclude]
     findings = _apply_suppressions(findings, {src.rel: src for src in files})
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return CheckResult(findings=findings, files=len(files))
+    return CheckResult(findings=findings, files=len(files), graph=graph)
 
 
 def format_result(result: CheckResult, mode: str = "text") -> str:
@@ -895,72 +731,3 @@ def format_result(result: CheckResult, mode: str = "text") -> str:
         f"{len(result.suppressed)} suppressed, {result.files} file(s) checked"
     )
     return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point (also reachable as ``repro check``)."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="simcheck",
-        description="Static analysis of simulation-determinism invariants.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=None,
-        help="files or directories (default: src/repro)",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--github", action="store_true", help="GitHub Actions annotations"
-    )
-    parser.add_argument(
-        "--select",
-        "--rules",
-        dest="select",
-        default=None,
-        help="comma-separated rule codes to run",
-    )
-    parser.add_argument(
-        "--exclude-rules",
-        dest="exclude_rules",
-        default=None,
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue"
-    )
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        for code in sorted(RULES):
-            print(f"{code}  {RULES[code]}")
-        return 0
-    roots = [Path(p) for p in (args.paths or [])]
-    if not roots:
-        default = Path("src/repro")
-        if not default.is_dir():
-            print(
-                "simcheck: no paths given and ./src/repro not found",
-                file=sys.stderr,
-            )
-            return 2
-        roots = [default]
-    select = (
-        {c.strip() for c in args.select.split(",") if c.strip()}
-        if args.select
-        else None
-    )
-    exclude = (
-        {c.strip() for c in args.exclude_rules.split(",") if c.strip()}
-        if args.exclude_rules
-        else None
-    )
-    result = run_simcheck(roots, select=select, exclude=exclude)
-    mode = "json" if args.json else ("github" if args.github else "text")
-    print(format_result(result, mode))
-    return 1 if result.active else 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -22,7 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, List, Optional
+from pathlib import Path
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
 
@@ -350,8 +351,6 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
     the experiment (``plans`` override) at the artifact's parameters
     and seed, then requires the reproduced payload to be bit-identical.
     """
-    from pathlib import Path
-
     from repro.experiments.chaos import (
         chaos_tail_to_dict,
         degradation_knee_to_dict,
@@ -499,8 +498,6 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     bit-identical.  Handles ``fleet-failover``, ``fleet-availability``
     and ``fleet-durability`` artifacts.
     """
-    from pathlib import Path
-
     from repro.experiments.fleet import (
         fleet_availability_to_dict,
         fleet_durability_to_dict,
@@ -555,38 +552,81 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from pathlib import Path
+def _check_paths(args: argparse.Namespace) -> Tuple[List[Path], Path]:
+    """What ``repro check``/``deepcheck`` scan, and the report root.
 
+    With no paths given, the installed repro package itself, so both
+    work from any working directory.
+    """
+    if args.paths:
+        return [Path(p) for p in args.paths], Path.cwd()
+    pkg = Path(__file__).resolve().parent
+    return [pkg], pkg.parent
+
+
+def _rule_codes(text: str) -> Set[str]:
+    return {code.strip() for code in text.split(",") if code.strip()}
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
     from repro.analysis.simcheck import RULES, format_result, run_simcheck
 
     if args.list_rules:
         for code in sorted(RULES):
             print(f"{code}  {RULES[code]}")
         return 0
-    if args.paths:
-        paths = [Path(p) for p in args.paths]
-        root = Path.cwd()
-    else:
-        # Default to the installed repro package itself, so `repro
-        # check` works from any working directory.
-        pkg = Path(__file__).resolve().parent
-        paths = [pkg]
-        root = pkg.parent
-    select = (
-        {c.strip() for c in args.select.split(",") if c.strip()}
-        if args.select
-        else None
+    paths, root = _check_paths(args)
+    result = run_simcheck(
+        paths, root=root, select=args.select, exclude=args.exclude_rules
     )
-    exclude = (
-        {c.strip() for c in args.exclude_rules.split(",") if c.strip()}
-        if args.exclude_rules
-        else None
-    )
-    result = run_simcheck(paths, root=root, select=select, exclude=exclude)
     mode = "json" if args.json else ("github" if args.github else "text")
     print(format_result(result, mode))
     return 1 if result.active else 0
+
+
+def _cmd_deepcheck_graph(args: argparse.Namespace) -> int:
+    from repro.analysis.simcheck import run_simcheck
+
+    paths, root = _check_paths(args)
+    graph = run_simcheck(paths, root=root).graph
+    if args.pattern is None:
+        summary = {
+            "files": graph.files,
+            "functions": len(graph.functions),
+            "edges": graph.n_edges(),
+            "entry_points": len(graph.entry_points),
+        }
+        if args.json:
+            return _emit_json(summary)
+        print(
+            f"deepcheck graph: {summary['files']} files, "
+            f"{summary['functions']} functions, {summary['edges']} edges, "
+            f"{summary['entry_points']} registry entry points"
+        )
+        return 0
+    matches = graph.find(args.pattern)
+    if not matches:
+        print(f"deepcheck: no function matches {args.pattern!r}", file=sys.stderr)
+        return 1
+    payload = [
+        {
+            "node_id": node_id,
+            "path": graph.functions[node_id].rel,
+            "line": graph.functions[node_id].line,
+            "callees": sorted({s.callee for s in graph.callees_of(node_id)}),
+            "callers": graph.callers_of(node_id),
+        }
+        for node_id in matches
+    ]
+    if args.json:
+        return _emit_json(payload)
+    for entry in payload:
+        print(f"{entry['node_id']}  ({entry['path']}:{entry['line']})")
+        for caller in entry["callers"]:
+            print(f"  <- {caller}")
+        for callee in entry["callees"]:
+            print(f"  -> {callee}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -788,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
-        "check", help="static analysis of simulation invariants (simcheck)"
+        "check", help="static analysis: the SIM and FLOW rules (simcheck)"
     )
     p.add_argument(
         "paths", nargs="*", help="files or directories (default: the repro package)"
@@ -801,12 +841,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         "--rules",
         dest="select",
+        type=_rule_codes,
         default=None,
         help="comma-separated rule codes to run",
     )
     p.add_argument(
         "--exclude-rules",
         dest="exclude_rules",
+        type=_rule_codes,
         default=None,
         help="comma-separated rule codes to skip",
     )
@@ -815,9 +857,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_check)
 
-    from repro.analysis.deepcheck.cli import add_deepcheck_parser
-
-    add_deepcheck_parser(sub)
+    p = sub.add_parser("deepcheck", help="query the whole-program call graph")
+    deep_sub = p.add_subparsers(dest="deepcheck_command", required=True)
+    q = deep_sub.add_parser(
+        "graph", help="call-graph stats, or one symbol's edges"
+    )
+    q.add_argument(
+        "paths", nargs="*", help="files or directories (default: the repro package)"
+    )
+    q.add_argument("--json", action="store_true", help="machine-readable output")
+    q.add_argument("--pattern", default=None, help="show edges of matching functions")
+    q.set_defaults(func=_cmd_deepcheck_graph)
 
     from repro.lab.cli import add_lab_parser
 

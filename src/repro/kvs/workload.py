@@ -135,8 +135,8 @@ class GetSetMix:
         """Boolean array: True = GET, False = SET.
 
         *rng* is required: an implicit constant fallback here silently
-        decoupled the op mix from the experiment seed (the fig04
-        dropped-seed class, flagged by deepcheck FLOW002).
+        decoupled the op mix from the experiment seed (a constant
+        re-seed, which ``repro check`` flags as FLOW002).
         """
         return rng.random(count) < self.get_fraction
 

@@ -26,7 +26,8 @@ class SeededSampler:
     def draw(self):
         fresh = np.random.default_rng(42)  # finding: FLOW002
         derived = np.random.default_rng([self.seed, 7])
-        return fresh.random() + derived.random()
+        unseeded = np.random.default_rng()  # finding: SIM002, not FLOW002 too
+        return fresh.random() + derived.random() + unseeded.random()
 
 
 def run_exp(seed=0):

@@ -1,7 +1,9 @@
-"""deepcheck: call-graph edge cases, seed-flow taint, the FLOW rule
-fixtures, CLI exit codes, and the guarantee that the shipped tree is
-clean with no finding suppressed."""
+"""The whole-program half of `repro check`: call-graph edge cases,
+seed-flow taint, the FLOW rule fixtures, the check and `deepcheck
+graph` CLIs, and the guarantee that the shipped tree has no FLOW
+finding, active or suppressed."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -12,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.deepcheck import DEEP_RULES, analyze, build_callgraph
-from repro.analysis.deepcheck.cli import main as deepcheck_main
+from repro.analysis.deepcheck.callgraph import build_callgraph
 from repro.analysis.deepcheck.dataflow import worker_reachable
-from repro.analysis.simcheck import run_simcheck
+from repro.analysis.simcheck import RULES, run_simcheck
+from repro.cli import main as repro_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "deepcheck"
 SIM_FIXTURES = Path(__file__).parent / "fixtures" / "simcheck"
@@ -35,51 +37,95 @@ def _write_tree(tmp_path, files):
     return tmp_path
 
 
+def graph_of(tree):
+    return run_simcheck([tree], root=tree).graph
+
+
 # ----------------------------------------------------------------------
 # FLOW fixtures: the fig04 dropped-seed regression and worker state
 # ----------------------------------------------------------------------
 
 def test_fig04_dropped_seed_regression():
-    """The exact bug class PR 3 fixed in fig04 must keep firing."""
-    result = analyze([FIXTURES / "fig04_dropped_seed.py"], root=FIXTURES)
-    assert codes(result.active) == ["FLOW001"]
-    # Forwarding by keyword, by position and via a tainted expression
-    # are all clean; only the bare call fires.
+    """The exact bug class fixed in fig04 must keep firing."""
+    result = run_simcheck([FIXTURES / "fig04_dropped_seed.py"], root=FIXTURES)
+    # Forwarding by keyword, by position and by `**` is clean; the bare
+    # call and the call that passes only a seed-derived plan fire.
+    assert codes(result.active) == ["FLOW001", "FLOW001"]
     assert codes(result.suppressed) == ["FLOW001"]
     text = (FIXTURES / "fig04_dropped_seed.py").read_text().splitlines()
     for finding in result.active:
-        assert "finding:" in text[finding.line - 1]
+        assert "finding: FLOW001" in text[finding.line - 1]
+    assert "run_cell" in result.active[1].message
 
 
 def test_flow_worker_state_and_reseed():
-    result = analyze([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
-    assert sorted(codes(result.active)) == ["FLOW002", "FLOW003"]
+    result = run_simcheck([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
+    assert sorted(codes(result.active)) == ["FLOW002", "FLOW003", "SIM002"]
     text = (FIXTURES / "flow_worker_state.py").read_text().splitlines()
     for finding in result.active:
-        assert "finding:" in text[finding.line - 1]
+        assert f"finding: {finding.code}" in text[finding.line - 1]
 
 
-def test_analyze_parses_each_file_once(monkeypatch):
-    import ast
+def test_unseeded_rng_is_one_finding():
+    """`default_rng()` in a seeded method is SIM002's alone."""
+    result = run_simcheck([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
+    text = (FIXTURES / "flow_worker_state.py").read_text().splitlines()
+    line = next(
+        i for i, src in enumerate(text, start=1) if "default_rng()" in src
+    )
+    assert [f.code for f in result.findings if f.line == line] == ["SIM002"]
 
-    parsed = []
-    real_parse = ast.parse
 
-    def counting_parse(source, filename="<unknown>", *args, **kwargs):
-        parsed.append(filename)
-        return real_parse(source, filename, *args, **kwargs)
+def test_flow_columns_are_one_based():
+    result = run_simcheck([FIXTURES / "fig04_dropped_seed.py"], root=FIXTURES)
+    tree = ast.parse((FIXTURES / "fig04_dropped_seed.py").read_text())
+    calls = {
+        node.lineno: node.col_offset
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("make_workload", "run_cell")
+    }
+    assert result.findings
+    for finding in result.findings:
+        assert finding.col == calls[finding.line] + 1
 
-    monkeypatch.setattr(ast, "parse", counting_parse)
-    result = analyze([FIXTURES], root=FIXTURES)
-    assert result.files == 2
-    assert sorted(Path(p).name for p in parsed) == [
-        "fig04_dropped_seed.py",
-        "flow_worker_state.py",
-    ]
+
+def test_ignore_flow_codes_inline_and_file_wide(tmp_path):
+    tree = _write_tree(
+        tmp_path,
+        {
+            "mod.py": """
+            # simcheck: ignore-file[FLOW003] fixture: a deliberate worker log
+            LOG = []
+
+
+            class ExperimentSpec:
+                def __init__(self, name, runner):
+                    self.runner = runner
+
+
+            def helper(seed=0):
+                return seed
+
+
+            def run_exp(seed=0):
+                LOG.append(seed)
+                return helper()  # simcheck: ignore[FLOW001] fixture
+
+
+            def _build():
+                return ExperimentSpec(name="exp", runner=run_exp)
+            """
+        },
+    )
+    result = run_simcheck([tree], root=tree)
+    assert result.active == []
+    assert sorted(codes(result.suppressed)) == ["FLOW001", "FLOW003"]
 
 
 def test_flow_worker_entry_point_registered():
-    result = analyze([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
+    result = run_simcheck([FIXTURES / "flow_worker_state.py"], root=FIXTURES)
     assert result.graph.entry_points == {
         "fixture-exp": "flow_worker_state.py::run_exp"
     }
@@ -108,7 +154,7 @@ def test_callgraph_decorator_edges(tmp_path):
             """
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     calls = graph.callees_of("mod.py::root")
     assert any(
         s.callee == "mod.py::helper" and s.kind == "call" for s in calls
@@ -136,7 +182,7 @@ def test_callgraph_partial_targets(tmp_path):
             """
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     sites = graph.callees_of("mod.py::build")
     assert any(
         s.callee == "mod.py::worker" and s.kind == "partial" for s in sites
@@ -163,7 +209,7 @@ def test_callgraph_registry_entry_points(tmp_path):
             """
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     assert graph.entry_points == {"fig09": "mod.py::run_fig09"}
     # The runner reference is also a real edge (kind "ref").
     sites = graph.callees_of("mod.py::_build")
@@ -187,7 +233,7 @@ def test_callgraph_getattr_constant_resolution(tmp_path):
             """
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     sites = graph.callees_of("mod.py::dispatch")
     assert any(
         s.callee == "mod.py::Engine.access" and s.kind == "getattr"
@@ -223,7 +269,7 @@ def test_callgraph_container_element_inference(tmp_path):
             """,
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     sites = graph.callees_of("pipeline.py::Pipeline.run")
     apply_sites = [s for s in sites if s.callee == "stage.py::Stage.apply"]
     assert apply_sites
@@ -262,14 +308,14 @@ def test_callgraph_cycles_terminate(tmp_path):
             """
         },
     )
-    graph = build_callgraph([tree], root=tree)
+    graph = graph_of(tree)
     assert any(s.callee == "mod.py::pong" for s in graph.callees_of("mod.py::ping"))
     assert any(s.callee == "mod.py::ping" for s in graph.callees_of("mod.py::pong"))
     # The lab-worker reachability walk crosses the cycle and stops.
     reachable = worker_reachable(graph)
     assert {"mod.py::root", "mod.py::ping", "mod.py::pong"} <= set(reachable)
     assert set(reachable.values()) == {"cycle"}
-    assert analyze([tree], root=tree).active == []
+    assert run_simcheck([tree], root=tree).active == []
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +361,13 @@ def order_tree(tmp_path_factory):
     )
 
 
+def _graph_of_files(files, root):
+    """The graph of *files*, parsed and handed over in their given order."""
+    return build_callgraph(
+        {f.relative_to(root).as_posix(): ast.parse(f.read_text()) for f in files}
+    )
+
+
 def _graph_snapshot(graph):
     return (
         sorted(graph.functions),
@@ -332,56 +385,61 @@ def _graph_snapshot(graph):
 def test_graph_stable_under_input_order(order_tree, perm):
     """The graph is a pure function of the file *set*, not its order."""
     files = sorted(order_tree.glob("*.py"))
-    baseline = _graph_snapshot(build_callgraph(files, root=order_tree))
+    baseline = _graph_snapshot(_graph_of_files(files, order_tree))
     shuffled = [files[i] for i in perm]
-    assert _graph_snapshot(build_callgraph(shuffled, root=order_tree)) == baseline
+    assert _graph_snapshot(_graph_of_files(shuffled, order_tree)) == baseline
 
 
 # ----------------------------------------------------------------------
-# CLI: exit codes and machine-readable output
+# CLI: `repro check` on the FLOW fixtures, `repro deepcheck graph`
 # ----------------------------------------------------------------------
 
 def test_cli_report_exit_codes(capsys):
-    rc = deepcheck_main(["report", str(FIXTURES / "fig04_dropped_seed.py")])
+    rc = repro_main(["check", str(FIXTURES / "fig04_dropped_seed.py")])
     assert rc == 1
     out = capsys.readouterr().out
     assert "FLOW001" in out
-    assert "1 findings (1 suppressed)" in out
+    assert "2 finding(s), 1 suppressed" in out
 
 
 def test_cli_report_json(capsys):
-    rc = deepcheck_main(["report", "--json", str(FIXTURES)])
+    rc = repro_main(["check", "--json", str(FIXTURES)])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {"summary", "findings", "suppressed"} <= set(payload)
-    assert payload["summary"]["findings"] == len(payload["findings"])
+    assert {"files", "findings", "suppressed"} <= set(payload)
     assert {f["code"] for f in payload["findings"]} == {
         "FLOW001",
         "FLOW002",
         "FLOW003",
+        "SIM002",
     }
 
 
 def test_cli_report_github_mode(capsys):
-    rc = deepcheck_main(
-        ["report", "--github", str(FIXTURES / "fig04_dropped_seed.py")]
+    rc = repro_main(
+        ["check", "--github", str(FIXTURES / "fig04_dropped_seed.py")]
     )
     assert rc == 1
-    out = capsys.readouterr().out
-    assert "::error file=" in out
+    lines = capsys.readouterr().out.splitlines()
+    # `    bad = make_workload(64)`: the call starts at 0-based column 10.
+    assert lines[0].startswith("::error file=")
+    assert ",line=23,col=11,title=FLOW001::" in lines[0]
 
 
 def test_cli_report_list_rules(capsys):
-    rc = deepcheck_main(["report", "--list-rules"])
+    rc = repro_main(["check", "--list-rules"])
     assert rc == 0
     out = capsys.readouterr().out
     listed = [line.split()[0] for line in out.splitlines()]
-    assert listed == sorted(DEEP_RULES) == ["FLOW001", "FLOW002", "FLOW003"]
+    assert listed == sorted(RULES)
+    assert {"FLOW001", "FLOW002", "FLOW003", "SIM001", "SIM401"} <= set(listed)
+    assert "SIM101" not in listed
 
 
 def test_cli_graph_pattern(capsys):
-    rc = deepcheck_main(
+    rc = repro_main(
         [
+            "deepcheck",
             "graph",
             "--pattern",
             "run_fig04",
@@ -391,30 +449,32 @@ def test_cli_graph_pattern(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "run_fig04" in out and "make_workload" in out
-    rc = deepcheck_main(["graph", "--pattern", "no_such_symbol", str(FIXTURES)])
+    rc = repro_main(
+        ["deepcheck", "graph", "--pattern", "no_such_symbol", str(FIXTURES)]
+    )
     assert rc == 1
 
 
 # ----------------------------------------------------------------------
-# Shipped tree: clean with nothing suppressed
+# Shipped tree: no FLOW finding, active or suppressed
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def shipped():
-    return analyze([SRC_REPRO], root=SRC_REPRO.parent)
+    return run_simcheck([SRC_REPRO], root=SRC_REPRO.parent)
 
 
 def test_shipped_tree_is_deepcheck_clean(shipped):
-    details = "\n".join(f.text() for f in shipped.active)
-    assert shipped.active == [], details
-    assert shipped.suppressed == []
+    flow = [f for f in shipped.findings if f.code.startswith("FLOW")]
+    assert flow == [], "\n".join(f.text() for f in flow)
 
 
 def test_shipped_graph_covers_tree(shipped):
-    assert shipped.files > 100
-    assert shipped.n_functions > 800
-    assert shipped.n_edges > 1000
-    assert shipped.n_entry_points >= 20  # the lab registry's figures
+    graph = shipped.graph
+    assert shipped.files == graph.files > 100
+    assert len(graph.functions) > 800
+    assert graph.n_edges() > 1000
+    assert len(graph.entry_points) >= 20  # the lab registry's figures
 
 
 # ----------------------------------------------------------------------
@@ -471,22 +531,18 @@ def test_repro_check_rule_filtering_cli():
 
 
 # ----------------------------------------------------------------------
-# `repro deepcheck` wired into the main CLI
+# `repro deepcheck graph` wired into the main CLI; `report` is gone
 # ----------------------------------------------------------------------
 
 def test_repro_deepcheck_subcommand():
     env = {"PYTHONPATH": str(SRC_REPRO.parent), "PATH": "/usr/bin:/bin"}
+    base = [sys.executable, "-m", "repro", "deepcheck"]
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "deepcheck",
-            "report",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
+        base + ["graph"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 findings" in proc.stdout
+    assert "deepcheck graph:" in proc.stdout
+    gone = subprocess.run(
+        base + ["report"], capture_output=True, text=True, env=env
+    )
+    assert gone.returncode == 2

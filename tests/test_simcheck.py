@@ -1,7 +1,10 @@
-"""simcheck linter: per-rule fixtures, suppressions, outputs, and the
-guarantee that the shipped tree itself is clean."""
+"""simcheck (`repro check`): per-rule fixtures, suppressions, outputs,
+one parse per file, and the guarantee that the shipped tree itself is
+clean under every rule."""
 
+import ast
 import json
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -17,6 +20,7 @@ from repro.analysis.simcheck import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "simcheck"
+FLOW_FIXTURES = Path(__file__).parent / "fixtures" / "deepcheck"
 SRC_REPRO = Path(__file__).parent.parent / "src" / "repro"
 
 
@@ -39,7 +43,6 @@ def codes(findings):
         ("sim001_nondet.py", "SIM001", 4),
         ("sim002_unseeded.py", "SIM002", 2),
         ("sim003_set_iter.py", "SIM003", 2),
-        ("sim101_seed_thread.py", "SIM101", 1),
         ("sim102_typing_lie.py", "SIM102", 2),
         ("sim401_fault_rng.py", "SIM401", 2),
     ],
@@ -334,3 +337,76 @@ def test_shipped_tree_is_clean():
     # wall-clock-provenance or shared-serializer cases — keep the
     # count pinned so new ones are conscious decisions.
     assert len(result.suppressed) == 12
+    assert {f.code for f in result.suppressed} == {"SIM001", "SIM302"}
+
+
+def test_every_rule_runs_on_one_parse_per_file(tmp_path, monkeypatch):
+    """One `run_simcheck` parses each file once and fires every rule."""
+    for fixture in sorted(FIXTURES.glob("*.py")) + sorted(
+        FLOW_FIXTURES.glob("*.py")
+    ):
+        shutil.copy(fixture, tmp_path / fixture.name)
+    files = dict(PARITY_OK)
+    files["cachesim/engine.py"] = """
+        class FastEngine:
+            def read(self, core, address):
+                pass
+
+            def write(self, core, address):
+                pass
+        """
+    files.update(HYGIENE_OK)
+    files["experiments/fig98.py"] = """
+        def run_fig98(seed=0):
+            return {}
+        """
+    _write_tree(tmp_path, files)
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(Path(filename).relative_to(tmp_path).as_posix())
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    result = run_simcheck([tmp_path], root=tmp_path)
+    assert sorted(parsed) == sorted(
+        p.relative_to(tmp_path).as_posix() for p in collect_files([tmp_path])
+    )
+    assert result.files == len(parsed)
+    assert {f.code for f in result.findings} == set(RULES)
+
+
+def test_analysers_stay_off_the_product_import_path():
+    probe = (
+        "import sys, repro.cachesim.hierarchy; "
+        "print(*sorted(m for m in sys.modules if m.startswith('repro.analysis')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC_REPRO.parent), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The sanitizer is the product's one analysis import.
+    assert proc.stdout.split() == ["repro.analysis", "repro.analysis.sanitizer"]
+
+
+def test_python_m_repro_analysis_is_repro_check():
+    """Both spellings are one command, defaulting to the installed
+    package from any working directory."""
+    env = {"PYTHONPATH": str(SRC_REPRO.parent), "PATH": "/usr/bin:/bin"}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", *prefix],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd="/",
+        )
+        for prefix in (["repro.analysis"], ["repro", "check"])
+    ]
+    assert [p.returncode for p in outputs] == [0, 0], outputs[0].stderr
+    assert outputs[0].stdout == outputs[1].stdout
+    assert "0 finding(s), 12 suppressed" in outputs[0].stdout

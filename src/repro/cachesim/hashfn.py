@@ -13,11 +13,20 @@ published; :class:`ModularSliceHash` is our documented substitution — a
 deterministic, uniform, line-granularity mixer reduced modulo the slice
 count.  It preserves the properties the paper relies on: stable mapping,
 64 B granularity, and near-uniform distribution across slices.
+
+Both families also invert in closed form over their own block grid:
+``block_offsets`` gives, for a run of aligned blocks, the first line
+of each that maps to a given slice.  The XOR hash inverts by linearity
+(exact for power-of-two blocks aligned to their size), the modular
+hash by the modular inverse of its per-block multiplier (exact for
+blocks made of whole ``n_slices``-line hash blocks).  Off that grid
+``block_offsets`` returns None and callers probe line by line, as
+they must for any hash that has no ``block_offsets`` at all.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 from repro.mem.address import CACHE_LINE_BITS, parity
 
@@ -98,6 +107,45 @@ class ComplexAddressingHash:
             out |= bit << np.uint8(position)
         return out
 
+    def block_offsets(
+        self, base: int, n_blocks: int, block_lines: int, target: int
+    ) -> "Optional[numpy.ndarray]":
+        """First line of slice *target* in each of *n_blocks* blocks.
+
+        The blocks are ``block_lines`` lines each, back to back from
+        *base*.  Entry *k* is the offset (in lines) of block *k*'s
+        first *target* line, or ``-1`` where the block has none.
+
+        Closed form by linearity over GF(2): a base aligned to
+        ``2**k`` lines has zero low line bits, so ``slice(base + 64j)
+        = slice(base) ^ slice(64j)`` for ``j < 2**k``, and one table of
+        each ``slice(64j)``'s first ``j`` maps ``slice(base) ^ target``
+        to the offset.  For the published 2/4/8-slice masks the low
+        bits' matrix is the identity, so ``j = slice(base) ^ target``.
+        Exact only on that grid: returns None (probe the blocks
+        instead) when *block_lines* is not a power of two, *base* is
+        not aligned to it, or *target* is not a slice.
+        """
+        import numpy as np
+
+        block_bytes = block_lines << CACHE_LINE_BITS
+        if (
+            block_lines & (block_lines - 1)
+            or base % block_bytes
+            or not 0 <= target < self.n_slices
+        ):
+            return None
+        low = self.slice_of_array(
+            np.arange(block_lines, dtype=np.uint64) << np.uint64(CACHE_LINE_BITS)
+        )
+        first = np.full(self.n_slices, -1, dtype=np.int64)
+        slices, at = np.unique(low, return_index=True)
+        first[slices] = at
+        bases = np.uint64(base) + np.arange(n_blocks, dtype=np.uint64) * np.uint64(
+            block_bytes
+        )
+        return first[self.slice_of_array(bases) ^ np.uint8(target)]
+
     def output_bit(self, phys_address: int, position: int) -> int:
         """Return one output bit of the hash (used by the RE tooling)."""
         return parity(phys_address & self.masks[position])
@@ -140,6 +188,7 @@ class ModularSliceHash:
         self._coprimes = [
             a for a in range(1, max(2, n_slices)) if _gcd(a, n_slices) == 1
         ] or [1]
+        self._inverses = [pow(a, -1, n_slices) for a in self._coprimes]
 
     def _mix(self, block: int) -> int:
         z = (block + self.seed) & self._MASK64
@@ -157,6 +206,18 @@ class ModularSliceHash:
         b = (r >> 16) % self.n_slices
         return (a * index + b) % self.n_slices
 
+    def _coefficients(self, blocks) -> "Tuple[numpy.ndarray, numpy.ndarray]":
+        """Vectorised per-block ``(index into _coprimes, b)``."""
+        import numpy as np
+
+        with np.errstate(over="ignore"):
+            z = blocks + np.uint64(self.seed & self._MASK64)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            z ^= z >> np.uint64(31)
+        choice = (z % np.uint64(len(self._coprimes))).astype(np.int64)
+        return choice, (z >> np.uint64(16)) % np.uint64(self.n_slices)
+
     def slice_of_array(self, phys_addresses) -> "numpy.ndarray":
         """Vectorised :meth:`slice_of` over a numpy array of addresses."""
         import numpy as np
@@ -164,18 +225,41 @@ class ModularSliceHash:
         addresses = np.asarray(phys_addresses, dtype=np.uint64)
         lines = addresses >> np.uint64(CACHE_LINE_BITS)
         n = np.uint64(self.n_slices)
-        blocks = lines // n
-        indices = lines % n
-        mask64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-        with np.errstate(over="ignore"):
-            z = (blocks + np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)) & mask64
-            z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & mask64
-            z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & mask64
-            z ^= z >> np.uint64(31)
-        coprimes = np.array(self._coprimes, dtype=np.uint64)
-        a = coprimes[(z % np.uint64(len(coprimes))).astype(np.int64)]
-        b = (z >> np.uint64(16)) % n
-        return ((a * indices + b) % n).astype(np.uint8)
+        choice, b = self._coefficients(lines // n)
+        a = np.array(self._coprimes, dtype=np.uint64)[choice]
+        return ((a * (lines % n) + b) % n).astype(np.uint8)
+
+    def block_offsets(
+        self, base: int, n_blocks: int, block_lines: int, target: int
+    ) -> "Optional[numpy.ndarray]":
+        """First line of slice *target* in each of *n_blocks* blocks.
+
+        The blocks are ``block_lines`` lines each, back to back from
+        *base*; entry *k* is block *k*'s offset (in lines).  Closed
+        form: a hash block's permutation ``a*i + b mod n`` inverts to
+        ``i = (target - b) * a^-1 mod n``, and a window made of whole
+        hash blocks holds its first *target* line in its first hash
+        block.  Exact only on that grid: returns None (probe the
+        blocks instead) when *block_lines* is not a multiple of
+        ``n_slices``, *base* is not aligned to ``n_slices`` lines, or
+        *target* is not a slice.
+        """
+        import numpy as np
+
+        n = self.n_slices
+        if (
+            block_lines % n
+            or base % (n << CACHE_LINE_BITS)
+            or not 0 <= target < n
+        ):
+            return None
+        blocks = np.uint64((base >> CACHE_LINE_BITS) // n) + np.arange(
+            n_blocks, dtype=np.uint64
+        ) * np.uint64(block_lines // n)
+        choice, b = self._coefficients(blocks)
+        a_inverse = np.array(self._inverses, dtype=np.uint64)[choice]
+        offsets = (np.uint64(target + n) - b) * a_inverse % np.uint64(n)
+        return offsets.astype(np.int64)
 
     def __repr__(self) -> str:
         return f"ModularSliceHash(n_slices={self.n_slices}, seed={self.seed:#x})"

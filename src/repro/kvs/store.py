@@ -66,8 +66,11 @@ class KvsStore:
         self._index_base = index_page.phys
         n_value_lines = n_keys * self.lines_per_value
         if slice_aware:
-            # The XOR hash guarantees one line per slice in every
-            # aligned n_slices-line block; other hashes get headroom.
+            # Both hash families place one line per slice in every
+            # aligned n_slices-line block, so n_slices-line blocks
+            # would do for either.  The modular hash keeps its 4*n
+            # window only because the fleet-zipf digest and the fleet
+            # goldens pin the value addresses it yields.
             # Values larger than one line scatter over consecutive
             # slice-local lines — §8's linked-list scheme.
             from repro.cachesim.hashfn import ComplexAddressingHash

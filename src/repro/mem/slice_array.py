@@ -6,6 +6,13 @@ a region lives inside block *k* — no scanning or free lists needed.
 This is the workhorse behind large slice-aware arrays (the KVS value
 store, the Fig. 6/7 micro-benchmarks): the cost is an ``n_slices``-fold
 larger physical address span, the "memory fragmentation" §7 mentions.
+
+Which line of a block is the slice-local one is computed, not
+searched: both hash families invert in closed form over their own
+block grid (``block_offsets`` in :mod:`repro.cachesim.hashfn` — the
+XOR hash by linearity, the modular hash by a modular inverse).  A hash
+without that inverse (a test double, the recovered-hash adapter) or a
+window off its grid falls back to probing each block line by line.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ import numpy as np
 from repro.cachesim.hashfn import SliceHash
 from repro.mem.address import CACHE_LINE
 
+#: Blocks resolved per closed-form call: bounds the numpy temporaries
+#: of a first use, whatever the array's length.
+_FILL_CHUNK = 1 << 16
+
 
 class SliceLocalArray:
     """O(1)-addressable array of cache lines in one LLC slice.
@@ -26,9 +37,10 @@ class SliceLocalArray:
         n_lines: number of slice-local lines (array capacity).
         slice_hash: the machine's hash.
         target_slice: slice every line must map to.
-        block_lines: lines per search block; with the XOR hash the
-            target always appears within ``n_slices`` lines, other
-            hashes may need more (a LookupError reports exhaustion).
+        block_lines: lines per block; both hash families place one
+            line per slice in every aligned ``n_slices``-line block, so
+            ``n_slices`` suffices for them.  A block without a
+            target-slice line raises LookupError on first use.
     """
 
     def __init__(
@@ -50,16 +62,14 @@ class SliceLocalArray:
         if base_phys % CACHE_LINE:
             raise ValueError(f"base {base_phys:#x} must be line-aligned")
         # Blocks must align with the hash's own block grid (anchored at
-        # address 0 for both hash families): an unaligned probe window
-        # can straddle two hash blocks and miss the target slice.
+        # address 0 for both hash families): an unaligned window can
+        # straddle two hash blocks and miss the target slice.
         remainder = base_phys % self.block_bytes
         self.base_phys = base_phys + (self.block_bytes - remainder if remainder else 0)
         self.n_lines = n_lines
-        # Per-index probe offsets, built lazily in one vectorised pass
-        # (a flat list, not a dict — ~8 B/entry even for multi-million
-        # line arrays).  ``None`` marks blocks the vector pass could
-        # not resolve; they fall back to the scalar probe.
-        self._offsets: Optional[List[Optional[int]]] = None
+        # Per-block line offsets, resolved on first use (a flat list,
+        # not a dict — ~8 B/entry even for multi-million line arrays).
+        self._offsets: Optional[List[int]] = None
 
     @property
     def span_bytes(self) -> int:
@@ -73,73 +83,62 @@ class SliceLocalArray:
         offsets = self._offsets
         if offsets is None:
             offsets = self._fill_offsets()
-        offset = offsets[index]
-        block_base = self.base_phys + index * self.block_bytes
-        if offset is None:
-            offset = self._probe(block_base)
-            offsets[index] = offset
-        return block_base + offset * CACHE_LINE
+        return self.base_phys + index * self.block_bytes + offsets[index] * CACHE_LINE
 
     def line_addresses(self) -> np.ndarray:
         """Every line's physical address, as one ``uint64`` vector.
 
-        Equal to ``[line_address(i) for i in range(n_lines)]``, built
-        from the vectorised probe offsets; blocks that pass left
-        unresolved go through :meth:`line_address` one at a time.
+        Equal to ``[line_address(i) for i in range(n_lines)]``.
         """
         offsets = self._offsets
         if offsets is None:
             offsets = self._fill_offsets()
-        if None in offsets:
-            for index, offset in enumerate(offsets):
-                if offset is None:
-                    self.line_address(index)
         block_bases = np.uint64(self.base_phys) + np.arange(
             self.n_lines, dtype=np.uint64
         ) * np.uint64(self.block_bytes)
         return block_bases + np.array(offsets, dtype=np.uint64) * np.uint64(CACHE_LINE)
 
-    def _fill_offsets(self) -> List[Optional[int]]:
-        """Probe every block in one vectorised pass over the hash.
+    def _fill_offsets(self) -> List[int]:
+        """Resolve every block's offset, on first use.
 
-        Replaces up to ``n_lines * block_lines`` scalar ``slice_of``
-        calls with chunked ``slice_of_array`` sweeps on first use;
-        blocks missing the target slice are left to the scalar path so
-        :meth:`_probe` still raises its diagnostic LookupError.
+        Asks the hash's closed-form ``block_offsets`` one chunk of
+        blocks at a time; where the hash has none, or declines this
+        window, each block goes through :meth:`_probe`.  A block
+        without a target-slice line raises :meth:`_probe`'s
+        LookupError either way.
         """
-        offsets: List[Optional[int]] = [None] * self.n_lines
-        self._offsets = offsets
-        slice_of_array = getattr(self.hash, "slice_of_array", None)
-        if slice_of_array is None:
-            return offsets
-        block_lines = self.block_lines
-        line_offsets = np.arange(block_lines, dtype=np.uint64) * np.uint64(CACHE_LINE)
-        chunk = max(1, (1 << 21) // block_lines)
-        for start in range(0, self.n_lines, chunk):
-            count = min(chunk, self.n_lines - start)
-            bases = (
-                np.uint64(self.base_phys)
-                + np.arange(start, start + count, dtype=np.uint64)
-                * np.uint64(self.block_bytes)
+        block_offsets = getattr(self.hash, "block_offsets", None)
+        offsets: List[int] = []
+        for start in range(0, self.n_lines, _FILL_CHUNK):
+            count = min(_FILL_CHUNK, self.n_lines - start)
+            base = self.base_phys + start * self.block_bytes
+            chunk = (
+                block_offsets(base, count, self.block_lines, self.target_slice)
+                if block_offsets is not None
+                else None
             )
-            slices = slice_of_array(bases[:, None] + line_offsets[None, :])
-            matches = slices == self.target_slice
-            found = matches.any(axis=1)
-            offs = matches.argmax(axis=1).tolist()
-            if found.all():
-                offsets[start : start + count] = offs
-            else:
-                for i, ok in enumerate(found.tolist()):
-                    if ok:
-                        offsets[start + i] = offs[i]
+            if chunk is None:
+                offsets += [
+                    self._probe(base + k * self.block_bytes) for k in range(count)
+                ]
+                continue
+            missing = np.flatnonzero(chunk < 0)
+            if missing.size:
+                raise self._exhausted(base + int(missing[0]) * self.block_bytes)
+            offsets += chunk.tolist()
+        self._offsets = offsets
         return offsets
 
     def _probe(self, block_base: int) -> int:
+        """First target-slice line of one block, by hashing each line."""
         slice_of = self.hash.slice_of
         for off in range(self.block_lines):
             if slice_of(block_base + off * CACHE_LINE) == self.target_slice:
                 return off
-        raise LookupError(
+        raise self._exhausted(block_base)
+
+    def _exhausted(self, block_base: int) -> LookupError:
+        return LookupError(
             f"no line of slice {self.target_slice} within "
             f"{self.block_lines} lines of {block_base:#x}"
         )

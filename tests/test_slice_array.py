@@ -1,11 +1,17 @@
 """Unit tests for O(1) slice-local arrays."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cachesim.hashfn import ModularSliceHash, haswell_complex_hash
+from repro.cachesim.hashfn import (
+    ComplexAddressingHash,
+    ModularSliceHash,
+    haswell_complex_hash,
+)
 from repro.mem.address import CACHE_LINE
 from repro.mem.slice_array import SliceLocalArray
 
@@ -137,13 +143,18 @@ def test_line_addresses_match_line_address(
             block_lines=blocks_per_hash_block * slice_hash.n_slices,
         )
 
-    scalar = make()
-    expected = [scalar.line_address(i) for i in range(n_lines)]
+    probed = make()
+    expected = [
+        block_base + probed._probe(block_base) * CACHE_LINE
+        for block_base in _block_bases(probed)
+    ]
     vector = make()
     addresses = vector.line_addresses()
     assert addresses.dtype == np.uint64
     assert addresses.tolist() == expected
     assert [vector.line_address(i) for i in range(n_lines)] == expected
+    scalar = make()
+    assert [scalar.line_address(i) for i in range(n_lines)] == expected
 
 
 def test_line_addresses_probe_exhaustion_raises():
@@ -156,3 +167,110 @@ def test_line_addresses_probe_exhaustion_raises():
     array = SliceLocalArray(0, 4, StubbornHash(), target_slice=3, block_lines=8)
     with pytest.raises(LookupError):
         array.line_addresses()
+
+
+def _block_bases(array):
+    return [array.base_phys + k * array.block_bytes for k in range(array.n_lines)]
+
+
+def _probed_offsets(array):
+    """The oracle: each block's first target line by scalar probe
+    (``-1`` where the block has none)."""
+    offsets = []
+    for block_base in _block_bases(array):
+        try:
+            offsets.append(array._probe(block_base))
+        except LookupError:
+            offsets.append(-1)
+    return offsets
+
+
+def _assert_fill_matches_probe(array):
+    expected = _probed_offsets(array)
+    if -1 in expected:
+        with pytest.raises(LookupError):
+            array.line_address(0)
+    else:
+        assert array._fill_offsets() == expected
+
+
+#: Both output bits read line bits 0 and 1 as one parity, so the low
+#: bits' matrix is singular: a block reaches only half the slices, and
+#: which half flips with address bit 20.
+SINGULAR_XOR = ComplexAddressingHash([0b11 << 6, (0b11 << 6) | (1 << 20)])
+
+ORACLE_HASHES = {
+    **{f"xor-{n}": haswell_complex_hash(n) for n in (2, 4, 8)},
+    **{f"modular-{n}": ModularSliceHash(n) for n in (6, 12, 18, 28)},
+    "xor-singular": SINGULAR_XOR,
+    "scalar-only": ScalarOnlyHash(),
+}
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("name", sorted(ORACLE_HASHES))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    base_line=st.integers(0, 1 << 28),
+    n_lines=st.integers(1, 48),
+    blocks_per_hash_block=st.sampled_from([1, 2, 4]),
+)
+def test_closed_form_offsets_match_probe(
+    name, base_line, n_lines, blocks_per_hash_block
+):
+    """For every target slice and block, the hash's closed-form inverse
+    picks the line the scalar probe finds first."""
+    slice_hash = ORACLE_HASHES[name]
+    block_lines = blocks_per_hash_block * slice_hash.n_slices
+    for target in range(slice_hash.n_slices):
+        array = SliceLocalArray(
+            base_line * CACHE_LINE, n_lines, slice_hash, target, block_lines
+        )
+        if hasattr(slice_hash, "block_offsets"):
+            closed = slice_hash.block_offsets(
+                array.base_phys, n_lines, block_lines, target
+            )
+            assert closed.tolist() == _probed_offsets(array)
+        _assert_fill_matches_probe(array)
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize(
+    "name, block_lines",
+    [
+        ("xor-8", 12),  # not a power of two: probed
+        ("xor-8", 4),  # on the grid, short of a slice per block
+        ("xor-singular", 4),  # singular: some blocks have no target line
+        ("xor-singular", 12),
+        ("modular-18", 27),  # straddles the 18-line hash blocks: probed
+        ("modular-12", 8),  # shorter than a hash block: probed
+    ],
+)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(base_line=st.integers(0, 1 << 28), n_lines=st.integers(1, 48))
+def test_window_off_the_hash_block_matches_probe(name, block_lines, base_line, n_lines):
+    slice_hash = ORACLE_HASHES[name]
+    for target in range(slice_hash.n_slices):
+        _assert_fill_matches_probe(
+            SliceLocalArray(
+                base_line * CACHE_LINE, n_lines, slice_hash, target, block_lines
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "slice_hash, n_lines, block_lines",
+    [(haswell_complex_hash(8), 1 << 18, 8), (ModularSliceHash(18), 16384, 72)],
+    ids=["xor-2^18x8", "modular-16kx72"],
+)
+def test_first_use_memory_is_bounded(slice_hash, n_lines, block_lines):
+    """Resolving the offsets allocates the offset table, not a
+    lines-by-block-lines probe sweep."""
+    array = SliceLocalArray(0, n_lines, slice_hash, target_slice=0, block_lines=block_lines)
+    tracemalloc.start()
+    try:
+        array.line_address(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"first line_address peaked at {peak / 2**20:.1f} MiB"

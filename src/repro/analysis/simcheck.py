@@ -31,6 +31,8 @@ FLOW001 a seed/rng in scope is not bound to a resolved callee's
         defaulted ``seed``/``rng`` parameter (the fig04 dropped seed)
 FLOW002 an RNG re-seeded from constant arguments in a seeded context
 FLOW003 module-level state mutated on a lab-worker path
+SIM501  public def in ``src/repro`` that nothing in ``src/repro``
+        references (whole-package scans only)
 ======= ================================================================
 
 Suppressions
@@ -44,7 +46,10 @@ in particular, is silenced file-wide with
 ``# simcheck: ignore-file[CODE]`` anywhere in the file.  A module that
 is deliberately a support library rather than an experiment entry
 point can opt out of SIM301/SIM302 with a
-``# simcheck: support-module`` comment anywhere in the file.
+``# simcheck: support-module`` comment anywhere in the file.  A public
+def kept on purpose against SIM501 says why after the bracket on its
+``def`` line, starting with one of five reasons: ``oracle``,
+``e2ebench``, ``paper claim``, ``example`` or ``probe``.
 
 Run it as ``repro check`` (or ``python -m repro.analysis``); see
 ``docs/CHECKS.md`` for the full rule catalogue and CI wiring.
@@ -91,6 +96,7 @@ RULES: Dict[str, str] = {
     "FLOW001": "seed/rng in scope but not forwarded across a call boundary",
     "FLOW002": "RNG re-seeded from constants inside a seeded context",
     "FLOW003": "module-level state mutated on a lab-worker path",
+    "SIM501": "public def that nothing else in the package references",
 }
 
 #: Dotted call targets that introduce nondeterminism (after normalising
@@ -615,6 +621,97 @@ def _check_experiment_hygiene(files: Sequence[_SourceFile]) -> List[Finding]:
     return findings
 
 
+def _package_root(paths: Sequence[Path]) -> Optional[Path]:
+    """The ``repro`` package directory when *paths* scan all of it.
+
+    SIM501 asks whether anything in the package names a def, which a
+    partial scan cannot answer.
+    """
+    for path in paths:
+        if path.resolve().name == "repro" and (path / "__init__.py").is_file():
+            return path
+    return None
+
+
+def _is_all_assign(node: ast.AST) -> bool:
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _name_uses(node: ast.AST, reexport: bool = False) -> Iterable[str]:
+    """Every identifier *node* references: names, attributes and
+    identifier strings (``getattr`` and registry lookups).
+
+    ``__all__`` lists and plain imports are declarations, not uses; an
+    import renamed with ``as`` is a use of the original name, except
+    in a *reexport* module (an ``__init__.py``).
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value
+        elif isinstance(node, ast.alias):
+            if node.asname is not None and not reexport:
+                yield node.name
+        elif _is_all_assign(node):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _public_defs(node: ast.AST, prefix: str = "") -> Iterable[Tuple[str, ast.AST]]:
+    """(qualified name, node) of every public function, class and
+    method outside a function body (``if``/``try`` blocks included).
+    Dunders and ``visit_*`` dispatch targets are exempt."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not child.name.startswith(("_", "visit_")):
+                yield prefix + child.name, child
+            if isinstance(child, ast.ClassDef):
+                yield from _public_defs(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.stmt, ast.excepthandler)):
+            yield from _public_defs(child, prefix)
+
+
+def _check_dead_defs(files: Sequence[_SourceFile], package: Path) -> List[Finding]:
+    """SIM501: a public def whose name nothing else in *package* uses."""
+    pkg_files = [f for f in files if f.path.is_relative_to(package)]
+    uses: Dict[str, int] = {}
+    for src in pkg_files:
+        for name in _name_uses(src.tree, reexport=src.path.name == "__init__.py"):
+            uses[name] = uses.get(name, 0) + 1
+    findings: List[Finding] = []
+    for src in pkg_files:
+        for qualname, node in _public_defs(src.tree):
+            name = qualname.rsplit(".", 1)[-1]
+            own = sum(1 for n in _name_uses(node) if n == name)
+            if uses.get(name, 0) > own:
+                continue
+            kind = "class" if isinstance(node, ast.ClassDef) else "def"
+            findings.append(
+                _finding(
+                    "SIM501",
+                    src.rel,
+                    node,
+                    f"public {kind} `{qualname}` is referenced nowhere "
+                    "else in the package — delete it, or keep it on "
+                    "purpose with an ignore[SIM501] comment naming one "
+                    "of the reasons in docs/CHECKS.md",
+                )
+            )
+    return findings
+
+
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
@@ -698,6 +795,9 @@ def run_simcheck(
         findings.extend(visitor.findings)
     findings.extend(_check_engine_parity(graph))
     findings.extend(_check_experiment_hygiene(files))
+    package = _package_root(paths)
+    if package is not None:
+        findings.extend(_check_dead_defs(files, package))
     findings.extend(
         _finding(code, rel, node, message)
         for code, rel, node, message in analyze_seed_flow(graph)

@@ -33,7 +33,6 @@ from repro.cachesim.hashfn import (
 from repro.cachesim.hierarchy import AccessResult, CacheHierarchy
 from repro.cachesim.interconnect import (
     Interconnect,
-    MeshInterconnect,
     RingInterconnect,
 )
 from repro.cachesim.llc import SlicedLLC
@@ -54,7 +53,6 @@ __all__ = [
     "HASWELL_E5_2667V3",
     "Interconnect",
     "MachineSpec",
-    "MeshInterconnect",
     "ModularSliceHash",
     "RingInterconnect",
     "SKYLAKE_GOLD_6134",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.cachesim.counters import EVENT_DDIO_READS
 from repro.cachesim.hierarchy import CacheHierarchy
-from repro.mem.address import CACHE_LINE, line_address
+from repro.mem.address import CACHE_LINE, iter_lines
 
 
 @dataclass
@@ -79,10 +79,8 @@ class DdioEngine:
             lines = hierarchy.fast_engine().dma_write_span(address, size)
             self.stats.write_lines += lines
             return lines
-        first = line_address(address)
-        last = line_address(address + size - 1)
         lines = 0
-        for line in range(first, last + CACHE_LINE, CACHE_LINE):
+        for line in iter_lines(address, size):
             if self.enabled:
                 hierarchy.dma_fill_line(line)
             else:
@@ -109,11 +107,9 @@ class DdioEngine:
             self.stats.read_hits += hits
             self.stats.read_misses += lines - hits
             return lines
-        first = line_address(address)
-        last = line_address(address + size - 1)
         lines = 0
         llc = self.hierarchy.llc
-        for line in range(first, last + CACHE_LINE, CACHE_LINE):
+        for line in iter_lines(address, size):
             slice_index = llc.hash.slice_of(line)
             llc.counters.count(slice_index, EVENT_DDIO_READS)
             if llc.slices[slice_index].contains(line):

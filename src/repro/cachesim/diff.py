@@ -21,6 +21,7 @@ DDIO loop.  Likewise every packet trace and request stream is charged
 by record/replay (:mod:`repro.net.dataplane`); :func:`per_item_oracle`
 is the one way to charge them through the per-item loops instead.
 """
+# simcheck: ignore-file[SIM501] oracle: the differential harness tests drive
 
 from __future__ import annotations
 

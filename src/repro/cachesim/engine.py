@@ -113,10 +113,6 @@ class BatchResult:
         """Sum of all per-access cycle costs."""
         return int(self.cycles.sum())
 
-    def level_names(self) -> List[str]:
-        """Decode :attr:`levels` into the reference level strings."""
-        return [LEVEL_NAMES[code] for code in self.levels]
-
 
 def _is_scalar(value) -> bool:
     """Whether *value* is one 0-d value (Python or numpy), not a sequence."""

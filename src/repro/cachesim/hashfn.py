@@ -22,6 +22,10 @@ hash by the modular inverse of its per-block multiplier (exact for
 blocks made of whole ``n_slices``-line hash blocks).  Off that grid
 ``block_offsets`` returns None and callers probe line by line, as
 they must for any hash that has no ``block_offsets`` at all.
+
+``slice_of_array`` returns ``uint8`` slice indices, so both families
+reject more than :data:`MAX_SLICES` slices at construction rather than
+wrap past 255 (no shipped machine has more than 18).
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ def _mask_from_bits(bits: Sequence[int]) -> int:
 O0_BITS: Tuple[int, ...] = (6, 10, 12, 14, 16, 17, 18, 20, 22, 24, 25, 26, 27, 28, 30, 32, 33)
 O1_BITS: Tuple[int, ...] = (7, 11, 13, 15, 17, 19, 20, 21, 22, 23, 24, 26, 28, 29, 31, 33, 34)
 O2_BITS: Tuple[int, ...] = (8, 12, 16, 18, 19, 22, 23, 25, 26, 27, 30, 31)
+
+#: Slice indices travel as ``uint8`` through every vectorised path.
+MAX_SLICES = 256
 
 HASWELL_MASKS_2_SLICE: Tuple[int, ...] = (_mask_from_bits(O0_BITS),)
 HASWELL_MASKS_4_SLICE: Tuple[int, ...] = (
@@ -82,6 +89,11 @@ class ComplexAddressingHash:
     def __init__(self, masks: Sequence[int]) -> None:
         if not masks:
             raise ValueError("at least one mask is required")
+        if 1 << len(masks) > MAX_SLICES:
+            raise ValueError(
+                f"{len(masks)} masks give {1 << len(masks)} slices; "
+                f"at most {MAX_SLICES} are supported"
+            )
         self.masks: Tuple[int, ...] = tuple(masks)
         self.n_slices = 1 << len(self.masks)
 
@@ -146,11 +158,11 @@ class ComplexAddressingHash:
         )
         return first[self.slice_of_array(bases) ^ np.uint8(target)]
 
-    def output_bit(self, phys_address: int, position: int) -> int:
+    def output_bit(self, phys_address: int, position: int) -> int:  # simcheck: ignore[SIM501] oracle for slice_of
         """Return one output bit of the hash (used by the RE tooling)."""
         return parity(phys_address & self.masks[position])
 
-    def uses_bit(self, address_bit: int) -> bool:
+    def uses_bit(self, address_bit: int) -> bool:  # simcheck: ignore[SIM501] probe
         """Return whether any output consumes the given address bit."""
         probe = 1 << address_bit
         return any(mask & probe for mask in self.masks)
@@ -181,8 +193,10 @@ class ModularSliceHash:
     _MASK64 = (1 << 64) - 1
 
     def __init__(self, n_slices: int, seed: int = 0x9E3779B97F4A7C15) -> None:
-        if n_slices <= 0:
-            raise ValueError(f"n_slices must be positive, got {n_slices}")
+        if not 0 < n_slices <= MAX_SLICES:
+            raise ValueError(
+                f"n_slices must be in 1..{MAX_SLICES}, got {n_slices}"
+            )
         self.n_slices = n_slices
         self.seed = seed
         self._coprimes = [

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis.sanitizer import CacheSanitizer, resolve_sanitizer
 from repro.cachesim.cache import DictCache
 from repro.cachesim.llc import SlicedLLC
-from repro.mem.address import CACHE_LINE, line_address
+from repro.mem.address import CACHE_LINE, iter_lines, span_lines
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ class CacheHierarchy:
             self._fast_engine = FastEngine(self)
         return self._fast_engine
 
-    def set_engine(self, name: str) -> None:
+    def set_engine(self, name: str) -> None:  # simcheck: ignore[SIM501] e2ebench
         """Select the access engine: ``"fast"`` or ``"reference"``.
 
         The differential oracle's switch (product code never calls it):
@@ -350,12 +350,10 @@ class CacheHierarchy:
     def _span(self, core: int, address: int, size: int, write: bool) -> int:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        first = line_address(address)
-        last = line_address(address + size - 1)
         if self.sanitizer is not None:
-            self.sanitizer.tick(self, (last - first) // CACHE_LINE + 1)
+            self.sanitizer.tick(self, span_lines(address, size))
         cycles = 0
-        for line in range(first, last + CACHE_LINE, CACHE_LINE):
+        for line in iter_lines(address, size):
             cycles += self.access_line(core, line, write=write).cycles
         return cycles
 
@@ -451,7 +449,7 @@ class CacheHierarchy:
                 self._fill_llc(core, line, dirty=False)
         self._fill_l2(core, line, dirty=False)
 
-    def warm(self, core: int, address: int, size: int = CACHE_LINE) -> None:
+    def warm(self, core: int, address: int, size: int = CACHE_LINE) -> None:  # simcheck: ignore[SIM501] example
         """Touch a buffer without recording stats (setup helper)."""
         saved = self.stats
         self.stats = HierarchyStats()
@@ -464,9 +462,7 @@ class CacheHierarchy:
         """Flush ``[address, address+size)`` from the entire hierarchy."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        first = line_address(address)
-        last = line_address(address + size - 1)
-        for line in range(first, last + CACHE_LINE, CACHE_LINE):
+        for line in iter_lines(address, size):
             self.invalidate_private(line)
             self.llc.invalidate(line)
 
@@ -488,7 +484,7 @@ class CacheHierarchy:
         self.invalidate_private(line)
         self._fill_llc(core=None, line=line, dirty=True, io=True)
 
-    def locate(self, line: int) -> str:
+    def locate(self, line: int) -> str:  # simcheck: ignore[SIM501] probe
         """Return where a line currently lives: ``l1``/``l2``/``llc``/``dram``.
 
         Private caches are searched across all cores (diagnostic aid).
@@ -511,7 +507,7 @@ class CacheHierarchy:
             cache.flush()
         self.llc.flush()
 
-    def check_invariants(self) -> None:
+    def check_invariants(self) -> None:  # simcheck: ignore[SIM501] oracle
         """Assert structural invariants of the hierarchy state.
 
         Used by the property-based tests as a model checker after

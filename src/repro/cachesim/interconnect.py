@@ -12,15 +12,13 @@ latency matrices* calibrated to reproduce the measured structure.
   same-parity slices sit on the requesting core's side of the ring and
   cost ``hop_cycles`` per stop, opposite-parity slices additionally pay
   a ring-crossing penalty.
-* :class:`MeshInterconnect` — Manhattan-distance mesh for arbitrary
-  core/slice coordinates (Skylake-style).
 * :class:`TableInterconnect` — explicit per-(core, slice) latency
   matrix, used to encode measured Skylake data (Fig. 16 / Table 4).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence
 
 
 class Interconnect(Protocol):
@@ -101,47 +99,6 @@ class RingInterconnect:
         return (
             f"RingInterconnect(n_stops={self.n_cores}, "
             f"hop_cycles={self.hop_cycles}, cross_penalty={self.cross_penalty})"
-        )
-
-
-class MeshInterconnect:
-    """Manhattan-distance mesh between explicit coordinates.
-
-    Args:
-        core_coords: ``(x, y)`` per core index.
-        slice_coords: ``(x, y)`` per slice index.
-        hop_cycles: cycles per mesh hop (horizontal and vertical hops
-            cost the same; Skylake's vertical hops are in reality
-            slightly cheaper, which :class:`TableInterconnect` can
-            capture when calibrating against measurements).
-    """
-
-    def __init__(
-        self,
-        core_coords: Sequence[Tuple[int, int]],
-        slice_coords: Sequence[Tuple[int, int]],
-        hop_cycles: int = 2,
-    ) -> None:
-        if not core_coords or not slice_coords:
-            raise ValueError("coordinates must be non-empty")
-        if hop_cycles < 0:
-            raise ValueError("hop_cycles must be non-negative")
-        self._cores = list(core_coords)
-        self._slices = list(slice_coords)
-        self.n_cores = len(self._cores)
-        self.n_slices = len(self._slices)
-        self.hop_cycles = hop_cycles
-
-    def latency(self, core: int, slice_index: int) -> int:
-        """Extra cycles from *core* to *slice_index*."""
-        cx, cy = self._cores[core]
-        sx, sy = self._slices[slice_index]
-        return self.hop_cycles * (abs(cx - sx) + abs(cy - sy))
-
-    def __repr__(self) -> str:
-        return (
-            f"MeshInterconnect(n_cores={self.n_cores}, "
-            f"n_slices={self.n_slices}, hop_cycles={self.hop_cycles})"
         )
 
 

@@ -172,18 +172,6 @@ class SlicedLLC:
         """Drop a line (e.g. on ``clflush``); return its dirty bit."""
         return self.slices[self.hash.slice_of(line_address)].invalidate(line_address)
 
-    def writeback(self, line_address: int, core: Optional[int] = None) -> Tuple[int, Optional[Eviction]]:
-        """Receive a dirty line written back from a private cache.
-
-        Returns ``(slice_index, eviction)`` so the caller can charge
-        the NUCA write-back cost and propagate any cascade.
-        """
-        slice_index = self.hash.slice_of(line_address)
-        counters = self.counters.slices[slice_index]
-        counters.count(EVENT_WRITEBACKS)
-        victim = self.fill(line_address, core=core, dirty=True)
-        return slice_index, victim
-
     def flush(self) -> List[Eviction]:
         """Empty every slice, returning all drained lines."""
         drained: List[Eviction] = []
@@ -195,7 +183,7 @@ class SlicedLLC:
         """Total valid lines across all slices."""
         return sum(s.occupancy() for s in self.slices)
 
-    def slice_occupancy(self) -> List[int]:
+    def slice_occupancy(self) -> List[int]:  # simcheck: ignore[SIM501] probe
         """Valid lines per slice, by slice index."""
         return [s.occupancy() for s in self.slices]
 

@@ -87,10 +87,6 @@ class MachineSpec:
         """Convert a cycle count to seconds at this machine's clock."""
         return cycles / self.freq_hz
 
-    def cycles_to_ns(self, cycles: float) -> float:
-        """Convert a cycle count to nanoseconds."""
-        return cycles / self.freq_ghz
-
 
 def _skylake_interconnect() -> TableInterconnect:
     return TableInterconnect.from_preferences(

@@ -4,8 +4,8 @@ The paper (§8, "The impact of H/W prefetching") notes that Intel's L2
 prefetchers — the *adjacent cache line* prefetcher and the *streamer* —
 are built for contiguous access patterns, so slice-aware management
 (whose allocations are deliberately non-contiguous) can lose their
-benefit.  These models let the ablation benchmarks quantify that
-trade-off; machine configs disable them by default because every
+benefit.  The streamer model lets the prefetch ablation quantify that
+trade-off; machine configs disable it by default because every
 workload in the paper is random-access.
 
 A prefetcher's :meth:`observe` is fed each demand line that missed L2
@@ -17,14 +17,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mem.address import CACHE_LINE, PAGE_4K
-
-
-class AdjacentLinePrefetcher:
-    """Fetches the buddy line of every miss (128 B-aligned pair)."""
-
-    def observe(self, line: int) -> List[int]:
-        """Return the buddy of *line* within its aligned 128 B pair."""
-        return [line ^ CACHE_LINE]
 
 
 class StreamerPrefetcher:

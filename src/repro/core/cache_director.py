@@ -73,7 +73,7 @@ def headroom_lines_for_slice(
     return None
 
 
-def pack_headrooms(lines_per_slice: Sequence[int]) -> int:
+def pack_headrooms(lines_per_slice: Sequence[int]) -> int:  # simcheck: ignore[SIM501] oracle for precompute_udata
     """Pack per-slice line offsets into a udata64 value (4 bits each)."""
     if len(lines_per_slice) > UDATA_MAX_SLICES:
         raise ValueError(
@@ -228,7 +228,7 @@ class CacheDirector:
         self.stats.record(headroom)
         return headroom
 
-    def headroom_for_slice_direct(self, buf_phys: int, target_slice: int) -> int:
+    def headroom_for_slice_direct(self, buf_phys: int, target_slice: int) -> int:  # simcheck: ignore[SIM501] oracle for precompute_udata
         """Compute a headroom without pre-computation (slow path)."""
         k = headroom_lines_for_slice(
             buf_phys + self.base_headroom, self.hash, target_slice, self.max_lines

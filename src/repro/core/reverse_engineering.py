@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.cachesim.counters import EVENT_LOOKUPS
 from repro.cachesim.hashfn import ComplexAddressingHash
 from repro.cachesim.hierarchy import CacheHierarchy
@@ -140,6 +142,10 @@ class RecoveredHash:
     are therefore exact for any address sharing the un-probed bits
     with the probed region — which is all a slice-aware allocator
     operating inside that hugepage needs.
+
+    The prediction is itself a slice hash (an affine map over GF(2):
+    the recovered XOR hash plus the residual), so a slice-aware
+    context allocates through it directly, vectorised paths included.
     """
 
     hash: ComplexAddressingHash
@@ -147,9 +153,30 @@ class RecoveredHash:
     ambiguous_bits: List[int]
     residual: int = 0
 
-    def predict(self, phys_address: int) -> int:
+    @property
+    def n_slices(self) -> int:
+        """Slice count of the recovered hash."""
+        return self.hash.n_slices
+
+    def slice_of(self, phys_address: int) -> int:
         """Predicted slice, including the constant residual."""
         return self.hash.slice_of(phys_address) ^ self.residual
+
+    def slice_of_array(self, phys_addresses) -> np.ndarray:
+        """Vectorised :meth:`slice_of`: the inner hash's slices XOR the
+        residual."""
+        return self.hash.slice_of_array(phys_addresses) ^ np.uint8(self.residual)
+
+    def block_offsets(
+        self, base: int, n_blocks: int, block_lines: int, target: int
+    ) -> Optional[np.ndarray]:
+        """Closed-form block offsets: a line predicts *target* exactly
+        where the inner hash gives ``target ^ residual``."""
+        if not 0 <= target < self.n_slices:
+            return None
+        return self.hash.block_offsets(
+            base, n_blocks, block_lines, target ^ self.residual
+        )
 
 
 def recover_complex_hash(
@@ -245,7 +272,7 @@ def verify_recovered_hash(
     correct = 0
     for address in addresses:
         total += 1
-        if recovered.predict(address) == oracle(address):
+        if recovered.slice_of(address) == oracle(address):
             correct += 1
     if total == 0:
         raise ValueError("no addresses supplied")

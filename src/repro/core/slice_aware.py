@@ -98,7 +98,7 @@ class SliceAwareContext:
         self._filtered = SliceFilteredAllocator(self.hugepage, self.hash)
 
     @classmethod
-    def with_recovered_hash(
+    def with_recovered_hash(  # simcheck: ignore[SIM501] paper claim: placement on the recovered hash (§2.2)
         cls,
         spec: MachineSpec,
         seed: int = 0,
@@ -143,24 +143,13 @@ class SliceAwareContext:
             address_bits=range(6, 35),
             max_address=probe_pages[-1].phys + probe_pages[-1].size,
         )
-
-        class _RecoveredPlacement:
-            """Adapter: RecoveredHash as a SliceHash for allocators."""
-
-            n_slices = spec.n_slices
-
-            def slice_of(self, phys_address: int) -> int:
-                return recovered.predict(phys_address)
-
-        context = cls(
+        return cls(
             spec,
             hierarchy=hierarchy,
             hugepage_bytes=hugepage_bytes,
             seed=seed + 1,
-            placement_hash=_RecoveredPlacement(),
+            placement_hash=recovered,
         )
-        context.recovered = recovered
-        return context
 
     # ------------------------------------------------------------------
     # Placement policy
@@ -175,7 +164,7 @@ class SliceAwareContext:
         order = preferred_slices(self.hierarchy.llc.interconnect, core)
         return order if count is None else order[:count]
 
-    def slice_of_virt(self, virt_address: int) -> int:
+    def slice_of_virt(self, virt_address: int) -> int:  # simcheck: ignore[SIM501] probe
         """LLC slice of the line holding a virtual address."""
         return self._filtered.slice_of_virt(virt_address)
 
@@ -208,7 +197,7 @@ class SliceAwareContext:
             slice_indices = [self.preferred_slice(core)]
         return self._filtered.allocate(size, slice_indices)
 
-    def allocate_lines(self, n_lines: int, slice_index: int) -> List[int]:
+    def allocate_lines(self, n_lines: int, slice_index: int) -> List[int]:  # simcheck: ignore[SIM501] e2ebench
         """Allocate raw cache lines mapping to *slice_index*."""
         return self._filtered.allocate_lines(n_lines, slice_index)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.mem.address import CACHE_LINE
+from repro.mem.address import CACHE_LINE, iter_lines
 
 #: The rte_mbuf struct is two cache lines (Fig. 9).
 MBUF_STRUCT_SIZE = 128
@@ -111,14 +111,9 @@ class Mbuf:
         """The two cache lines of the metadata struct."""
         return [self.base_phys, self.base_phys + CACHE_LINE]
 
-    def data_lines(self) -> Iterator[int]:
+    def data_lines(self) -> Iterator[int]:  # simcheck: ignore[SIM501] probe
         """Line addresses covering the current data segment."""
-        if self.data_len == 0:
-            return
-        first = self.data_phys & ~(CACHE_LINE - 1)
-        last = (self.data_phys + self.data_len - 1) & ~(CACHE_LINE - 1)
-        for line in range(first, last + CACHE_LINE, CACHE_LINE):
-            yield line
+        return iter_lines(self.data_phys, self.data_len)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -176,7 +171,7 @@ class Mbuf:
         self.data_len += length
         return offset
 
-    def chain_length(self) -> int:
+    def chain_length(self) -> int:  # simcheck: ignore[SIM501] probe
         """Number of mbufs in this chain (1 for unchained)."""
         count = 0
         node: Optional[Mbuf] = self

@@ -231,24 +231,6 @@ class Mempool:
         if len(self._free) > self.capacity:
             raise RuntimeError(f"double free detected in pool {self.name!r}")
 
-    def alloc_bulk(self, count: int) -> List[Mbuf]:
-        """Pop *count* mbufs; all-or-nothing like ``rte_pktmbuf_alloc_bulk``."""
-        if count > self.available:
-            self.alloc_failures += 1
-            raise MempoolEmptyError(
-                f"mempool {self.name!r}: wanted {count}, have {self.available}"
-            )
-        taken: List[Mbuf] = []
-        try:
-            for _ in range(count):
-                taken.append(self.alloc())
-        except MempoolEmptyError:
-            # An injected allocation fault mid-bulk: stay all-or-nothing.
-            for mbuf in taken:
-                self.free(mbuf)
-            raise
-        return taken
-
     def __repr__(self) -> str:
         return (
             f"Mempool(name={self.name!r}, capacity={self.capacity}, "

@@ -197,7 +197,7 @@ class Nic:
         self.stats.rx_bytes += length
         return head
 
-    def deliver_burst(
+    def deliver_burst(  # simcheck: ignore[SIM501] e2ebench
         self,
         payloads: Sequence[object],
         lengths: Sequence[int],

@@ -97,7 +97,7 @@ class PollModeDriver:
             mbufs.append(mbuf)
         return mbufs, cycles
 
-    def rx_burst_batch(
+    def rx_burst_batch(  # simcheck: ignore[SIM501] e2ebench
         self, queue: int, max_packets: int = 32
     ) -> Tuple[MbufBatch, int]:
         """Batched :meth:`rx_burst`: one ``access_batch`` per burst.
@@ -141,7 +141,7 @@ class PollModeDriver:
             batch = batch.select(fcs)
         return batch, cycles
 
-    def tx_burst_batch(
+    def tx_burst_batch(  # simcheck: ignore[SIM501] e2ebench
         self, queue: int, mbufs: Union[MbufBatch, Sequence[Mbuf]]
     ) -> int:
         """Batched :meth:`tx_burst`: struct writes in one ``access_batch``.

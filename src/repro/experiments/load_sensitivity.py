@@ -75,17 +75,6 @@ def run_load_sensitivity(
     return points
 
 
-def format_load_sensitivity(points: List[SensitivityPoint]) -> str:
-    """Render the sweep."""
-    out = ["Extension — CacheDirector p99 gain vs offered load (Router-NAPT-LB)"]
-    out.append("offered | achieved | DPDK p99 |  +CD p99 | gain (us) | gain (%)")
-    for p in points:
-        out.append(
-            f"{p.offered_gbps:>6.0f}G | {p.achieved_gbps:>7.1f}G "
-            f"| {p.p99_dpdk_us:>8.1f} | {p.p99_cd_us:>8.1f} "
-            f"| {p.improvement_us:>9.2f} | {p.improvement_pct:>7.2f}"
-        )
-    return "\n".join(out)
 def load_sensitivity_to_dict(points: List[SensitivityPoint]) -> dict:
     """JSON-ready form of the load sweep (lab/CLI ``--json``)."""
     return {

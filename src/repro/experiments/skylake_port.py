@@ -64,16 +64,6 @@ def run_skylake_port(
     return results
 
 
-def format_skylake_port(results: Dict[str, PortResult]) -> str:
-    """Render the cross-architecture comparison."""
-    out = ["§6 — CacheDirector across architectures (Router-NAPT-LB)"]
-    out.append("machine | DPDK cyc/pkt | +CD cyc/pkt | saving")
-    for name, r in results.items():
-        out.append(
-            f"{name:<7} | {r.base_cycles:>12.1f} | {r.cachedirector_cycles:>11.1f} "
-            f"| {r.saving_cycles:>5.1f} ({r.saving_pct:+.2f}%)"
-        )
-    return "\n".join(out)
 def skylake_port_to_dict(results: Dict[str, PortResult]) -> dict:
     """JSON-ready form of the cross-machine results (lab/CLI ``--json``)."""
     return {

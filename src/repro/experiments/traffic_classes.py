@@ -79,16 +79,6 @@ def run_traffic_class_sweep(
     return points
 
 
-def format_traffic_classes(points: List[TrafficClassPoint]) -> str:
-    """Render the per-class comparison."""
-    out = ["Table 2 sweep — low-rate DuT latency per packet size (forwarding)"]
-    out.append("size   | DPDK p99 (us) | +CD p99 (us) | CD gain")
-    for p in points:
-        out.append(
-            f"{p.packet_size:>5}B | {p.dpdk[99]:>13.3f} | {p.cachedirector[99]:>12.3f} "
-            f"| {p.improvement_p99_us() * 1e3:>5.1f} ns"
-        )
-    return "\n".join(out)
 def traffic_classes_to_dict(points: List[TrafficClassPoint]) -> dict:
     """JSON-ready form of the per-size sweep (lab/CLI ``--json``)."""
     return {

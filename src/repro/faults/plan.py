@@ -18,7 +18,6 @@ Every fault decision is drawn from a per-*site* RNG stream seeded as
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Mapping, Optional, Tuple
@@ -248,15 +247,6 @@ class FaultPlan:
             seed=int(data["seed"]),  # type: ignore[arg-type]
             rates=FaultRates.from_dict(data.get("rates", {})),  # type: ignore[arg-type]
         )
-
-    def to_json(self) -> str:
-        """Canonical JSON (sorted keys) — the persisted plan format."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Inverse of :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
 
 
 class FaultStats:

@@ -169,11 +169,6 @@ class OutageSchedule:
     stall_epochs: np.ndarray     # int64 durations, valid where stall fires
     recovery_epochs: np.ndarray  # int64 reboot delays; 0 = permanent kill
 
-    @property
-    def any_outages(self) -> bool:
-        """Whether any kill or stall can fire under this schedule."""
-        return bool(self.kill_fires.any() or self.stall_fires.any())
-
 
 def draw_outage_schedule(
     clock: FaultClock, n_epochs: int, n_servers: int

@@ -155,7 +155,7 @@ class FleetServer:
                 )
             )
 
-    def serve(self, tenant: int, key: int, is_get: bool) -> int:
+    def serve(self, tenant: int, key: int, is_get: bool) -> int:  # simcheck: ignore[SIM501] e2ebench
         """Serve one request for *tenant*; returns core cycles spent."""
         cycles = self._tenants[tenant].serve_one(key, is_get)
         self.served += 1

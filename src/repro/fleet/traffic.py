@@ -16,7 +16,6 @@ fraction or the arrival rate changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -122,16 +121,3 @@ class FleetTrafficGenerator:
             is_get=is_get,
             arrivals_cycles=arrivals,
         )
-
-    def hot_key_share(self, batch: TrafficBatch, tenant: int) -> float:
-        """Fraction of *tenant*'s requests hitting its hottest key
-        (skew diagnostic used by the property tests)."""
-        mask = batch.tenants == tenant
-        total = int(mask.sum())
-        if total == 0:
-            return 0.0
-        keys = batch.keys[mask]
-        counts: Dict[int, int] = {}
-        for key in keys.tolist():
-            counts[key] = counts.get(key, 0) + 1
-        return max(counts.values()) / total

@@ -133,10 +133,6 @@ class Registry:
         self._specs[spec.name] = spec
         return spec
 
-    def unregister(self, name: str) -> None:
-        """Remove *name* (used by tests injecting throwaway specs)."""
-        self._specs.pop(name, None)
-
     def get(self, name: str) -> ExperimentSpec:
         """Look up one spec; unknown names list the alternatives."""
         try:

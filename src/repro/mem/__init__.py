@@ -16,12 +16,10 @@ physical address space with the same moving parts:
 
 from repro.mem.address import (
     CACHE_LINE,
-    align_down,
     align_up,
     iter_lines,
     line_address,
     line_index,
-    line_offset,
 )
 from repro.mem.allocator import (
     AllocationError,
@@ -38,10 +36,8 @@ __all__ = [
     "Pagemap",
     "PhysicalAddressSpace",
     "SliceFilteredAllocator",
-    "align_down",
     "align_up",
     "iter_lines",
     "line_address",
     "line_index",
-    "line_offset",
 ]

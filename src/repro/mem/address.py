@@ -31,13 +31,6 @@ def is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-def align_down(address: int, alignment: int = CACHE_LINE) -> int:
-    """Round *address* down to a multiple of *alignment* (a power of two)."""
-    if not is_power_of_two(alignment):
-        raise ValueError(f"alignment must be a power of two, got {alignment}")
-    return address & ~(alignment - 1)
-
-
 def align_up(address: int, alignment: int = CACHE_LINE) -> int:
     """Round *address* up to a multiple of *alignment* (a power of two)."""
     if not is_power_of_two(alignment):
@@ -53,11 +46,6 @@ def line_address(address: int) -> int:
 def line_index(address: int) -> int:
     """Return the global cache-line number containing *address*."""
     return address >> CACHE_LINE_BITS
-
-
-def line_offset(address: int) -> int:
-    """Return the byte offset of *address* within its cache line."""
-    return address & (CACHE_LINE - 1)
 
 
 def iter_lines(address: int, size: int) -> Iterator[int]:

@@ -105,7 +105,7 @@ class ScatteredBuffer:
         """Physical address of the *index*-th backing line."""
         return self.lines[index]
 
-    def virt_line_of(self, index: int) -> int:
+    def virt_line_of(self, index: int) -> int:  # simcheck: ignore[SIM501] probe
         """Virtual address of the *index*-th backing line."""
         if self.virt_lines is None:
             raise ValueError("buffer carries no virtual addresses")
@@ -238,7 +238,3 @@ class SliceFilteredAllocator:
             slice_indices=slices,
             virt_lines=virt_lines,
         )
-
-    def free_lines_available(self, slice_index: int) -> int:
-        """Lines of *slice_index* already classified and unallocated."""
-        return len(self._free[slice_index])

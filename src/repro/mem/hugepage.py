@@ -133,11 +133,6 @@ class PhysicalAddressSpace:
         page_size = PAGE_1G if size >= PAGE_1G // 4 else PAGE_2M
         return self.mmap_hugepage(size, page_size=page_size)
 
-    @property
-    def bytes_allocated(self) -> int:
-        """Total physical bytes consumed so far (including gap waste)."""
-        return self._cursor - self.base
-
 
 class Pagemap:
     """Simulated ``/proc/self/pagemap``: virtual→physical lookup.

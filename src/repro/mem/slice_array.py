@@ -10,9 +10,10 @@ larger physical address span, the "memory fragmentation" §7 mentions.
 Which line of a block is the slice-local one is computed, not
 searched: both hash families invert in closed form over their own
 block grid (``block_offsets`` in :mod:`repro.cachesim.hashfn` — the
-XOR hash by linearity, the modular hash by a modular inverse).  A hash
-without that inverse (a test double, the recovered-hash adapter) or a
-window off its grid falls back to probing each block line by line.
+XOR hash by linearity, the modular hash by a modular inverse; the
+recovered hash of :mod:`repro.core.reverse_engineering` inherits the
+XOR inverse).  A hash without that inverse (a test double) or a window
+off its grid falls back to probing each block line by line.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ class SliceLocalArray:
         target_slice: slice every line must map to.
         block_lines: lines per block; both hash families place one
             line per slice in every aligned ``n_slices``-line block, so
-            ``n_slices`` suffices for them.  A block without a
-            target-slice line raises LookupError on first use.
+            ``n_slices`` suffices for them; must be positive.  A
+            block without a target-slice line raises LookupError on
+            first use.
     """
 
     def __init__(
@@ -58,6 +60,8 @@ class SliceLocalArray:
         self.block_lines = (
             block_lines if block_lines is not None else 2 * slice_hash.n_slices
         )
+        if self.block_lines <= 0:
+            raise ValueError(f"block_lines must be positive, got {self.block_lines}")
         self.block_bytes = self.block_lines * CACHE_LINE
         if base_phys % CACHE_LINE:
             raise ValueError(f"base {base_phys:#x} must be line-aligned")

@@ -1,7 +1,7 @@
 """Packets, traffic generation and network functions (the NFV layer).
 
-* :mod:`repro.net.packet` — Ethernet/IPv4/TCP-UDP header codec and the
-  lightweight :class:`Packet` record used in bulk simulation.
+* :mod:`repro.net.packet` — the flow 5-tuple and the lightweight
+  :class:`Packet` record used in bulk simulation.
 * :mod:`repro.net.trace` — synthetic workload generators: the campus
   trace's size mix (§5, Table 2) and fixed-size streams.
 * :mod:`repro.net.nf` — network functions: MAC-swap forwarding, LPM
@@ -14,11 +14,8 @@
 """
 
 from repro.net.packet import (
-    EthernetHeader,
     FiveTuple,
-    Ipv4Header,
     Packet,
-    TransportHeader,
 )
 from repro.net.trace import (
     CAMPUS_MIX,
@@ -30,11 +27,8 @@ from repro.net.trace import (
 __all__ = [
     "CAMPUS_MIX",
     "CampusTraceGenerator",
-    "EthernetHeader",
     "FiveTuple",
     "FixedSizeTraffic",
-    "Ipv4Header",
     "Packet",
     "TrafficClass",
-    "TransportHeader",
 ]

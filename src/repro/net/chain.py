@@ -93,7 +93,7 @@ class ServiceChain:
         self.packets_processed += 1
         return cycles
 
-    def process_batch(self, core: int, mbuf_batch: MbufBatch) -> np.ndarray:
+    def process_batch(self, core: int, mbuf_batch: MbufBatch) -> np.ndarray:  # simcheck: ignore[SIM501] e2ebench
         """Run a burst through every NF; returns per-packet cycles.
 
         NF-major batched semantics: each NF charges the whole burst

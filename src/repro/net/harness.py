@@ -66,7 +66,7 @@ class NicModel:
         return sizes_bytes * 8.0 / self.link_gbps + self.overhead_ns
 
 
-def lindley_waits(
+def lindley_waits(  # simcheck: ignore[SIM501] oracle for finite_queue_sim
     arrivals_ns: np.ndarray,
     services_ns: np.ndarray,
     cap_ns: Optional[float] = None,

@@ -1,30 +1,16 @@
-"""Packet headers and the bulk packet record.
+"""The flow identity and the bulk packet record.
 
-Two representations, for two jobs:
-
-* Full header dataclasses with byte-exact ``pack``/``unpack`` codecs —
-  used by the examples and tests (and by NFs that rewrite headers,
-  whose field arithmetic must be real).
-* :class:`Packet` — a slotted record of the fields the simulators
-  need (size, flow 5-tuple, arrival time), cheap enough to create by
-  the million.
+:class:`Packet` is a slotted record of the fields the simulators need
+(size, flow 5-tuple, arrival time), cheap enough to create by the
+million.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
-
-ETH_HEADER_LEN = 14
-IPV4_HEADER_LEN = 20
-UDP_HEADER_LEN = 8
-TCP_HEADER_LEN = 20
+from typing import NamedTuple, Tuple
 
 PROTO_TCP = 6
 PROTO_UDP = 17
-
-ETHERTYPE_IPV4 = 0x0800
 
 
 class FiveTuple(NamedTuple):
@@ -39,137 +25,6 @@ class FiveTuple(NamedTuple):
     def reversed(self) -> "FiveTuple":
         """The reply direction of this flow."""
         return FiveTuple(self.dst_ip, self.src_ip, self.dst_port, self.src_port, self.proto)
-
-
-@dataclass
-class EthernetHeader:
-    """Ethernet II header."""
-
-    dst_mac: int  # 48-bit
-    src_mac: int  # 48-bit
-    ethertype: int = ETHERTYPE_IPV4
-
-    def pack(self) -> bytes:
-        """Serialise to 14 wire bytes."""
-        return (
-            self.dst_mac.to_bytes(6, "big")
-            + self.src_mac.to_bytes(6, "big")
-            + struct.pack("!H", self.ethertype)
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "EthernetHeader":
-        """Parse 14 wire bytes."""
-        if len(data) < ETH_HEADER_LEN:
-            raise ValueError(f"need {ETH_HEADER_LEN} bytes, got {len(data)}")
-        return cls(
-            dst_mac=int.from_bytes(data[0:6], "big"),
-            src_mac=int.from_bytes(data[6:12], "big"),
-            ethertype=struct.unpack("!H", data[12:14])[0],
-        )
-
-    def swap_macs(self) -> None:
-        """Swap source and destination — the forwarding NF's one job."""
-        self.dst_mac, self.src_mac = self.src_mac, self.dst_mac
-
-
-def ipv4_checksum(header: bytes) -> int:
-    """RFC 1071 ones-complement checksum of a header with zeroed cksum."""
-    if len(header) % 2:
-        header += b"\x00"
-    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-
-
-@dataclass
-class Ipv4Header:
-    """IPv4 header (no options)."""
-
-    src_ip: int
-    dst_ip: int
-    proto: int
-    total_length: int
-    ttl: int = 64
-    identification: int = 0
-    dscp: int = 0
-
-    def pack(self) -> bytes:
-        """Serialise to 20 wire bytes with a valid checksum."""
-        without_cksum = struct.pack(
-            "!BBHHHBBH4s4s",
-            (4 << 4) | 5,
-            self.dscp,
-            self.total_length,
-            self.identification,
-            0,
-            self.ttl,
-            self.proto,
-            0,
-            self.src_ip.to_bytes(4, "big"),
-            self.dst_ip.to_bytes(4, "big"),
-        )
-        cksum = ipv4_checksum(without_cksum)
-        return without_cksum[:10] + struct.pack("!H", cksum) + without_cksum[12:]
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Ipv4Header":
-        """Parse 20 wire bytes (checksum is not verified here)."""
-        if len(data) < IPV4_HEADER_LEN:
-            raise ValueError(f"need {IPV4_HEADER_LEN} bytes, got {len(data)}")
-        (
-            version_ihl,
-            dscp,
-            total_length,
-            identification,
-            _flags_frag,
-            ttl,
-            proto,
-            _cksum,
-            src,
-            dst,
-        ) = struct.unpack("!BBHHHBBH4s4s", data[:20])
-        if version_ihl >> 4 != 4:
-            raise ValueError(f"not an IPv4 header (version {version_ihl >> 4})")
-        return cls(
-            src_ip=int.from_bytes(src, "big"),
-            dst_ip=int.from_bytes(dst, "big"),
-            proto=proto,
-            total_length=total_length,
-            ttl=ttl,
-            identification=identification,
-            dscp=dscp,
-        )
-
-    def verify_checksum(self, data: bytes) -> bool:
-        """Return whether 20 raw header bytes carry a valid checksum."""
-        return ipv4_checksum(data[:IPV4_HEADER_LEN]) == 0
-
-
-@dataclass
-class TransportHeader:
-    """The ports-only view of TCP/UDP that the NFs need."""
-
-    src_port: int
-    dst_port: int
-    proto: int = PROTO_UDP
-
-    def pack(self) -> bytes:
-        """Serialise the first 4 bytes (ports) plus minimal remainder."""
-        if self.proto == PROTO_UDP:
-            return struct.pack("!HHHH", self.src_port, self.dst_port, UDP_HEADER_LEN, 0)
-        return struct.pack(
-            "!HHIIBBHHH", self.src_port, self.dst_port, 0, 0, 5 << 4, 0, 0, 0, 0
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes, proto: int) -> "TransportHeader":
-        """Parse the ports from TCP or UDP wire bytes."""
-        if len(data) < 4:
-            raise ValueError(f"need 4 bytes of transport header, got {len(data)}")
-        src_port, dst_port = struct.unpack("!HH", data[:4])
-        return cls(src_port=src_port, dst_port=dst_port, proto=proto)
 
 
 class Packet:
@@ -196,22 +51,6 @@ class Packet:
     def flow_key(self) -> Tuple[int, int, int, int, int]:
         """Hashable flow key for steering."""
         return tuple(self.flow)
-
-    def header_bytes(self) -> bytes:
-        """Build the real wire header for this packet (eth+ip+l4)."""
-        eth = EthernetHeader(dst_mac=0x0200_0000_0001, src_mac=0x0200_0000_0002)
-        ip = Ipv4Header(
-            src_ip=self.flow.src_ip,
-            dst_ip=self.flow.dst_ip,
-            proto=self.flow.proto,
-            total_length=max(IPV4_HEADER_LEN, self.size - ETH_HEADER_LEN),
-        )
-        l4 = TransportHeader(
-            src_port=self.flow.src_port,
-            dst_port=self.flow.dst_port,
-            proto=self.flow.proto,
-        )
-        return eth.pack() + ip.pack() + l4.pack()
 
     def __repr__(self) -> str:
         return f"Packet(size={self.size}, flow={tuple(self.flow)}, id={self.packet_id})"

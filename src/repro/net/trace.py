@@ -199,10 +199,6 @@ class CampusTraceGenerator:
             gaps_ns *= np.repeat(factor, burst_block)[:n_packets]
         return sizes, flows, np.cumsum(gaps_ns)
 
-    def mean_frame_bytes(self, samples: int = 200_000) -> float:
-        """Monte-Carlo mean frame size of the mix."""
-        return float(self.sizes(samples).mean())
-
 
 class FixedSizeTraffic:
     """Single-size traffic at a fixed rate (Table 2 classes).

@@ -88,27 +88,3 @@ def fit_piecewise_linear_quadratic(
         r2_linear=_r_squared(ya[low], linear_pred),
         r2_quadratic=_r_squared(ya[high], quad_pred),
     )
-
-
-def find_knee(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pick the knee that maximises combined fit quality.
-
-    Scans candidate split points and returns the one with the best
-    summed segment R² (used when the paper's 37 Gbps is not assumed).
-    """
-    xa = np.asarray(x, dtype=float)
-    candidates = np.unique(xa)[2:-3]
-    if candidates.size == 0:
-        raise ValueError("not enough distinct x values to locate a knee")
-    best_knee = float(candidates[0])
-    best_score = -np.inf
-    for candidate in candidates:
-        try:
-            fit = fit_piecewise_linear_quadratic(x, y, float(candidate))
-        except ValueError:
-            continue
-        score = fit.r2_linear + fit.r2_quadratic
-        if score > best_score:
-            best_score = score
-            best_knee = float(candidate)
-    return best_knee

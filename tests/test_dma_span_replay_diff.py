@@ -31,7 +31,7 @@ from repro.cachesim.machines import (
     SKYLAKE_GOLD_6134,
     build_hierarchy,
 )
-from repro.cachesim.prefetch import AdjacentLinePrefetcher
+from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.mem.address import CACHE_LINE
 from repro.net.dataplane import OpRecorder
 
@@ -98,7 +98,7 @@ def replay(case, ops, oracle: bool):
     n_ddios = case.get("n_ddios", 1)
     prefetchers = None
     if case.get("prefetch"):
-        prefetchers = [None, AdjacentLinePrefetcher()] + [None] * (spec.n_cores - 2)
+        prefetchers = [None, StreamerPrefetcher(trigger=1)] + [None] * (spec.n_cores - 2)
 
     def build():
         return build_hierarchy(

@@ -19,7 +19,7 @@ import weakref
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.engine import OP_READ, OP_WRITE
 from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
-from repro.cachesim.prefetch import AdjacentLinePrefetcher
+from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.mem.address import CACHE_LINE
 from repro.net.dataplane import OpRecorder
 
@@ -71,7 +71,7 @@ def test_served_hierarchy_is_freed_by_refcount():
     gc.collect()
     gc.disable()
     try:
-        prefetchers = [AdjacentLinePrefetcher()] + [None] * (spec.n_cores - 1)
+        prefetchers = [StreamerPrefetcher(trigger=1)] + [None] * (spec.n_cores - 1)
         hierarchy = build_hierarchy(spec, sanitize=False, prefetchers=prefetchers)
         ddio = DdioEngine(hierarchy)
         hierarchy.read(0, 0x1000, 256)
@@ -84,8 +84,9 @@ def test_served_hierarchy_is_freed_by_refcount():
             hierarchy.read(0, 0x20000, 512)
             hierarchy.write(2, 0x30000, 128)
         recorder.replay(hierarchy, [ddio])
-        # The prefetcher ran, so its weak-reference call path did too.
-        assert hierarchy.l2s[0].contains(0x20000 ^ CACHE_LINE)
+        # The prefetcher ran (it fetched the line past the read span),
+        # so its weak-reference call path did too.
+        assert hierarchy.l2s[0].contains(0x20000 + 512)
         refs = [
             weakref.ref(hierarchy),
             weakref.ref(hierarchy.fast_engine()),

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cachesim.hashfn import haswell_complex_hash
 from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
-from repro.core.profiles import format_latency_matrix, measure_all_cores
+from repro.core.profiles import measure_all_cores
 from repro.core.slice_aware import SliceAwareContext
 from repro.experiments.traffic_classes import run_traffic_class_sweep
 
@@ -67,14 +67,6 @@ class TestLatencyMatrix:
                 assert profiles[a].read_cycles[b] == pytest.approx(
                     profiles[b].read_cycles[a]
                 )
-
-    def test_format(self):
-        ctx = SliceAwareContext(HASWELL_E5_2667V3, seed=0)
-        profiles = measure_all_cores(
-            ctx.hierarchy, ctx.hugepage, ctx.address_space.pagemap, runs=1
-        )
-        rendered = format_latency_matrix(profiles)
-        assert "C0" in rendered and "S7" in rendered
 
 
 class TestTrafficClassSweep:

@@ -25,6 +25,11 @@ def _clock(seed=0, **rates):
     return FaultClock(FaultPlan(seed=seed, rates=FaultRates(**rates)))
 
 
+def _persisted(plan):
+    """*plan* after a round trip through a chaos artifact's JSON."""
+    return FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
+
+
 class TestFaultRates:
     @pytest.mark.parametrize("field", PROBABILITY_FIELDS)
     def test_probability_bounds(self, field):
@@ -99,9 +104,9 @@ class TestServerKillSite:
 
     def test_server_kill_round_trips_canonically(self):
         plan = FaultPlan(seed=11, rates=FaultRates(server_kill=0.03))
-        again = FaultPlan.from_json(plan.to_json())
+        again = _persisted(plan)
         assert again == plan
-        assert again.to_json() == plan.to_json()
+        assert again.to_dict() == plan.to_dict()
 
     def test_zero_server_kill_is_bit_transparent(self):
         clock = _clock(seed=5, server_kill=0.0)
@@ -111,7 +116,7 @@ class TestServerKillSite:
     def test_kill_decisions_replay_from_plan(self):
         plan = FaultPlan(seed=21, rates=FaultRates(server_kill=0.25))
         first = FaultClock(plan)
-        second = FaultClock(FaultPlan.from_json(plan.to_json()))
+        second = FaultClock(_persisted(plan))
         draws_a = [first.fires("fleet.server_kill", 0.25) for _ in range(64)]
         draws_b = [second.fires("fleet.server_kill", 0.25) for _ in range(64)]
         assert draws_a == draws_b
@@ -125,12 +130,7 @@ class TestFaultPlan:
 
     def test_json_round_trip(self):
         plan = FaultPlan(seed=42, rates=FaultRates(nic_corrupt=0.03))
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_json_is_canonical(self):
-        text = FaultPlan(seed=1).to_json()
-        keys = list(json.loads(text))
-        assert keys == sorted(keys)
+        assert _persisted(plan) == plan
 
     def test_scaled_keeps_seed(self):
         plan = FaultPlan(seed=9, rates=FaultRates(nic_drop=0.1)).scaled(3.0)

@@ -2,11 +2,13 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.cachesim.hashfn import (
     ComplexAddressingHash,
     HASWELL_MASKS_8_SLICE,
+    MAX_SLICES,
     ModularSliceHash,
     O0_BITS,
     O1_BITS,
@@ -147,3 +149,32 @@ class TestModularSliceHash:
         h = ModularSliceHash(18)
         for offset in range(CACHE_LINE):
             assert h.slice_of(0x1000 + offset) == h.slice_of(0x1000)
+
+
+def _one_bit_masks(n_bits):
+    """XOR masks whose output bit *i* is line-address bit *i*."""
+    return [1 << (6 + i) for i in range(n_bits)]
+
+
+class TestSliceCountBound:
+    """Slice indices are ``uint8`` on every vectorised path, so a slice
+    count past :data:`MAX_SLICES` is rejected instead of wrapping."""
+
+    def test_more_than_256_slices_rejected(self):
+        with pytest.raises(ValueError):
+            ModularSliceHash(300)
+        with pytest.raises(ValueError):
+            ModularSliceHash(MAX_SLICES + 1)
+        with pytest.raises(ValueError):
+            ComplexAddressingHash(_one_bit_masks(9))
+
+    @pytest.mark.parametrize(
+        "slice_hash",
+        [ModularSliceHash(MAX_SLICES), ComplexAddressingHash(_one_bit_masks(8))],
+        ids=["modular-256", "xor-256"],
+    )
+    def test_largest_count_matches_scalar(self, slice_hash):
+        addresses = np.arange(1200, dtype=np.uint64) * np.uint64(CACHE_LINE)
+        vector = slice_hash.slice_of_array(addresses).tolist()
+        assert vector == [slice_hash.slice_of(int(a)) for a in addresses]
+        assert max(vector) > 200

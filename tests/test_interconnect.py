@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cachesim.interconnect import (
-    MeshInterconnect,
     RingInterconnect,
     TableInterconnect,
     preferred_slices,
@@ -56,23 +55,6 @@ class TestRingInterconnect:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             RingInterconnect(hop_cycles=-1)
-
-
-class TestMeshInterconnect:
-    def test_manhattan_distance(self):
-        mesh = MeshInterconnect([(0, 0)], [(0, 0), (1, 0), (2, 3)], hop_cycles=2)
-        assert mesh.latency(0, 0) == 0
-        assert mesh.latency(0, 1) == 2
-        assert mesh.latency(0, 2) == 10
-
-    def test_empty_coords_rejected(self):
-        with pytest.raises(ValueError):
-            MeshInterconnect([], [(0, 0)])
-
-    def test_counts(self):
-        mesh = MeshInterconnect([(0, 0), (1, 1)], [(0, 0)] * 5)
-        assert mesh.n_cores == 2
-        assert mesh.n_slices == 5
 
 
 class TestTableInterconnect:

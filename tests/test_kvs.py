@@ -1,4 +1,4 @@
-"""Unit tests for the KVS substrate: workload, store, server, client."""
+"""Unit tests for the KVS substrate: workload, store, server."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.cachesim.machines import HASWELL_E5_2667V3
 from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, FaultPlan, FaultRates, KvsRequestFault
-from repro.kvs.client import ClientRunResult, RetryPolicy, RetryingKvsClient
 from repro.kvs.server import KvsServer, REQUEST_BYTES
 from repro.kvs.store import KvsStore
 from repro.kvs.workload import GetSetMix, UniformKeys, ZipfKeys, zeta, zeta_fast
@@ -209,121 +208,3 @@ class TestKvsServerFaults:
         server.faults = _clock(kvs_slow=1.0, kvs_slow_cycles=5_000)
         assert server.serve_one(9, is_get=True) == warm + 5_000
         assert server.faults.stats.get("kvs.injected_slow_requests") == 1
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff_cycles=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_budget_cycles=0)
-
-    def test_backoff_doubles_then_caps(self):
-        policy = RetryPolicy(base_backoff_cycles=2_000, max_backoff_cycles=32_000)
-        assert [policy.backoff_cycles(k) for k in (1, 2, 3, 4)] == [
-            2_000,
-            4_000,
-            8_000,
-            16_000,
-        ]
-        assert policy.backoff_cycles(10) == 32_000  # capped
-        with pytest.raises(ValueError):
-            policy.backoff_cycles(0)
-
-
-class TestRetryingKvsClient:
-    def _server(self, rig):
-        store = KvsStore(rig, core=0, n_keys=1 << 10, slice_aware=False)
-        return KvsServer(rig, store, core=0)
-
-    def test_fault_free_passthrough(self, small_rig):
-        server = self._server(small_rig)
-        client = RetryingKvsClient(server)
-        assert client.request(5, True) > 0
-        assert client.retries == 0
-        assert client.failed_requests == 0
-        assert client.backoff_cycles_total == 0
-
-    def test_always_failing_request_abandoned_after_backoffs(self, small_rig):
-        server = self._server(small_rig)
-        clock = _clock(kvs_fail=1.0)
-        server.faults = clock
-        client = RetryingKvsClient(server, RetryPolicy())
-        assert client.request(1, True) is None
-        # 4 attempts = 3 retries with backoffs 2000, 4000, 8000.
-        assert client.retries == 3
-        assert client.failed_requests == 1
-        assert client.backoff_cycles_total == 14_000
-        assert clock.stats.get("kvs.retries") == 3
-        assert clock.stats.get("kvs.failed_requests") == 1
-
-    def test_run_charges_abandoned_cycles(self, small_rig):
-        server = self._server(small_rig)
-        server.faults = _clock(kvs_fail=1.0)
-        client = RetryingKvsClient(server, RetryPolicy())
-        result = client.run([1, 2], [True, True])
-        assert isinstance(result, ClientRunResult)
-        assert result.requests == 2
-        assert result.succeeded == 0 and result.failed == 2
-        assert result.retries == 6
-        # Giving up is not free: every backoff lands in the stream total.
-        assert result.total_cycles == result.backoff_cycles == 28_000
-        assert result.failure_fraction == 1.0
-        assert result.cycles_per_request == 14_000
-
-    def test_timeout_budget_abandons_early(self, small_rig):
-        server = self._server(small_rig)
-        clock = _clock(kvs_fail=1.0)
-        server.faults = clock
-        client = RetryingKvsClient(
-            server,
-            RetryPolicy(base_backoff_cycles=2_000, timeout_budget_cycles=3_000),
-        )
-        # First backoff (2000) fits the budget; the second (4000) would
-        # overrun it, so the request is abandoned after one retry.
-        assert client.request(1, True) is None
-        assert client.retries == 1
-        assert clock.stats.get("kvs.timeout_abandons") == 1
-
-    def test_partial_failure_rate_mostly_recovers(self, small_rig):
-        server = self._server(small_rig)
-        server.faults = _clock(kvs_fail=0.3)
-        client = RetryingKvsClient(server, RetryPolicy())
-        keys = np.arange(200) % 16
-        result = client.run(keys, np.ones(200, dtype=bool))
-        assert result.succeeded + result.failed == 200
-        # With 4 attempts at p=0.3 almost everything gets through.
-        assert result.succeeded > 190
-        assert result.retries > 0
-        assert result.backoff_cycles > 0
-
-    def test_run_is_deterministic(self):
-        outcomes = []
-        for _ in range(2):
-            context = SliceAwareContext(HASWELL_E5_2667V3, seed=0)
-            store = KvsStore(context, core=0, n_keys=1 << 10, slice_aware=False)
-            server = KvsServer(context, store, core=0)
-            server.faults = _clock(seed=3, kvs_fail=0.3, kvs_slow=0.1)
-            client = RetryingKvsClient(server, RetryPolicy())
-            keys = np.arange(100) % 16
-            outcomes.append(client.run(keys, np.ones(100, dtype=bool)).to_dict())
-        assert outcomes[0] == outcomes[1]
-
-    def test_only_injected_faults_are_caught(self):
-        class _BuggyServer:
-            faults = None
-
-            def serve_one(self, key, is_get):
-                raise RuntimeError("genuine server bug")
-
-        client = RetryingKvsClient(_BuggyServer())
-        with pytest.raises(RuntimeError, match="genuine server bug"):
-            client.request(1, True)
-        assert client.retries == 0  # no retry masked the bug
-
-    def test_run_validates_lengths(self, small_rig):
-        client = RetryingKvsClient(self._server(small_rig))
-        with pytest.raises(ValueError):
-            client.run([1, 2], [True])

@@ -78,7 +78,7 @@ def inject():
 
     yield _add
     for name in added:
-        registry.unregister(name)
+        registry._specs.pop(name, None)
 
 
 class TestParallelIdentity:

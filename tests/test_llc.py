@@ -118,15 +118,6 @@ class TestSlicedLLC:
         llc.fill(address, core=0)
         assert llc.slices[0].way_of(address) == 0
 
-    def test_writeback_marks_dirty(self):
-        llc = make_llc()
-        address = line_in_slice(llc, 2)
-        slice_index, victim = llc.writeback(address, core=0)
-        assert slice_index == 2
-        assert victim is None
-        drained = dict(llc.slices[2].flush())
-        assert drained[address] is True
-
     def test_invalidate(self):
         llc = make_llc()
         address = line_in_slice(llc, 1)

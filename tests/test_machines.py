@@ -45,7 +45,6 @@ class TestHaswellSpec:
     def test_frequency_conversions(self):
         spec = HASWELL_E5_2667V3
         assert spec.freq_hz == pytest.approx(3.2e9)
-        assert spec.cycles_to_ns(32) == pytest.approx(10.0)
         assert spec.cycles_to_seconds(3.2e9) == pytest.approx(1.0)
 
 

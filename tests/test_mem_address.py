@@ -4,25 +4,18 @@ import pytest
 
 from repro.mem.address import (
     CACHE_LINE,
-    align_down,
     align_up,
     bit,
     is_power_of_two,
     iter_lines,
     line_address,
     line_index,
-    line_offset,
     parity,
     span_lines,
 )
 
 
 class TestAlignment:
-    def test_align_down_already_aligned(self):
-        assert align_down(128, 64) == 128
-
-    def test_align_down_rounds_down(self):
-        assert align_down(130, 64) == 128
 
     def test_align_up_already_aligned(self):
         assert align_up(128, 64) == 128
@@ -32,14 +25,11 @@ class TestAlignment:
 
     def test_align_zero(self):
         assert align_up(0, 64) == 0
-        assert align_down(0, 64) == 0
 
     @pytest.mark.parametrize("alignment", [0, 3, 6, 100])
     def test_non_power_of_two_alignment_rejected(self, alignment):
         with pytest.raises(ValueError):
             align_up(10, alignment)
-        with pytest.raises(ValueError):
-            align_down(10, alignment)
 
     def test_default_alignment_is_cache_line(self):
         assert align_up(1) == CACHE_LINE
@@ -52,12 +42,9 @@ class TestLineGeometry:
     def test_line_index(self):
         assert line_index(0x1000) == 0x1000 // 64
 
-    def test_line_offset(self):
-        assert line_offset(0x1234) == 0x34
-
     def test_line_address_plus_offset_reconstructs(self):
         for address in (0, 1, 63, 64, 65, 0xDEADBEEF):
-            assert line_address(address) + line_offset(address) == address
+            assert line_address(address) + (address & (CACHE_LINE - 1)) == address
 
     def test_iter_lines_single_byte(self):
         assert list(iter_lines(100, 1)) == [64]

@@ -90,12 +90,6 @@ class TestAllocFree:
         with pytest.raises(ValueError):
             pool_b.free(mbuf)
 
-    def test_alloc_bulk_all_or_nothing(self, allocator):
-        pool = make_pool(allocator, n=4)
-        assert len(pool.alloc_bulk(4)) == 4
-        with pytest.raises(MempoolEmptyError):
-            pool.alloc_bulk(1)
-
     def test_udata_survives_alloc_free(self, allocator):
         """CacheDirector pre-computes udata64 once at pool init; the
         value must survive recycling."""
@@ -117,7 +111,8 @@ class TestAllocFree:
 class TestWatermarks:
     def test_no_watermarks_means_no_pressure(self, allocator):
         pool = make_pool(allocator, n=4)
-        pool.alloc_bulk(4)
+        for _ in range(4):
+            pool.alloc()
         assert not pool.under_pressure
 
     def test_hysteresis_on_at_high_off_at_low(self, allocator):
@@ -178,13 +173,6 @@ class TestInjectedFaults:
         assert pool.alloc() is not None
         assert pool.alloc_failures == 0
         assert pool.faults.stats.to_dict() == {}
-
-    def test_alloc_bulk_all_or_nothing_under_injection(self, allocator):
-        pool = make_pool(allocator, n=8)
-        pool.faults = self._clock(mempool_alloc_fail=0.5)
-        with pytest.raises(MempoolEmptyError):
-            pool.alloc_bulk(8)  # seed-0 stream fails mid-bulk
-        assert pool.available == 8  # partial allocations were returned
 
     def test_fault_decisions_are_replayable(self, allocator):
         outcomes = []

@@ -1,91 +1,8 @@
-"""Unit tests for the packet header codecs."""
+"""Unit tests for the flow 5-tuple and the bulk packet record."""
 
 import pytest
 
-from repro.net.packet import (
-    ETH_HEADER_LEN,
-    EthernetHeader,
-    FiveTuple,
-    IPV4_HEADER_LEN,
-    Ipv4Header,
-    PROTO_TCP,
-    PROTO_UDP,
-    Packet,
-    TransportHeader,
-    ipv4_checksum,
-)
-
-
-class TestEthernet:
-    def test_pack_unpack_roundtrip(self):
-        header = EthernetHeader(dst_mac=0x0200_00AA_BB01, src_mac=0x0200_00AA_BB02)
-        wire = header.pack()
-        assert len(wire) == ETH_HEADER_LEN
-        parsed = EthernetHeader.unpack(wire)
-        assert parsed == header
-
-    def test_swap_macs(self):
-        header = EthernetHeader(dst_mac=1, src_mac=2)
-        header.swap_macs()
-        assert (header.dst_mac, header.src_mac) == (2, 1)
-
-    def test_short_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            EthernetHeader.unpack(b"\x00" * 13)
-
-
-class TestIpv4:
-    def make(self):
-        return Ipv4Header(
-            src_ip=0x0A000001, dst_ip=0xC0A80001, proto=PROTO_UDP, total_length=100
-        )
-
-    def test_pack_length(self):
-        assert len(self.make().pack()) == IPV4_HEADER_LEN
-
-    def test_roundtrip(self):
-        header = self.make()
-        parsed = Ipv4Header.unpack(header.pack())
-        assert parsed.src_ip == header.src_ip
-        assert parsed.dst_ip == header.dst_ip
-        assert parsed.proto == header.proto
-        assert parsed.total_length == header.total_length
-        assert parsed.ttl == header.ttl
-
-    def test_checksum_valid_on_wire(self):
-        wire = self.make().pack()
-        assert ipv4_checksum(wire) == 0
-
-    def test_checksum_detects_corruption(self):
-        wire = bytearray(self.make().pack())
-        wire[16] ^= 0xFF
-        assert ipv4_checksum(bytes(wire)) != 0
-
-    def test_version_check(self):
-        wire = bytearray(self.make().pack())
-        wire[0] = 0x65  # version 6
-        with pytest.raises(ValueError):
-            Ipv4Header.unpack(bytes(wire))
-
-    def test_short_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            Ipv4Header.unpack(b"\x45" * 10)
-
-
-class TestTransport:
-    def test_udp_roundtrip(self):
-        header = TransportHeader(src_port=1234, dst_port=80, proto=PROTO_UDP)
-        parsed = TransportHeader.unpack(header.pack(), PROTO_UDP)
-        assert (parsed.src_port, parsed.dst_port) == (1234, 80)
-
-    def test_tcp_roundtrip(self):
-        header = TransportHeader(src_port=5555, dst_port=443, proto=PROTO_TCP)
-        parsed = TransportHeader.unpack(header.pack(), PROTO_TCP)
-        assert (parsed.src_port, parsed.dst_port) == (5555, 443)
-
-    def test_short_buffer(self):
-        with pytest.raises(ValueError):
-            TransportHeader.unpack(b"\x00\x01", PROTO_UDP)
+from repro.net.packet import FiveTuple, Packet
 
 
 class TestFiveTuple:
@@ -106,15 +23,3 @@ class TestPacket:
     def test_flow_key(self):
         p = Packet(size=64, flow=FiveTuple(1, 2, 3, 4, 6))
         assert p.flow_key == (1, 2, 3, 4, 6)
-
-    def test_header_bytes_parse_back(self):
-        p = Packet(size=128, flow=FiveTuple(0x0A000001, 0xC0A80002, 1024, 443, PROTO_TCP))
-        wire = p.header_bytes()
-        eth = EthernetHeader.unpack(wire[:14])
-        ip = Ipv4Header.unpack(wire[14:34])
-        l4 = TransportHeader.unpack(wire[34:], ip.proto)
-        assert ip.src_ip == 0x0A000001
-        assert ip.dst_ip == 0xC0A80002
-        assert l4.src_port == 1024
-        assert l4.dst_port == 443
-        assert eth.ethertype == 0x0800

@@ -2,24 +2,9 @@
 
 import pytest
 
-from repro.cachesim.prefetch import AdjacentLinePrefetcher, StreamerPrefetcher
+from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
 from repro.mem.address import CACHE_LINE, PAGE_4K
-
-
-class TestAdjacentLine:
-    def test_buddy_of_even_line(self):
-        p = AdjacentLinePrefetcher()
-        assert p.observe(0) == [CACHE_LINE]
-
-    def test_buddy_of_odd_line(self):
-        p = AdjacentLinePrefetcher()
-        assert p.observe(CACHE_LINE) == [0]
-
-    def test_buddy_stays_in_pair(self):
-        p = AdjacentLinePrefetcher()
-        line = 7 * CACHE_LINE
-        assert p.observe(line) == [6 * CACHE_LINE]
 
 
 class TestStreamer:

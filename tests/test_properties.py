@@ -14,7 +14,6 @@ from repro.core.cache_director import (
 from repro.dpdk.ring import Ring
 from repro.mem.address import CACHE_LINE, iter_lines, line_address, parity
 from repro.net.harness import finite_queue_sim, lindley_waits
-from repro.net.packet import EthernetHeader, FiveTuple, Ipv4Header
 from repro.stats.percentiles import summarize_latencies
 
 addresses = st.integers(min_value=0, max_value=(1 << 40) - 1)
@@ -201,37 +200,6 @@ class TestQueueingProperties:
         services = np.full(len(arrivals), 10.0)
         _, dropped = finite_queue_sim(arrivals, services, capacity=10**9)
         assert not dropped.any()
-
-
-class TestCodecProperties:
-    @given(
-        dst=st.integers(0, (1 << 48) - 1),
-        src=st.integers(0, (1 << 48) - 1),
-        ethertype=st.integers(0, 0xFFFF),
-    )
-    def test_ethernet_roundtrip(self, dst, src, ethertype):
-        header = EthernetHeader(dst_mac=dst, src_mac=src, ethertype=ethertype)
-        assert EthernetHeader.unpack(header.pack()) == header
-
-    @given(
-        src=st.integers(0, (1 << 32) - 1),
-        dst=st.integers(0, (1 << 32) - 1),
-        proto=st.integers(0, 255),
-        length=st.integers(20, 65535),
-        ttl=st.integers(0, 255),
-    )
-    def test_ipv4_roundtrip_and_checksum(self, src, dst, proto, length, ttl):
-        header = Ipv4Header(
-            src_ip=src, dst_ip=dst, proto=proto, total_length=length, ttl=ttl
-        )
-        wire = header.pack()
-        parsed = Ipv4Header.unpack(wire)
-        assert (parsed.src_ip, parsed.dst_ip, parsed.proto) == (src, dst, proto)
-        assert parsed.total_length == length
-        assert parsed.ttl == ttl
-        from repro.net.packet import ipv4_checksum
-
-        assert ipv4_checksum(wire) == 0
 
 
 class TestStatsProperties:

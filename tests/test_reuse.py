@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.reuse import (
-    hit_rate_at,
-    hit_rate_curve,
-    miss_ratio_curve_points,
-    reuse_distances,
-)
+from repro.stats.reuse import hit_rate_at, reuse_distances
 
 
 def brute_force_distances(keys):
@@ -82,32 +77,12 @@ class TestHitRates:
                 hits / len(keys)
             )
 
-    def test_curve_is_monotone(self):
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 100, 3000)
-        distances = reuse_distances(keys)
-        curve = hit_rate_curve(distances, [1, 2, 4, 8, 16, 32, 64, 128])
-        assert curve == sorted(curve)
-
-    def test_miss_ratio_points(self):
-        rng = np.random.default_rng(4)
-        keys = rng.integers(0, 50, 1000)
-        distances = reuse_distances(keys)
-        points = miss_ratio_curve_points(distances, 64, points=8)
-        capacities = [c for c, _ in points]
-        misses = [m for _, m in points]
-        assert capacities == sorted(capacities)
-        assert all(0.0 <= m <= 1.0 for m in misses)
-        assert misses == sorted(misses, reverse=True)
-
     def test_validation(self):
         distances = reuse_distances([1, 1])
         with pytest.raises(ValueError):
             hit_rate_at(distances, 0)
         with pytest.raises(ValueError):
             hit_rate_at(np.array([]), 4)
-        with pytest.raises(ValueError):
-            miss_ratio_curve_points(distances, 1)
 
 
 class TestFig8CapacityAnalysis:

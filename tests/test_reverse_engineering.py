@@ -6,6 +6,7 @@ from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
 from repro.cachesim.hashfn import haswell_complex_hash
 from repro.core.reverse_engineering import (
     PollingOracle,
+    RecoveredHash,
     recover_complex_hash,
     verify_recovered_hash,
 )
@@ -151,9 +152,11 @@ class TestRecoveredHashDeployment:
 
         context = SliceAwareContext.with_recovered_hash(HASWELL_E5_2667V3)
         truth = HASWELL_E5_2667V3.hash_factory()
-        assert list(context.recovered.hash.masks) == list(truth.masks)
-        assert context.recovered.residual == 0
-        assert context.recovered.ambiguous_bits == []
+        recovered = context.hash  # placement runs on the recovered hash
+        assert isinstance(recovered, RecoveredHash)
+        assert list(recovered.hash.masks) == list(truth.masks)
+        assert recovered.residual == 0
+        assert recovered.ambiguous_bits == []
 
     def test_allocations_match_hardware_mapping(self):
         from repro.cachesim.machines import HASWELL_E5_2667V3

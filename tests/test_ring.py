@@ -29,15 +29,10 @@ class TestRing:
         assert ring.dequeue() is None
         assert ring.empty
 
-    def test_burst_enqueue_partial(self):
-        ring = Ring(4)
-        taken = ring.enqueue_burst(list(range(6)))
-        assert taken == 4
-        assert len(ring) == 4
-
     def test_burst_dequeue(self):
         ring = Ring(8)
-        ring.enqueue_burst([1, 2, 3])
+        for item in (1, 2, 3):
+            ring.enqueue(item)
         assert ring.dequeue_burst(2) == [1, 2]
         assert ring.dequeue_burst(5) == [3]
         assert ring.dequeue_burst(1) == []
@@ -71,16 +66,10 @@ class TestRing:
         assert [ring.dequeue(), ring.dequeue()] == [2, 4]
         assert ring.empty
 
-    def test_burst_enqueue_into_full_ring(self):
-        ring = Ring(2)
-        ring.enqueue_burst([1, 2])
-        assert ring.enqueue_burst([3, 4]) == 0
-        assert ring.enqueue_drops == 1  # burst stops at the first drop
-        assert len(ring) == 2
-
     def test_drop_counter_accumulates(self):
         ring = Ring(2)
-        ring.enqueue_burst([1, 2])
+        ring.enqueue(1)
+        ring.enqueue(2)
         for i in range(3):
             assert not ring.enqueue(i)
         assert ring.enqueue_drops == 3
@@ -94,9 +83,11 @@ class TestRing:
         ring = Ring(4)
         out = []
         seq = iter(range(100))
-        ring.enqueue_burst([next(seq) for _ in range(3)])
+        for _ in range(3):
+            ring.enqueue(next(seq))
         for _ in range(40):
             out.extend(ring.dequeue_burst(2))
-            ring.enqueue_burst([next(seq), next(seq)])
+            ring.enqueue(next(seq))
+            ring.enqueue(next(seq))
         out.extend(ring.dequeue_burst(4))
         assert out == sorted(out)

@@ -4,6 +4,7 @@ clean under every rule."""
 
 import ast
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -334,14 +335,22 @@ def test_shipped_tree_is_clean():
     result = run_simcheck([SRC_REPRO], root=SRC_REPRO.parent)
     assert result.active == [], format_result(result)
     # The suppressions that do exist are all justified lab/bench
-    # wall-clock-provenance or shared-serializer cases — keep the
-    # count pinned so new ones are conscious decisions.
-    assert len(result.suppressed) == 12
-    assert {f.code for f in result.suppressed} == {"SIM001", "SIM302"}
+    # wall-clock-provenance or shared-serializer cases, or defs kept
+    # on purpose (SIM501) — keep the counts pinned so new ones are
+    # conscious decisions.
+    kept = [f for f in result.suppressed if f.code == "SIM501"]
+    others = [f for f in result.suppressed if f.code != "SIM501"]
+    assert len(others) == 12
+    assert {f.code for f in others} == {"SIM001", "SIM302"}
+    assert len(kept) == 42
 
 
 def test_every_rule_runs_on_one_parse_per_file(tmp_path, monkeypatch):
     """One `run_simcheck` parses each file once and fires every rule."""
+    # A whole `repro` package, so the package-wide SIM501 runs too.
+    tmp_path = tmp_path / "repro"
+    tmp_path.mkdir()
+    (tmp_path / "__init__.py").write_text("")
     for fixture in sorted(FIXTURES.glob("*.py")) + sorted(
         FLOW_FIXTURES.glob("*.py")
     ):
@@ -409,4 +418,143 @@ def test_python_m_repro_analysis_is_repro_check():
     ]
     assert [p.returncode for p in outputs] == [0, 0], outputs[0].stderr
     assert outputs[0].stdout == outputs[1].stdout
-    assert "0 finding(s), 12 suppressed" in outputs[0].stdout
+    assert "0 finding(s), 54 suppressed" in outputs[0].stdout
+
+
+# ----------------------------------------------------------------------
+# SIM501 — public defs that nothing in the package references
+# ----------------------------------------------------------------------
+
+#: The five reasons a def may be kept with ``ignore[SIM501]``.
+SIM501_REASONS = ("oracle", "e2ebench", "paper claim", "example", "probe")
+
+DEAD_SURFACE = {
+    "repro/__init__.py": """
+        from repro.util import exported_only
+
+        __all__ = ["exported_only", "listed_only"]
+        """,
+    "repro/util.py": """
+        def used_by_name():
+            return 1
+
+        def dead_function():
+            return used_by_name()
+
+        def _private_helper():
+            return 2
+
+        def dispatched():
+            return 3
+
+        def exported_only():
+            return 4
+
+        def listed_only():
+            return 5
+
+        def recursive_only(n):
+            return recursive_only(n - 1) if n else 0
+
+        def kept():  # simcheck: ignore[SIM501] oracle for used_by_name
+            return 6
+
+        def imported_as():
+            return 7
+
+        if hasattr(int, "bit_count"):
+            def hidden_in_a_branch(value):
+                return value.bit_count()
+
+        class Widget:
+            def used_method(self):
+                return 8
+
+            def dead_method(self):
+                return self.used_method()
+
+            def __repr__(self):
+                return "Widget()"
+
+            def visit_Name(self, node):
+                return node
+        """,
+    "repro/cli.py": """
+        import repro.util as util
+        from repro.util import imported_as as alias
+
+        def main():
+            run = getattr(util, "dispatched")
+            return run() + alias() + util.Widget().used_method()
+        """,
+    "repro/__main__.py": """
+        from repro.cli import main
+
+        main()
+        """,
+}
+
+
+def _dead_defs(findings):
+    return sorted(f.message.split("`")[1] for f in findings if f.code == "SIM501")
+
+
+def test_sim501_flags_unused_public_defs(tmp_path):
+    _write_tree(tmp_path, DEAD_SURFACE)
+    result = run_simcheck([tmp_path / "repro"], root=tmp_path)
+    # `__all__` entries and `__init__` re-exports are declarations, and
+    # a def naming only itself is not used.
+    assert _dead_defs(result.active) == [
+        "Widget.dead_method",
+        "dead_function",
+        "exported_only",
+        "hidden_in_a_branch",
+        "listed_only",
+        "recursive_only",
+    ]
+    assert {f.path for f in result.active} == {"repro/util.py"}
+
+
+def test_sim501_spares_private_dispatched_and_kept_defs(tmp_path):
+    _write_tree(tmp_path, DEAD_SURFACE)
+    result = run_simcheck([tmp_path / "repro"], root=tmp_path)
+    flagged = _dead_defs(result.active)
+    for spared in ("_private_helper", "dispatched", "imported_as", "kept"):
+        assert spared not in flagged
+    assert not any("__repr__" in name or "visit_" in name for name in flagged)
+    assert _dead_defs(result.suppressed) == ["kept"]
+
+
+def test_sim501_needs_a_whole_package_scan(tmp_path):
+    _write_tree(tmp_path, DEAD_SURFACE)
+    for paths in ([tmp_path], [tmp_path / "repro" / "util.py"]):
+        result = run_simcheck(paths, root=tmp_path)
+        assert _dead_defs(result.findings) == []
+    partial = run_simcheck([SRC_REPRO / "cachesim"], root=SRC_REPRO)
+    assert _dead_defs(partial.findings) == []
+
+
+def test_sim501_catches_a_new_unused_function(tmp_path):
+    package = tmp_path / "repro"
+    shutil.copytree(SRC_REPRO, package, ignore=shutil.ignore_patterns("__pycache__"))
+    with (package / "mem" / "address.py").open("a") as fh:
+        fh.write("\n\ndef brand_new_helper(address):\n    return address\n")
+    result = run_simcheck([package], root=tmp_path)
+    assert _dead_defs(result.active) == ["brand_new_helper"]
+
+
+def test_sim501_suppressions_name_a_reason():
+    """Every def kept on purpose says why, from the closed set."""
+    pattern = re.compile(r"simcheck:\s*ignore(?:-file)?\[[^\]]*SIM501[^\]]*\](.*)")
+    seen = 0
+    for path in sorted(SRC_REPRO.rglob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            match = pattern.search(line)
+            if match is None:
+                continue
+            seen += 1
+            reason = match.group(1).strip()
+            where = f"{path.relative_to(SRC_REPRO)}:{lineno}"
+            assert reason, f"{where}: SIM501 suppression without a reason"
+            assert reason.startswith(SIM501_REASONS), f"{where}: {reason!r}"
+    assert seen > 0

@@ -12,6 +12,7 @@ from repro.cachesim.hashfn import (
     ModularSliceHash,
     haswell_complex_hash,
 )
+from repro.core.reverse_engineering import RecoveredHash
 from repro.mem.address import CACHE_LINE
 from repro.mem.slice_array import SliceLocalArray
 
@@ -56,6 +57,11 @@ class TestSliceLocalArray:
             array.line_address(4)
         with pytest.raises(IndexError):
             array.line_address(-1)
+
+    @pytest.mark.parametrize("block_lines", [0, -8])
+    def test_nonpositive_block_lines_rejected(self, block_lines):
+        with pytest.raises(ValueError):
+            SliceLocalArray(0, 4, haswell_complex_hash(8), 0, block_lines=block_lines)
 
     def test_unaligned_base_rejected(self):
         with pytest.raises(ValueError):
@@ -203,6 +209,9 @@ ORACLE_HASHES = {
     **{f"xor-{n}": haswell_complex_hash(n) for n in (2, 4, 8)},
     **{f"modular-{n}": ModularSliceHash(n) for n in (6, 12, 18, 28)},
     "xor-singular": SINGULAR_XOR,
+    # Recovered by polling: the XOR hash plus a constant residual.
+    "recovered-xor-8": RecoveredHash(haswell_complex_hash(8), [], [], residual=5),
+    "recovered-singular": RecoveredHash(SINGULAR_XOR, [], [], residual=3),
     "scalar-only": ScalarOnlyHash(),
 }
 
@@ -242,6 +251,7 @@ def test_closed_form_offsets_match_probe(
         ("xor-8", 4),  # on the grid, short of a slice per block
         ("xor-singular", 4),  # singular: some blocks have no target line
         ("xor-singular", 12),
+        ("recovered-xor-8", 12),
         ("modular-18", 27),  # straddles the 18-line hash blocks: probed
         ("modular-12", 8),  # shorter than a hash block: probed
     ],

@@ -5,7 +5,6 @@ import pytest
 
 from repro.stats.fitting import (
     PiecewiseFit,
-    find_knee,
     fit_piecewise_linear_quadratic,
 )
 from repro.stats.percentiles import (
@@ -100,11 +99,6 @@ class TestPiecewiseFit:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             fit_piecewise_linear_quadratic([1, 2, 3], [1, 2], knee=2)
-
-    def test_find_knee_recovers_split(self):
-        x, y = self.make_knee_data(knee=37.0)
-        knee = find_knee(x, y)
-        assert 25 <= knee <= 45
 
     def test_format_paper_style(self):
         x, y = self.make_knee_data()

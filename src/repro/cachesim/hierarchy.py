@@ -32,8 +32,8 @@ invalidates private copies via :meth:`CacheHierarchy.invalidate_private`
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import CacheSanitizer, resolve_sanitizer
 from repro.cachesim.cache import DictCache

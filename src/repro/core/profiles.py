@@ -20,7 +20,7 @@ range as Fig. 5a rather than Intel's nominal 34 cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cachesim.hierarchy import CacheHierarchy

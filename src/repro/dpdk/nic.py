@@ -12,7 +12,7 @@ core's closest slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cachesim.ddio import DdioEngine

@@ -10,7 +10,7 @@ capacity-vs-latency trade-off plays out in the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -20,7 +20,6 @@ from repro.experiments.nfv_common import (
     run_nfv_experiment,
 )
 from repro.net.chain import router_napt_lb_chain
-from repro.stats.percentiles import cdf_points
 
 
 def run_fig14_arm(

@@ -13,7 +13,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.nfv_common import run_nfv_experiment
 from repro.net.chain import router_napt_lb_chain
 from repro.net.harness import LOOPBACK_100G_US
 from repro.stats.fitting import PiecewiseFit, fit_piecewise_linear_quadratic

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.experiments import require_fast_engine
 from repro.faults.plan import FaultPlan, plan_for_class, resolve_plan
-from repro.fleet.cluster import FleetRunResult, run_fleet_cell
+from repro.fleet.cluster import run_fleet_cell
 
 #: Server/tenant grids the scale experiment covers by default.
 DEFAULT_SERVER_COUNTS = [2, 4, 8]

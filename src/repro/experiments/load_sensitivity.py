@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.experiments.nfv_common import run_nfv_experiment
 from repro.net.chain import router_napt_lb_chain
 

@@ -19,13 +19,7 @@ import numpy as np
 from repro.dpdk.steering import FlowDirectorSteering, RssSteering
 from repro.faults.plan import FaultClock, resolve_plan
 from repro.faults.streams import apply_bulk_faults
-from repro.net.chain import (
-    DutConfig,
-    DutEnvironment,
-    ServiceChain,
-    router_napt_lb_chain,
-    simple_forwarding_chain,
-)
+from repro.net.chain import DutConfig, DutEnvironment, ServiceChain
 from repro.net.harness import (
     LatencyRunResult,
     NicModel,
@@ -34,7 +28,7 @@ from repro.net.harness import (
     simulate_queueing_latency,
 )
 from repro.net.trace import CampusTraceGenerator
-from repro.stats.percentiles import LatencySummary, median_of_runs, summarize_latencies
+from repro.stats.percentiles import LatencySummary, median_of_runs
 
 ChainFactory = Callable[[], ServiceChain]
 

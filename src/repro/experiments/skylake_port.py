@@ -15,7 +15,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134, MachineSpec
+from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
 from repro.dpdk.steering import FlowDirectorSteering
 from repro.net.chain import DutConfig, DutEnvironment, router_napt_lb_chain
 from repro.net.trace import CampusTraceGenerator

@@ -27,7 +27,6 @@ from repro.cachesim.ddio import DdioEngine
 from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, KvsRequestFault
 from repro.kvs.store import KvsStore
-from repro.mem.address import CACHE_LINE
 from repro.net.dataplane import (
     OpRecorder,
     charges_per_item,

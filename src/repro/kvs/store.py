@@ -15,9 +15,7 @@ Two value placements are compared:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.core.slice_aware import LinearBuffer, SliceAwareContext
+from repro.core.slice_aware import SliceAwareContext
 from repro.mem.slice_array import SliceLocalArray
 from repro.mem.address import CACHE_LINE, align_up
 

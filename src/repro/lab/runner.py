@@ -5,14 +5,18 @@ Execution model:
 * every experiment contributes one task — or several, when its spec
   declares a :class:`~repro.lab.spec.SplitSpec` (the Fig. 7/13/14/15
   sweeps split into independent size/arm/load points);
-* tasks run on a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (``--jobs 1`` runs inline, same code path for computing results);
+* tasks run on up to ``--jobs`` one-worker
+  :class:`~concurrent.futures.ProcessPoolExecutor` pools, one task per
+  pool at a time (``--jobs 1`` runs inline, same code path for
+  computing results);
 * each task gets a per-task timeout enforced *inside* the worker via
   ``SIGALRM`` — a stuck task raises instead of wedging the pool;
 * failures (exceptions, timeouts, worker crashes) are retried a
   bounded number of times; a persistently failing experiment is
   recorded as ``failed`` in the manifest and the rest of the matrix
   still completes;
+* a worker crash breaks only the pool of the task that crashed, so
+  only a task's own crash or exception spends one of its attempts;
 * task seeds derive deterministically from the run's base seed, so
   results are bit-identical regardless of ``--jobs``;
 * after merging and serializing, an experiment that ran at exactly
@@ -27,7 +31,8 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -240,51 +245,68 @@ def _run_tasks_pooled(
     outcomes: Dict[TaskKey, TaskOutcome] = {}
     attempts: Dict[TaskKey, int] = {t.key: 0 for t in tasks}
     context = _pool_context()
-    queue = deque(tasks)
-    while queue:
-        # One pool per round: a crashed worker breaks the pool, so any
-        # tasks it took down get retried on a fresh one.
-        batch = list(queue)
-        queue.clear()
-        executor = ProcessPoolExecutor(
-            max_workers=min(jobs, len(batch)), mp_context=context
-        )
-        futures = {
-            executor.submit(
-                _execute_task, t.experiment, t.index, t.params, t.seed, timeout_s
-            ): t
-            for t in batch
-        }
-        for future in as_completed(futures):
-            task = futures[future]
-            attempts[task.key] += 1
-            try:
-                result, duration_ns = future.result()
-            except Exception as exc:  # noqa: BLE001 - includes BrokenProcessPool
-                error = _describe_error(exc)
-                # Escaped injected faults are fatal (see inline runner).
-                if (
-                    not isinstance(exc, InjectedFault)
-                    and attempts[task.key] <= retries
-                ):
-                    queue.append(task)
-                    retry_note(task, attempts[task.key], error)
-                else:
-                    outcomes[task.key] = TaskOutcome(
-                        task, "failed", attempts[task.key], 0.0, error=error
-                    )
-                    note(task, outcomes[task.key])
-                continue
-            outcomes[task.key] = TaskOutcome(
-                task,
-                "ok",
-                attempts[task.key],
-                duration_ns / 1e9,
-                result=result,
-                duration_ns=duration_ns,
-            )
-            note(task, outcomes[task.key])
-        executor.shutdown(wait=True)
+    pending = deque(tasks)
+    # Up to ``jobs`` one-worker pools, each holding one task at a time:
+    # a worker crash breaks only the pool of the task that crashed, so
+    # no other task is lost with it.  A pool is reused until it breaks.
+    idle: List[ProcessPoolExecutor] = []
+    running: Dict[Future, Tuple[LabTask, ProcessPoolExecutor]] = {}
+    try:
+        while pending or running:
+            while pending and len(running) < jobs:
+                task = pending.popleft()
+                pool = (
+                    idle.pop()
+                    if idle
+                    else ProcessPoolExecutor(max_workers=1, mp_context=context)
+                )
+                future = pool.submit(
+                    _execute_task,
+                    task.experiment,
+                    task.index,
+                    task.params,
+                    task.seed,
+                    timeout_s,
+                )
+                running[future] = (task, pool)
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                task, pool = running.pop(future)
+                attempts[task.key] += 1
+                try:
+                    result, duration_ns = future.result()
+                except Exception as exc:  # noqa: BLE001 - includes BrokenProcessPool
+                    if isinstance(exc, BrokenProcessPool):
+                        pool.shutdown(wait=True)
+                    else:
+                        idle.append(pool)
+                    error = _describe_error(exc)
+                    # Escaped injected faults are fatal (see inline runner).
+                    if (
+                        not isinstance(exc, InjectedFault)
+                        and attempts[task.key] <= retries
+                    ):
+                        pending.append(task)
+                        retry_note(task, attempts[task.key], error)
+                    else:
+                        outcomes[task.key] = TaskOutcome(
+                            task, "failed", attempts[task.key], 0.0, error=error
+                        )
+                        note(task, outcomes[task.key])
+                    continue
+                idle.append(pool)
+                outcomes[task.key] = TaskOutcome(
+                    task,
+                    "ok",
+                    attempts[task.key],
+                    duration_ns / 1e9,
+                    result=result,
+                    duration_ns=duration_ns,
+                )
+                note(task, outcomes[task.key])
+    finally:
+        for pool in idle + [pool for _, pool in running.values()]:
+            pool.shutdown(wait=True)
     return outcomes
 
 

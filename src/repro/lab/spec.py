@@ -120,32 +120,66 @@ class ExperimentSpec:
         return (base_seed + self.seed_offset) % _SEED_MODULUS
 
 
+#: Builds the specs one experiment module backs (see :meth:`Registry.declare`).
+SpecFactory = Callable[[], Sequence[ExperimentSpec]]
+
+
 class Registry:
-    """Name-keyed collection of :class:`ExperimentSpec` objects."""
+    """Name-keyed collection of :class:`ExperimentSpec` objects.
+
+    Every spec is declared with the factory that builds it
+    (:meth:`register` wraps a built spec in one).  A factory runs on
+    the first lookup of any name it declares, so a process pays for
+    importing only the experiments it looks up; :meth:`names` and
+    :meth:`specs` build every spec.
+    """
 
     def __init__(self) -> None:
         self._specs: Dict[str, ExperimentSpec] = {}
+        self._factories: Dict[str, SpecFactory] = {}
 
     def register(self, spec: ExperimentSpec) -> ExperimentSpec:
-        """Add *spec*; duplicate names are an error."""
-        if spec.name in self._specs:
-            raise ValueError(f"experiment {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-        return spec
+        """Add an already built *spec*; duplicate names are an error."""
+        self.declare((spec.name,), lambda: (spec,))
+        return self.get(spec.name)
+
+    def declare(self, names: Sequence[str], factory: SpecFactory) -> None:
+        """Declare *names* without building them: the first lookup of
+        any of them calls *factory*, which must return exactly their
+        specs."""
+        for name in names:
+            if name in self:
+                raise ValueError(f"experiment {name!r} already registered")
+        for name in names:
+            self._factories[name] = factory
+
+    def _run_factory(self, factory: SpecFactory) -> None:
+        declared = sorted(n for n, f in self._factories.items() if f is factory)
+        specs = list(factory())
+        built = sorted(spec.name for spec in specs)
+        if built != declared:
+            raise ValueError(f"factory declared {declared} but built {built}")
+        for spec in specs:
+            del self._factories[spec.name]
+            self._specs[spec.name] = spec
 
     def get(self, name: str) -> ExperimentSpec:
         """Look up one spec; unknown names list the alternatives."""
+        if name in self._factories:
+            self._run_factory(self._factories[name])
         try:
             return self._specs[name]
         except KeyError:
-            known = ", ".join(sorted(self._specs))
+            known = ", ".join(sorted({*self._specs, *self._factories}))
             raise KeyError(f"unknown experiment {name!r}; registered: {known}")
 
     def __contains__(self, name: str) -> bool:
-        return name in self._specs
+        return name in self._specs or name in self._factories
 
     def names(self, tag: Optional[str] = None) -> List[str]:
         """All registered names (optionally filtered by tag), sorted."""
+        while self._factories:
+            self._run_factory(next(iter(self._factories.values())))
         return sorted(
             name
             for name, spec in self._specs.items()

@@ -15,12 +15,11 @@ same with arrays of pointers).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cachesim.hashfn import SliceHash
-from repro.mem.address import CACHE_LINE, align_up, line_address
+from repro.mem.address import CACHE_LINE, align_up
 from repro.mem.hugepage import HugepageBuffer
 
 

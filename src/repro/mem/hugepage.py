@@ -14,10 +14,10 @@ randomised physical bases, as a real allocator would), and a
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.mem.address import PAGE_1G, PAGE_2M, PAGE_4K, align_up, is_power_of_two
+from repro.mem.address import PAGE_1G, PAGE_2M, PAGE_4K, align_up
 
 
 class OutOfMemoryError(MemoryError):

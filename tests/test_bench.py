@@ -405,7 +405,7 @@ class TestBenchCli:
 
 class TestFromLabRun:
     def test_adapts_duration_ns(self, tmp_path):
-        from repro.lab import run_matrix
+        from repro.lab.runner import run_matrix
         from repro.lab.store import RunStore
 
         report = run_matrix(["table4"], jobs=1, seed=0, scale="reduced")
@@ -424,7 +424,7 @@ class TestFromLabRun:
         assert m.samples_ns[0] == artifact["duration_ns"]
 
     def test_falls_back_to_duration_s(self, tmp_path):
-        from repro.lab import run_matrix
+        from repro.lab.runner import run_matrix
         from repro.lab.store import RunStore
 
         report = run_matrix(["table4"], jobs=1, seed=0, scale="reduced")

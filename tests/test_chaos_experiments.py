@@ -15,7 +15,7 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.fig13_forwarding import run_fig13_arm
 from repro.experiments.nfv_common import nfv_result_to_dict
-from repro.lab import run_matrix
+from repro.lab.runner import run_matrix
 
 #: Smoke-sized parameters shared by every test here.
 TINY = {

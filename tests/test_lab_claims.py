@@ -5,10 +5,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.lab import default_registry, load_baseline, load_run, run_matrix
-from repro.lab.runner import check_claims
+from repro.lab.compare import load_baseline
+from repro.lab.registry import default_registry
+from repro.lab.runner import check_claims, run_matrix
 from repro.lab.spec import Claim, ExperimentSpec
-from repro.lab.store import RunStore
+from repro.lab.store import RunStore, load_run
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_EXPERIMENTS = ("fig05", "fig06", "fig07", "table3", "table4")

@@ -4,14 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.lab import (
+from repro.lab.compare import (
     compare_payloads,
     compare_runs,
     flatten_metrics,
     format_comparison_report,
     load_baseline,
-    run_matrix,
 )
+from repro.lab.runner import run_matrix
 from repro.lab.store import RunStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -153,7 +153,7 @@ class TestGoldenBaseline:
             seed=0,
         )
         RunStore(tmp_path / "run").write_report(report)
-        from repro.lab import load_run
+        from repro.lab.store import load_run
 
         comparison = compare_runs(
             load_run(tmp_path / "run"), load_baseline(GOLDEN_DIR)

@@ -6,8 +6,9 @@ import json
 import pytest
 
 from repro.cli import build_parser
-from repro.lab import default_registry, derive_seed, run_matrix
-from repro.lab.spec import ExperimentSpec, Registry
+from repro.lab.registry import default_registry
+from repro.lab.runner import run_matrix
+from repro.lab.spec import ExperimentSpec, Registry, derive_seed
 
 #: Tiny parameters so every experiment runs in test time; experiments
 #: absent here run at their registered reduced parameters.

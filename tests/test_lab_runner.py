@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.lab import default_registry, load_run, run_matrix
-from repro.lab.runner import TaskTimeout, build_tasks
+from repro.lab.registry import default_registry
+from repro.lab.runner import TaskTimeout, build_tasks, run_matrix
 from repro.lab.spec import ExperimentSpec, SplitSpec
-from repro.lab.store import RunStore
+from repro.lab.store import RunStore, load_run
 
 # ----------------------------------------------------------------------
 # Module-level runners so forked workers can execute them.
@@ -49,12 +49,14 @@ def _sleeper_runner(duration=5.0, seed=0):
     return {"slept": duration}
 
 
-def _crashing_runner(counter_path="", crash_times=1, seed=0):
-    """Kills the worker process outright for the first ``crash_times`` calls."""
+def _crashing_runner(counter_path="", crash_times=1, delay=0.0, seed=0):
+    """Kills the worker process outright, after ``delay`` seconds, for
+    the first ``crash_times`` calls."""
     path = Path(counter_path)
     n = int(path.read_text()) if path.exists() else 0
     path.write_text(str(n + 1))
     if n < crash_times:
+        time.sleep(delay)
         os._exit(137)
     return {"survived": True}
 
@@ -282,20 +284,27 @@ class TestWorkerCrash:
             default_params={
                 "counter_path": str(tmp_path / "die"),
                 "crash_times": 99,
+                "delay": 0.2,
             },
         )
+        # Still sleeping when the dier crashes.
         inject(
             name="lab-test-bystander",
             title="bystander",
-            runner=_ok_runner,
+            runner=_sleeper_runner,
+            default_params={"duration": 1.0},
         )
         report = run_matrix(
             ["lab-test-dier", "lab-test-bystander"], jobs=2, retries=1
         )
-        assert report.experiments["lab-test-dier"].status == "failed"
-        assert "BrokenProcessPool" in report.experiments["lab-test-dier"].error
-        # The innocent task survives the broken pool (rescheduled if needed).
-        assert report.experiments["lab-test-bystander"].status == "ok"
+        dier = report.experiments["lab-test-dier"]
+        assert dier.status == "failed"
+        assert "BrokenProcessPool" in dier.error
+        assert dier.attempts == 2
+        # The bystander spends no attempt on the dier's crash.
+        bystander = report.experiments["lab-test-bystander"]
+        assert bystander.status == "ok"
+        assert bystander.attempts == 1
 
 
 class TestParallelOverlap:

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.lab import load_run, run_matrix
-from repro.lab.store import MANIFEST_NAME, RunStore, environment_info
+from repro.lab.runner import run_matrix
+from repro.lab.store import MANIFEST_NAME, RunStore, environment_info, load_run
 
 
 @pytest.fixture(scope="module")

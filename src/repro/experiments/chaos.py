@@ -28,11 +28,18 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.nfv_common import (
     NfvExperimentResult,
+    compare_cache_director,
     merge_arms,
     nfv_result_to_dict,
     run_nfv_experiment,
 )
-from repro.faults.plan import FaultPlan, plan_for_class, resolve_plan
+from repro.faults.plan import (
+    NFV_PROBABILITY_FIELDS,
+    PROBABILITY_FIELDS,
+    FaultPlan,
+    plan_for_class,
+    resolve_plan,
+)
 from repro.net.chain import router_napt_lb_chain, simple_forwarding_chain
 
 #: Fault classes the tail experiment covers by default.
@@ -82,6 +89,27 @@ def _class_plan(
     return plan_for_class(fault_class, seed=fault_seed, intensity=intensity)
 
 
+def _tail_plan(
+    fault_class: str,
+    fault_seed: int,
+    intensity: float,
+    plans: Optional[Mapping[str, Mapping[str, Any]]],
+) -> FaultPlan:
+    """:func:`_class_plan`, rejecting a class no NFV site injects.
+
+    Such a class (today ``kvs``; the fleet classes too) would run the
+    fault-free NFV pipeline under its name and measure nothing.
+    """
+    plan = _class_plan(fault_class, fault_seed, intensity, plans)
+    active = [f for f in PROBABILITY_FIELDS if getattr(plan.rates, f) > 0.0]
+    if active and not set(active) & set(NFV_PROBABILITY_FIELDS):
+        raise ValueError(
+            f"fault class {fault_class!r} sets only {', '.join(active)}, "
+            "which no NFV site reads; the chaos tail would measure nothing"
+        )
+    return plan
+
+
 # ----------------------------------------------------------------------
 # chaos_tail
 # ----------------------------------------------------------------------
@@ -115,10 +143,11 @@ def run_chaos_tail_arm(
     The fault seed is derived from the experiment seed, so the whole
     matrix is reproducible from one number; passing ``plans`` (the
     persisted ``{class: plan_dict}`` map from an earlier artifact)
-    replays those plans verbatim instead.
+    replays those plans verbatim instead.  A class whose rates no NFV
+    site reads raises ``ValueError``.
     """
     chain_factory, steering = _chain_and_steering(chain)
-    plan = _class_plan(fault_class, seed + FAULT_SEED_OFFSET, intensity, plans)
+    plan = _tail_plan(fault_class, seed + FAULT_SEED_OFFSET, intensity, plans)
     return run_nfv_experiment(
         chain_factory,
         cache_director,
@@ -145,32 +174,34 @@ def run_chaos_tail(
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> ChaosTailResult:
-    """Tail-latency comparison across fault classes."""
+    """Tail-latency comparison across fault classes.
+
+    Every class's plan is checked before anything runs (see
+    :func:`run_chaos_tail_arm`); each class's two arms then share one
+    offered traffic (:func:`~repro.experiments.nfv_common.compare_cache_director`).
+    """
     class_list = list(classes) if classes is not None else list(DEFAULT_TAIL_CLASSES)
-    used_plans: Dict[str, Dict[str, Any]] = {}
-    results: Dict[str, Dict[str, NfvExperimentResult]] = {}
-    for fault_class in class_list:
-        plan = _class_plan(
+    chain_factory, steering = _chain_and_steering(chain)
+    used_plans = {
+        fault_class: _tail_plan(
             fault_class, seed + FAULT_SEED_OFFSET, intensity, plans
+        ).to_dict()
+        for fault_class in class_list
+    }
+    results = {
+        fault_class: compare_cache_director(
+            chain_factory,
+            steering,
+            offered_gbps=offered_gbps,
+            n_bulk_packets=n_bulk_packets,
+            micro_packets=micro_packets,
+            runs=runs,
+            seed=seed,
+            fault_plan=used_plans[fault_class],
+            watermarks=watermarks,
         )
-        used_plans[fault_class] = plan.to_dict()
-        arms = [
-            run_chaos_tail_arm(
-                fault_class,
-                cache_director,
-                chain=chain,
-                offered_gbps=offered_gbps,
-                n_bulk_packets=n_bulk_packets,
-                micro_packets=micro_packets,
-                runs=runs,
-                seed=seed,
-                intensity=intensity,
-                watermarks=watermarks,
-                plans={fault_class: plan.to_dict()},
-            )
-            for cache_director in (False, True)
-        ]
-        results[fault_class] = merge_arms(arms)
+        for fault_class in class_list
+    }
     return ChaosTailResult(
         chain=chain,
         classes=class_list,

@@ -1,12 +1,18 @@
 """Shared machinery for the NFV latency experiments (Figs. 12–15, Table 3).
 
-One experiment = one (chain, steering, load, CacheDirector?) point:
+One experiment = one (chain, steering, load) point run for one or more
+arms (CacheDirector off/on) over one offered traffic
+(:func:`run_nfv_arms`):
 
-1. microsimulate a packet sample through the full DuT to get the
-   service-time distribution,
-2. steer a bulk arrival stream to RX queues,
-3. run the finite-buffer queueing model,
-4. summarise with the paper's percentiles.
+1. draw the campus trace's flows once, and from them one microsim
+   packet sample with its RX queues and one flow→queue map,
+2. per arm, microsimulate the sample through that arm's full DuT to
+   get its service-time distribution,
+3. per run, draw one bulk arrival stream and steer it through the map;
+   every arm bootstraps its own service times onto that stream, runs it
+   through its own fault clock and the finite-buffer queueing model,
+   before the next run's stream is drawn,
+4. per arm, summarise the runs with the paper's percentiles.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from repro.net.harness import (
     sample_service_distribution,
     simulate_queueing_latency,
 )
+from repro.net.packet import Packet
 from repro.net.trace import CampusTraceGenerator
 from repro.stats.percentiles import LatencySummary, median_of_runs
 
@@ -62,6 +69,47 @@ class NfvExperimentResult:
     fault_counters: Optional[Dict[str, int]] = None
 
 
+def _micro_sample(
+    generator: CampusTraceGenerator,
+    steering_kind: str,
+    micro_packets: int,
+    n_cores: int,
+    seed: int,
+) -> Tuple[List[Packet], List[int]]:
+    """The microsim packet sample and the RX queue each packet lands on.
+
+    A fresh steering sees the sample in arrival order, so the same
+    generator and seed give the same queues every time.
+    """
+    steering = make_steering(steering_kind, n_cores)
+    packets = generator.generate(micro_packets, rate_pps=4e6, seed_offset=seed)
+    return packets, [steering.queue_for(p.flow_key) for p in packets]
+
+
+def _sample_service_ns(
+    chain_factory: ChainFactory,
+    cache_director: bool,
+    packets: List[Packet],
+    queues: List[int],
+    n_cores: int,
+    seed: int,
+    faults: Optional[FaultClock],
+    watermarks: Optional[Tuple[int, int]],
+) -> np.ndarray:
+    """Microsimulate one arm's DuT over a packet sample (ns per packet)."""
+    env = DutEnvironment(
+        DutConfig(
+            cache_director=cache_director,
+            n_cores=n_cores,
+            seed=seed,
+            watermarks=watermarks,
+        ),
+        chain_factory,
+        faults=faults,
+    )
+    return sample_service_distribution(env, packets, queues)
+
+
 def measure_service_times(
     chain_factory: ChainFactory,
     cache_director: bool,
@@ -79,90 +127,62 @@ def measure_service_times(
     FCS discards, allocation failures, NF crashes) are excluded from
     the sample and accounted in the clock's structured counters.
     """
-    env = DutEnvironment(
-        DutConfig(
-            cache_director=cache_director,
-            n_cores=n_cores,
-            seed=seed,
-            watermarks=watermarks,
-        ),
-        chain_factory,
-        faults=faults,
+    packets, queues = _micro_sample(
+        generator, steering_kind, micro_packets, n_cores, seed
     )
-    steering = make_steering(steering_kind, n_cores)
-    packets = generator.generate(micro_packets, rate_pps=4e6, seed_offset=seed)
-    queues = [steering.queue_for(p.flow_key) for p in packets]
-    return sample_service_distribution(env, packets, queues)
-
-
-def run_nfv_experiment(
-    chain_factory: ChainFactory,
-    cache_director: bool,
-    steering_kind: str,
-    offered_gbps: float,
-    n_bulk_packets: int = 300_000,
-    micro_packets: int = 4000,
-    n_cores: int = 8,
-    runs: int = 3,
-    ring_capacity: int = 1024,
-    nic: Optional[NicModel] = None,
-    seed: int = 0,
-    fault_plan: Optional[object] = None,
-    watermarks: Optional[Tuple[int, int]] = None,
-) -> NfvExperimentResult:
-    """Full pipeline for one configuration; medians over *runs*.
-
-    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan` or its
-    persisted dict form) turns on chaos injection: the microsimulation
-    runs the full resilient DuT (backpressure, FCS discards, NF
-    supervision) and the bulk stream passes through the vectorised
-    wire-fault transforms.  A ``None`` plan — or one with all-zero
-    rates — creates no clock and leaves every code path and RNG stream
-    bit-identical to a fault-free run.
-    """
-    plan = resolve_plan(fault_plan)
-    clock = (
-        FaultClock(plan) if plan is not None and plan.rates.any_active else None
-    )
-    generator = CampusTraceGenerator(seed=seed + 1)
-    service_samples = measure_service_times(
+    return _sample_service_ns(
         chain_factory,
         cache_director,
-        steering_kind,
-        generator,
-        micro_packets=micro_packets,
-        n_cores=n_cores,
-        seed=seed,
-        faults=clock,
-        watermarks=watermarks,
+        packets,
+        queues,
+        n_cores,
+        seed,
+        faults,
+        watermarks,
     )
-    if service_samples.size == 0:
-        # Every microsim packet was lost to injected faults (only
-        # possible at extreme rates).  Fall back to a zero-cycle sample
-        # so the queueing stage still runs — effective service then
-        # degenerates to the NIC floor — and record that it happened.
-        assert clock is not None
-        clock.count("micro.no_service_samples")
-        service_samples = np.zeros(1)
-    flow_keys = [tuple(f) for f in generator.flows]
-    summaries: List[LatencySummary] = []
-    achieved: List[float] = []
-    offered: List[float] = []
-    drops: List[float] = []
-    goodputs: List[float] = []
-    last_run: Optional[LatencyRunResult] = None
-    for run_index in range(runs):
-        rng = np.random.default_rng(seed + 100 + run_index)
-        sizes, flows, arrivals = generator.generate_arrays(
-            n_bulk_packets, rate_gbps=offered_gbps, seed_offset=run_index
-        )
-        steering = make_steering(steering_kind, n_cores)
-        queue_of_flow = np.array([steering.queue_for(key) for key in flow_keys])
-        queues = queue_of_flow[flows]
-        service = bootstrap_service_ns(service_samples, len(sizes), rng)
+
+
+class _ArmRuns:
+    """One arm's fault clock, service sample and per-run outcomes."""
+
+    def __init__(self, clock: Optional[FaultClock], service_ns: np.ndarray) -> None:
+        if service_ns.size == 0:
+            # Every microsim packet was lost to injected faults (only
+            # possible at extreme rates).  Fall back to a zero-cycle
+            # sample so the queueing stage still runs — effective
+            # service then degenerates to the NIC floor — and record
+            # that it happened.
+            assert clock is not None
+            clock.count("micro.no_service_samples")
+            service_ns = np.zeros(1)
+        self.clock = clock
+        self.service_ns = service_ns
+        self.summaries: List[LatencySummary] = []
+        self.achieved: List[float] = []
+        self.offered: List[float] = []
+        self.drops: List[float] = []
+        self.goodputs: List[float] = []
+        self.last_run: Optional[LatencyRunResult] = None
+
+    def run(
+        self,
+        sizes: np.ndarray,
+        queues: np.ndarray,
+        arrivals: np.ndarray,
+        rng: np.random.Generator,
+        n_queues: int,
+        nic: Optional[NicModel],
+        ring_capacity: int,
+    ) -> None:
+        """Queue one bulk stream through this arm's service times.
+
+        The stream's arrays are only read, so every arm of a
+        comparison consumes the same ones.
+        """
+        service = bootstrap_service_ns(self.service_ns, len(sizes), rng)
         goodput_mask: Optional[np.ndarray] = None
-        if clock is not None:
-            faulted = apply_bulk_faults(clock, arrivals, sizes, queues, service)
+        if self.clock is not None:
+            faulted = apply_bulk_faults(self.clock, arrivals, sizes, queues, service)
             if faulted.arrivals_ns.size == 0:
                 raise ValueError(
                     "fault plan dropped every packet in the bulk stream; "
@@ -178,29 +198,130 @@ def run_nfv_experiment(
             sizes,
             queues,
             service,
-            n_queues=n_cores,
+            n_queues=n_queues,
             nic=nic,
             ring_capacity=ring_capacity,
             goodput=goodput_mask,
         )
-        summaries.append(result.summary)
-        achieved.append(result.achieved_gbps)
-        offered.append(result.offered_gbps)
-        drops.append(result.drop_fraction)
-        goodputs.append(result.goodput_gbps)
-        last_run = result
-    assert last_run is not None
-    return NfvExperimentResult(
-        summary=median_of_runs(summaries),
-        achieved_gbps=float(np.median(achieved)),
-        offered_gbps=float(np.median(offered)),
-        drop_fraction=float(np.median(drops)),
-        mean_service_ns=float(service_samples.mean()),
-        latencies_us=last_run.latencies_us,
-        run_summaries=summaries,
-        goodput_gbps=float(np.median(goodputs)),
-        fault_counters=clock.stats.to_dict() if clock is not None else None,
+        self.summaries.append(result.summary)
+        self.achieved.append(result.achieved_gbps)
+        self.offered.append(result.offered_gbps)
+        self.drops.append(result.drop_fraction)
+        self.goodputs.append(result.goodput_gbps)
+        self.last_run = result
+
+    def result(self) -> NfvExperimentResult:
+        """Medians over the runs so far."""
+        assert self.last_run is not None
+        return NfvExperimentResult(
+            summary=median_of_runs(self.summaries),
+            achieved_gbps=float(np.median(self.achieved)),
+            offered_gbps=float(np.median(self.offered)),
+            drop_fraction=float(np.median(self.drops)),
+            mean_service_ns=float(self.service_ns.mean()),
+            latencies_us=self.last_run.latencies_us,
+            run_summaries=self.summaries,
+            goodput_gbps=float(np.median(self.goodputs)),
+            fault_counters=(
+                self.clock.stats.to_dict() if self.clock is not None else None
+            ),
+        )
+
+
+def run_nfv_arms(
+    chain_factory: ChainFactory,
+    arms: Sequence[bool],
+    steering_kind: str,
+    offered_gbps: float,
+    n_bulk_packets: int = 300_000,
+    micro_packets: int = 4000,
+    n_cores: int = 8,
+    runs: int = 3,
+    ring_capacity: int = 1024,
+    nic: Optional[NicModel] = None,
+    seed: int = 0,
+    fault_plan: Optional[object] = None,
+    watermarks: Optional[Tuple[int, int]] = None,
+) -> List[NfvExperimentResult]:
+    """Full pipeline for each arm over one offered traffic; medians over *runs*.
+
+    ``arms`` lists the CacheDirector setting of each arm (``(False,
+    True)`` is the DPDK vs +CacheDirector comparison).  The arms share
+    what they are offered: one trace generator, one microsim sample
+    with its queues, one flow→queue map, and per run one bulk stream,
+    which every arm consumes before the next run's is drawn.  Each arm
+    keeps its own DuT, its own bootstrap stream
+    (``default_rng(seed + 100 + run)``) and its own fault clock, so its
+    result is the same whichever arms run beside it.
+
+    ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan` or its
+    persisted dict form) turns on chaos injection: the microsimulation
+    runs the full resilient DuT (backpressure, FCS discards, NF
+    supervision) and the bulk stream passes through the vectorised
+    wire-fault transforms.  A ``None`` plan — or one with all-zero
+    rates — creates no clock and leaves every code path and RNG stream
+    bit-identical to a fault-free run.
+    """
+    plan = resolve_plan(fault_plan)
+    active = plan is not None and plan.rates.any_active
+    generator = CampusTraceGenerator(seed=seed + 1)
+    packets, micro_queues = _micro_sample(
+        generator, steering_kind, micro_packets, n_cores, seed
     )
+    states = []
+    for cache_director in arms:
+        clock = FaultClock(plan) if active else None
+        service_ns = _sample_service_ns(
+            chain_factory,
+            cache_director,
+            packets,
+            micro_queues,
+            n_cores,
+            seed,
+            clock,
+            watermarks,
+        )
+        states.append(_ArmRuns(clock, service_ns))
+    # The ``del``s free each array as soon as nothing reads it, so the
+    # peak holds one run's stream and nothing more (about 1 MiB of
+    # peak RSS at 150k packets per run).
+    del packets, micro_queues
+    # A fresh steering over the same flow order pins every flow to the
+    # same queue, so one map serves every run.
+    steering = make_steering(steering_kind, n_cores)
+    queue_of_flow = np.array([steering.queue_for(tuple(f)) for f in generator.flows])
+    for run_index in range(runs):
+        sizes, flows, arrivals = generator.generate_arrays(
+            n_bulk_packets, rate_gbps=offered_gbps, seed_offset=run_index
+        )
+        queues = queue_of_flow[flows]
+        del flows
+        for state in states:
+            state.run(
+                sizes,
+                queues,
+                arrivals,
+                np.random.default_rng(seed + 100 + run_index),
+                n_cores,
+                nic,
+                ring_capacity,
+            )
+        del sizes, queues, arrivals
+    return [state.result() for state in states]
+
+
+def run_nfv_experiment(
+    chain_factory: ChainFactory,
+    cache_director: bool,
+    steering_kind: str,
+    offered_gbps: float,
+    **kwargs,
+) -> NfvExperimentResult:
+    """One arm of :func:`run_nfv_arms` (same keyword arguments)."""
+    (result,) = run_nfv_arms(
+        chain_factory, (cache_director,), steering_kind, offered_gbps, **kwargs
+    )
+    return result
 
 
 def compare_cache_director(
@@ -209,15 +330,10 @@ def compare_cache_director(
     offered_gbps: float,
     **kwargs,
 ) -> Dict[str, NfvExperimentResult]:
-    """Run DPDK vs DPDK+CacheDirector for one configuration."""
-    return {
-        "dpdk": run_nfv_experiment(
-            chain_factory, False, steering_kind, offered_gbps, **kwargs
-        ),
-        "cachedirector": run_nfv_experiment(
-            chain_factory, True, steering_kind, offered_gbps, **kwargs
-        ),
-    }
+    """Run DPDK vs DPDK+CacheDirector over one offered traffic."""
+    return merge_arms(
+        run_nfv_arms(chain_factory, (False, True), steering_kind, offered_gbps, **kwargs)
+    )
 
 
 def merge_arms(

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.cachesim.machines import (
     HASWELL_E5_2667V3,
@@ -21,8 +21,10 @@ from repro.cachesim.machines import (
     MachineSpec,
 )
 from repro.core.profiles import derive_preference_table
-from repro.experiments.nfv_common import NfvExperimentResult
 from repro.net.trace import TABLE2_CLASSES
+
+if TYPE_CHECKING:
+    from repro.experiments.nfv_common import NfvExperimentResult
 
 
 def table1_rows(spec: MachineSpec = HASWELL_E5_2667V3) -> List[Tuple[str, str, int, int, str]]:

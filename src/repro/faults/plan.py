@@ -65,6 +65,21 @@ PROBABILITY_FIELDS = (
     "server_stall",
 )
 
+#: Probability fields some NFV site reads: the NIC, PMD, mempool and
+#: NF-supervisor hooks of the microsimulated DuT, and the bulk wire
+#: transforms.  The others drive only KVS servers and the fleet.
+NFV_PROBABILITY_FIELDS = (
+    "nic_drop",
+    "nic_corrupt",
+    "nic_duplicate",
+    "nic_reorder",
+    "nic_stall",
+    "mempool_alloc_fail",
+    "mempool_exhaust",
+    "nf_crash",
+    "nf_stall",
+)
+
 #: Self-healing fleet fields (PR 10).  They serialise only when they
 #: differ from their defaults so pre-existing persisted plans — and the
 #: fleet/chaos golden baselines that embed them — stay byte-identical.

@@ -207,6 +207,29 @@ class LatencyRunResult:
     goodput_gbps: float = 0.0
 
 
+def _narrow_queue_ids(queue_ids: np.ndarray, n_queues: int) -> np.ndarray:
+    """*queue_ids* as the narrowest unsigned integers that hold them.
+
+    Raises ``ValueError`` unless every id is an integer in
+    ``[0, n_queues)``; the check comes first, since a bare cast would
+    fold an id of 1.5 into queue 1 and wrap -1 to the top queue.
+    """
+    if queue_ids.size and not (
+        queue_ids.min() >= 0
+        and queue_ids.max() < n_queues
+        and (
+            queue_ids.dtype.kind in "biu"
+            or np.array_equal(queue_ids, np.floor(queue_ids))
+        )
+    ):
+        raise ValueError(f"queue ids must be integers in [0, {n_queues})")
+    if n_queues <= 1 << 8:
+        return queue_ids.astype(np.uint8)
+    if n_queues <= 1 << 16:
+        return queue_ids.astype(np.uint16)
+    return queue_ids.astype(np.int64)
+
+
 def _queue_waits(
     arrivals_ns: np.ndarray,
     services_ns: np.ndarray,
@@ -220,14 +243,15 @@ def _queue_waits(
     ``ValueError`` unless every queue id is an integer in
     ``[0, n_queues)``.
     """
+    narrow = _narrow_queue_ids(queue_ids, n_queues)
     # Partition packets by queue once; a stable sort keeps each queue's
-    # packets in arrival order.
-    order = np.argsort(queue_ids, kind="stable")
-    ids = np.arange(n_queues)
-    lo = np.searchsorted(queue_ids, ids, side="left", sorter=order)
-    hi = np.searchsorted(queue_ids, ids, side="right", sorter=order)
-    if int((hi - lo).sum()) != queue_ids.size:
-        raise ValueError(f"queue ids must be integers in [0, {n_queues})")
+    # packets in arrival order.  Over 8- or 16-bit ids numpy's stable
+    # sort is a radix sort, and its order is the same as over the
+    # original ids.
+    order = np.argsort(narrow, kind="stable")
+    counts = np.bincount(narrow, minlength=n_queues)
+    hi = np.cumsum(counts)
+    lo = hi - counts
     waits = np.empty(queue_ids.shape)
     dropped = np.empty(queue_ids.shape, dtype=bool)
     for start, stop in zip(lo.tolist(), hi.tolist()):

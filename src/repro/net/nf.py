@@ -191,37 +191,44 @@ class LpmRouter(NetworkFunction):
                 f"prefix {route.prefix:#x} has bits beyond /{route.prefix_len}"
             )
         self.routes.append(route)
-        if route.prefix_len <= 24:
+        # The span loops below run up to 65,536 times per route: bind
+        # the tables, their lookups and the written values once.
+        plen = route.prefix_len
+        slot = (route.next_hop, plen)
+        tbl24, tbl24_len, tbl8 = self._tbl24, self._tbl24_len, self._tbl8
+        if plen <= 24:
+            get, get_len = tbl24.get, tbl24_len.get
+            short = (False, route.next_hop)
             first = route.prefix >> 8
-            for idx in range(first, first + (1 << (24 - route.prefix_len))):
-                entry = self._tbl24.get(idx)
+            for idx in range(first, first + (1 << (24 - plen))):
+                entry = get(idx)
                 if entry is not None and entry[0]:
                     # A tbl8 block covers this /24: update the slots
                     # whose current route is shorter.
-                    block = self._tbl8[entry[1]]
+                    block = tbl8[entry[1]]
                     for off in range(256):
-                        if block[off][1] <= route.prefix_len:
-                            block[off] = (route.next_hop, route.prefix_len)
-                elif self._tbl24_len.get(idx, 0) <= route.prefix_len:
-                    self._tbl24[idx] = (False, route.next_hop)
-                    self._tbl24_len[idx] = route.prefix_len
+                        if block[off][1] <= plen:
+                            block[off] = slot
+                elif get_len(idx, 0) <= plen:
+                    tbl24[idx] = short
+                    tbl24_len[idx] = plen
         else:
             idx24 = route.prefix >> 8
-            entry = self._tbl24.get(idx24)
+            entry = tbl24.get(idx24)
             if entry is None or not entry[0]:
                 default = (
-                    (entry[1], self._tbl24_len.get(idx24, 0))
+                    (entry[1], tbl24_len.get(idx24, 0))
                     if entry is not None
                     else (-1, 0)
                 )
-                self._tbl8.append([default] * 256)
-                entry = (True, len(self._tbl8) - 1)
-                self._tbl24[idx24] = entry
-            block = self._tbl8[entry[1]]
+                tbl8.append([default] * 256)
+                entry = (True, len(tbl8) - 1)
+                tbl24[idx24] = entry
+            block = tbl8[entry[1]]
             low = route.prefix & 0xFF
-            for off in range(low, low + (1 << (32 - route.prefix_len))):
-                if block[off][1] <= route.prefix_len:
-                    block[off] = (route.next_hop, route.prefix_len)
+            for off in range(low, low + (1 << (32 - plen))):
+                if block[off][1] <= plen:
+                    block[off] = slot
 
     def lookup(self, dst_ip: int) -> Optional[int]:
         """Pure control-plane LPM lookup (no cache accounting)."""

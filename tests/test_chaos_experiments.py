@@ -14,7 +14,9 @@ from repro.experiments.chaos import (
     run_degradation_knee,
 )
 from repro.experiments.fig13_forwarding import run_fig13_arm
-from repro.experiments.nfv_common import nfv_result_to_dict
+from repro.experiments.nfv_common import nfv_result_to_dict, run_nfv_experiment
+from repro.faults.plan import NFV_PROBABILITY_FIELDS, PROBABILITY_FIELDS
+from repro.net.chain import simple_forwarding_chain
 from repro.lab.runner import run_matrix
 
 #: Smoke-sized parameters shared by every test here.
@@ -128,6 +130,60 @@ class TestAssembly:
     def test_unknown_fault_class_rejected(self):
         with pytest.raises(ValueError, match="unknown fault class"):
             run_chaos_tail_arm("gamma-ray", False, chain="forwarding")
+
+
+class TestClassesThatMeasureNothing:
+    """A class whose rates no NFV site reads would rerun the fault-free
+    pipeline under its name; the tail experiment rejects it."""
+
+    def test_arm_rejects_kvs(self):
+        with pytest.raises(ValueError, match="'kvs'"):
+            run_chaos_tail_arm("kvs", False, chain="forwarding", **TINY)
+
+    def test_tail_rejects_kvs_before_running_anything(self, monkeypatch):
+        import repro.experiments.chaos as chaos
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a class ran before the plans were checked")
+
+        monkeypatch.setattr(chaos, "compare_cache_director", no_run)
+        with pytest.raises(ValueError, match="'kvs'"):
+            run_chaos_tail(chain="forwarding", classes=["none", "kvs"], **TINY)
+
+    def test_cli_rejects_kvs(self):
+        from repro.cli import main
+
+        with pytest.raises(ValueError, match="'kvs'"):
+            main(["chaos", "tail", "--classes", "none", "kvs", "--bulk", "500",
+                  "--micro", "50", "--runs", "1"])
+
+    def test_zero_intensity_kvs_is_fault_free_and_allowed(self):
+        result = run_chaos_tail_arm(
+            "kvs", False, chain="forwarding", intensity=0.0, **TINY
+        )
+        assert result.fault_counters is None
+
+    @pytest.mark.parametrize("field", PROBABILITY_FIELDS)
+    def test_nfv_fields_are_the_ones_nfv_sites_read(self, field):
+        """Setting one rate alone moves the NFV result iff it is listed
+        in ``NFV_PROBABILITY_FIELDS``."""
+        from repro.experiments.fig13_forwarding import run_fig13_arm
+        from repro.faults.plan import FaultPlan, FaultRates
+
+        plan = FaultPlan(seed=7, rates=FaultRates(**{field: 0.2}))
+        faulted = run_nfv_experiment(
+            simple_forwarding_chain,
+            False,
+            "rss",
+            fault_plan=plan,
+            **dict(TINY, n_bulk_packets=1000, micro_packets=100),
+        )
+        clean = run_fig13_arm(False, **dict(TINY, n_bulk_packets=1000, micro_packets=100))
+        payload = nfv_result_to_dict(faulted)
+        payload.pop("goodput_gbps")
+        payload.pop("fault_counters")
+        moved = _canon(payload) != _canon(nfv_result_to_dict(clean))
+        assert moved == (field in NFV_PROBABILITY_FIELDS)
 
 
 class TestLabIntegration:

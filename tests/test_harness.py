@@ -5,6 +5,7 @@ import pytest
 
 from repro.net.harness import (
     NicModel,
+    _narrow_queue_ids,
     finite_queue_sim,
     lindley_waits,
     simulate_queueing_latency,
@@ -173,3 +174,37 @@ class TestSimulateQueueingLatency:
         queues[37] = bad_id
         with pytest.raises(ValueError, match="queue ids"):
             simulate_queueing_latency(arrivals, sizes, queues, services, n_queues=4)
+
+    @pytest.mark.parametrize("bad_id", [-1, 8, 300, 1.5])
+    def test_bad_id_rejected_before_the_narrow_cast(self, bad_id):
+        """Ids are sorted as 8-bit values: a bare cast would wrap -1 and
+        300 and fold 1.5 into queue 1, so they are checked first."""
+        arrivals, sizes, queues, services = self.make_stream(n=100, queues=8)
+        if isinstance(bad_id, float):
+            queues = queues.astype(float)
+        queues[37] = bad_id
+        with pytest.raises(ValueError, match="queue ids"):
+            simulate_queueing_latency(arrivals, sizes, queues, services, n_queues=8)
+
+    def test_integral_float_ids_accepted(self):
+        arrivals, sizes, queues, services = self.make_stream(n=100)
+        expected = simulate_queueing_latency(
+            arrivals, sizes, queues, services, n_queues=4
+        )
+        result = simulate_queueing_latency(
+            arrivals, sizes, queues.astype(float), services, n_queues=4
+        )
+        assert np.array_equal(result.latencies_us, expected.latencies_us)
+
+    @pytest.mark.parametrize(
+        "n_queues, dtype",
+        [(1, np.uint8), (8, np.uint8), (256, np.uint8), (257, np.uint16),
+         (300, np.uint16), (70_000, np.int64)],
+    )
+    def test_narrow_order_equals_int64_stable_order(self, n_queues, dtype):
+        queues = np.random.default_rng(n_queues).integers(0, n_queues, 5000)
+        narrow = _narrow_queue_ids(queues, n_queues)
+        assert narrow.dtype == dtype
+        assert np.array_equal(
+            np.argsort(narrow, kind="stable"), np.argsort(queues, kind="stable")
+        )

@@ -7,6 +7,7 @@ read ``sys.modules`` afterwards:
 * ``default_registry().get(name)`` loads that experiment's module and
   what the module imports itself, plus the registry — no other
   experiment module and none of the runner, compare or store modules;
+* looking up a static table (``table1``) loads no DPDK or NFV module;
 * importing :mod:`repro.fleet.cluster`, which needs
   :func:`repro.lab.spec.derive_seed`, loads no runner;
 * building one spec first and the rest later gives the same specs as
@@ -71,6 +72,19 @@ def test_get_imports_only_the_named_experiment(name):
     # and nothing else.
     assert loaded - own <= REGISTRY_SIDE
     assert not loaded & set(RUNNER_SIDE)
+
+
+def test_static_table_loads_no_nfv_stack():
+    """Table 1 needs the machine model only; ``NfvExperimentResult``
+    is imported by ``tables.py`` for annotations alone."""
+    loaded = loaded_after(
+        "from repro.lab.registry import default_registry; "
+        "default_registry().get('table1')"
+    )
+    assert "repro.experiments.tables" in loaded
+    assert not any(m == "repro.dpdk" or m.startswith("repro.dpdk.") for m in loaded)
+    assert "repro.net.chain" not in loaded
+    assert "repro.experiments.nfv_common" not in loaded
 
 
 def test_fleet_cluster_does_not_import_the_runner():

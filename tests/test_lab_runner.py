@@ -105,18 +105,22 @@ class TestParallelIdentity:
             assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), name
 
     def test_split_matches_monolithic_runner(self):
-        """The split+merge path equals calling the figure runner directly."""
+        """The split+merge path (one task per arm) equals calling the
+        figure runner directly (both arms over one offered traffic)."""
         from repro.experiments.fig13_forwarding import run_fig13
+        from repro.experiments.fig14_service_chain import run_fig14
         from repro.experiments.nfv_common import comparison_to_dict
 
-        params = self.TINY["fig13"]
-        report = run_matrix(["fig13"], jobs=2, seed=0, params_override=self.TINY)
-        direct = comparison_to_dict(
-            run_fig13(seed=0, offered_gbps=100.0, **params)
-        )
-        assert json.dumps(report.experiments["fig13"].payload, sort_keys=True) == (
-            json.dumps(direct, sort_keys=True)
-        )
+        runners = {"fig13": run_fig13, "fig14": run_fig14}
+        tiny = {name: self.TINY[name] for name in runners}
+        report = run_matrix(list(runners), jobs=2, seed=0, params_override=tiny)
+        for name, runner in runners.items():
+            direct = comparison_to_dict(
+                runner(seed=0, offered_gbps=100.0, **self.TINY[name])
+            )
+            assert json.dumps(report.experiments[name].payload, sort_keys=True) == (
+                json.dumps(direct, sort_keys=True)
+            ), name
 
     def test_seed_changes_results(self):
         tiny = {"fig13": self.TINY["fig13"]}

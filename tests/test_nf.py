@@ -1,5 +1,8 @@
 """Unit tests for the network functions' control planes and memory behaviour."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cachesim.machines import HASWELL_E5_2667V3
@@ -104,6 +107,24 @@ class TestLpmRouter:
         router = LpmRouter()
         router.setup(context)
         assert len(router.routes) == 3120
+
+    def test_default_tables_are_pinned(self, context):
+        """The seed-7 DIR-24-8 tables, entry for entry (hash of the
+        ``add_route`` span loops' output before they were tuned)."""
+        router = LpmRouter()
+        router.setup(context)
+        assert len(router._tbl24) == 47_389
+        assert len(router._tbl8) == 151
+        content = json.dumps(
+            [
+                sorted(router._tbl24.items()),
+                sorted(router._tbl24_len.items()),
+                router._tbl8,
+            ]
+        )
+        assert hashlib.sha256(content.encode()).hexdigest() == (
+            "9b86b93ca451e16deb425c1ba7b8da211fdb1808e8845761b39500f636d271b0"
+        )
 
     def test_hw_offload_skips_table_memory(self, context):
         offloaded = LpmRouter(n_routes=64, hw_offload=True)

@@ -139,7 +139,7 @@ def test_nan_service_stalls_the_ring_like_the_event_loop():
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 2000),
-    n_queues=st.integers(1, 8),
+    n_queues=st.one_of(st.integers(1, 8), st.just(300)),
     used=st.data(),
     ring_capacity=st.sampled_from([1, 8, 64, 1024]),
     load=st.floats(0.3, 5.0),
@@ -149,7 +149,7 @@ def test_stable_partition_equals_mask_loop(
     n, n_queues, used, ring_capacity, load, seed
 ):
     """Same per-queue order and results as one boolean mask per queue,
-    with some queues left empty."""
+    with some queues left empty, over 8- and 16-bit queue ids."""
     live = used.draw(
         st.lists(st.integers(0, n_queues - 1), min_size=1, unique=True)
     )
@@ -166,5 +166,27 @@ def test_stable_partition_equals_mask_loop(
     latencies, dropped = reference_latencies(
         arrivals, sizes, queues, service, n_queues, nic, ring_capacity
     )
+    assert np.array_equal(result.latencies_us, latencies[~dropped] / 1e3)
+    assert result.drop_fraction == float(dropped.mean())
+
+
+@pytest.mark.parametrize("n_queues", [8, 300])
+def test_partition_equals_mask_loop_at_8_and_300_queues(n_queues):
+    """Every queue in use, at a size each id width sorts."""
+    rng = np.random.default_rng(n_queues)
+    n = 20 * n_queues
+    arrivals = np.cumsum(rng.exponential(100.0 / (2.0 * n_queues), n))
+    sizes = rng.choice([64.0, 512.0, 1500.0], n)
+    queues = rng.integers(0, n_queues, n)
+    service = rng.exponential(100.0, n)
+    nic = NicModel(overhead_ns=20.0, fixed_latency_ns=500.0)
+    result = simulate_queueing_latency(
+        arrivals, sizes, queues, service, n_queues=n_queues, nic=nic,
+        ring_capacity=8,
+    )
+    latencies, dropped = reference_latencies(
+        arrivals, sizes, queues, service, n_queues, nic, 8
+    )
+    assert dropped.any()
     assert np.array_equal(result.latencies_us, latencies[~dropped] / 1e3)
     assert result.drop_fraction == float(dropped.mean())

@@ -1,5 +1,8 @@
 """Unit tests for traffic generation."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,49 @@ class TestCampusMix:
             gen.generate_arrays(10, 1.0, burstiness=-1)
         with pytest.raises(ValueError):
             gen.sizes(0)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedDraws:
+    """The generator's draws, pinned by hash: a faster way to draw them
+    must draw the same flows, packets and streams."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "0362f6590fbb51137f5a44176dbffff36db6a1438a758bffe661f00ccc154f83"),
+            (1, "b666c348f129acfe277f2c52a258802ef450be7a463a64294ffd81b09c1b68b2"),
+            (3, "21268e37ac2816e2195e03ccd490a9d0175c6fedf2501c9e5ad19ebf86ea4159"),
+        ],
+    )
+    def test_flows(self, seed, digest):
+        flows = CampusTraceGenerator(seed=seed).flows
+        assert _sha256(np.array(flows, dtype=np.int64).tobytes()) == digest
+
+    def test_generate(self):
+        packets = CampusTraceGenerator(seed=1).generate(
+            500, rate_pps=4e6, seed_offset=3
+        )
+        rows = [(p.size, *p.flow, p.arrival_ns, p.packet_id) for p in packets]
+        assert _sha256(json.dumps(rows).encode()) == (
+            "de00dc329aac58c8544e6b3b685771b1c05ab9479e1f7242cee91763453f769c"
+        )
+
+    def test_generate_arrays(self):
+        sizes, flows, arrivals = CampusTraceGenerator(seed=1).generate_arrays(
+            5000, rate_gbps=100.0, seed_offset=1
+        )
+        data = (
+            sizes.astype(np.int64).tobytes()
+            + flows.astype(np.int64).tobytes()
+            + arrivals.tobytes()
+        )
+        assert _sha256(data) == (
+            "8afa323ffc05430b5c0068938abd604051f2db8c5aaa6faba5ec23bab4a76959"
+        )
 
 
 class TestTable2:

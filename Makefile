@@ -51,15 +51,24 @@ diff-smoke:
 e2e-test:
 	$(PY) -m pytest e2ebench/tests -q
 
-# Persisted perf trajectory: measure the declared suite, write the next
-# BENCH_NNNN.json, and gate it against the previous artifact (see
-# docs/BENCH.md).  BENCH_SCALE/BENCH_ARGS tune sizing, e.g.
-#   make bench-trajectory BENCH_SCALE=full BENCH_ARGS="--samples 5"
-BENCH_SCALE ?= smoke
-BENCH_ARGS ?=
+# Perf trajectory gate (see docs/BENCH.md): sweep the end-to-end
+# benchmark (seeds 0-4 at BENCHMARK.json's run_seconds) into
+# .e2e/trajectory.json, then compare it against the oldest committed
+# BENCH_NNNN.json point (the anchor) and the newest.  Fails on any
+# `worse` verdict or a larger share of reps failing their digest.
+# compileall first, so every rep imports warm bytecode whether or not
+# the environment lets Python write it: a cold cache adds about 60 % to
+# import time, and a point and a sweep must be taken in the same state.
 bench-trajectory:
-	$(PY) -m repro bench run --scale $(BENCH_SCALE) $(BENCH_ARGS)
-	$(PY) -m repro bench compare
+	$(PY) -m compileall -q src e2ebench
+	$(PY) e2ebench/sweep.py --seeds 0-4 --out .e2e/trajectory.json
+	@test -n "$(wildcard BENCH_[0-9]*.json)" || { echo "bench-trajectory: no BENCH_NNNN.json point to gate against" >&2; exit 1; }
+	@status=0; \
+	for base in $(sort $(firstword $(sort $(wildcard BENCH_[0-9]*.json))) $(lastword $(sort $(wildcard BENCH_[0-9]*.json)))); do \
+		echo "== .e2e/trajectory.json against $$base"; \
+		$(PY) e2ebench/compare.py $$base .e2e/trajectory.json || status=1; \
+	done; \
+	exit $$status
 
 quick:
 	$(PY) examples/quickstart.py

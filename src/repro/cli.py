@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Mapping, Optional, Set, Tuple
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
 
@@ -345,12 +345,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos_replay(args: argparse.Namespace) -> int:
-    """Re-run a persisted chaos artifact from its own fault plans.
-
-    The replay feeds the artifact's persisted FaultPlan JSON back into
-    the experiment (``plans`` override) at the artifact's parameters
-    and seed, then requires the reproduced payload to be bit-identical.
-    """
     from repro.experiments.chaos import (
         chaos_tail_to_dict,
         degradation_knee_to_dict,
@@ -358,27 +352,50 @@ def _cmd_chaos_replay(args: argparse.Namespace) -> int:
         run_degradation_knee,
     )
 
+    return _replay_artifact(
+        args,
+        "chaos",
+        {
+            "chaos-tail": (run_chaos_tail, chaos_tail_to_dict),
+            "degradation-knee": (run_degradation_knee, degradation_knee_to_dict),
+        },
+        kinds="chaos-tail/degradation-knee",
+    )
+
+
+def _replay_artifact(
+    args: argparse.Namespace,
+    command: str,
+    replayable: Mapping[str, Tuple[Callable[..., Any], Callable[[Any], Any]]],
+    kinds: str,
+) -> int:
+    """Re-run a persisted artifact from its own fault plans.
+
+    The replay feeds the artifact's persisted FaultPlan JSON back into
+    the experiment (``plans`` override) at the artifact's parameters
+    and seed, then requires the reproduced payload to be bit-identical:
+    exit 0 if it is, 1 if not (naming each differing top-level key),
+    2 for an artifact of a kind not in *replayable*.
+    """
     artifact = json.loads(Path(args.artifact).read_text())
     name = artifact.get("name")
+    if name not in replayable:
+        print(
+            f"{command} replay: {args.artifact} is a {name!r} artifact, not {kinds}",
+            file=sys.stderr,
+        )
+        return 2
+    runner, serializer = replayable[name]
     persisted = artifact["result"]
     kwargs = dict(artifact.get("params") or {})
     # Artifacts from before the chaos runners lost their ``engine``
-    # argument persist ``"engine": "fast"``, the only engine there is.
+    # argument persist ``"engine": "fast"``, the only engine there is
+    # (and the only value the fleet runners accept).
     kwargs.pop("engine", None)
     if artifact.get("seed") is not None:
         kwargs.setdefault("seed", artifact["seed"])
     kwargs["plans"] = persisted["plans"]
-    if name == "chaos-tail":
-        replayed = chaos_tail_to_dict(run_chaos_tail(**kwargs))
-    elif name == "degradation-knee":
-        replayed = degradation_knee_to_dict(run_degradation_knee(**kwargs))
-    else:
-        print(
-            f"chaos replay: {args.artifact} is a {name!r} artifact, "
-            "not chaos-tail/degradation-knee",
-            file=sys.stderr,
-        )
-        return 2
+    replayed = serializer(runner(**kwargs))
     original = json.dumps(persisted, sort_keys=True)
     reproduced = json.dumps(replayed, sort_keys=True)
     if original == reproduced:
@@ -490,14 +507,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_replay(args: argparse.Namespace) -> int:
-    """Re-run a persisted fleet artifact from its own plans.
-
-    Same contract as ``repro chaos replay``: the artifact's persisted
-    fault plans are fed back (``plans`` override) at the artifact's
-    parameters and seed, and the reproduced payload must be
-    bit-identical.  Handles ``fleet-failover``, ``fleet-availability``
-    and ``fleet-durability`` artifacts.
-    """
     from repro.experiments.fleet import (
         fleet_availability_to_dict,
         fleet_durability_to_dict,
@@ -509,47 +518,12 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
 
     replayable = {
         "fleet-failover": (run_fleet_failover, fleet_failover_to_dict),
-        "fleet-availability": (
-            run_fleet_availability,
-            fleet_availability_to_dict,
-        ),
-        "fleet-durability": (
-            run_fleet_durability,
-            fleet_durability_to_dict,
-        ),
+        "fleet-availability": (run_fleet_availability, fleet_availability_to_dict),
+        "fleet-durability": (run_fleet_durability, fleet_durability_to_dict),
     }
-    artifact = json.loads(Path(args.artifact).read_text())
-    name = artifact.get("name")
-    if name not in replayable:
-        print(
-            f"fleet replay: {args.artifact} is a {name!r} artifact, "
-            f"not one of {sorted(replayable)}",
-            file=sys.stderr,
-        )
-        return 2
-    runner, serializer = replayable[name]
-    persisted = artifact["result"]
-    kwargs = dict(artifact.get("params") or {})
-    if artifact.get("seed") is not None:
-        kwargs.setdefault("seed", artifact["seed"])
-    kwargs["plans"] = persisted["plans"]
-    replayed = serializer(runner(**kwargs))
-    original = json.dumps(persisted, sort_keys=True)
-    reproduced = json.dumps(replayed, sort_keys=True)
-    if original == reproduced:
-        print(f"replay of {name} from {args.artifact}: bit-identical")
-        return 0
-    print(
-        f"replay of {name} from {args.artifact}: MISMATCH "
-        f"({len(original)} vs {len(reproduced)} canonical bytes)",
-        file=sys.stderr,
+    return _replay_artifact(
+        args, "fleet", replayable, kinds=f"one of {sorted(replayable)}"
     )
-    for key in sorted(set(persisted) | set(replayed)):
-        a = json.dumps(persisted.get(key), sort_keys=True)
-        b = json.dumps(replayed.get(key), sort_keys=True)
-        if a != b:
-            print(f"  differs at top-level key {key!r}", file=sys.stderr)
-    return 1
 
 
 def _check_paths(args: argparse.Namespace) -> Tuple[List[Path], Path]:
@@ -872,10 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lab.cli import add_lab_parser
 
     add_lab_parser(sub)
-
-    from repro.bench.cli import add_bench_parser
-
-    add_bench_parser(sub)
 
     return parser
 

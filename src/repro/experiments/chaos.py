@@ -74,38 +74,31 @@ def _chain_and_steering(chain: str):
     )
 
 
-def _class_plan(
+def _nfv_plan(
     fault_class: str,
     fault_seed: int,
     intensity: float,
     plans: Optional[Mapping[str, Mapping[str, Any]]],
     key: Optional[str] = None,
 ) -> FaultPlan:
-    """The plan for one task: a replay override wins over generation."""
-    if plans is not None:
-        lookup = key if key is not None else fault_class
-        if lookup in plans:
-            return resolve_plan(plans[lookup])
-    return plan_for_class(fault_class, seed=fault_seed, intensity=intensity)
+    """The plan for one task: a replay override (``plans[key]``, *key*
+    defaulting to the class) wins over generation.
 
-
-def _tail_plan(
-    fault_class: str,
-    fault_seed: int,
-    intensity: float,
-    plans: Optional[Mapping[str, Mapping[str, Any]]],
-) -> FaultPlan:
-    """:func:`_class_plan`, rejecting a class no NFV site injects.
-
-    Such a class (today ``kvs``; the fleet classes too) would run the
-    fault-free NFV pipeline under its name and measure nothing.
+    A plan that injects faults only at sites no NFV site reads (today
+    the ``kvs`` class; the fleet classes too) raises ``ValueError``: it
+    would run the fault-free NFV pipeline under its name and measure
+    nothing.  An all-zero plan is fault-free on purpose and passes.
     """
-    plan = _class_plan(fault_class, fault_seed, intensity, plans)
+    lookup = key if key is not None else fault_class
+    if plans is not None and lookup in plans:
+        plan = resolve_plan(plans[lookup])
+    else:
+        plan = plan_for_class(fault_class, seed=fault_seed, intensity=intensity)
     active = [f for f in PROBABILITY_FIELDS if getattr(plan.rates, f) > 0.0]
     if active and not set(active) & set(NFV_PROBABILITY_FIELDS):
         raise ValueError(
             f"fault class {fault_class!r} sets only {', '.join(active)}, "
-            "which no NFV site reads; the chaos tail would measure nothing"
+            "which no NFV site reads; the NFV chain would measure nothing"
         )
     return plan
 
@@ -147,7 +140,7 @@ def run_chaos_tail_arm(
     site reads raises ``ValueError``.
     """
     chain_factory, steering = _chain_and_steering(chain)
-    plan = _tail_plan(fault_class, seed + FAULT_SEED_OFFSET, intensity, plans)
+    plan = _nfv_plan(fault_class, seed + FAULT_SEED_OFFSET, intensity, plans)
     return run_nfv_experiment(
         chain_factory,
         cache_director,
@@ -183,7 +176,7 @@ def run_chaos_tail(
     class_list = list(classes) if classes is not None else list(DEFAULT_TAIL_CLASSES)
     chain_factory, steering = _chain_and_steering(chain)
     used_plans = {
-        fault_class: _tail_plan(
+        fault_class: _nfv_plan(
             fault_class, seed + FAULT_SEED_OFFSET, intensity, plans
         ).to_dict()
         for fault_class in class_list
@@ -228,7 +221,7 @@ def assemble_chaos_tail(
     intensity = float(params.get("intensity", 1.0))
     plans = params.get("plans")
     used_plans = {
-        cls: _class_plan(
+        cls: _nfv_plan(
             cls, seed + FAULT_SEED_OFFSET, intensity, plans
         ).to_dict()
         for cls in class_list
@@ -366,7 +359,7 @@ def run_degradation_point(
     (``f"{intensity:g}"``).
     """
     chain_factory, steering = _chain_and_steering(chain)
-    plan = _class_plan(
+    plan = _nfv_plan(
         fault_class,
         seed + FAULT_SEED_OFFSET,
         intensity,
@@ -413,22 +406,28 @@ def run_degradation_knee(
     watermarks: Optional[Tuple[int, int]] = DEFAULT_WATERMARKS,
     plans: Optional[Mapping[str, Mapping[str, Any]]] = None,
 ) -> DegradationKneeResult:
-    """Sweep fault intensity at fixed load; goodput knees downward."""
+    """Sweep fault intensity at fixed load; goodput knees downward.
+
+    Every intensity's plan is checked before any point runs (see
+    :func:`_nfv_plan`).
+    """
     grid = (
         [float(v) for v in intensities]
         if intensities is not None
         else list(DEFAULT_INTENSITIES)
     )
-    points: Dict[bool, List[DegradationPoint]] = {False: [], True: []}
-    used_plans: Dict[str, Dict[str, Any]] = {}
-    for intensity in grid:
-        used_plans[f"{intensity:g}"] = _class_plan(
+    used_plans = {
+        f"{intensity:g}": _nfv_plan(
             fault_class,
             seed + FAULT_SEED_OFFSET,
             intensity,
             plans,
             key=f"{intensity:g}",
         ).to_dict()
+        for intensity in grid
+    }
+    points: Dict[bool, List[DegradationPoint]] = {False: [], True: []}
+    for intensity in grid:
         for cache_director in (False, True):
             points[cache_director].append(
                 run_degradation_point(
@@ -476,7 +475,7 @@ def assemble_degradation_knee(
     seed = int(params.get("seed", 0))
     plans = params.get("plans")
     used_plans = {
-        f"{intensity:g}": _class_plan(
+        f"{intensity:g}": _nfv_plan(
             fault_class,
             seed + FAULT_SEED_OFFSET,
             intensity,

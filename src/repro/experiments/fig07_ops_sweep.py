@@ -91,21 +91,6 @@ def _run_size(
     return [int(c) for c in per_core]
 
 
-def simulated_accesses(sizes: List[int], n_ops: int, n_cores: int) -> int:
-    """Demand accesses :func:`run_fig07` issues over the whole sweep.
-
-    Per size point, op kind and placement, every core warms
-    ``min(lines, WARM_LINES_CAP)`` lines, then runs the unmeasured
-    steady-state pass and the *n_ops* measured accesses.
-    """
-    per_core = sum(
-        min(size // CACHE_LINE, WARM_LINES_CAP) + steady + n_ops
-        for size in sizes
-        for steady in STEADY_OPS.values()
-    )
-    return 2 * n_cores * per_core  # normal + slice-aware placements
-
-
 def run_fig07(
     spec: MachineSpec = HASWELL_E5_2667V3,
     sizes: List[int] = None,

@@ -57,7 +57,7 @@ def _measure_samples(
 def _simulate_load_point(
     service_samples: np.ndarray,
     generator,
-    flow_keys: List[tuple],
+    queue_of_flow: np.ndarray,
     load: float,
     n_bulk_packets: int,
     runs: int,
@@ -65,8 +65,8 @@ def _simulate_load_point(
     burstiness: float,
     seed: int,
 ) -> Tuple[float, float]:
-    """One (achieved Gbps, p99 us incl. loopback) point of the sweep."""
-    from repro.dpdk.steering import FlowDirectorSteering
+    """One (achieved Gbps, p99 us incl. loopback) point of the sweep;
+    *queue_of_flow* maps the generator's flow ids to RX queues."""
     from repro.net.harness import bootstrap_service_ns, simulate_queueing_latency
 
     per_run_tp: List[float] = []
@@ -79,15 +79,10 @@ def _simulate_load_point(
             seed_offset=run_index,
             burstiness=burstiness,
         )
-        steering = FlowDirectorSteering(8)
-        flow_to_queue = {
-            i: steering.queue_for(flow_keys[i]) for i in range(len(flow_keys))
-        }
-        queues = np.array([flow_to_queue[int(f)] for f in flows])
         result = simulate_queueing_latency(
             arrivals,
             sizes,
-            queues,
+            queue_of_flow[flows],
             bootstrap_service_ns(service_samples, len(sizes), rng),
             n_queues=8,
             ring_capacity=ring_capacity,
@@ -119,15 +114,14 @@ def run_fig15_point(
     these out across workers and reassembles the curves with
     :func:`assemble_fig15`, bit-identical to :func:`run_fig15`.
     """
-    generator = _fig15_generator(seed)
-    flow_keys = [tuple(f) for f in generator.flows]
+    generator, queue_of_flow = _fig15_traffic(seed)
     service_samples = _measure_samples(
         cache_director, generator, micro_packets, seed
     )
     return _simulate_load_point(
         service_samples,
         generator,
-        flow_keys,
+        queue_of_flow,
         load_gbps,
         n_bulk_packets,
         runs,
@@ -137,11 +131,14 @@ def run_fig15_point(
     )
 
 
-def _fig15_generator(seed: int):
-    """The trace generator every Fig. 15 point shares (seed + 1)."""
+def _fig15_traffic(seed: int):
+    """The trace generator every Fig. 15 point shares (seed + 1), and
+    its flow→queue map over Flow Director's 8 queues."""
+    from repro.experiments.nfv_common import flow_queue_map
     from repro.net.trace import CampusTraceGenerator
 
-    return CampusTraceGenerator(seed=seed + 1)
+    generator = CampusTraceGenerator(seed=seed + 1)
+    return generator, flow_queue_map(generator, "flow-director", 8)
 
 
 def assemble_fig15(
@@ -184,8 +181,7 @@ def run_fig15(
     to saturation instead of pinning at one ring's depth.
     """
     loads = loads_gbps if loads_gbps is not None else list(DEFAULT_LOADS)
-    generator = _fig15_generator(seed)
-    flow_keys = [tuple(f) for f in generator.flows]
+    generator, queue_of_flow = _fig15_traffic(seed)
     points: Dict[bool, List[Tuple[float, float]]] = {False: [], True: []}
     for cache_director in (False, True):
         # The service-time distribution is load-independent; sample it
@@ -198,7 +194,7 @@ def run_fig15(
                 _simulate_load_point(
                     service_samples,
                     generator,
-                    flow_keys,
+                    queue_of_flow,
                     load,
                     n_bulk_packets,
                     runs,

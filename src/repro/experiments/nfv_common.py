@@ -69,6 +69,17 @@ class NfvExperimentResult:
     fault_counters: Optional[Dict[str, int]] = None
 
 
+def flow_queue_map(generator: CampusTraceGenerator, steering_kind: str, n_queues: int) -> np.ndarray:
+    """Each of *generator*'s flows' RX queue, indexed by flow id.
+
+    A fresh steering over the same flow order pins every flow to the
+    same queue, so one map serves every bulk stream drawn from the
+    generator: ``map[flows]`` gives a stream's queues.
+    """
+    steering = make_steering(steering_kind, n_queues)
+    return np.array([steering.queue_for(tuple(f)) for f in generator.flows])
+
+
 def _micro_sample(
     generator: CampusTraceGenerator,
     steering_kind: str,
@@ -286,10 +297,7 @@ def run_nfv_arms(
     # peak holds one run's stream and nothing more (about 1 MiB of
     # peak RSS at 150k packets per run).
     del packets, micro_queues
-    # A fresh steering over the same flow order pins every flow to the
-    # same queue, so one map serves every run.
-    steering = make_steering(steering_kind, n_cores)
-    queue_of_flow = np.array([steering.queue_for(tuple(f)) for f in generator.flows])
+    queue_of_flow = flow_queue_map(generator, steering_kind, n_cores)
     for run_index in range(runs):
         sizes, flows, arrivals = generator.generate_arrays(
             n_bulk_packets, rate_gbps=offered_gbps, seed_offset=run_index

@@ -112,14 +112,6 @@ class ConsistentHashRing:
         self._nodes.append(name)
         self._rebuild()
 
-    def remove_node(self, name: str) -> None:
-        """Remove a server; only its keys remap (to ring successors)."""
-        try:
-            self._nodes.remove(name)
-        except ValueError:
-            raise KeyError(f"node {name!r} not on the ring") from None
-        self._rebuild()
-
     def _rebuild(self) -> None:
         entries: List[Tuple[int, str]] = []
         for name in self._nodes:
@@ -236,8 +228,8 @@ class ConsistentHashRing:
         )
 
 
-def build_ring(names: Sequence[str], vnodes: int = DEFAULT_VNODES) -> ConsistentHashRing:
-    """Convenience: a ring populated with *names* in order."""
+def build_ring(names: Sequence[str], vnodes: int = DEFAULT_VNODES) -> ConsistentHashRing:  # simcheck: ignore[SIM501] oracle: the re-shard oracle's ring without the dead nodes
+    """A ring populated with *names* in order."""
     ring = ConsistentHashRing(vnodes=vnodes)
     for name in names:
         ring.add_node(name)

@@ -167,9 +167,6 @@ class ComparisonReport:
     def ok(self) -> bool:
         return not any(e.status == "regress" for e in self.experiments)
 
-    def regressions(self) -> List[ExperimentComparison]:
-        return [e for e in self.experiments if e.status == "regress"]
-
 
 # ----------------------------------------------------------------------
 # Baseline loading (lab runs and tests/golden adapters)

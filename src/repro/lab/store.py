@@ -93,10 +93,9 @@ class RunStore:
                 "tasks": outcome.tasks,
                 "attempts": outcome.attempts,
                 # duration_s is a rounded display value; duration_ns is
-                # the exact monotonic measurement (microbench entries
-                # finish in well under a millisecond, so rounding to
-                # 3 decimals would erase them entirely).  The bench
-                # trajectory layer (repro.bench) consumes duration_ns.
+                # the exact monotonic measurement (an experiment that
+                # finishes in well under a millisecond would read 0.0
+                # at 3 decimals).
                 "duration_s": round(outcome.duration_s, 3),
                 "duration_ns": int(outcome.duration_ns),
                 "artifact": None,

@@ -75,11 +75,6 @@ class SliceLocalArray:
         # not a dict — ~8 B/entry even for multi-million line arrays).
         self._offsets: Optional[List[int]] = None
 
-    @property
-    def span_bytes(self) -> int:
-        """Physical address span the array occupies."""
-        return self.n_lines * self.block_bytes
-
     def line_address(self, index: int) -> int:
         """Physical address of the *index*-th slice-local line."""
         if not 0 <= index < self.n_lines:

@@ -12,6 +12,7 @@ from repro.experiments.chaos import (
     run_chaos_tail,
     run_chaos_tail_arm,
     run_degradation_knee,
+    run_degradation_point,
 )
 from repro.experiments.fig13_forwarding import run_fig13_arm
 from repro.experiments.nfv_common import nfv_result_to_dict, run_nfv_experiment
@@ -134,11 +135,13 @@ class TestAssembly:
 
 class TestClassesThatMeasureNothing:
     """A class whose rates no NFV site reads would rerun the fault-free
-    pipeline under its name; the tail experiment rejects it."""
+    pipeline under its name; the tail and the knee both reject it."""
 
     def test_arm_rejects_kvs(self):
         with pytest.raises(ValueError, match="'kvs'"):
             run_chaos_tail_arm("kvs", False, chain="forwarding", **TINY)
+        with pytest.raises(ValueError, match="'kvs'"):
+            run_degradation_point(False, 1.0, fault_class="kvs", chain="forwarding", **TINY)
 
     def test_tail_rejects_kvs_before_running_anything(self, monkeypatch):
         import repro.experiments.chaos as chaos
@@ -147,8 +150,13 @@ class TestClassesThatMeasureNothing:
             raise AssertionError("a class ran before the plans were checked")
 
         monkeypatch.setattr(chaos, "compare_cache_director", no_run)
+        monkeypatch.setattr(chaos, "run_degradation_point", no_run)
         with pytest.raises(ValueError, match="'kvs'"):
             run_chaos_tail(chain="forwarding", classes=["none", "kvs"], **TINY)
+        with pytest.raises(ValueError, match="'kvs'"):
+            run_degradation_knee(
+                fault_class="kvs", chain="forwarding", intensities=[0.0, 1.0], **TINY
+            )
 
     def test_cli_rejects_kvs(self):
         from repro.cli import main
@@ -156,12 +164,19 @@ class TestClassesThatMeasureNothing:
         with pytest.raises(ValueError, match="'kvs'"):
             main(["chaos", "tail", "--classes", "none", "kvs", "--bulk", "500",
                   "--micro", "50", "--runs", "1"])
+        with pytest.raises(ValueError, match="'kvs'"):
+            main(["chaos", "knee", "--fault-class", "kvs", "--chain", "forwarding",
+                  "--intensities", "0", "1", "--bulk", "500", "--micro", "50"])
 
     def test_zero_intensity_kvs_is_fault_free_and_allowed(self):
         result = run_chaos_tail_arm(
             "kvs", False, chain="forwarding", intensity=0.0, **TINY
         )
         assert result.fault_counters is None
+        point = run_degradation_point(
+            False, 0.0, fault_class="kvs", chain="forwarding", **TINY
+        )
+        assert point.fault_counters is None
 
     @pytest.mark.parametrize("field", PROBABILITY_FIELDS)
     def test_nfv_fields_are_the_ones_nfv_sites_read(self, field):

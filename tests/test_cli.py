@@ -151,3 +151,54 @@ class TestLabCli:
         capsys.readouterr()
         assert main(["lab", "compare", out_dir, out_dir]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
+
+
+def _write_artifact(path, name, params, result):
+    path.write_text(json.dumps({"name": name, "params": params, "seed": 0, "result": result}))
+    return str(path)
+
+
+def _chaos_tail_artifact():
+    from repro.experiments.chaos import chaos_tail_to_dict, run_chaos_tail
+
+    params = {"chain": "forwarding", "classes": ["none", "mixed"],
+              "n_bulk_packets": 500, "micro_packets": 50, "runs": 1}
+    result = chaos_tail_to_dict(run_chaos_tail(seed=0, **params))
+    return "chaos-tail", params, result
+
+
+def _fleet_failover_artifact():
+    from repro.experiments.fleet import fleet_failover_to_dict, run_fleet_failover
+
+    params = {"intensities": [0.0, 4.0], "n_servers": 2, "n_tenants": 2,
+              "requests": 400, "warmup": 100, "n_keys": 256, "epoch_requests": 100,
+              "engine": "fast"}
+    result = fleet_failover_to_dict(run_fleet_failover(seed=0, **params))
+    return "fleet-failover", params, result
+
+
+#: (replay command, artifact maker, a top-level result key to tamper,
+#: the other command, which must refuse the artifact)
+REPLAYS = [
+    ("chaos", _chaos_tail_artifact, "intensity", "fleet"),
+    ("fleet", _fleet_failover_artifact, "n_tenants", "chaos"),
+]
+
+
+class TestReplayCli:
+    @pytest.mark.parametrize("command, make, tamper, other", REPLAYS)
+    def test_replay_exit_codes(self, command, make, tamper, other, tmp_path, capsys):
+        name, params, result = make()
+        good = _write_artifact(tmp_path / "good.json", name, params, result)
+        assert main([command, "replay", good]) == 0
+        assert "bit-identical" in capsys.readouterr().out
+
+        bad = _write_artifact(tmp_path / "bad.json", name, params,
+                              {**result, tamper: result[tamper] + 1})
+        assert main([command, "replay", bad]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH" in err and f"differs at top-level key {tamper!r}" in err
+        assert err.count("differs at") == 1
+
+        assert main([other, "replay", good]) == 2
+        assert f"is a {name!r} artifact" in capsys.readouterr().err

@@ -471,7 +471,7 @@ def test_shipped_tree_is_deepcheck_clean(shipped):
 
 def test_shipped_graph_covers_tree(shipped):
     graph = shipped.graph
-    assert shipped.files == graph.files > 100
+    assert shipped.files == graph.files == len(list(SRC_REPRO.rglob("*.py")))
     assert len(graph.functions) > 800
     assert graph.n_edges() > 1000
     assert len(graph.entry_points) >= 20  # the lab registry's figures

@@ -6,8 +6,8 @@ key's successor walk, with kills drawn upfront by
 ``draw_guarded_kill_schedule``.  Two oracles pin that down:
 
 * routing: the first live entry of ``successors_at(slot, n)`` on the
-  full ring is the owner ``route_positions`` gives on a ring with the
-  dead nodes removed — the re-sharding ``remove_node`` performs;
+  full ring is the owner ``route_positions`` gives on a ring built
+  without the dead nodes;
 * kills: the upfront schedule equals the scalar per-epoch draw loop
   (alive servers in id order, stop at one survivor, one
   ``fleet.server_kill`` draw each) cell for cell, and leaves the

@@ -53,11 +53,6 @@ class TestMembership:
         with pytest.raises(ValueError, match="already"):
             ring.add_node("a")
 
-    def test_remove_unknown_rejected(self):
-        ring = build_ring(["a"])
-        with pytest.raises(KeyError):
-            ring.remove_node("zz")
-
     def test_empty_ring_cannot_route(self):
         ring = ConsistentHashRing()
         with pytest.raises(RuntimeError, match="empty ring"):
@@ -67,9 +62,7 @@ class TestMembership:
         ring = build_ring(["a", "b", "c"])
         assert len(ring) == 3
         assert "b" in ring
-        ring.remove_node("b")
-        assert "b" not in ring
-        assert len(ring) == 2
+        assert "d" not in ring
 
 
 class TestPlacement:
@@ -101,12 +94,14 @@ class TestPlacement:
             assert min(counts.values()) > 0.5 * mean, (n_servers, counts)
 
     def test_minimal_movement_on_remove(self):
-        """Removing a node remaps only the keys it owned."""
+        """Dropping a node from the membership remaps only the keys it
+        owned."""
         tenants, keys = _sample_pairs()
-        ring = build_ring([f"server-{i}" for i in range(6)])
-        before = ring.owners_for_keys(tenants, keys)
-        ring.remove_node("server-2")
-        after = ring.owners_for_keys(tenants, keys)
+        names = [f"server-{i}" for i in range(6)]
+        before = build_ring(names).owners_for_keys(tenants, keys)
+        after = build_ring([n for n in names if n != "server-2"]).owners_for_keys(
+            tenants, keys
+        )
         for prev, cur in zip(before, after):
             if prev != "server-2":
                 assert cur == prev  # survivors keep every key they had
@@ -126,14 +121,6 @@ class TestPlacement:
                 moved += 1
         # The newcomer takes roughly 1/(n+1) of the keys.
         assert 0 < moved < 0.4 * len(before)
-
-    def test_add_then_remove_is_identity(self):
-        tenants, keys = _sample_pairs(n=5000)
-        ring = build_ring(["a", "b", "c"])
-        before = ring.owners_for_keys(tenants, keys)
-        ring.add_node("d")
-        ring.remove_node("d")
-        assert ring.owners_for_keys(tenants, keys) == before
 
     def test_node_for_matches_bulk(self):
         ring = build_ring(["a", "b", "c"])

@@ -13,6 +13,8 @@ import pytest
 from repro.experiments.chaos import DEFAULT_WATERMARKS, FAULT_SEED_OFFSET
 from repro.experiments.nfv_common import (
     compare_cache_director,
+    flow_queue_map,
+    make_steering,
     nfv_result_to_dict,
     run_nfv_experiment,
 )
@@ -78,3 +80,19 @@ def test_traffic_is_drawn_once(monkeypatch):
         monkeypatch.setattr(CampusTraceGenerator, name, spy)
     compare_cache_director(simple_forwarding_chain, "rss", **dict(TINY, runs=3))
     assert calls == {"__init__": 1, "generate": 1, "generate_arrays": 3}
+
+
+@pytest.mark.parametrize("kind", ["rss", "flow-director"])
+def test_flow_queue_map_is_per_flow_queue_for(kind):
+    """The shared map gives each flow the queue ``queue_for`` pins it
+    to, and a bulk stream, packet by packet, the queue the steering
+    then keeps giving that packet's flow."""
+    generator = CampusTraceGenerator(seed=4)
+    queue_of_flow = flow_queue_map(generator, kind, 8)
+    steering = make_steering(kind, 8)
+    flow_keys = [tuple(f) for f in generator.flows]
+    assert queue_of_flow.tolist() == [steering.queue_for(key) for key in flow_keys]
+    _, flows, _ = generator.generate_arrays(3000, rate_gbps=50.0)
+    assert queue_of_flow[flows].tolist() == [
+        steering.queue_for(flow_keys[f]) for f in flows.tolist()
+    ]

@@ -188,7 +188,6 @@ def test_only_the_pinned_runners_take_engine():
 
 
 def test_no_preset_sets_engine_outside_the_pinned_runners():
-    from repro.bench.suite import default_suite
     from repro.lab.registry import default_registry
 
     registry = default_registry()
@@ -202,9 +201,6 @@ def test_no_preset_sets_engine_outside_the_pinned_runners():
     for name in PINNED_EXPERIMENTS:
         for scale in ("full", "reduced"):
             assert registry.get(name).params_for(scale)["engine"] == "fast"
-    for entry in default_suite():
-        assert "engine" not in entry.smoke_params, entry.name
-        assert "engine" not in entry.full_params, entry.name
 
 
 @pytest.mark.parametrize("runner", sorted(name for _, name in PINNED_RUNNERS))

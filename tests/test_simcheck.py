@@ -334,15 +334,15 @@ def test_shipped_tree_is_clean():
     """The repo's own sources pass `repro check` (acceptance gate)."""
     result = run_simcheck([SRC_REPRO], root=SRC_REPRO.parent)
     assert result.active == [], format_result(result)
-    # The suppressions that do exist are all justified lab/bench
+    # The suppressions that do exist are all justified lab
     # wall-clock-provenance or shared-serializer cases, or defs kept
     # on purpose (SIM501) — keep the counts pinned so new ones are
     # conscious decisions.
     kept = [f for f in result.suppressed if f.code == "SIM501"]
     others = [f for f in result.suppressed if f.code != "SIM501"]
-    assert len(others) == 12
+    assert len(others) == 9
     assert {f.code for f in others} == {"SIM001", "SIM302"}
-    assert len(kept) == 42
+    assert len(kept) == 43
 
 
 def test_every_rule_runs_on_one_parse_per_file(tmp_path, monkeypatch):
@@ -418,7 +418,7 @@ def test_python_m_repro_analysis_is_repro_check():
     ]
     assert [p.returncode for p in outputs] == [0, 0], outputs[0].stderr
     assert outputs[0].stdout == outputs[1].stdout
-    assert "0 finding(s), 54 suppressed" in outputs[0].stdout
+    assert "0 finding(s), 52 suppressed" in outputs[0].stdout
 
 
 # ----------------------------------------------------------------------

@@ -71,11 +71,6 @@ class TestSliceLocalArray:
         with pytest.raises(ValueError):
             SliceLocalArray(0, 0, haswell_complex_hash(8), 0)
 
-    def test_span(self):
-        h = haswell_complex_hash(8)
-        array = SliceLocalArray(0, 100, h, target_slice=0, block_lines=8)
-        assert array.span_bytes == 100 * 8 * CACHE_LINE
-
     def test_probe_exhaustion_raises(self):
         class StubbornHash:
             n_slices = 4

@@ -16,9 +16,10 @@ with everything loop-invariant hoisted out:
 * the per-level cache probes are inlined dict/list operations rather
   than five layers of method calls, and LRU replacement is inlined
   when every LLC slice runs the default ``lru`` policy;
-* the batch loop also inlines the demand miss path: the L1 and L2
-  inserts and, on an inclusive LLC, the miss fill with its victim
-  pick, back-invalidation and write-back charge.  That inlined fill
+* the batch loop, and the op-stream replay with the same demand body,
+  also inline the demand miss path: the L1 and L2 inserts and, on an
+  inclusive LLC, the miss fill with its victim pick,
+  back-invalidation and write-back charge.  That inlined fill
   falls back to the general fill helper for a non-LRU policy, for a
   core under a CAT mask and under a sanitizer, so that every fill a
   sanitizer sees runs its checked variant.
@@ -836,17 +837,20 @@ class FastEngine:
                 base = set_i * n_llc_ways
                 where = llc_where[slc][set_i]
                 pol = llc_pols[slc]
-                stamp = llc_stamps[slc]
-                dirt = llc_dirty[slc]
                 existing = where.get(line)
                 if existing is not None:
+                    # Already resident: refresh and dirty it in place,
+                    # before loading the set's buffers.
+                    slot = base + existing
                     if lru_fast:
                         pol._clock += 1
-                        stamp[base + existing] = pol._clock
+                        llc_stamps[slc][slot] = pol._clock
                     else:
                         pol.touch(existing, set_i)
-                    dirt[base + existing] = 1
+                    llc_dirty[slc][slot] = 1
                     continue
+                stamp = llc_stamps[slc]
+                dirt = llc_dirty[slc]
                 tags = llc_tags[slc]
                 if two_ddio and lru_fast:
                     s0 = base + dw0
@@ -934,163 +938,184 @@ class FastEngine:
         def run_ops(ops, stats, ddios, multi):
             # Replay a recorded dataplane op stream (demand spans and
             # DMA spans interleaved in arrival order).  Each demand op
-            # runs the flattened `access` body per line, inlined like
-            # `run_batch` with aggregate HierarchyStats applied at the
-            # end — identical outcomes to the reference calls the
-            # recorder displaced — and each DMA op runs the flattened
-            # span path while keeping the owning DdioEngine's stats
-            # exact.  *ops* is a list of ``(kind, first, last, aux)``
-            # tuples; ``aux`` is the issuing core for demand ops and
-            # the DdioEngine index for DMA ops.
+            # runs `run_batch`'s demand body per line, with aggregate
+            # HierarchyStats applied at the end — identical outcomes to
+            # the reference calls the ops stand for — and each DMA op
+            # runs the flattened span path while keeping the owning
+            # DdioEngine's stats exact.  *ops* is a list of ``(kind,
+            # first, last, aux)`` tuples; ``aux`` is the issuing core
+            # for demand ops and the DdioEngine index for DMA ops.
             if len(resident) > resident_cap:
                 rescan_resident()
             single = None if multi else ddios[0]
-            if single is not None:
-                # One engine owns every DMA op: hoist its dispatch
-                # state out of the loop (``enabled`` cannot change
-                # mid-replay — no user code runs between ops).
-                s_enabled = single.enabled
-                s_stats = single.stats
-            n_reads = n_writes = n_l1 = n_l2 = n_llc = n_dram = 0
+            # As in run_batch; no user code runs mid-replay either, so
+            # the CAT masks cannot change under the loop.
+            inline_fill = [
+                inline_llc_fill and cat_allowed(c) is None for c in range(n_cores)
+            ]
+            n_writes = n_l1 = n_l2 = n_llc = n_dram = 0
             total_c = 0
             out_list: list = []
             out_append = out_list.append
             for k, line, last, aux in ops:
-                if k <= OP_WRITE:
-                    write = k == OP_WRITE
-                    core = aux
-                    active_cores.add(core)
-                    c = 0
-                    while True:
-                        shift = line >> 6
-                        s1 = l1_sets[core][shift & l1_mask]
-                        d = s1.pop(line, None)
-                        if d is not None:
-                            s1[line] = d or write
-                            c += store_commit if write else l1_hit_lat
-                            n_l1 += 1
-                        else:
-                            s2 = l2_sets[core][shift & l2_mask]
-                            d = s2.pop(line, None)
-                            if d is not None:
-                                s2[line] = d
-                                cc = (
-                                    (store_commit + rfo_l2)
-                                    if write
-                                    else l2_hit_lat
-                                )
-                                n_l2 += 1
-                                lv = 1
-                            else:
-                                slc = slice_memo_get(line)
-                                if slc is None:
-                                    slc = slice_lookup(line)
-                                cnt = counts[slc]
-                                cnt[EV_LOOKUPS] += 1
-                                set_i = shift & llc_mask
-                                way = llc_where[slc][set_i].get(line)
-                                if way is not None:
-                                    cnt[EV_HITS] += 1
-                                    n_llc += 1
-                                    pol = llc_pols[slc]
-                                    if lru_fast:
-                                        pol._clock += 1
-                                        llc_stamps[slc][
-                                            set_i * n_llc_ways + way
-                                        ] = pol._clock
-                                    else:
-                                        pol.touch(way, set_i)
-                                    if write:
-                                        cc = store_commit + rfo_llc[core][slc]
-                                    else:
-                                        cc = load_lat[core][slc]
-                                else:
-                                    cnt[EV_MISSES] += 1
-                                    n_dram += 1
-                                    cc = (
-                                        (store_commit + rfo_dram)
-                                        if write
-                                        else dram_lat
-                                    )
-                                    if inclusive:
-                                        cc += fill_llc(
-                                            core, line, False, slc, stats
-                                        )
-                                # fill_l2, inlined: the L2 probe above
-                                # just missed, so the insert never
-                                # refreshes (the slice lookup above
-                                # already memoised the line's slice for
-                                # a later dirty drain).  The residency
-                                # add must precede the victim drain —
-                                # its LLC fill could evict this very
-                                # line, and the back-invalidation sweep
-                                # must see it as resident.
-                                resident_add(line, core)
-                                if len(s2) >= l2_ways:
-                                    v2line = next(iter(s2))
-                                    v2dirty = s2.pop(v2line)
-                                    s2[line] = False
-                                    cc += drain_l2_victim(
-                                        core, v2line, v2dirty, stats
-                                    )
-                                else:
-                                    s2[line] = False
-                                lv = 2
-                            # fill_l1, inlined (see run_batch): the L1
-                            # probe above just missed, so the insert
-                            # never refreshes.
-                            resident_add(line, core)
-                            if len(s1) >= l1_ways:
-                                vline = next(iter(s1))
-                                vdirty = s1.pop(vline)
-                                s1[line] = write
-                                if vdirty:
-                                    cc += wb_l1_visible + drain_l1_dirty(
-                                        core, vline, stats
-                                    )
-                            else:
-                                s1[line] = write
-                            if lv > 1 and prefetchers[core] is not None:
-                                run_prefetcher(core, line)
-                            c += cc
-                        if write:
-                            n_writes += 1
-                        else:
-                            n_reads += 1
-                        if line >= last:
-                            break
-                        line += CACHE_LINE
-                    out_append(c)
-                    total_c += c
-                elif k == OP_DMA_WRITE:
+                if k > OP_WRITE:
                     out_append(0)
-                    if single is not None:
-                        if s_enabled:
-                            s_stats.write_lines += dma_fill_span(
-                                line, last, stats
-                            )
-                        else:
-                            # Disabled DDIO stays on the reference
-                            # per-line invalidate path (it is not a
-                            # hot configuration).
-                            single.dma_write(line, last - line + CACHE_LINE)
+                    ddio = single if single is not None else ddios[aux]
+                    if k == OP_DMA_READ:
+                        lines, hits = dma_read_span(line, last)
+                        dstats = ddio.stats
+                        dstats.read_lines += lines
+                        dstats.read_hits += hits
+                        dstats.read_misses += lines - hits
+                    elif ddio.enabled:
+                        ddio.stats.write_lines += dma_fill_span(line, last, stats)
                     else:
-                        ddio = ddios[aux]
-                        if ddio.enabled:
-                            ddio.stats.write_lines += dma_fill_span(
-                                line, last, stats
-                            )
+                        # Disabled DDIO stays on the reference per-line
+                        # invalidate path (it is not a hot configuration).
+                        ddio.dma_write(line, last - line + CACHE_LINE)
+                    continue
+                write = k == OP_WRITE
+                core = aux
+                active_cores.add(core)
+                if write:
+                    n_writes += (last - line) // CACHE_LINE + 1
+                c = 0
+                while True:
+                    # run_batch's loop body; the slice is resolved on an
+                    # L2 miss and each level counted in place.
+                    shift = line >> 6
+                    s1 = l1_sets[core][shift & l1_mask]
+                    d = s1.pop(line, None)
+                    if d is not None:
+                        s1[line] = d or write
+                        c += store_commit if write else l1_hit_lat
+                        n_l1 += 1
+                    else:
+                        s2 = l2_sets[core][shift & l2_mask]
+                        d = s2.pop(line, None)
+                        if d is not None:
+                            # A line in this core's L2 already carries
+                            # its residency bit.
+                            s2[line] = d
+                            cc = (store_commit + rfo_l2) if write else l2_hit_lat
+                            n_l2 += 1
+                            lv = 1
                         else:
-                            ddio.dma_write(line, last - line + CACHE_LINE)
-                else:
-                    out_append(0)
-                    lines, hits = dma_read_span(line, last)
-                    dstats = s_stats if single is not None else ddios[aux].stats
-                    dstats.read_lines += lines
-                    dstats.read_hits += hits
-                    dstats.read_misses += lines - hits
-            n_demand = n_reads + n_writes
-            stats.reads += n_reads
+                            slc = slice_memo_get(line)
+                            if slc is None:
+                                slc = slice_lookup(line)
+                            cnt = counts[slc]
+                            cnt[EV_LOOKUPS] += 1
+                            set_i = shift & llc_mask
+                            where = llc_where[slc][set_i]
+                            way = where.get(line)
+                            lv = 2
+                            if way is not None:
+                                cnt[EV_HITS] += 1
+                                n_llc += 1
+                                pol = llc_pols[slc]
+                                if lru_fast:
+                                    pol._clock += 1
+                                    llc_stamps[slc][set_i * n_llc_ways + way] = (
+                                        pol._clock
+                                    )
+                                else:
+                                    pol.touch(way, set_i)
+                                if write:
+                                    cc = store_commit + rfo_llc[core][slc]
+                                else:
+                                    cc = load_lat[core][slc]
+                            else:
+                                cnt[EV_MISSES] += 1
+                                n_dram += 1
+                                cc = (store_commit + rfo_dram) if write else dram_lat
+                                if inclusive:
+                                    if inline_fill[core]:
+                                        # run_batch's inlined unmasked
+                                        # LRU fill of the line the lookup
+                                        # above just missed.
+                                        cnt[EV_FILLS] += 1
+                                        base = set_i * n_llc_ways
+                                        tags = llc_tags[slc]
+                                        dirt = llc_dirty[slc]
+                                        stamp = llc_stamps[slc]
+                                        pol = llc_pols[slc]
+                                        pol._clock += 1
+                                        slot = dirt.find(INVALID, base, base + n_llc_ways)
+                                        if slot >= 0:
+                                            tags[slot] = line
+                                            dirt[slot] = False
+                                            where[line] = slot - base
+                                            stamp[slot] = pol._clock
+                                        else:
+                                            stamps = stamp[base:base + n_llc_ways].tolist()
+                                            slot = base + stamps.index(min(stamps))
+                                            vline = tags[slot]
+                                            vdirty = dirt[slot]
+                                            del where[vline]
+                                            tags[slot] = line
+                                            dirt[slot] = False
+                                            where[line] = slot - base
+                                            stamp[slot] = pol._clock
+                                            cnt[EV_EVICT] += 1
+                                            if vdirty:
+                                                cnt[EV_WB] += 1
+                                            m = resident_get(vline)
+                                            if m is not None:
+                                                vshift = vline >> 6
+                                                vs1 = vshift & l1_mask
+                                                vs2 = vshift & l2_mask
+                                                while m:
+                                                    b = m & -m
+                                                    m -= b
+                                                    vc = b.bit_length() - 1
+                                                    d1 = l1_sets[vc][vs1].pop(vline, None)
+                                                    d2 = l2_sets[vc][vs2].pop(vline, None)
+                                                    if d1 or d2:
+                                                        vdirty = True
+                                                del resident[vline]
+                                            if vdirty:
+                                                stats.dram_writebacks += 1
+                                                cc += wb_dram_visible
+                                    else:
+                                        cc += fill_llc(core, line, False, slc, stats)
+                            # fill_l2, inlined as in run_batch (the slice
+                            # lookup above memoised the line's slice for
+                            # a later dirty drain): one residency add,
+                            # before the victim drain and redone after it.
+                            bit = 1 << core
+                            resident[line] = resident_get(line, 0) | bit
+                            if len(s2) >= l2_ways:
+                                vline = next(iter(s2))
+                                vdirty = s2.pop(vline)
+                                s2[line] = False
+                                # A clean victim of an inclusive LLC
+                                # drains to nothing.
+                                if vdirty or not inclusive:
+                                    cc += drain_l2_victim(core, vline, vdirty, stats)
+                                    resident[line] = resident_get(line, 0) | bit
+                            else:
+                                s2[line] = False
+                        # fill_l1, inlined as in run_batch.
+                        if len(s1) >= l1_ways:
+                            vline = next(iter(s1))
+                            vdirty = s1.pop(vline)
+                            s1[line] = write
+                            if vdirty:
+                                cc += wb_l1_visible + drain_l1_dirty(core, vline, stats)
+                        else:
+                            s1[line] = write
+                        if lv > 1 and prefetchers[core] is not None:
+                            run_prefetcher(core, line)
+                        c += cc
+                    if line >= last:
+                        break
+                    line += CACHE_LINE
+                out_append(c)
+                total_c += c
+            # Every demand line landed at exactly one level.
+            n_demand = n_l1 + n_l2 + n_llc + n_dram
+            stats.reads += n_demand - n_writes
             stats.writes += n_writes
             stats.l1_hits += n_l1
             stats.l1_misses += n_demand - n_l1

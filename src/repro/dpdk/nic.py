@@ -224,16 +224,16 @@ class Nic:
                 self.deliver(p, ln, q)
                 for p, ln, q in zip(payloads, lengths, queues)
             ]
-        from repro.net.dataplane import OpRecorder
+        from repro.net.dataplane import OpRecorder, replay_ops
 
         recorder = OpRecorder()
         ddio = self.ddio
-        with recorder.capture(ddio.hierarchy, [self]):
+        with recorder.capture(ddio.hierarchy, self):
             heads = [
                 self.deliver(p, ln, q)
                 for p, ln, q in zip(payloads, lengths, queues)
             ]
-        recorder.replay(ddio.hierarchy, [ddio])
+        replay_ops(ddio.hierarchy, recorder.ops, [ddio])
         return heads
 
     def transmit(self, mbuf: Mbuf) -> None:

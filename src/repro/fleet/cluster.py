@@ -12,7 +12,7 @@ stream through it, epoch by epoch, in three phases:
 * **Phase B (charging)** — each server charges its work items in
   arrival order through one
   :meth:`~repro.fleet.server.FleetServer.serve_batch` call, the
-  record/replay of :func:`~repro.kvs.server.serve_requests` —
+  op-stream replay of :func:`~repro.kvs.server.serve_requests` —
   bit-identical per request to one
   :meth:`~repro.fleet.server.FleetServer.serve` call per item.
 * **Phase C (queueing)** — a per-server FIFO fold over the charged

@@ -169,10 +169,10 @@ class FleetServer:
     ) -> np.ndarray:
         """Serve many requests (arrival order) in one charging pass.
 
-        The shared :func:`~repro.kvs.server.serve_requests` record/replay
-        over every tenant's server: per-request cycles, cache state and
-        every per-tenant DDIO counter match calling :meth:`serve` per
-        request bit for bit.
+        The shared :func:`~repro.kvs.server.serve_requests` op-stream
+        replay over every tenant's server: per-request cycles, cache
+        state and every per-tenant DDIO counter match calling
+        :meth:`serve` per request bit for bit.
         """
         cycles = serve_requests(self._tenants, keys, is_get, tenants)
         self.served += len(cycles)

@@ -36,6 +36,7 @@ from repro.net.dataplane import (
     OpRecorder,
     charges_per_item,
     chunk_bounds,
+    replay_ops,
     segment_sums,
 )
 from repro.net.nf import (
@@ -298,12 +299,12 @@ class DutEnvironment:
             fixed = self._record_template(recorder, packets, queues, sizes, bounds)
         else:
             fixed = []
-            with recorder.capture(self.hierarchy, [self.nic]):
+            with recorder.capture(self.hierarchy, self.nic):
                 for i, (packet, queue) in enumerate(zip(packets, queues)):
                     bounds[i] = recorder.n_ops
                     fixed.append(self.process_packet(packet, queue))
             bounds[n] = recorder.n_ops
-        per_op = recorder.replay(self.hierarchy, [self.ddio])
+        per_op = replay_ops(self.hierarchy, recorder.ops, [self.ddio])
         memory = segment_sums(per_op, bounds)
         return [
             None if f is None else int(f + memory[i])
@@ -411,7 +412,7 @@ class DutEnvironment:
         stable = all(nf.template_stable for nf in self.chain.nfs)
         chain_cache: List[Optional[Tuple[int, List[tuple]]]] = [None] * n_queues
         i = 0
-        with recorder.capture(self.hierarchy, []):
+        with recorder.capture(self.hierarchy):
             for packet, queue, size in zip(packets, queues, sizes):
                 bounds[i] = len(ops)
                 i += 1

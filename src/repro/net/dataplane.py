@@ -8,17 +8,20 @@ request streams (:func:`~repro.kvs.server.serve_requests`) are charged
 by exploiting exactly that split, in chunks of at most
 :data:`REPLAY_CHUNK` items:
 
-1. **Control pass** — run the real NIC/mempool/PMD/chain/supervisor
-   (or KVS) code per item, in arrival order, with the hierarchy's
-   ``read``/``write`` and the DDIO engines swapped for an
-   :class:`OpRecorder`.  Every drop decision, fault draw, allocation
-   and counter update happens exactly as in the per-item loop (it *is*
-   that code); the recorder just captures the op stream — demand spans
-   and DMA spans, interleaved in program order — instead of walking the
-   cache model.
-2. **Charging pass** — replay the recorded chunk, in order, through
-   :meth:`FastEngine.run_op_stream` (one flattened loop), or through the
-   reference methods on a hierarchy built inside
+1. **Control pass** — build the chunk's op stream, one list of
+   ``(kind, first_line, last_line, aux)`` tuples: demand spans and DMA
+   spans, interleaved in program order.  NFV runs the real
+   NIC/mempool/PMD/chain/supervisor code per packet, in arrival order,
+   with the hierarchy's ``read``/``write`` and the NIC's DDIO engine
+   swapped for an :class:`OpRecorder`.  Every drop decision, fault
+   draw, allocation and counter update happens exactly as in the
+   per-packet loop (it *is* that code); the recorder just captures the
+   ops instead of walking the cache model.  A KVS request's memory
+   behaviour is a fixed shape, so :meth:`~repro.kvs.server.KvsServer.
+   emit_ops` appends its ops directly, with no recorder in between.
+2. **Charging pass** — :func:`replay_ops` charges the chunk, in order,
+   through :meth:`FastEngine.run_op_stream` (one flattened loop), or
+   through the reference methods on a hierarchy built inside
    :func:`repro.cachesim.diff.reference_engine`.  Because the ops
    execute in the order the per-item loop would have issued them, every
    hit, victim, write-back and uncore counter lands identically.
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,28 +85,29 @@ class RecordingDdio:
 
     Installed over an object's ``.ddio`` attribute during the control
     pass; validates like the real engine, appends the span to the
-    recorder, and leaves all cache and stats mutation to the replay.
+    recorder (DDIO index 0: a capture has at most one engine), and
+    leaves all cache and stats mutation to the replay.
     The record paths are closures over the recorder's op list — these
     run once per DMA span on the hot control path.
     """
 
-    def __init__(self, recorder: "OpRecorder", index: int) -> None:
+    def __init__(self, recorder: "OpRecorder") -> None:
         append = recorder.ops.append
 
-        def dma_write(address, size, _append=append, _index=index):
+        def dma_write(address, size, _append=append):
             if size <= 0:
                 raise ValueError(f"size must be positive, got {size}")
             first = address & _LINE_MASK
             last = (address + size - 1) & _LINE_MASK
-            _append((OP_DMA_WRITE, first, last, _index))
+            _append((OP_DMA_WRITE, first, last, 0))
             return (last - first) // CACHE_LINE + 1
 
-        def dma_read(address, size, _append=append, _index=index):
+        def dma_read(address, size, _append=append):
             if size <= 0:
                 raise ValueError(f"size must be positive, got {size}")
             first = address & _LINE_MASK
             last = (address + size - 1) & _LINE_MASK
-            _append((OP_DMA_READ, first, last, _index))
+            _append((OP_DMA_READ, first, last, 0))
             return (last - first) // CACHE_LINE + 1
 
         #: Record an RX-side DMA span; returns lines touched.
@@ -117,8 +121,8 @@ class OpRecorder:
 
     The stream is one list of ``(kind, first_line, last_line, aux)``
     tuples — ``aux`` is the issuing core for demand ops and the
-    DDIO-engine index for DMA ops (multi-engine callers like the fleet
-    path run one engine per tenant).
+    DDIO-engine index for DMA ops (always 0 here: a capture swaps at
+    most one engine).
     """
 
     def __init__(self) -> None:
@@ -164,34 +168,31 @@ class OpRecorder:
         """Ops recorded so far (packet boundaries snapshot this)."""
         return len(self.ops)
 
-    # -- capture / replay ----------------------------------------------
-
     @contextmanager
-    def capture(self, hierarchy, ddio_holders: Sequence[object]) -> Iterator[None]:
-        """Swap *hierarchy*'s demand path and each holder's ``.ddio``.
+    def capture(self, hierarchy, ddio_holder: Optional[object] = None) -> Iterator[None]:
+        """Swap *hierarchy*'s demand path and *ddio_holder*'s ``.ddio``.
 
-        ``ddio_holders`` are the objects whose ``.ddio`` attribute the
-        control code calls (the NIC; each fleet tenant's KVS server).
-        The i-th holder's spans are tagged with DDIO index ``i`` so the
-        replay can route them to the matching real engine.  Instance
-        attributes are restored exactly on exit — including the fast
-        engine's bound ``read``/``write``, which a hierarchy installs
-        over its own methods on its first access.
+        ``ddio_holder`` is the object whose ``.ddio`` attribute the
+        control code calls (the NIC), or ``None`` when the captured
+        code issues no DMA.  Instance attributes are restored exactly
+        on exit — including the fast engine's bound ``read``/``write``,
+        which a hierarchy installs over its own methods on its first
+        access.
         """
         saved_read = hierarchy.__dict__.get("read")
         saved_write = hierarchy.__dict__.get("write")
-        saved_ddios = [holder.ddio for holder in ddio_holders]
         hierarchy.read = self.record_read
         hierarchy.write = self.record_write
-        for i, holder in enumerate(ddio_holders):
-            # One tiny wrapper per DDIO holder per capture (not per
-            # packet); pooling would leak recorder state across bursts.
-            holder.ddio = RecordingDdio(self, i)
+        if ddio_holder is not None:
+            # One tiny wrapper per capture (not per packet); pooling
+            # would leak recorder state across bursts.
+            saved_ddio = ddio_holder.ddio
+            ddio_holder.ddio = RecordingDdio(self)
         try:
             yield
         finally:
-            for holder, ddio in zip(ddio_holders, saved_ddios):
-                holder.ddio = ddio
+            if ddio_holder is not None:
+                ddio_holder.ddio = saved_ddio
             if saved_read is None:
                 hierarchy.__dict__.pop("read", None)
             else:
@@ -201,46 +202,60 @@ class OpRecorder:
             else:
                 hierarchy.write = saved_write
 
-    def replay(
-        self,
-        hierarchy,
-        ddios: Sequence[object],
-        multi_ddio: bool = False,
-    ) -> np.ndarray:
-        """Charge the recorded stream in order; returns per-op cycles.
 
-        On the fast engine (and with no sanitizer — callers check
-        :func:`charges_per_item`) the whole stream runs through one
-        :meth:`FastEngine.run_op_stream` call; on an oracle hierarchy
-        each op goes through the reference methods it displaced.
-        Either way the call sequence is the one the per-item loop would
-        have made, so outcomes are bit-identical.
-        """
-        n = self.n_ops
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        if hierarchy.engine_name == "fast":
-            return hierarchy.fast_engine().run_op_stream(
-                self.ops, ddios, multi_ddio
-            )
-        out = np.zeros(n, dtype=np.int64)
-        single = None if multi_ddio else ddios[0]
-        for i, (kind, first, last, aux) in enumerate(self.ops):
-            size = last - first + CACHE_LINE
-            if kind == OP_READ:
-                out[i] = hierarchy.read(aux, first, size)
-            elif kind == OP_WRITE:
-                out[i] = hierarchy.write(aux, first, size)
+def replay_ops(
+    hierarchy,
+    ops: Sequence[Tuple[int, int, int, int]],
+    ddios: Sequence[object],
+    multi_ddio: bool = False,
+) -> np.ndarray:
+    """Charge an op stream in order; returns per-op cycles.
+
+    On the fast engine (and with no sanitizer — callers check
+    :func:`charges_per_item`) the whole stream runs through one
+    :meth:`FastEngine.run_op_stream` call; on an oracle hierarchy each
+    op goes through the reference methods (:func:`charge_each`).
+    Either way the call sequence is the one the per-item loop would
+    have made, so outcomes are bit-identical.
+    """
+    if not ops:
+        return np.zeros(0, dtype=np.int64)
+    if hierarchy.engine_name == "fast":
+        return hierarchy.fast_engine().run_op_stream(ops, ddios, multi_ddio)
+    return np.asarray(charge_each(hierarchy, ops, ddios, multi_ddio), dtype=np.int64)
+
+
+def charge_each(
+    hierarchy,
+    ops: Sequence[Tuple[int, int, int, int]],
+    ddios: Sequence[object],
+    multi_ddio: bool = False,
+) -> List[int]:
+    """Charge *ops* one call each; returns per-op cycles.
+
+    Demand ops go through ``hierarchy.read``/``write``, DMA ops through
+    their :class:`~repro.cachesim.ddio.DdioEngine` (``ddios[aux]`` when
+    *multi_ddio*, else ``ddios[0]``), which is what the per-item loops
+    call: a sanitizer installed on *hierarchy* checks and ticks as it
+    would there.  DMA ops charge 0.
+    """
+    out = []
+    append = out.append
+    single = None if multi_ddio else ddios[0]
+    for kind, first, last, aux in ops:
+        size = last - first + CACHE_LINE
+        if kind == OP_READ:
+            append(hierarchy.read(aux, first, size))
+        elif kind == OP_WRITE:
+            append(hierarchy.write(aux, first, size))
+        else:
+            ddio = single if single is not None else ddios[aux]
+            if kind == OP_DMA_WRITE:
+                ddio.dma_write(first, size)
             else:
-                ddio = single if single is not None else ddios[aux]
-                # Intentional scalar reference path: the reference
-                # engine charges op by op; the fast engine takes the
-                # whole stream through run_op_stream instead.
-                if kind == OP_DMA_WRITE:
-                    ddio.dma_write(first, size)
-                else:
-                    ddio.dma_read(first, size)
-        return out
+                ddio.dma_read(first, size)
+            append(0)
+    return out
 
 
 def segment_sums(per_op: np.ndarray, bounds: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from repro.cachesim.machines import (
 )
 from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.mem.address import CACHE_LINE
-from repro.net.dataplane import OpRecorder
+from repro.net.dataplane import replay_ops
 
 pytestmark = pytest.mark.differential
 
@@ -126,9 +126,8 @@ def replay(case, ops, oracle: bool):
     cycles = []
     # Several replays per stream, as the chunked callers issue them.
     for start in range(0, len(ops), 700):
-        recorder = OpRecorder()
-        recorder.ops.extend(ops[start:start + 700])
-        cycles += recorder.replay(hierarchy, ddios, multi_ddio=n_ddios > 1).tolist()
+        chunk = ops[start:start + 700]
+        cycles += replay_ops(hierarchy, chunk, ddios, multi_ddio=n_ddios > 1).tolist()
     return (
         cycles,
         [dataclasses.asdict(ddio.stats) for ddio in ddios],

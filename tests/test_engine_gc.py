@@ -21,7 +21,7 @@ from repro.cachesim.engine import OP_READ, OP_WRITE
 from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
 from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.mem.address import CACHE_LINE
-from repro.net.dataplane import OpRecorder
+from repro.net.dataplane import OpRecorder, replay_ops
 
 SPAN_BYTES = 1536
 
@@ -80,10 +80,10 @@ def test_served_hierarchy_is_freed_by_refcount():
         ddio.dma_write(0x10000, SPAN_BYTES)
         ddio.dma_read(0x10000, SPAN_BYTES)
         recorder = OpRecorder()
-        with recorder.capture(hierarchy, []):
+        with recorder.capture(hierarchy):
             hierarchy.read(0, 0x20000, 512)
             hierarchy.write(2, 0x30000, 128)
-        recorder.replay(hierarchy, [ddio])
+        replay_ops(hierarchy, recorder.ops, [ddio])
         # The prefetcher ran (it fetched the line past the read span),
         # so its weak-reference call path did too.
         assert hierarchy.l2s[0].contains(0x20000 + 512)

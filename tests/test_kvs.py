@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.cachesim.engine import OP_DMA_READ, OP_DMA_WRITE, OP_READ, OP_WRITE
 from repro.cachesim.machines import HASWELL_E5_2667V3
 from repro.core.slice_aware import SliceAwareContext
 from repro.faults.plan import FaultClock, FaultPlan, FaultRates, KvsRequestFault
-from repro.kvs.server import KvsServer, REQUEST_BYTES
+from repro.fleet.server import FleetServer
+from repro.kvs import server as kvs_server
+from repro.kvs.server import KvsServer, REQUEST_BYTES, serve_requests
 from repro.kvs.store import KvsStore
 from repro.kvs.workload import GetSetMix, UniformKeys, ZipfKeys, zeta, zeta_fast
 
@@ -169,6 +172,111 @@ class TestKvsServer:
         before = server.ddio.stats.write_lines
         server.serve_one(1, is_get=True)
         assert server.ddio.stats.write_lines == before + REQUEST_BYTES // 64
+
+
+class TestRequestOps:
+    """The one definition of a request's memory behaviour: its op stream."""
+
+    def test_one_line_get(self, small_rig):
+        store = KvsStore(small_rig, core=0, n_keys=1 << 10, slice_aware=False)
+        server = KvsServer(small_rig, store, core=0, fixed_cost=30)
+        rx = server._rx_buffers[0]
+        index = store.index_address(5)
+        value = store.value_address(5)
+        ops = []
+        assert server.emit_ops(ops, 5, True) == 30
+        assert ops == [
+            (OP_DMA_WRITE, rx, rx + 64, 0),
+            (OP_READ, rx, rx + 64, 0),
+            (OP_READ, index, index, 0),
+            (OP_READ, value, value, 0),
+            (OP_WRITE, rx, rx, 0),
+            (OP_DMA_READ, rx, rx + 64, 0),
+        ]
+        assert all(op[1] % 64 == 0 for op in ops)
+        assert server.requests_served == 1
+        assert server._next_buffer == 1
+
+    def test_three_line_set(self, small_rig):
+        store = KvsStore(
+            small_rig, core=2, n_keys=1 << 8, slice_aware=True, value_size=192
+        )
+        server = KvsServer(small_rig, store, core=2, rx_buffers=2)
+        server.emit_ops([], 1, True)
+        rx = server._rx_buffers[1]
+        index = store.index_address(9)
+        v0, v1, v2 = store.value_addresses(9)
+        ops = []
+        assert server.emit_ops(ops, 9, False, 4) == server.fixed_cost
+        assert ops == [
+            (OP_DMA_WRITE, rx, rx + 64, 4),
+            (OP_READ, rx, rx + 64, 2),
+            (OP_READ, index, index, 2),
+            (OP_WRITE, v0, v0, 2),
+            (OP_WRITE, v1, v1, 2),
+            (OP_WRITE, v2, v2, 2),
+            (OP_WRITE, rx, rx, 2),
+            (OP_DMA_READ, rx, rx + 64, 4),
+        ]
+        assert len({v0, v1, v2}) == 3
+        assert all(op[1] % 64 == 0 for op in ops)
+        # The cursor wraps around the ring.
+        assert server._next_buffer == 0
+        assert server.requests_served == 2
+
+    @staticmethod
+    def _replayed_ops(monkeypatch):
+        """Collect the op streams ``serve_requests`` replays."""
+        streams = []
+        replay_ops = kvs_server.replay_ops
+
+        def spy(hierarchy, ops, ddios, multi_ddio=False):
+            streams.append((list(ops), multi_ddio))
+            return replay_ops(hierarchy, ops, ddios, multi_ddio)
+
+        monkeypatch.setattr(kvs_server, "replay_ops", spy)
+        return streams
+
+    def test_fleet_tenant_dma_ops_carry_its_index(self, monkeypatch):
+        fleet = FleetServer(server_id=0, n_tenants=3, n_keys=1 << 8, seed=1)
+        streams = self._replayed_ops(monkeypatch)
+        tenants = [2, 0, 1, 1, 2]
+        fleet.serve_batch(tenants, [3, 4, 5, 6, 7], [True, False, True, True, False])
+        [(ops, multi_ddio)] = streams
+        assert multi_ddio
+        assert len(ops) == 6 * len(tenants)
+        for i, tenant in enumerate(tenants):
+            request = ops[6 * i:6 * i + 6]
+            core = fleet._tenants[tenant].core
+            assert [op[3] for op in request] == [tenant] + [core] * 4 + [tenant]
+            assert (request[0][0], request[-1][0]) == (OP_DMA_WRITE, OP_DMA_READ)
+
+    def test_serve_requests_swaps_nothing(self, monkeypatch):
+        fleet = FleetServer(server_id=1, n_tenants=2, n_keys=1 << 8, seed=2)
+        servers = fleet._tenants
+        hierarchy = fleet.context.hierarchy
+        servers[0].serve_one(1, True)  # installs the fast engine's read/write
+        assert hierarchy.engine_name == "fast"
+        attributes = dict(hierarchy.__dict__)
+        ddios = [server.ddio for server in servers]
+
+        def untouched():
+            assert hierarchy.__dict__.keys() == attributes.keys()
+            assert all(hierarchy.__dict__[k] is v for k, v in attributes.items())
+            assert all(s.ddio is d for s, d in zip(servers, ddios))
+
+        replay_ops = kvs_server.replay_ops
+        replays = []
+
+        def checked(*args, **kwargs):
+            untouched()  # the chunk's ops are emitted, not yet charged
+            replays.append(1)
+            return replay_ops(*args, **kwargs)
+
+        monkeypatch.setattr(kvs_server, "replay_ops", checked)
+        serve_requests(servers, [1, 2, 3, 4], [True, False, True, False], [0, 1, 1, 0])
+        assert replays == [1]
+        untouched()
 
 
 class TestKvsServerFaults:

@@ -1,6 +1,6 @@
 """Batched ``KvsServer.run`` against the per-request ``serve_one`` loop.
 
-``KvsServer.run`` charges a request stream through the recorded replay
+``KvsServer.run`` charges a request stream through the chunked replay
 of :func:`repro.kvs.server.serve_requests`; calling ``serve_one`` per
 request is its oracle.  Each test serves one stream both ways and
 requires the same result, cache fingerprint, DDIO counters, request
@@ -148,13 +148,12 @@ def test_serve_batch_keeps_per_tenant_ddio_stats():
 
 @pytest.fixture
 def no_replay(monkeypatch):
-    """Fail the test if anything records a replay."""
+    """Fail the test if anything replays an emitted op stream."""
 
-    class Forbidden:
-        def __init__(self):
-            raise AssertionError("the scalar fallback must not record")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the scalar fallback must not replay")
 
-    monkeypatch.setattr(kvs_server, "OpRecorder", Forbidden)
+    monkeypatch.setattr(kvs_server, "replay_ops", forbidden)
 
 
 def test_sanitizer_takes_scalar_fallback(no_replay):

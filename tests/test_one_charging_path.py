@@ -1,9 +1,10 @@
 """One charging path: record/replay in bounded chunks.
 
 ``DutEnvironment.service_cycles`` and ``serve_requests`` charge every
-trace through the op recorder, ``repro.net.dataplane.REPLAY_CHUNK``
-items per replay.  The per-item loops run only as the sanitizer /
-fault-clock fallback and as the differential oracle, entered through
+trace by op-stream replay, ``repro.net.dataplane.REPLAY_CHUNK`` items
+per replay (NFV records its ops; KVS emits them).  The per-item loops
+run only as the sanitizer / fault-clock fallback and as the
+differential oracle, entered through
 ``repro.cachesim.diff.per_item_oracle``.  The guard tests walk the
 source tree so the ``dataplane=`` knob cannot creep back; the
 differential tests show that where the stream is cut changes nothing.
@@ -118,10 +119,17 @@ class _CountingRecorder(dataplane.OpRecorder):
 
 @pytest.fixture
 def recorders(monkeypatch):
-    """Count every recorder the NFV and KVS charging paths build."""
+    """Count every recorder the NFV path builds and every chunk the KVS
+    path replays (it emits its ops without a recorder)."""
     _CountingRecorder.built = 0
     monkeypatch.setattr(chain_module, "OpRecorder", _CountingRecorder)
-    monkeypatch.setattr(kvs_server, "OpRecorder", _CountingRecorder)
+    replay_ops = kvs_server.replay_ops
+
+    def counted(*args, **kwargs):
+        _CountingRecorder.built += 1
+        return replay_ops(*args, **kwargs)
+
+    monkeypatch.setattr(kvs_server, "replay_ops", counted)
     return _CountingRecorder
 
 

@@ -42,9 +42,10 @@ kind                      invariant
 ``dma-into-free``         a DMA write into an element not currently allocated
 ``double-residency``      a line resident in a slice it does not hash to, or
                           in two slices at once
-``double-count``          a line occupying two ways of a set / shadow-map and
-                          tag array disagreeing (occupancy counted twice) /
-                          a slot's tag and dirty byte disagreeing on validity
+``double-count``          a line occupying two ways of a set / line -> way
+                          map and tag array disagreeing (occupancy counted
+                          twice) / a slot's tag and dirty byte disagreeing
+                          on validity
 ``cat-violation``         a fill landing outside the CAT/DDIO way mask
 ``pool-corruption``       free-stack size disagreeing with the shadow free set
 ========================  =====================================================
@@ -414,17 +415,21 @@ class CacheSanitizer:
                 allowed_union = None  # every way reachable: nothing to check
 
         slice_of = llc.hash.slice_of
+        set_mask = n_sets - 1
         cursor = 0 if full else self._cursor
+        scanned_slices: Dict[int, None] = {}
         for k in range(count):
             pos = (cursor + k) % total
             slc, set_i = divmod(pos, n_sets)
+            scanned_slices[slc] = None
             slice_cache = llc.slices[slc]
-            where = slice_cache._where[set_i]
-            tags = slice_cache._tags
+            where = slice_cache._where
             base = set_i * n_ways
-            valid = 0
             for way, (tag, dirty) in enumerate(
-                zip(tags[base:base + n_ways], slice_cache._dirty[base:base + n_ways])
+                zip(
+                    slice_cache._tags[base:base + n_ways],
+                    slice_cache._dirty[base:base + n_ways],
+                )
             ):
                 # The tag and the dirty byte both encode validity; the
                 # free-way search trusts the byte, so a disagreement
@@ -441,40 +446,32 @@ class CacheSanitizer:
                         tag=tag,
                         dirty_byte=dirty,
                     )
-                if tag != INVALID_TAG:
-                    valid += 1
-            if valid != len(where):
-                self._raise(
-                    "double-count",
-                    f"slice {slc} set {set_i}: {valid} valid ways but "
-                    f"{len(where)} shadow-mapped lines — a line is "
-                    "counted twice in occupancy",
-                    slice=slc,
-                    set=set_i,
-                    valid_ways=valid,
-                    mapped_lines=len(where),
-                )
-            for line, way in where.items():
-                # A way outside the set would alias a neighbour's slot.
-                held = tags[base + way] if 0 <= way < n_ways else None
-                if held != line:
+                if tag == INVALID_TAG:
+                    continue
+                # The line -> way map must lead every lookup of this
+                # tag back to this slot: same way, and the tag's own
+                # set (a map way past the set's end would alias a
+                # neighbour's slot).
+                mapped = where.get(tag)
+                if mapped != way or (tag >> 6) & set_mask != set_i:
                     self._raise(
                         "double-count",
-                        f"slice {slc} set {set_i} way {way}: shadow map "
-                        f"says line {line:#x} but tag array holds "
-                        f"{held!r}",
+                        f"slice {slc} set {set_i} way {way}: tag array "
+                        f"holds line {tag:#x} but the line -> way map "
+                        f"says way {mapped!r}",
                         slice=slc,
                         set=set_i,
-                        way=way,
-                        line=line,
+                        way=mapped,
+                        slot_way=way,
+                        line=tag,
                     )
-                home = slice_of(line)
+                home = slice_of(tag)
                 if home != slc:
                     self._raise(
                         "double-residency",
-                        f"line {line:#x} resident in slice {slc} but "
+                        f"line {tag:#x} resident in slice {slc} but "
                         f"hashes to slice {home}",
-                        line=line,
+                        line=tag,
                         resident_slice=slc,
                         home_slice=home,
                         set=set_i,
@@ -483,15 +480,33 @@ class CacheSanitizer:
                 if allowed_union is not None and way not in allowed_union:
                     self._raise(
                         "cat-violation",
-                        f"line {line:#x} occupies way {way} of slice "
+                        f"line {tag:#x} occupies way {way} of slice "
                         f"{slc}, outside every CAT mask and the DDIO "
                         "ways",
-                        line=line,
+                        line=tag,
                         slice=slc,
                         set=set_i,
                         way=way,
                         allowed=sorted(allowed_union),
                     )
+        # Every valid slot checked above maps back to itself, so a map
+        # entry with no slot behind it shows only as a count mismatch
+        # with the slice's valid slots.
+        for slc in scanned_slices:
+            slice_cache = llc.slices[slc]
+            dirty_bytes = slice_cache._dirty
+            valid = len(dirty_bytes) - dirty_bytes.count(INVALID_WAY)
+            mapped_lines = len(slice_cache._where)
+            if valid != mapped_lines:
+                self._raise(
+                    "double-count",
+                    f"slice {slc}: {valid} valid ways but "
+                    f"{mapped_lines} mapped lines — a line is counted "
+                    "twice in occupancy",
+                    slice=slc,
+                    valid_ways=valid,
+                    mapped_lines=mapped_lines,
+                )
         if not full:
             self._cursor = (cursor + count) % total
 

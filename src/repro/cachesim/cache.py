@@ -13,7 +13,7 @@ the set index is derived from it), track a dirty bit per line, and
 report evictions so the hierarchy can propagate write-backs.  A
 ``WayCache`` keeps its per-slot state in typed buffers (``array`` and
 ``bytearray``) that the garbage collector never walks element by
-element.
+element, and one line -> way dict per slice.
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ class WayCache:
     for an invalid way) and ``_dirty`` a ``bytearray`` holding ``0`` (clean),
     ``1`` (dirty) or :data:`INVALID_WAY`.  One policy object carries
     the replacement state of every set in the same kind of buffer.
-    Only ``_where`` (line -> way) stays per set, as dicts of ints.  The
-    garbage collector visits none of these per slot, so a slice costs
-    a collection one element per set (the ``_where`` list's entry),
-    not three per way.
+    ``_where`` is one dict per slice mapping each resident line to its
+    way; the set is derived from the line.  Nothing is kept per set,
+    and the dict holds only ints, so the garbage collector visits no
+    element of this cache per set or per slot.
 
     Args:
         n_sets: number of sets (power of two).
@@ -181,7 +181,7 @@ class WayCache:
         self._set_mask = n_sets - 1
         self._tags = array("Q", [INVALID_TAG]) * (n_sets * n_ways)
         self._dirty = bytearray([INVALID_WAY]) * (n_sets * n_ways)
-        self._where: List[Dict[int, int]] = [{} for _ in range(n_sets)]
+        self._where: Dict[int, int] = {}
         self._policy = make_policy(policy, n_ways, seed=seed, n_sets=n_sets)
         self._all_ways = tuple(range(n_ways))
 
@@ -201,10 +201,10 @@ class WayCache:
 
     def lookup(self, line_address: int, write: bool = False) -> bool:
         """Probe for a line; on hit, refresh replacement state."""
-        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
-        way = self._where[index].get(line_address)
+        way = self._where.get(line_address)
         if way is None:
             return False
+        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
         self._policy.touch(way, index)
         if write:
             self._dirty[index * self.n_ways + way] = 1
@@ -212,13 +212,11 @@ class WayCache:
 
     def contains(self, line_address: int) -> bool:
         """Probe without touching replacement state."""
-        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
-        return line_address in self._where[index]
+        return line_address in self._where
 
     def way_of(self, line_address: int) -> Optional[int]:
         """Return the way holding a line, or ``None``."""
-        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
-        return self._where[index].get(line_address)
+        return self._where.get(line_address)
 
     def insert(
         self,
@@ -238,7 +236,7 @@ class WayCache:
                 outside ``0..n_ways-1``.
         """
         index = (line_address >> CACHE_LINE_BITS) & self._set_mask
-        where = self._where[index]
+        where = self._where
         base = index * self.n_ways
         existing = where.get(line_address)
         if existing is not None:
@@ -272,15 +270,15 @@ class WayCache:
         slot = index * self.n_ways + way
         self._tags[slot] = line_address
         self._dirty[slot] = 1 if dirty else 0
-        self._where[index][line_address] = way
+        self._where[line_address] = way
         self._policy.reset(way, index)
 
     def invalidate(self, line_address: int) -> Optional[bool]:
         """Drop a line; return its dirty bit, or ``None`` if absent."""
-        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
-        way = self._where[index].pop(line_address, None)
+        way = self._where.pop(line_address, None)
         if way is None:
             return None
+        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
         slot = index * self.n_ways + way
         self._tags[slot] = INVALID_TAG
         dirty = self._dirty[slot] == 1
@@ -290,18 +288,18 @@ class WayCache:
     def flush(self) -> List[Eviction]:
         """Empty the cache, returning every line with its dirty bit.
 
-        The tag, dirty and shadow-map containers are cleared in place,
+        The tag, dirty and line -> way containers are cleared in place,
         so references to them stay valid; replacement state is left
         as is.
         """
-        drained: List[Eviction] = []
         dirty = self._dirty
+        mask = self._set_mask
         n_ways = self.n_ways
-        for index, where in enumerate(self._where):
-            base = index * n_ways
-            for line_address, way in where.items():
-                drained.append((line_address, dirty[base + way] == 1))
-            where.clear()
+        drained: List[Eviction] = [
+            (line, dirty[((line >> CACHE_LINE_BITS) & mask) * n_ways + way] == 1)
+            for line, way in self._where.items()
+        ]
+        self._where.clear()
         size = len(self._tags)
         self._tags[:] = array("Q", [INVALID_TAG]) * size
         dirty[:] = bytearray([INVALID_WAY]) * size
@@ -309,18 +307,16 @@ class WayCache:
 
     def occupancy(self) -> int:
         """Return the number of valid lines currently held."""
-        return sum(len(where) for where in self._where)
+        return len(self._where)
 
     def lines(self) -> List[int]:
         """Return every resident line address (unspecified order)."""
-        resident: List[int] = []
-        for where in self._where:
-            resident.extend(where.keys())
-        return resident
+        return list(self._where)
 
     def set_occupancy(self, index: int) -> int:  # simcheck: ignore[SIM501] probe
         """Return the number of valid lines in one set."""
-        return len(self._where[index])
+        base = index * self.n_ways
+        return self.n_ways - self._dirty.count(INVALID_WAY, base, base + self.n_ways)
 
     def __repr__(self) -> str:
         return (

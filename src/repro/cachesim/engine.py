@@ -79,6 +79,7 @@ from repro.cachesim.counters import (
     EVENT_MISSES,
     EVENT_WRITEBACKS,
 )
+from repro.cachesim.replacement import LRU_RENUMBER_AT
 from repro.mem.address import CACHE_LINE
 
 #: Level codes used by :class:`BatchResult` (index == depth).
@@ -232,7 +233,7 @@ class FastEngine:
         l2_mask = h.l2s[0]._set_mask
         l1_ways = h.l1s[0].n_ways
         l2_ways = h.l2s[0].n_ways
-        # Per slice: the per-set ``_where`` dicts, and the typed tag,
+        # Per slice: the ``_where`` line -> way dict, and the typed tag,
         # dirty and (LRU) stamp buffers indexed ``set_i * n_ways + way``
         # (see WayCache: a dirty byte of INVALID marks a free way).  All
         # are cleared in place by drains, never replaced.
@@ -259,6 +260,18 @@ class FastEngine:
         sanitizer = h.sanitizer
         inline_llc_fill = lru_fast and sanitizer is None
         llc_stamps = [getattr(p, "_stamp", None) for p in llc_pols]
+        # The inlined LRU steps below bypass LruPolicy.touch and its
+        # clock check, so every entry call that can advance a clock
+        # checks them first, never the loops: a call takes at most
+        # three clock steps per line (the line's own LLC touch or fill
+        # and two drained victims), far inside the 2**31 steps of
+        # headroom a clock below LRU_RENUMBER_AT has.
+        lru_pols = tuple(llc_pols) if lru_fast else ()
+
+        def renumber_clocks():
+            for pol in lru_pols:
+                if pol._clock >= LRU_RENUMBER_AT:
+                    pol.renumber()
         # CAT mask cache, invalidated via the controller's generation.
         cat_cache: list = [None, -1, [None] * n_cores]
         # line -> slice memo: the mapping is a pure function of the
@@ -310,7 +323,7 @@ class FastEngine:
             cnt[EV_FILLS] += 1
             set_i = (line >> 6) & llc_mask
             base = set_i * n_llc_ways
-            where = llc_where[slc][set_i]
+            where = llc_where[slc]
             pol = llc_pols[slc]
             stamp = llc_stamps[slc]
             existing = where.get(line)
@@ -458,7 +471,7 @@ class FastEngine:
                     return 0
                 vslc = slice_lookup(vline)
                 set_i = (vline >> 6) & llc_mask
-                way = llc_where[vslc][set_i].get(vline)
+                way = llc_where[vslc].get(vline)
                 if way is not None:
                     pol = llc_pols[vslc]
                     slot = set_i * n_llc_ways + way
@@ -571,7 +584,7 @@ class FastEngine:
             cnt = counts[slc]
             cnt[EV_LOOKUPS] += 1
             set_i = shift & llc_mask
-            way = llc_where[slc][set_i].get(line)
+            way = llc_where[slc].get(line)
             if way is not None:
                 cnt[EV_HITS] += 1
                 stats.llc_hits += 1
@@ -661,7 +674,7 @@ class FastEngine:
                     cnt = counts[slc]
                     cnt[EV_LOOKUPS] += 1
                     set_i = shift & llc_mask
-                    where = llc_where[slc][set_i]
+                    where = llc_where[slc]
                     way = where.get(line)
                     if way is not None:
                         cnt[EV_HITS] += 1
@@ -738,13 +751,14 @@ class FastEngine:
                     # so the insert never refreshes; seeding slice_memo
                     # keeps a later dirty drain of this line from
                     # recomputing the hash.  One residency add covers
-                    # both private inserts of this line.  It precedes
-                    # the victim drain, whose LLC fill could evict this
-                    # very line (the back-invalidation sweep must see
-                    # it), and is redone after the drain, because the
-                    # L1 insert below puts the line back.
-                    bit = 1 << core
-                    resident[line] = resident_get(line, 0) | bit
+                    # both private inserts of this line: the victim
+                    # drain below never removes it.  On an inclusive
+                    # LLC the L2 victim is LLC-resident (every LLC
+                    # eviction, the fill above included, back-
+                    # invalidates the private copies), so its drain
+                    # only refreshes its slot and evicts nothing; a
+                    # non-inclusive LLC never back-invalidates.
+                    resident[line] = resident_get(line, 0) | (1 << core)
                     if len(slice_memo) >= (1 << 20):
                         slice_memo.clear()
                     slice_memo[line] = slc
@@ -756,7 +770,6 @@ class FastEngine:
                         # nothing: the LLC already holds it.
                         if vdirty or not inclusive:
                             c += drain_l2_victim(core, vline, vdirty, stats)
-                            resident[line] = resident_get(line, 0) | bit
                     else:
                         s2[line] = False
                 # fill_l1, inlined: the probe above just missed, so
@@ -835,7 +848,7 @@ class FastEngine:
                     del resident[line]
                 set_i = shift & llc_mask
                 base = set_i * n_llc_ways
-                where = llc_where[slc][set_i]
+                where = llc_where[slc]
                 pol = llc_pols[slc]
                 existing = where.get(line)
                 if existing is not None:
@@ -931,7 +944,7 @@ class FastEngine:
                 if slc is None:
                     slc = slice_lookup(line)
                 counts[slc][EV_DDIO_R] += 1
-                if line in llc_where[slc][(line >> 6) & llc_mask]:
+                if line in llc_where[slc]:
                     hits += 1
             return (last - first) // CACHE_LINE + 1, hits
 
@@ -1007,7 +1020,7 @@ class FastEngine:
                             cnt = counts[slc]
                             cnt[EV_LOOKUPS] += 1
                             set_i = shift & llc_mask
-                            where = llc_where[slc][set_i]
+                            where = llc_where[slc]
                             way = where.get(line)
                             lv = 2
                             if way is not None:
@@ -1082,9 +1095,8 @@ class FastEngine:
                             # fill_l2, inlined as in run_batch (the slice
                             # lookup above memoised the line's slice for
                             # a later dirty drain): one residency add,
-                            # before the victim drain and redone after it.
-                            bit = 1 << core
-                            resident[line] = resident_get(line, 0) | bit
+                            # which the victim drain never removes.
+                            resident[line] = resident_get(line, 0) | (1 << core)
                             if len(s2) >= l2_ways:
                                 vline = next(iter(s2))
                                 vdirty = s2.pop(vline)
@@ -1093,7 +1105,6 @@ class FastEngine:
                                 # drains to nothing.
                                 if vdirty or not inclusive:
                                     cc += drain_l2_victim(core, vline, vdirty, stats)
-                                    resident[line] = resident_get(line, 0) | bit
                             else:
                                 s2[line] = False
                         # fill_l1, inlined as in run_batch.
@@ -1139,7 +1150,7 @@ class FastEngine:
 
             def llc_fill(line, core, dirty, slc):
                 allowed = cat_allowed(core)
-                where = llc_where[slc][(line >> 6) & llc_mask]
+                where = llc_where[slc]
                 was_resident = line in where
                 victim = unchecked_llc_fill(line, core, dirty, slc)
                 if allowed is not None and not was_resident:
@@ -1154,7 +1165,7 @@ class FastEngine:
                 n_lines = 0
                 for line in range(first, last + CACHE_LINE, CACHE_LINE):
                     slc = slice_lookup(line)
-                    where = llc_where[slc][(line >> 6) & llc_mask]
+                    where = llc_where[slc]
                     was_resident = line in where
                     n_lines += unchecked_dma_fill_span(line, line, stats)
                     if not was_resident:
@@ -1164,6 +1175,7 @@ class FastEngine:
                 return n_lines
 
         self._access = access
+        self._renumber_clocks = renumber_clocks
         self._run_batch = run_batch
         self._run_ops = run_ops
         self._dma_fill_span = dma_fill_span
@@ -1199,6 +1211,7 @@ class FastEngine:
             ``access_line`` calls would have produced.
         """
         self.refresh()
+        self._renumber_clocks()
         h = self._hierarchy_ref()
         n = len(addresses)
         san = h.sanitizer
@@ -1259,6 +1272,7 @@ class FastEngine:
         such streams through the per-item loops instead).
         """
         self.refresh()
+        self._renumber_clocks()
         return self._run_ops(ops, self.hierarchy.stats, ddios, multi_ddio)
 
     # ------------------------------------------------------------------
@@ -1278,6 +1292,7 @@ class FastEngine:
             raise ValueError(f"size must be positive, got {size}")
         first = address & _LINE_MASK
         last = (address + size - 1) & _LINE_MASK
+        self._renumber_clocks()
         h = self._hierarchy_ref()
         san = h.sanitizer
         if san is not None:
@@ -1304,6 +1319,7 @@ class FastEngine:
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         self.refresh()
+        self._renumber_clocks()
         first = address & _LINE_MASK
         last = (address + size - 1) & _LINE_MASK
         return self._dma_fill_span(first, last, self.hierarchy.stats)

@@ -65,23 +65,47 @@ class _PerSetRng:
         return rng
 
 
+#: An LRU clock at or past this is renumbered before its next step.
+#: Stamps are 4-byte unsigned (``array('I')``, at most ``2**32 - 1``),
+#: so the fast engine, which checks once per entry call rather than per
+#: access, keeps ``2**31`` steps of headroom for one call.
+LRU_RENUMBER_AT = 1 << 31
+
+
 class LruPolicy:
     """True least-recently-used order over the ways of each set.
 
     ``_stamp[set_i * n_ways + way]`` is the way's last-use time from one
-    cache-wide clock.  Stamps are only ever compared within a set, so a
-    shared monotonic clock picks the same victims as one clock per set.
+    cache-wide clock; every stamp starts at ``0``, below any clock value.
+    Stamps are only ever compared within a set, so a shared monotonic
+    clock picks the same victims as one clock per set, and
+    :meth:`renumber` may rewrite each set's stamps to their rank order
+    and restart the clock without changing any victim.  That keeps the
+    stamps in 4 bytes for any run length.
     """
 
     def __init__(self, n_ways: int, n_sets: int = 1) -> None:
         _check_geometry(n_ways, n_sets)
         self.n_ways = n_ways
         self._clock = 0
-        self._stamp = array("q", [-1]) * (n_sets * n_ways)
+        self._stamp = array("I", [0]) * (n_sets * n_ways)
 
     def touch(self, way: int, set_i: int = 0) -> None:
+        if self._clock >= LRU_RENUMBER_AT:
+            self.renumber()
         self._clock += 1
         self._stamp[set_i * self.n_ways + way] = self._clock
+
+    def renumber(self) -> None:
+        """Replace each set's stamps by their rank in the set (equal
+        stamps keep equal ranks) and restart the clock above them."""
+        stamp = self._stamp
+        n_ways = self.n_ways
+        for base in range(0, len(stamp), n_ways):
+            row = stamp[base:base + n_ways]
+            rank = {s: r for r, s in enumerate(sorted(set(row)))}
+            stamp[base:base + n_ways] = array("I", [rank[s] for s in row])
+        self._clock = n_ways
 
     def victim(self, allowed_ways: Sequence[int], set_i: int = 0) -> int:
         if not allowed_ways:

@@ -288,13 +288,58 @@ class TestScanFaults:
         home = llc.slice_of(line)
         slice_cache = llc.slices[home]
         slice_cache.insert(line)
-        set_index = (line >> 6) & (llc.n_sets - 1)
-        # Shadow map claims a second way also holds the line.
-        way = slice_cache._where[set_index][line]
-        slice_cache._where[set_index + 0][line + (1 << 40)] = (way + 1) % llc.n_ways
+        # The line -> way map claims a second way also holds a line.
+        way = slice_cache._where[line]
+        slice_cache._where[line + (1 << 40)] = (way + 1) % llc.n_ways
         with pytest.raises(SanitizerError) as excinfo:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "double-count"
+
+    def test_double_count_orphan_map_entry_on_rotating_scan(self):
+        # A map entry with no slot behind it, in another set than the
+        # one-set scan windows that reach its slice: the slice's
+        # valid-slot count exposes it on the first window in the slice,
+        # and no earlier window reports anything.
+        san = CacheSanitizer(scan_sets=1)
+        hierarchy = make_hierarchy(sanitizer=san)
+        llc = hierarchy.llc
+        line = 0
+        home = llc.slice_of(line)
+        slice_cache = llc.slices[home]
+        slice_cache.insert(line)
+        slice_cache._where[line + 5 * CACHE_LINE + (1 << 40)] = 0
+        for _ in range(home * llc.n_sets):
+            san.scan(hierarchy)
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy)
+        assert raised_kind(excinfo) == "double-count"
+        assert excinfo.value.details["slice"] == home
+        assert excinfo.value.details["mapped_lines"] == 2
+        assert excinfo.value.details["valid_ways"] == 1
+
+    def test_double_count_tag_in_wrong_set(self):
+        # The line's tag sits in the next set at the way the map names:
+        # counts agree and the map leads back to the way, but a lookup
+        # computes the line's own set, so only the set check flags it.
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        llc = hierarchy.llc
+        line = 0
+        slice_cache = llc.slices[llc.slice_of(line)]
+        slice_cache.insert(line)
+        set_index = (line >> 6) & (llc.n_sets - 1)
+        way = slice_cache._where[line]
+        slot = set_index * llc.n_ways + way
+        moved = slot + llc.n_ways
+        slice_cache._tags[moved] = slice_cache._tags[slot]
+        slice_cache._dirty[moved] = slice_cache._dirty[slot]
+        slice_cache._tags[slot] = INVALID_TAG
+        slice_cache._dirty[slot] = INVALID_WAY
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "double-count"
+        assert excinfo.value.details["set"] == set_index + 1
+        assert excinfo.value.details["line"] == line
 
     def test_double_count_shadow_way_outside_set(self):
         san = CacheSanitizer()
@@ -308,7 +353,7 @@ class TestScanFaults:
         # A way past the set's end would alias the next set's first
         # slot in the flat tag array; plant the line there too so only
         # the bounds check can flag this set.
-        slice_cache._where[set_index][line] = llc.n_ways
+        slice_cache._where[line] = llc.n_ways
         slice_cache._tags[(set_index + 1) * llc.n_ways] = line
         slice_cache._dirty[(set_index + 1) * llc.n_ways] = 0
         with pytest.raises(SanitizerError) as excinfo:
@@ -326,7 +371,7 @@ class TestScanFaults:
         slice_cache = llc.slices[home]
         slice_cache.insert(line)
         set_index = (line >> 6) & (llc.n_sets - 1)
-        way = slice_cache._where[set_index][line]
+        way = slice_cache._where[line]
         other_way = (way + 1) % llc.n_ways
         # Tag array holds the line in a different way than the map says.
         # The dirty byte moves with the tag, so both slots stay
@@ -356,7 +401,7 @@ class TestScanFaults:
         slice_cache = llc.slices[llc.slice_of(line)]
         slice_cache.insert(line)
         set_index = (line >> 6) & (llc.n_sets - 1)
-        way = slice_cache._where[set_index][line]
+        way = slice_cache._where[line]
         if not valid_tag:
             way = (way + 1) % llc.n_ways
         slot = set_index * llc.n_ways + way

@@ -1,16 +1,17 @@
 """The flat-buffer WayCache layout against a per-set reference model.
 
 :class:`WayCache` keeps each slice's tags, dirty bits and replacement
-state in typed per-slice buffers indexed ``set_i * n_ways + way``.  The
-model below keeps the same state the eager way — one tag list, one
-dirty list, one shadow dict and one single-set policy object per set,
-set ``i``'s stochastic policy seeded with ``seed + i``.  Hypothesis
-drives both through insert/lookup/invalidate/flush streams under CAT
-and DDIO way masks, for every replacement policy, and requires the
-same return values and the same per-set contents throughout.  The
-buffers are decoded (tag ``INVALID_TAG`` -> ``None``, dirty byte ->
-``bool``)
-after checking that the two validity encodings agree slot by slot.
+state in typed per-slice buffers indexed ``set_i * n_ways + way``, and
+one line -> way dict for the whole slice.  The model below keeps the
+same state the eager way — one tag list, one dirty list, one line ->
+way dict and one single-set policy object per set, set ``i``'s
+stochastic policy seeded with ``seed + i``.  Hypothesis drives both
+through insert/lookup/invalidate/flush streams under CAT and DDIO way
+masks, for every replacement policy, and requires the same return
+values and the same per-set contents throughout.  The buffers are
+decoded (tag ``INVALID_TAG`` -> ``None``, dirty byte -> ``bool``)
+after checking that the two validity encodings agree slot by slot, and
+the slice's map is split by the set each line derives.
 """
 
 import gc
@@ -112,10 +113,20 @@ def decoded_set(flat: WayCache, index: int):
     )
 
 
+def where_by_set(flat: WayCache) -> List[Dict[int, int]]:
+    """The slice's line -> way map split into one dict per set."""
+    per_set: List[Dict[int, int]] = [{} for _ in range(flat.n_sets)]
+    for line, way in flat._where.items():
+        per_set[flat.set_index(line)][line] = way
+    return per_set
+
+
 def assert_same_sets(flat: WayCache, model: PerSetWayCache) -> None:
+    where = where_by_set(flat)
     for index in range(flat.n_sets):
         assert decoded_set(flat, index) == (model.tags[index], model.dirty[index])
-        assert flat._where[index] == model.where[index]
+        assert where[index] == model.where[index]
+        assert flat.set_occupancy(index) == len(model.where[index])
 
 
 @st.composite
@@ -251,14 +262,15 @@ class TestConstructionCost:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_tracked_elements_independent_of_set_count(self, policy):
-        # The one per-set element is the _where list's reference to
-        # that set's shadow dict (an untracked dict of ints); nothing
-        # a collection visits grows with the ways.
+        # Nothing a collection visits grows with the sets or the ways:
+        # the one line -> way dict per slice maps ints to ints, so it
+        # is not tracked.
         n_ways = 20 if policy != "plru" else 16
         full, full_elements = tracked_elements_added(2048, n_ways, policy)
         tiny, tiny_elements = tracked_elements_added(2, n_ways, policy)
-        assert full_elements - len(full._where) == tiny_elements - len(tiny._where)
-        assert not any(gc.is_tracked(where) for where in full._where)
+        assert full_elements == tiny_elements
+        assert isinstance(full._where, dict)
+        assert not gc.is_tracked(full._where)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_slot_buffers_are_not_walked(self, policy):
@@ -290,11 +302,22 @@ class TestConstructionCost:
             assert was_dirty is dirty[line]
 
     def test_flush_keeps_containers(self):
+        # One map for the slice: flush reads each line's dirty bit from
+        # the set the line derives and empties the map in place.
         cache = WayCache(8, 4)
         tags, dirty, where = cache._tags, cache._dirty, cache._where
         cache.insert(0, dirty=True)
-        assert cache.flush() == [(0, True)]
+        cache.insert(8 * CACHE_LINE)
+        cache.insert(3 * CACHE_LINE)
+        cache.insert(11 * CACHE_LINE, dirty=True)
+        assert sorted(cache.flush()) == [
+            (0, True),
+            (3 * CACHE_LINE, False),
+            (8 * CACHE_LINE, False),
+            (11 * CACHE_LINE, True),
+        ]
         assert cache._tags is tags and cache._dirty is dirty and cache._where is where
+        assert where == {}
         for index in range(8):
             assert decoded_set(cache, index) == ([None] * 4, [False] * 4)
 

@@ -47,13 +47,17 @@ kind                      invariant
                           twice) / a slot's tag and dirty byte disagreeing
                           on validity
 ``cat-violation``         a fill landing outside the CAT/DDIO way mask
+``core-valid``            a line in a core's L1/L2 whose inclusive-LLC slot
+                          lacks that core's core-valid bit (or that the
+                          inclusive LLC does not hold at all)
 ``pool-corruption``       free-stack size disagreeing with the shadow free set
 ========================  =====================================================
 
 Cache-state checks run as rotating partial scans every ``interval``
 line events (cheap enough for whole lab runs; ``scan(h, full=True)``
-sweeps everything at once).  Mbuf and DMA checks are exact and
-immediate.
+sweeps everything at once).  On an inclusive LLC each scan also walks
+a rotating window of the private caches' sets.  Mbuf and DMA checks
+are exact and immediate.
 """
 
 from __future__ import annotations
@@ -200,6 +204,7 @@ class CacheSanitizer:
         self._seq = 0
         self._tick_count = 0
         self._cursor = 0
+        self._private_cursor = 0
         # Registered pools, oldest first, weakly referenced: entries
         # outlive the experiment that built them only until the pool is
         # collected.
@@ -385,9 +390,10 @@ class CacheSanitizer:
         """Validate the LLC shadow state (and pool shadow sets).
 
         Partial scans check a rotating window of ``scan_sets``
-        ``(slice, set)`` pairs; ``full=True`` sweeps every set and
-        additionally cross-checks that no line is resident in two
-        slices at once.
+        ``(slice, set)`` pairs and, on an inclusive LLC, one of
+        ``scan_sets`` private-cache sets; ``full=True`` sweeps every
+        set and additionally cross-checks that no line is resident in
+        two slices at once.
 
         Raises:
             SanitizerError: on the first violation found.
@@ -525,6 +531,9 @@ class CacheSanitizer:
                         )
                     seen[line] = slc
 
+        if hierarchy.inclusive:
+            self._scan_core_valid(hierarchy, full)
+
         compact = False
         for ref in self._pools:
             pool = ref()
@@ -543,6 +552,58 @@ class CacheSanitizer:
                 )
         if compact:
             self._pools = [r for r in self._pools if r() is not None]
+
+    def _scan_core_valid(self, hierarchy: Any, full: bool) -> None:
+        """Check a window of private sets against the core-valid bits.
+
+        Positions run over every core's L1 sets, then every core's L2
+        sets; each line found must carry its core's bit in its slot of
+        the inclusive LLC, since the fast engine back-invalidates and
+        snoops only the cores those bits name.
+        """
+        llc = hierarchy.llc
+        line_slice = hierarchy._line_slice
+        n_cores = hierarchy.n_cores
+        l1_sets = hierarchy.l1s[0].n_sets
+        l2_sets = hierarchy.l2s[0].n_sets
+        total = n_cores * (l1_sets + l2_sets)
+        count = total if full else min(self.scan_sets, total)
+        cursor = 0 if full else self._private_cursor
+        for k in range(count):
+            pos = (cursor + k) % total
+            if pos < n_cores * l1_sets:
+                level = "l1"
+                core, set_i = divmod(pos, l1_sets)
+                cache = hierarchy.l1s[core]
+            else:
+                level = "l2"
+                core, set_i = divmod(pos - n_cores * l1_sets, l2_sets)
+                cache = hierarchy.l2s[core]
+            for line in cache._sets[set_i]:
+                slc = line_slice(line)
+                bits = llc.slices[slc].core_valid(line)
+                if bits >> core & 1:
+                    continue
+                held = llc.slices[slc].contains(line)
+                self._raise(
+                    "core-valid",
+                    f"line {line:#x} in core {core}'s {level} set {set_i} "
+                    + (
+                        f"but its slot in LLC slice {slc} has core-valid "
+                        f"bits {bits:#x}, without core {core}"
+                        if held
+                        else "but not in the inclusive LLC"
+                    ),
+                    line=line,
+                    core=core,
+                    level=level,
+                    set=set_i,
+                    slice=slc,
+                    bits=bits,
+                    in_llc=held,
+                )
+        if not full:
+            self._private_cursor = (cursor + count) % total
 
     # ------------------------------------------------------------------
     # Fill-time way-mask check (reference engine path)

@@ -19,7 +19,7 @@ element, and one line -> way dict per slice.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableSequence, Optional, Sequence, Tuple
 
 from repro.cachesim.replacement import make_policy
 from repro.mem.address import CACHE_LINE_BITS, is_power_of_two
@@ -34,6 +34,15 @@ INVALID_WAY = 2
 #: address is a multiple of the line size, so it is never this value,
 #: and every unsigned 64-bit line address still fits the buffer.
 INVALID_TAG = (1 << 64) - 1
+
+
+def _core_valid_buffer(n_cores: int, size: int) -> MutableSequence[int]:
+    """*size* clear core-valid entries wide enough for *n_cores* bits."""
+    if n_cores <= 8:
+        return bytearray(size)
+    if n_cores <= 64:
+        return array("Q", bytes(8 * size))
+    raise ValueError(f"core-valid bits cover at most 64 cores, got {n_cores}")
 
 
 class DictCache:
@@ -152,6 +161,13 @@ class WayCache:
     and the dict holds only ints, so the garbage collector visits no
     element of this cache per set or per slot.
 
+    A slice of an inclusive LLC also keeps ``_core_valid``, one entry
+    of core-valid bits per slot (bit *c* set: core *c*'s L1/L2 may
+    hold the slot's line), allocated by :meth:`track_core_valid`.  The
+    cache clears a slot's bits whenever the slot gets a new line or is
+    invalidated; setting them is the hierarchy's job.  Without them
+    (a non-inclusive LLC) ``_core_valid`` is ``None``.
+
     Args:
         n_sets: number of sets (power of two).
         n_ways: associativity.
@@ -182,8 +198,38 @@ class WayCache:
         self._tags = array("Q", [INVALID_TAG]) * (n_sets * n_ways)
         self._dirty = bytearray([INVALID_WAY]) * (n_sets * n_ways)
         self._where: Dict[int, int] = {}
+        self._core_valid: Optional[MutableSequence[int]] = None
+        self._core_valid_cores = 0
         self._policy = make_policy(policy, n_ways, seed=seed, n_sets=n_sets)
         self._all_ways = tuple(range(n_ways))
+
+    def track_core_valid(self, n_cores: int) -> None:
+        """Keep core-valid bits for *n_cores* cores (all clear to start).
+
+        One byte per slot covers up to 8 cores, eight bytes up to 64.
+        A no-op when the bits are already kept.
+
+        Raises:
+            ValueError: for more than 64 cores.
+        """
+        if self._core_valid is None:
+            self._core_valid = _core_valid_buffer(n_cores, self.n_sets * self.n_ways)
+            self._core_valid_cores = n_cores
+
+    def add_core_valid(self, line_address: int, core: int) -> None:
+        """Set *core*'s core-valid bit for a resident line (if tracked)."""
+        way = self._where.get(line_address)
+        if way is not None and self._core_valid is not None:
+            index = (line_address >> CACHE_LINE_BITS) & self._set_mask
+            self._core_valid[index * self.n_ways + way] |= 1 << core
+
+    def core_valid(self, line_address: int) -> int:
+        """Core-valid bits of a resident line (0 if absent or untracked)."""
+        way = self._where.get(line_address)
+        if way is None or self._core_valid is None:
+            return 0
+        index = (line_address >> CACHE_LINE_BITS) & self._set_mask
+        return self._core_valid[index * self.n_ways + way]
 
     @property
     def capacity_lines(self) -> int:
@@ -272,6 +318,8 @@ class WayCache:
         self._dirty[slot] = 1 if dirty else 0
         self._where[line_address] = way
         self._policy.reset(way, index)
+        if self._core_valid is not None:
+            self._core_valid[slot] = 0
 
     def invalidate(self, line_address: int) -> Optional[bool]:
         """Drop a line; return its dirty bit, or ``None`` if absent."""
@@ -283,14 +331,16 @@ class WayCache:
         self._tags[slot] = INVALID_TAG
         dirty = self._dirty[slot] == 1
         self._dirty[slot] = INVALID_WAY
+        if self._core_valid is not None:
+            self._core_valid[slot] = 0
         return dirty
 
     def flush(self) -> List[Eviction]:
         """Empty the cache, returning every line with its dirty bit.
 
-        The tag, dirty and line -> way containers are cleared in place,
-        so references to them stay valid; replacement state is left
-        as is.
+        The tag, dirty, line -> way and core-valid containers are
+        cleared in place, so references to them stay valid;
+        replacement state is left as is.
         """
         dirty = self._dirty
         mask = self._set_mask
@@ -303,6 +353,8 @@ class WayCache:
         size = len(self._tags)
         self._tags[:] = array("Q", [INVALID_TAG]) * size
         dirty[:] = bytearray([INVALID_WAY]) * size
+        if self._core_valid is not None:
+            self._core_valid[:] = _core_valid_buffer(self._core_valid_cores, size)
         return drained
 
     def occupancy(self) -> int:

@@ -12,7 +12,11 @@ with everything loop-invariant hoisted out:
   ``base + interconnect.latency(core, slice)`` on every LLC touch);
 * slice indices for a whole batch are computed in one vectorised
   numpy pass over the address vector (``SliceHash.slice_of_array``)
-  instead of per-access Python parity loops;
+  instead of per-access Python parity loops; every other line goes
+  through the hash's exact scalar form (``fast_slice_of``: shared XOR
+  lookup tables, or the modular hash's block cache) or, for a DMA
+  span, its span form (``fast_span_slices``), so the engine keeps no
+  line-keyed map;
 * the per-level cache probes are inlined dict/list operations rather
   than five layers of method calls, and LRU replacement is inlined
   when every LLC slice runs the default ``lru`` policy;
@@ -33,9 +37,10 @@ is *not* rare in the forwarding experiments, so it gets its own
 flattened path (:meth:`FastEngine.dma_write_span` /
 :meth:`~FastEngine.dma_read_span`, dispatched by
 :class:`~repro.cachesim.ddio.DdioEngine` unless the hierarchy runs
-the reference oracle), including a private-cache residency
-superset that skips the per-core invalidation snoop for payload lines
-no core ever pulled into an L1/L2.  Within a batch the engine
+the reference oracle).  On an inclusive LLC, back-invalidation and
+the DMA snoop visit only the cores named by the victim's or the
+line's core-valid bits, kept per LLC slot as on real inclusive parts;
+a non-inclusive LLC sweeps the active cores.  Within a batch the engine
 covers every event the reference demand path can produce (cascaded
 evictions, inclusive back-invalidations, write-back drains,
 prefetcher activations); anything else falls back to the reference
@@ -79,6 +84,7 @@ from repro.cachesim.counters import (
     EVENT_MISSES,
     EVENT_WRITEBACKS,
 )
+from repro.cachesim.hashfn import scalar_slice_of, span_slices_of
 from repro.cachesim.replacement import LRU_RENUMBER_AT
 from repro.mem.address import CACHE_LINE
 
@@ -240,6 +246,15 @@ class FastEngine:
         llc_where = [s._where for s in llc.slices]
         llc_tags = [s._tags for s in llc.slices]
         llc_dirty = [s._dirty for s in llc.slices]
+        # Core-valid bits per slot, kept by an inclusive LLC only: a
+        # superset of the cores whose L1/L2 hold the slot's line.  The
+        # demand paths below set the issuing core's bit at the slot
+        # they hit or fill; an LLC eviction back-invalidates exactly
+        # the victim slot's cores; a DMA write snoops the cores of its
+        # line's slot (a line the LLC does not hold has no private
+        # copy, by inclusion).  A non-inclusive DMA write sweeps every
+        # active core, as invalidate_private does.
+        llc_cv = [s._core_valid for s in llc.slices] if inclusive else None
         llc_pols = [s._policy for s in llc.slices]
         llc_mask = llc.slices[0]._set_mask
         all_ways = llc.slices[0]._all_ways
@@ -253,7 +268,12 @@ class FastEngine:
             # would close the hierarchy -> engine -> hierarchy cycle.
             hierarchy_ref()._run_prefetcher(core, line)
 
-        hash_slice_of = llc.hash.slice_of
+        # The hash's exact scalar form: write-back drains, the scalar
+        # path and the replay resolve each line's slice through it,
+        # and DMA spans a whole span's through its span form; set index
+        # and slot base follow from the line by shift and mask.
+        line_slice = scalar_slice_of(llc.hash)
+        span_slices = span_slices_of(llc.hash)
         lru_fast = all(s.policy_name == "lru" for s in llc.slices)
         # The sanitizer is fixed at hierarchy construction.  Under one,
         # every LLC fill runs the checked llc_fill bound at the end.
@@ -274,24 +294,6 @@ class FastEngine:
                     pol.renumber()
         # CAT mask cache, invalidated via the controller's generation.
         cat_cache: list = [None, -1, [None] * n_cores]
-        # line -> slice memo: the mapping is a pure function of the
-        # hash (cleared on rebuild, size-capped so huge working sets
-        # cannot balloon it).  Write-back drains, the scalar path and
-        # the replay and DMA span paths hit it instead of recomputing
-        # the parity hash per line; the set index and slot base follow
-        # from the line by shift and mask.  It maps ints to ints, so
-        # the collector never tracks it.
-        slice_memo: dict = {}
-        slice_memo_get = slice_memo.get
-
-        def slice_lookup(line):
-            s = slice_memo_get(line)
-            if s is None:
-                s = hash_slice_of(line)
-                if len(slice_memo) >= (1 << 20):
-                    slice_memo.clear()
-                slice_memo[line] = s
-            return s
 
         EV_LOOKUPS, EV_HITS, EV_MISSES = EVENT_LOOKUPS, EVENT_HITS, EVENT_MISSES
         EV_FILLS, EV_EVICT, EV_WB = EVENT_FILLS, EVENT_EVICTIONS, EVENT_WRITEBACKS
@@ -313,7 +315,11 @@ class FastEngine:
 
         def llc_fill(line, core, dirty, slc):
             # SlicedLLC.fill + WayCache.insert, inlined (demand fills
-            # only — DDIO fills stay on the reference path).
+            # only — DDIO fills stay on the reference path).  On an
+            # inclusive LLC a newly filled slot gets *core*'s bit (the
+            # caller puts the line in that core's L2, or it drains from
+            # there) and a victim returns its slot's core-valid bits;
+            # only a non-inclusive drain refills a resident line.
             cnt = counts[slc]
             cat = llc.cat
             if cat is cat_cache[0] and cat.generation == cat_cache[1]:
@@ -326,6 +332,7 @@ class FastEngine:
             where = llc_where[slc]
             pol = llc_pols[slc]
             stamp = llc_stamps[slc]
+            cv = llc_cv[slc] if inclusive else None
             existing = where.get(line)
             if existing is not None:
                 if lru_fast:
@@ -351,6 +358,8 @@ class FastEngine:
                         stamp[slot] = pol._clock
                     else:
                         pol.reset(slot - base, set_i)
+                    if cv is not None:
+                        cv[slot] = 1 << core
                     return None
                 if lru_fast:
                     # .index finds the first of equal stamps, matching
@@ -373,6 +382,8 @@ class FastEngine:
                             stamp[slot] = pol._clock
                         else:
                             pol.reset(w, set_i)
+                        if cv is not None:
+                            cv[slot] = 1 << core
                         return None
                 if lru_fast:
                     # min() keeps the first of equal stamps, likewise.
@@ -394,71 +405,37 @@ class FastEngine:
             cnt[EV_EVICT] += 1
             if vdirty:
                 cnt[EV_WB] += 1
-            return (vtag, vdirty)
+            if cv is None:
+                return (vtag, vdirty, 0)
+            vcores = cv[vslot]
+            cv[vslot] = 1 << core
+            return (vtag, vdirty, vcores)
 
-        # Over-approximate map of lines resident in any private cache to
-        # a bitmask of the cores that may hold them.  A line absent from
-        # it provably needs no invalidation sweep (LLC back-invalidation,
-        # DMA-write snooping); a line present is swept only on the cores
-        # in its mask instead of every active core.  The map lives on
-        # the hierarchy and only ever *grows* between rescans; it stays
-        # a per-line superset because every private-cache insert funnels
-        # through code that ORs the filling core in: the engine's own
-        # fill helpers below, and the reference `_fill_l1`/`_fill_l2`
-        # once the map exists (so `access_line`, `prefetch_line` and
-        # `warm` are covered too).  `clflush`/DMA/`drop_all` only
-        # remove lines, which cannot break a superset.  When it
-        # outgrows the private caches' true capacity it is rebuilt from
-        # the real set dicts (cheap: bounded by actual occupancy).
-        resident = h._resident_superset
-        if resident is None:
-            resident = {}
-            h._resident_superset = resident
-        resident_get = resident.get
-
-        def resident_add(line, core):
-            resident[line] = resident_get(line, 0) | (1 << core)
-
-        resident_cap = 1024 + 4 * n_cores * (
-            (l1_mask + 1) * l1_ways + (l2_mask + 1) * l2_ways
-        )
-
-        def rescan_resident():
-            resident.clear()
-            for c, per_core in enumerate(l1_sets):
-                bit = 1 << c
-                for s in per_core:
-                    for ln in s:
-                        resident[ln] = resident_get(ln, 0) | bit
-            for c, per_core in enumerate(l2_sets):
-                bit = 1 << c
-                for s in per_core:
-                    for ln in s:
-                        resident[ln] = resident_get(ln, 0) | bit
-
-        rescan_resident()
+        def invalidate_cores(line, cores):
+            # Drop *line* from the L1 and L2 of every core in the
+            # *cores* bitmask; True if any dropped copy was dirty.
+            shift = line >> 6
+            s1i = shift & l1_mask
+            s2i = shift & l2_mask
+            dirty = False
+            while cores:
+                b = cores & -cores
+                cores -= b
+                c = b.bit_length() - 1
+                d1 = l1_sets[c][s1i].pop(line, None)
+                d2 = l2_sets[c][s2i].pop(line, None)
+                if d1 or d2:
+                    dirty = True
+            return dirty
 
         def fill_llc(core, line, dirty, slc, stats):
             # CacheHierarchy._fill_llc for demand (non-I/O) fills.
             victim = llc_fill(line, core, dirty, slc)
             if victim is None:
                 return 0
-            vline, vdirty = victim
-            if inclusive:
-                m = resident_get(vline)
-                if m is not None:
-                    shift = (vline >> 6)
-                    s1i = shift & l1_mask
-                    s2i = shift & l2_mask
-                    while m:
-                        b = m & -m
-                        m -= b
-                        c = b.bit_length() - 1
-                        d1 = l1_sets[c][s1i].pop(vline, None)
-                        d2 = l2_sets[c][s2i].pop(vline, None)
-                        if d1 or d2:
-                            vdirty = True
-                    del resident[vline]
+            vline, vdirty, vcores = victim
+            if vcores and invalidate_cores(vline, vcores):
+                vdirty = True
             if vdirty:
                 stats.dram_writebacks += 1
                 return wb_dram_visible
@@ -469,7 +446,7 @@ class FastEngine:
             if inclusive:
                 if not vdirty:
                     return 0
-                vslc = slice_lookup(vline)
+                vslc = line_slice(vline)
                 set_i = (vline >> 6) & llc_mask
                 way = llc_where[vslc].get(vline)
                 if way is not None:
@@ -484,7 +461,7 @@ class FastEngine:
                 else:
                     fill_llc(core, vline, True, vslc, stats)
                 return wb_frac[core][vslc]
-            vslc = slice_lookup(vline)
+            vslc = line_slice(vline)
             extra = wb_frac[core][vslc] if vdirty else 0
             victim = llc_fill(vline, core, vdirty, vslc)
             if victim is not None and victim[1]:
@@ -492,21 +469,14 @@ class FastEngine:
                 extra += wb_dram_visible
             return extra
 
-        def fill_l2(core, line, dirty, stats, slc=-1):
-            # CacheHierarchy._fill_l2 (DictCache.insert inlined).  When
-            # the caller already knows the line's slice it seeds the
-            # memo, so a later dirty eviction of this line drains
-            # without recomputing the hash.
+        def fill_l2(core, line, dirty, stats):
+            # CacheHierarchy._fill_l2 (DictCache.insert inlined).  The
+            # caller has set the core's bit at the line's LLC slot.
             s2 = l2_sets[core][(line >> 6) & l2_mask]
             prev = s2.pop(line, None)
             if prev is not None:
                 s2[line] = prev or dirty
                 return 0
-            resident_add(line, core)
-            if slc >= 0:
-                if len(slice_memo) >= (1 << 20):
-                    slice_memo.clear()
-                slice_memo[line] = slc
             if len(s2) >= l2_ways:
                 vline = next(iter(s2))
                 vdirty = s2.pop(vline)
@@ -517,13 +487,13 @@ class FastEngine:
 
         def drain_l1_dirty(core, vline, stats):
             # Dirty L1 victim drains into L2 (the wb_l1_visible charge
-            # is added by the caller).
+            # is added by the caller); the line already carries the
+            # core's bit, from its L1 fill.
             s2 = l2_sets[core][(vline >> 6) & l2_mask]
             prev2 = s2.pop(vline, None)
             if prev2 is not None:
                 s2[vline] = True
                 return 0
-            resident_add(vline, core)
             if len(s2) >= l2_ways:
                 v2line = next(iter(s2))
                 v2dirty = s2.pop(v2line)
@@ -539,7 +509,6 @@ class FastEngine:
             if prev is not None:
                 s1[line] = prev or dirty
                 return 0
-            resident_add(line, core)
             if len(s1) >= l1_ways:
                 vline = next(iter(s1))
                 vdirty = s1.pop(vline)
@@ -550,10 +519,9 @@ class FastEngine:
             s1[line] = dirty
             return 0
 
-        def access(core, line, write, slc, stats):
-            # CacheHierarchy.access_line, flattened.  *slc* is the
-            # precomputed slice index for *line*, or -1 to compute it
-            # lazily (only reached on an L2 miss).
+        def access(core, line, write, stats):
+            # CacheHierarchy.access_line, flattened; the line's slice
+            # is resolved only on an L2 miss.
             active_cores.add(core)
             if write:
                 stats.writes += 1
@@ -579,8 +547,7 @@ class FastEngine:
                 stats.cycles += c
                 return c, LEVEL_L2, -1
             stats.l2_misses += 1
-            if slc < 0:
-                slc = slice_lookup(line)
+            slc = line_slice(line)
             cnt = counts[slc]
             cnt[EV_LOOKUPS] += 1
             set_i = shift & llc_mask
@@ -589,16 +556,19 @@ class FastEngine:
                 cnt[EV_HITS] += 1
                 stats.llc_hits += 1
                 pol = llc_pols[slc]
+                slot = set_i * n_llc_ways + way
                 if lru_fast:
                     pol._clock += 1
-                    llc_stamps[slc][set_i * n_llc_ways + way] = pol._clock
+                    llc_stamps[slc][slot] = pol._clock
                 else:
                     pol.touch(way, set_i)
+                if inclusive:
+                    llc_cv[slc][slot] |= 1 << core
                 if write:
                     c = store_commit + rfo_llc[core][slc]
                 else:
                     c = load_lat[core][slc]
-                c += fill_l2(core, line, False, stats, slc)
+                c += fill_l2(core, line, False, stats)
                 c += fill_l1(core, line, write, stats)
                 if prefetchers[core] is not None:
                     run_prefetcher(core, line)
@@ -610,7 +580,7 @@ class FastEngine:
             c = (store_commit + rfo_dram) if write else dram_lat
             if inclusive:
                 c += fill_llc(core, line, False, slc, stats)
-            c += fill_l2(core, line, False, stats, slc)
+            c += fill_l2(core, line, False, stats)
             c += fill_l1(core, line, write, stats)
             if prefetchers[core] is not None:
                 run_prefetcher(core, line)
@@ -636,11 +606,6 @@ class FastEngine:
                 # sweeps visiting it early are no-ops.
                 active_cores.update(cores)
                 core_iter = cores
-            # Keep the residency superset tight: once it has outgrown
-            # the private caches' capacity by 4x, rebuild it from the
-            # true contents so the back-invalidation skip keeps firing.
-            if len(resident) > resident_cap:
-                rescan_resident()
             # Per core: may an LLC miss fill run inlined below?  Only
             # for the LRU policy, without a sanitizer (both fixed at
             # rebuild) and outside any CAT mask — no user code runs
@@ -665,8 +630,8 @@ class FastEngine:
                 s2 = l2_sets[core][shift & l2_mask]
                 d = s2.pop(line, None)
                 if d is not None:
-                    # An L2 hit needs no residency update: a line in
-                    # this core's L2 already carries its residency bit.
+                    # An L2 hit needs no core-valid update: a line in
+                    # this core's L2 already carries its bit.
                     s2[line] = d
                     c = (store_commit + rfo_l2) if write else l2_hit_lat
                     lv = 1
@@ -679,13 +644,14 @@ class FastEngine:
                     if way is not None:
                         cnt[EV_HITS] += 1
                         pol = llc_pols[slc]
+                        slot = set_i * n_llc_ways + way
                         if lru_fast:
                             pol._clock += 1
-                            llc_stamps[slc][set_i * n_llc_ways + way] = (
-                                pol._clock
-                            )
+                            llc_stamps[slc][slot] = pol._clock
                         else:
                             pol.touch(way, set_i)
+                        if inclusive:
+                            llc_cv[slc][slot] |= 1 << core
                         if write:
                             c = store_commit + rfo_llc[core][slc]
                         else:
@@ -705,6 +671,7 @@ class FastEngine:
                                 tags = llc_tags[slc]
                                 dirt = llc_dirty[slc]
                                 stamp = llc_stamps[slc]
+                                cv = llc_cv[slc]
                                 pol = llc_pols[slc]
                                 pol._clock += 1
                                 slot = dirt.find(INVALID, base, base + n_llc_ways)
@@ -713,55 +680,40 @@ class FastEngine:
                                     dirt[slot] = False
                                     where[line] = slot - base
                                     stamp[slot] = pol._clock
+                                    cv[slot] = 1 << core
                                 else:
                                     stamps = stamp[base:base + n_llc_ways].tolist()
                                     slot = base + stamps.index(min(stamps))
                                     vline = tags[slot]
                                     vdirty = dirt[slot]
+                                    vcores = cv[slot]
                                     del where[vline]
                                     tags[slot] = line
                                     dirt[slot] = False
                                     where[line] = slot - base
                                     stamp[slot] = pol._clock
+                                    cv[slot] = 1 << core
                                     cnt[EV_EVICT] += 1
                                     if vdirty:
                                         cnt[EV_WB] += 1
-                                    # Inclusive back-invalidation over
-                                    # the victim's residency mask.
-                                    m = resident_get(vline)
-                                    if m is not None:
-                                        vshift = vline >> 6
-                                        vs1 = vshift & l1_mask
-                                        vs2 = vshift & l2_mask
-                                        while m:
-                                            b = m & -m
-                                            m -= b
-                                            vc = b.bit_length() - 1
-                                            d1 = l1_sets[vc][vs1].pop(vline, None)
-                                            d2 = l2_sets[vc][vs2].pop(vline, None)
-                                            if d1 or d2:
-                                                vdirty = True
-                                        del resident[vline]
+                                    # Inclusive back-invalidation of the
+                                    # victim's core-valid cores.
+                                    if vcores and invalidate_cores(vline, vcores):
+                                        vdirty = True
                                     if vdirty:
                                         stats.dram_writebacks += 1
                                         c += wb_dram_visible
                             else:
                                 c += fill_llc(core, line, False, slc, stats)
                     # fill_l2, inlined: the L2 probe above just missed,
-                    # so the insert never refreshes; seeding slice_memo
-                    # keeps a later dirty drain of this line from
-                    # recomputing the hash.  One residency add covers
-                    # both private inserts of this line: the victim
-                    # drain below never removes it.  On an inclusive
-                    # LLC the L2 victim is LLC-resident (every LLC
-                    # eviction, the fill above included, back-
-                    # invalidates the private copies), so its drain
-                    # only refreshes its slot and evicts nothing; a
-                    # non-inclusive LLC never back-invalidates.
-                    resident[line] = resident_get(line, 0) | (1 << core)
-                    if len(slice_memo) >= (1 << 20):
-                        slice_memo.clear()
-                    slice_memo[line] = slc
+                    # so the insert never refreshes.  The LLC hit or
+                    # fill above set the core's bit for both private
+                    # inserts of this line.  On an inclusive LLC the L2
+                    # victim is LLC-resident (every LLC eviction, the
+                    # fill above included, back-invalidates the private
+                    # copies), so its drain only refreshes its slot and
+                    # evicts nothing; a non-inclusive LLC never
+                    # back-invalidates.
                     if len(s2) >= l2_ways:
                         vline = next(iter(s2))
                         vdirty = s2.pop(vline)
@@ -817,44 +769,52 @@ class FastEngine:
         def dma_fill_span(first, last, stats):
             # DdioEngine.dma_write with DDIO enabled, flattened:
             # per line, CacheHierarchy.dma_fill_line == invalidate_
-            # private + _fill_llc(core=None, dirty=True, io=True).
-            # The residency map skips the (usually fruitless)
-            # private-cache snoop for payload lines no core ever read,
-            # and sweeps only the cores in a resident line's mask.
-            # Each line's set is resolved afresh (slice from the int
-            # memo, set and slot base by shift and mask): DMA spans
-            # mostly land in fresh buffers, so a per-span memo would
-            # mostly miss and allocate.
-            if len(resident) > resident_cap:
-                rescan_resident()
-            for line in range(first, last + CACHE_LINE, CACHE_LINE):
-                slc = slice_memo_get(line)
-                if slc is None:
-                    slc = slice_lookup(line)
+            # private + _fill_llc(core=None, dirty=True, io=True).  On
+            # an inclusive LLC only a line the LLC holds can have
+            # private copies, on the cores its slot's core-valid bits
+            # name; a non-inclusive LLC sweeps every active core.  Each
+            # line's set is resolved afresh (slice from the hash's span
+            # form, set and slot base by shift and mask).
+            snoop = () if inclusive else [
+                (l1_sets[c], l2_sets[c]) for c in active_cores
+            ]
+            n_lines = (last - first) // CACHE_LINE + 1
+            for line, slc in zip(
+                range(first, last + CACHE_LINE, CACHE_LINE),
+                span_slices(first, n_lines),
+            ):
                 cnt = counts[slc]
                 cnt[EV_DDIO_F] += 1
                 cnt[EV_FILLS] += 1
                 shift = line >> 6
-                m = resident_get(line)
-                if m is not None:
+                if snoop:
+                    # Membership tests: the line is rarely there, and
+                    # `in` costs no method call.
                     s1i = shift & l1_mask
                     s2i = shift & l2_mask
-                    while m:
-                        b = m & -m
-                        m -= b
-                        c = b.bit_length() - 1
-                        l1_sets[c][s1i].pop(line, None)
-                        l2_sets[c][s2i].pop(line, None)
-                    del resident[line]
+                    for sets1, sets2 in snoop:
+                        held = sets1[s1i]
+                        if line in held:
+                            del held[line]
+                        held = sets2[s2i]
+                        if line in held:
+                            del held[line]
                 set_i = shift & llc_mask
                 base = set_i * n_llc_ways
                 where = llc_where[slc]
                 pol = llc_pols[slc]
                 existing = where.get(line)
                 if existing is not None:
-                    # Already resident: refresh and dirty it in place,
-                    # before loading the set's buffers.
+                    # Already resident: snoop its cores, then refresh
+                    # and dirty it in place, before loading the set's
+                    # buffers.
                     slot = base + existing
+                    if inclusive:
+                        cv = llc_cv[slc]
+                        vcores = cv[slot]
+                        if vcores:
+                            invalidate_cores(line, vcores)
+                            cv[slot] = 0
                     if lru_fast:
                         pol._clock += 1
                         llc_stamps[slc][slot] = pol._clock
@@ -911,42 +871,36 @@ class FastEngine:
                 else:
                     pol.reset(vw, set_i)
                 if vtag is None:
+                    # A free slot's core-valid bits are already clear.
                     continue
                 cnt[EV_EVICT] += 1
                 if vdirty:
                     cnt[EV_WB] += 1
                 if inclusive:
-                    vm = resident_get(vtag)
-                    if vm is not None:
-                        vshift = vtag >> 6
-                        vs1 = vshift & l1_mask
-                        vs2 = vshift & l2_mask
-                        while vm:
-                            b = vm & -vm
-                            vm -= b
-                            c = b.bit_length() - 1
-                            d1 = l1_sets[c][vs1].pop(vtag, None)
-                            d2 = l2_sets[c][vs2].pop(vtag, None)
-                            if d1 or d2:
-                                vdirty = True
-                        del resident[vtag]
+                    cv = llc_cv[slc]
+                    vcores = cv[slot]
+                    if vcores:
+                        cv[slot] = 0
+                        if invalidate_cores(vtag, vcores):
+                            vdirty = True
                 if vdirty:
                     stats.dram_writebacks += 1
-            return (last - first) // CACHE_LINE + 1
+            return n_lines
 
         def dma_read_span(first, last):
             # DdioEngine.dma_read, flattened: count the lookup and
             # probe without touching replacement state (reads never
             # allocate).  Returns (lines, hits).
             hits = 0
-            for line in range(first, last + CACHE_LINE, CACHE_LINE):
-                slc = slice_memo_get(line)
-                if slc is None:
-                    slc = slice_lookup(line)
+            n_lines = (last - first) // CACHE_LINE + 1
+            for line, slc in zip(
+                range(first, last + CACHE_LINE, CACHE_LINE),
+                span_slices(first, n_lines),
+            ):
                 counts[slc][EV_DDIO_R] += 1
                 if line in llc_where[slc]:
                     hits += 1
-            return (last - first) // CACHE_LINE + 1, hits
+            return n_lines, hits
 
         def run_ops(ops, stats, ddios, multi):
             # Replay a recorded dataplane op stream (demand spans and
@@ -958,8 +912,6 @@ class FastEngine:
             # DdioEngine's stats exact.  *ops* is a list of ``(kind,
             # first, last, aux)`` tuples; ``aux`` is the issuing core
             # for demand ops and the DdioEngine index for DMA ops.
-            if len(resident) > resident_cap:
-                rescan_resident()
             single = None if multi else ddios[0]
             # As in run_batch; no user code runs mid-replay either, so
             # the CAT masks cannot change under the loop.
@@ -1008,15 +960,13 @@ class FastEngine:
                         d = s2.pop(line, None)
                         if d is not None:
                             # A line in this core's L2 already carries
-                            # its residency bit.
+                            # its core-valid bit.
                             s2[line] = d
                             cc = (store_commit + rfo_l2) if write else l2_hit_lat
                             n_l2 += 1
                             lv = 1
                         else:
-                            slc = slice_memo_get(line)
-                            if slc is None:
-                                slc = slice_lookup(line)
+                            slc = line_slice(line)
                             cnt = counts[slc]
                             cnt[EV_LOOKUPS] += 1
                             set_i = shift & llc_mask
@@ -1027,13 +977,14 @@ class FastEngine:
                                 cnt[EV_HITS] += 1
                                 n_llc += 1
                                 pol = llc_pols[slc]
+                                slot = set_i * n_llc_ways + way
                                 if lru_fast:
                                     pol._clock += 1
-                                    llc_stamps[slc][set_i * n_llc_ways + way] = (
-                                        pol._clock
-                                    )
+                                    llc_stamps[slc][slot] = pol._clock
                                 else:
                                     pol.touch(way, set_i)
+                                if inclusive:
+                                    llc_cv[slc][slot] |= 1 << core
                                 if write:
                                     cc = store_commit + rfo_llc[core][slc]
                                 else:
@@ -1052,6 +1003,7 @@ class FastEngine:
                                         tags = llc_tags[slc]
                                         dirt = llc_dirty[slc]
                                         stamp = llc_stamps[slc]
+                                        cv = llc_cv[slc]
                                         pol = llc_pols[slc]
                                         pol._clock += 1
                                         slot = dirt.find(INVALID, base, base + n_llc_ways)
@@ -1060,43 +1012,31 @@ class FastEngine:
                                             dirt[slot] = False
                                             where[line] = slot - base
                                             stamp[slot] = pol._clock
+                                            cv[slot] = 1 << core
                                         else:
                                             stamps = stamp[base:base + n_llc_ways].tolist()
                                             slot = base + stamps.index(min(stamps))
                                             vline = tags[slot]
                                             vdirty = dirt[slot]
+                                            vcores = cv[slot]
                                             del where[vline]
                                             tags[slot] = line
                                             dirt[slot] = False
                                             where[line] = slot - base
                                             stamp[slot] = pol._clock
+                                            cv[slot] = 1 << core
                                             cnt[EV_EVICT] += 1
                                             if vdirty:
                                                 cnt[EV_WB] += 1
-                                            m = resident_get(vline)
-                                            if m is not None:
-                                                vshift = vline >> 6
-                                                vs1 = vshift & l1_mask
-                                                vs2 = vshift & l2_mask
-                                                while m:
-                                                    b = m & -m
-                                                    m -= b
-                                                    vc = b.bit_length() - 1
-                                                    d1 = l1_sets[vc][vs1].pop(vline, None)
-                                                    d2 = l2_sets[vc][vs2].pop(vline, None)
-                                                    if d1 or d2:
-                                                        vdirty = True
-                                                del resident[vline]
+                                            if vcores and invalidate_cores(vline, vcores):
+                                                vdirty = True
                                             if vdirty:
                                                 stats.dram_writebacks += 1
                                                 cc += wb_dram_visible
                                     else:
                                         cc += fill_llc(core, line, False, slc, stats)
-                            # fill_l2, inlined as in run_batch (the slice
-                            # lookup above memoised the line's slice for
-                            # a later dirty drain): one residency add,
-                            # which the victim drain never removes.
-                            resident[line] = resident_get(line, 0) | (1 << core)
+                            # fill_l2, inlined as in run_batch: the LLC
+                            # hit or fill above set the core's bit.
                             if len(s2) >= l2_ways:
                                 vline = next(iter(s2))
                                 vdirty = s2.pop(vline)
@@ -1164,7 +1104,7 @@ class FastEngine:
                 # fill, in the reference order.
                 n_lines = 0
                 for line in range(first, last + CACHE_LINE, CACHE_LINE):
-                    slc = slice_lookup(line)
+                    slc = line_slice(line)
                     where = llc_where[slc]
                     was_resident = line in where
                     n_lines += unchecked_dma_fill_span(line, line, stats)
@@ -1180,9 +1120,8 @@ class FastEngine:
         self._run_ops = run_ops
         self._dma_fill_span = dma_fill_span
         self._dma_read_span = dma_read_span
-        self._slice_memo = slice_memo
         self._slice_of_array = getattr(llc.hash, "slice_of_array", None)
-        self._hash_slice_of = hash_slice_of
+        self._line_slice = line_slice
         self._key = self._snapshot_key()
 
     # ------------------------------------------------------------------
@@ -1229,7 +1168,7 @@ class FastEngine:
         if self._slice_of_array is not None:
             slcs_arr = np.asarray(self._slice_of_array(lines_arr), dtype=np.int16)
         else:
-            scalar_hash = self._hash_slice_of
+            scalar_hash = self._line_slice
             slcs_arr = np.array(
                 [scalar_hash(int(a)) for a in lines_arr.tolist()], dtype=np.int16
             )
@@ -1300,10 +1239,10 @@ class FastEngine:
         stats = h.stats
         access = self._access
         if first == last:
-            return access(core, first, write, -1, stats)[0]
+            return access(core, first, write, stats)[0]
         cycles = 0
         for line in range(first, last + CACHE_LINE, CACHE_LINE):
-            cycles += access(core, line, write, -1, stats)[0]
+            cycles += access(core, line, write, stats)[0]
         return cycles
 
     # ------------------------------------------------------------------

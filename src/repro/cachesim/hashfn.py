@@ -23,6 +23,19 @@ blocks made of whole ``n_slices``-line hash blocks).  Off that grid
 ``block_offsets`` returns None and callers probe line by line, as
 they must for any hash that has no ``block_offsets`` at all.
 
+Per-line callers (the fast engine's write-back drains and op replay)
+use ``fast_slice_of``, an exact scalar form of ``slice_of`` each
+family provides, and DMA spans ``fast_span_slices(first, n_lines)``,
+the slices of consecutive lines as ``bytes``.  The XOR hash is linear,
+so it splits the masked address bits into two or more chunks and XORs
+one small lookup table per chunk; the tables are built once per mask
+tuple and shared by every hash with those masks.  A span inside one
+low-chunk table run is then a slice of that table translated by the
+high chunk's entry.  The modular hash caches each block's permutation
+row (one of the ``n_slices * phi(n_slices)`` affine ones, all built
+once per hash), so a line costs one dict probe instead of the
+SplitMix64 mix and a span joins row slices.
+
 ``slice_of_array`` returns ``uint8`` slice indices, so both families
 reject more than :data:`MAX_SLICES` slices at construction rather than
 wrap past 255 (no shipped machine has more than 18).
@@ -30,7 +43,8 @@ wrap past 255 (no shipped machine has more than 18).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Optional, Protocol, Sequence, Tuple
 
 from repro.mem.address import CACHE_LINE_BITS, parity
 
@@ -67,6 +81,91 @@ HASWELL_MASKS_8_SLICE: Tuple[int, ...] = (
     _mask_from_bits(O2_BITS),
 )
 
+#: Widest address chunk one XOR lookup table covers (a 64 KiB table).
+_XOR_CHUNK_BITS = 16
+
+
+#: The scalar and the span form of one hash (see the module docstring).
+_SliceForms = Tuple[Callable[[int], int], Callable[[int, int], bytes]]
+
+
+def _span_by_lines(slice_of: Callable[[int], int]) -> Callable[[int, int], bytes]:
+    """Span form that asks *slice_of* line by line."""
+
+    def span_slices(first: int, n_lines: int) -> bytes:
+        return bytes(slice_of(first + (k << CACHE_LINE_BITS)) for k in range(n_lines))
+
+    return span_slices
+
+
+@lru_cache(maxsize=8)
+def _xor_forms(masks: Tuple[int, ...]) -> _SliceForms:
+    """Table-driven ``ComplexAddressingHash(masks).slice_of``, and its
+    span form.
+
+    The masked bits ``lo..hi`` split into the fewest chunks of at most
+    :data:`_XOR_CHUNK_BITS` bits; chunk *k*'s table maps each value
+    ``v`` of its bits to the slice of ``v << shift``, and by linearity
+    the slice of an address is the XOR of its chunks' entries.  Bits
+    outside ``lo..hi`` feed no mask, so the chunk masks drop them.
+    """
+    union = 0
+    for mask in masks:
+        union |= mask
+    if not union:
+        return (lambda phys_address: 0), (lambda first, n_lines: bytes(n_lines))
+    lo = (union & -union).bit_length() - 1
+    hi = union.bit_length()
+    n_chunks = -(-(hi - lo) // _XOR_CHUNK_BITS)
+    width = -(-(hi - lo) // n_chunks)
+    chunks = []
+    for shift in range(lo, hi, width):
+        bits = min(width, hi - shift)
+        # Doubling by linearity: the values with bit i set are the
+        # values below 2**i XOR the slice of bit i alone (one byte
+        # translation, as slice indices fit a byte).
+        table = bytearray(1)
+        for i in range(bits):
+            probe = 1 << (shift + i)
+            unit = 0
+            for position, mask in enumerate(masks):
+                unit |= parity(probe & mask) << position
+            table += table.translate(bytes(x ^ unit for x in range(256)))
+        chunks.append((shift, (1 << bits) - 1, bytes(table)))
+    if len(chunks) == 1:
+        ((s0, m0, t0),) = chunks
+
+        def slice_of(phys_address: int) -> int:
+            return t0[(phys_address >> s0) & m0]
+    elif len(chunks) == 2:
+        (s0, m0, t0), (s1, m1, t1) = chunks
+
+        def slice_of(phys_address: int) -> int:
+            return t0[(phys_address >> s0) & m0] ^ t1[(phys_address >> s1) & m1]
+    else:
+        frozen = tuple(chunks)
+
+        def slice_of(phys_address: int) -> int:
+            index = 0
+            for shift, mask, table in frozen:
+                index ^= table[(phys_address >> shift) & mask]
+            return index
+
+    by_lines = _span_by_lines(slice_of)
+    if len(chunks) != 2 or s0 != CACHE_LINE_BITS:
+        return slice_of, by_lines
+    # Consecutive lines step the low chunk by one; while it does not
+    # wrap, the high chunk (the bits right above it) stays put.
+    flips = [bytes(x ^ h for x in range(256)) for h in range(1 << len(masks))]
+
+    def span_slices(first: int, n_lines: int) -> bytes:
+        i0 = (first >> s0) & m0
+        if i0 + n_lines > m0 + 1:
+            return by_lines(first, n_lines)
+        return t0[i0:i0 + n_lines].translate(flips[t1[(first >> s1) & m1]])
+
+    return slice_of, span_slices
+
 
 class SliceHash(Protocol):
     """Anything that maps a physical address to an LLC slice index."""
@@ -77,7 +176,43 @@ class SliceHash(Protocol):
         """Return the slice index for *phys_address*."""
 
 
-class ComplexAddressingHash:
+def scalar_slice_of(slice_hash: SliceHash) -> Callable[[int], int]:
+    """The hash's exact fast scalar form, else its ``slice_of``."""
+    fast = getattr(slice_hash, "fast_slice_of", None)
+    return fast if fast is not None else slice_hash.slice_of
+
+
+def span_slices_of(slice_hash: SliceHash) -> Callable[[int, int], bytes]:
+    """The hash's exact span form, else ``slice_of`` line by line."""
+    fast = getattr(slice_hash, "fast_span_slices", None)
+    return fast if fast is not None else _span_by_lines(slice_hash.slice_of)
+
+
+class _FastForms:
+    """Sets ``fast_slice_of`` and ``fast_span_slices`` (closures, built
+    by ``_fast_forms``), keeps them out of pickles and copies, and
+    rebuilds them on the way back in."""
+
+    fast_slice_of: Callable[[int], int]
+    fast_span_slices: Callable[[int, int], bytes]
+
+    def _fast_forms(self) -> _SliceForms:
+        raise NotImplementedError
+
+    def _set_fast_forms(self) -> None:
+        self.fast_slice_of, self.fast_span_slices = self._fast_forms()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["fast_slice_of"], state["fast_span_slices"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._set_fast_forms()
+
+
+class ComplexAddressingHash(_FastForms):
     """XOR-of-address-bits slice hash for ``2**k``-slice CPUs.
 
     Args:
@@ -96,6 +231,11 @@ class ComplexAddressingHash:
             )
         self.masks: Tuple[int, ...] = tuple(masks)
         self.n_slices = 1 << len(self.masks)
+        # Exact table-driven forms of slice_of (module docstring).
+        self._set_fast_forms()
+
+    def _fast_forms(self) -> _SliceForms:
+        return _xor_forms(self.masks)
 
     def slice_of(self, phys_address: int) -> int:
         """Return the slice index of the line containing *phys_address*."""
@@ -172,7 +312,7 @@ class ComplexAddressingHash:
         return f"ComplexAddressingHash([{masks}])"
 
 
-class ModularSliceHash:
+class ModularSliceHash(_FastForms):
     """Block-balanced line-granularity hash for any slice count.
 
     Substitution for the unpublished Skylake-SP hash (DESIGN.md §2).
@@ -190,8 +330,6 @@ class ModularSliceHash:
       instead of with Poisson variance.
     """
 
-    _MASK64 = (1 << 64) - 1
-
     def __init__(self, n_slices: int, seed: int = 0x9E3779B97F4A7C15) -> None:
         if not 0 < n_slices <= MAX_SLICES:
             raise ValueError(
@@ -203,18 +341,17 @@ class ModularSliceHash:
             a for a in range(1, max(2, n_slices)) if _gcd(a, n_slices) == 1
         ] or [1]
         self._inverses = [pow(a, -1, n_slices) for a in self._coprimes]
+        # Exact block-cached forms of slice_of (module docstring).
+        self._set_fast_forms()
 
-    def _mix(self, block: int) -> int:
-        z = (block + self.seed) & self._MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK64
-        return (z ^ (z >> 31)) & self._MASK64
+    def _fast_forms(self) -> _SliceForms:
+        return _modular_forms(self.n_slices, self.seed, tuple(self._coprimes))
 
     def slice_of(self, phys_address: int) -> int:
         """Return the slice index of the line containing *phys_address*."""
         line = phys_address >> CACHE_LINE_BITS
         block, index = divmod(line, self.n_slices)
-        r = self._mix(block)
+        r = _splitmix64(block, self.seed)
         coprimes = self._coprimes
         a = coprimes[r % len(coprimes)]
         b = (r >> 16) % self.n_slices
@@ -225,7 +362,7 @@ class ModularSliceHash:
         import numpy as np
 
         with np.errstate(over="ignore"):
-            z = blocks + np.uint64(self.seed & self._MASK64)
+            z = blocks + np.uint64(self.seed & _MASK64)
             z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
             z ^= z >> np.uint64(31)
@@ -277,6 +414,67 @@ class ModularSliceHash:
 
     def __repr__(self) -> str:
         return f"ModularSliceHash(n_slices={self.n_slices}, seed={self.seed:#x})"
+
+
+_MASK64 = (1 << 64) - 1
+
+#: Blocks one :class:`ModularSliceHash` remembers before it starts over
+#: (each entry is a dict slot and a block number; the permutations
+#: themselves are shared).
+_BLOCK_CACHE_MAX = 1 << 16
+
+
+def _splitmix64(block: int, seed: int) -> int:
+    """SplitMix64 finaliser of ``block + seed`` (the per-block draw)."""
+    z = (block + seed) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def _modular_forms(n: int, seed: int, coprimes: Tuple[int, ...]) -> _SliceForms:
+    """Block-cached ``ModularSliceHash(n, seed).slice_of``, and its
+    span form.
+
+    Block ``k``'s permutation ``i -> (a*i + b) mod n`` is one of the
+    ``len(coprimes) * n`` affine ones, each built once as a ``bytes``
+    row; the cache maps a block to its shared row, so it holds only
+    ints and bytes and the collector never tracks it.
+    """
+    rows = [
+        bytes((a * i + b) % n for i in range(n)) for a in coprimes for b in range(n)
+    ]
+    n_coprimes = len(coprimes)
+    cache: dict = {}
+    cached = cache.get
+
+    def row_of(block: int) -> bytes:
+        r = _splitmix64(block, seed)
+        row = rows[(r % n_coprimes) * n + (r >> 16) % n]
+        if len(cache) >= _BLOCK_CACHE_MAX:
+            cache.clear()
+        cache[block] = row
+        return row
+
+    def slice_of(phys_address: int) -> int:
+        line = phys_address >> CACHE_LINE_BITS
+        block = line // n
+        row = cached(block)
+        if row is None:
+            row = row_of(block)
+        return row[line - block * n]
+
+    def span_slices(first: int, n_lines: int) -> bytes:
+        line = first >> CACHE_LINE_BITS
+        block = line // n
+        start = line - block * n
+        out = (cached(block) or row_of(block))[start:start + n_lines]
+        while len(out) < n_lines:
+            block += 1
+            out += (cached(block) or row_of(block))[:n_lines - len(out)]
+        return out
+
+    return slice_of, span_slices
 
 
 def _gcd(a: int, b: int) -> int:

@@ -26,7 +26,11 @@ Coherence: private caches are modelled per core without a full MESI
 protocol; the experiments touch each line from a single core at a
 time, and the one true cross-agent writer — the NIC's DMA — explicitly
 invalidates private copies via :meth:`CacheHierarchy.invalidate_private`
-(see :mod:`repro.cachesim.ddio`).
+(see :mod:`repro.cachesim.ddio`).  As on real inclusive parts, each
+slot of an inclusive LLC carries core-valid bits: a superset of the
+cores whose L1/L2 hold its line.  Every private fill sets the filling
+core's bit, and the fast engine back-invalidates and snoops only the
+cores named there.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.sanitizer import CacheSanitizer, resolve_sanitizer
 from repro.cachesim.cache import DictCache
+from repro.cachesim.hashfn import scalar_slice_of
 from repro.cachesim.llc import SlicedLLC
 from repro.mem.address import CACHE_LINE, iter_lines, span_lines
 
@@ -185,11 +190,12 @@ class CacheHierarchy:
         #: oracle ``"reference"`` (this module's per-access path).
         self.engine_name = START_ENGINE.get()
         self._fast_engine = None
-        #: Line -> bitmask of the cores whose L1/L2 may hold it, a
-        #: superset the fast engine builds with itself (``None`` until
-        #: then) and uses to skip fruitless invalidation sweeps.  The
-        #: private fills below keep it a superset.
-        self._resident_superset: Optional[dict] = None
+        # An inclusive LLC keeps core-valid bits per slot (see the
+        # module docstring); the private fills below set them.
+        if inclusive:
+            for slice_cache in llc.slices:
+                slice_cache.track_core_valid(n_cores)
+        self._line_slice = scalar_slice_of(llc.hash)
         #: Optional runtime invariant checker (see
         #: :mod:`repro.analysis.sanitizer`); shared with the LLC so
         #: masked fills are verified at fill time.
@@ -361,11 +367,14 @@ class CacheHierarchy:
     # Fill / write-back plumbing
     # ------------------------------------------------------------------
 
+    def _mark_core_valid(self, core: int, line: int) -> None:
+        """Set *core*'s core-valid bit in *line*'s slot of an inclusive LLC."""
+        if self.inclusive:
+            self.llc.slices[self._line_slice(line)].add_core_valid(line, core)
+
     def _fill_l1(self, core: int, line: int, dirty: bool) -> int:
         """Install a line in L1; returns visible drain cycles."""
-        resident = self._resident_superset
-        if resident is not None:
-            resident[line] = resident.get(line, 0) | (1 << core)
+        self._mark_core_valid(core, line)
         victim = self.l1s[core].insert(line, dirty=dirty)
         if victim is None or not victim[1]:
             return 0
@@ -376,9 +385,7 @@ class CacheHierarchy:
 
     def _fill_l2(self, core: int, line: int, dirty: bool) -> int:
         """Install a line in L2; returns visible drain cycles."""
-        resident = self._resident_superset
-        if resident is not None:
-            resident[line] = resident.get(line, 0) | (1 << core)
+        self._mark_core_valid(core, line)
         victim = self.l2s[core].insert(line, dirty=dirty)
         return self._drain_l2_victim(core, victim)
 
@@ -392,14 +399,16 @@ class CacheHierarchy:
             if not vdirty:
                 return 0
             # Inclusive: the LLC already tracks the line; update it in
-            # place (or refill if it raced out) and charge the drain.
-            slice_index = self.llc.hash.slice_of(vline)
+            # place (or refill if it raced out, keeping the core's bit
+            # for a copy still in its L1) and charge the drain.
+            slice_index = self._line_slice(vline)
             slice_cache = self.llc.slices[slice_index]
             if not slice_cache.lookup(vline, write=True):
                 self._fill_llc(core, vline, dirty=True)
+                self._mark_core_valid(core, vline)
             return int(lat.wb_llc_fraction * self.llc.access_latency(core, slice_index))
         # Non-inclusive victim LLC: every L2 eviction is inserted.
-        slice_index = self.llc.hash.slice_of(vline)
+        slice_index = self._line_slice(vline)
         extra = 0
         if vdirty:
             extra += int(lat.wb_llc_fraction * self.llc.access_latency(core, slice_index))
@@ -516,7 +525,8 @@ class CacheHierarchy:
         * no cache holds more lines than its capacity, per set;
         * every line is in the slice its address hashes to;
         * on an inclusive LLC, every line in any private cache is also
-          present in the LLC (the defining inclusion property).
+          present in the LLC (the defining inclusion property), and its
+          LLC slot carries that core's core-valid bit.
 
         Raises:
             AssertionError: on any violation.
@@ -533,16 +543,17 @@ class CacheHierarchy:
                 )
         if self.inclusive:
             for core in range(self.n_cores):
-                for line in self.l1s[core].lines():
-                    assert self.llc.contains(line), (
-                        f"inclusion violated: {line:#x} in L1[{core}] "
-                        "but not in LLC"
-                    )
-                for line in self.l2s[core].lines():
-                    assert self.llc.contains(line), (
-                        f"inclusion violated: {line:#x} in L2[{core}] "
-                        "but not in LLC"
-                    )
+                for level, cache in (("L1", self.l1s[core]), ("L2", self.l2s[core])):
+                    for line in cache.lines():
+                        assert self.llc.contains(line), (
+                            f"inclusion violated: {line:#x} in {level}[{core}] "
+                            "but not in LLC"
+                        )
+                        slice_cache = self.llc.slices[self.llc.slice_of(line)]
+                        assert slice_cache.core_valid(line) >> core & 1, (
+                            f"core-valid bit of core {core} clear for "
+                            f"{line:#x} held in its {level}"
+                        )
 
     def __repr__(self) -> str:
         return (

@@ -59,3 +59,18 @@ def start_on(engine, build, *args, **kwargs):
             return build(*args, **kwargs)
     assert engine == "fast", engine
     return build(*args, **kwargs)
+
+
+def assert_core_valid_superset(hierarchy):
+    """On an inclusive LLC, every line in core *c*'s L1 or L2 has bit
+    *c* set in its LLC slot's core-valid bits; a non-inclusive LLC
+    keeps no bits at all."""
+    llc = hierarchy.llc
+    if not hierarchy.inclusive:
+        assert all(s._core_valid is None for s in llc.slices)
+        return
+    for core in range(hierarchy.n_cores):
+        held = list(hierarchy.l1s[core].lines()) + list(hierarchy.l2s[core].lines())
+        for line in held:
+            bits = llc.slices[llc.slice_of(line)].core_valid(line)
+            assert bits >> core & 1, (core, hex(line), bits)

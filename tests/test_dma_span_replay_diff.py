@@ -3,8 +3,8 @@
 A recorded dataplane stream interleaves demand spans with NIC DMA
 spans — multi-line payload writes and reads, and single-line ring
 descriptors.  :meth:`FastEngine.run_op_stream` resolves every line of
-every span itself (slice from the engine's memo, set and slot by shift
-and mask).  Each test replays one randomized stream through it and,
+every span itself (slice from the hash's scalar form, set and slot by
+shift and mask).  Each test replays one randomized stream through it and,
 on a hierarchy built inside :func:`~repro.cachesim.diff.
 reference_engine`, through the reference ``read``/``write`` and
 ``DdioEngine`` calls the recorder displaced, op by op; per-op cycles,

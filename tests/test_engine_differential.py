@@ -32,7 +32,7 @@ from repro.cachesim.machines import (
     build_hierarchy,
 )
 
-from tests.engines import ENGINES, start_on
+from tests.engines import ENGINES, assert_core_valid_superset, start_on
 
 pytestmark = pytest.mark.differential
 
@@ -223,7 +223,8 @@ def test_cold_fill_writes_keep_residency_superset(name):
     """Sequential cold-fill writes, one batch per core as in Fig. 7's
     warm pass, then an interleaved random pass.  Outcomes match the
     reference, and after every batch each line held in a core's L1/L2
-    carries that core's bit in the private-residency superset."""
+    carries that core's core-valid bit in its slot of an inclusive
+    LLC."""
     spec = SPECS[name]
     n_lines = 1024
     rng = np.random.default_rng(5)
@@ -246,10 +247,7 @@ def test_cold_fill_writes_keep_residency_superset(name):
         got = fast.access_batch(addresses, True, core)
         assert got.cycles.tolist() == expected.cycles.tolist()
         assert got.levels.tolist() == expected.levels.tolist()
-        resident = fast._resident_superset
-        for c in range(spec.n_cores):
-            held = list(fast.l1s[c].lines()) + list(fast.l2s[c].lines())
-            assert all(resident.get(line, 0) >> c & 1 for line in held), c
+        assert_core_valid_superset(fast)
     assert state_fingerprint(reference) == state_fingerprint(fast)
 
 

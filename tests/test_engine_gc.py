@@ -3,9 +3,10 @@
 Two properties, both checked with the collector switched off:
 
 * serving DMA spans and replaying demand lines allocates no
-  GC-tracked object per line or per span — the per-line slice memo,
-  the residency superset and every cache set hold only ints and bools,
-  so a long run adds nothing a full collection would have to walk;
+  GC-tracked object per line or per span — the core-valid bits are a
+  typed buffer, the slice hashes' lookup tables and block cache hold
+  only ints and bytes, and every cache set only ints and bools, so a
+  long run adds nothing a full collection would have to walk;
 * a hierarchy that has served every kind of access (and so built its
   engine) is freed by reference counting alone: the engine holds it
   only weakly and no engine closure or instance hook refers back to it.
@@ -18,18 +19,24 @@ import weakref
 
 from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.engine import OP_READ, OP_WRITE
-from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
+from repro.cachesim.machines import (
+    HASWELL_E5_2667V3,
+    SKYLAKE_GOLD_6134,
+    build_hierarchy,
+)
 from repro.cachesim.prefetch import StreamerPrefetcher
 from repro.mem.address import CACHE_LINE
 from repro.net.dataplane import OpRecorder, replay_ops
 
+from tests.engines import assert_core_valid_superset
+
 SPAN_BYTES = 1536
 
 
-def tracked_objects_added_by_serving(n: int) -> int:
+def tracked_objects_added_by_serving(n: int, spec=HASWELL_E5_2667V3) -> int:
     """GC-tracked objects left alive by *n* distinct multi-line DMA
     write+read spans and *n* replayed demand lines on a built engine."""
-    hierarchy = build_hierarchy(HASWELL_E5_2667V3, sanitize=False)
+    hierarchy = build_hierarchy(spec, sanitize=False)
     ddio = DdioEngine(hierarchy)
     # Build the engine and run every path once before counting.
     ddio.dma_write(0, SPAN_BYTES)
@@ -62,6 +69,15 @@ def tracked_objects_added_by_serving(n: int) -> int:
 def test_serving_adds_no_tracked_objects_per_line():
     small = tracked_objects_added_by_serving(1_000)
     large = tracked_objects_added_by_serving(10_000)
+    assert small == large
+    assert large <= 16
+
+
+def test_modular_hash_serving_adds_no_tracked_objects_per_line():
+    # Skylake-SP: the modular hash's block cache and the non-inclusive
+    # DMA sweep.
+    small = tracked_objects_added_by_serving(1_000, SKYLAKE_GOLD_6134)
+    large = tracked_objects_added_by_serving(10_000, SKYLAKE_GOLD_6134)
     assert small == large
     assert large <= 16
 
@@ -99,18 +115,18 @@ def test_served_hierarchy_is_freed_by_refcount():
 
 
 def test_reference_fills_keep_the_residency_superset():
-    # No instance hooks: the class's own private fills OR the filling
-    # core into the superset once the engine has built it.
+    # No instance hooks: the class's own private fills set the filling
+    # core's core-valid bit in the line's LLC slot, engine or not.
     hierarchy = build_hierarchy(HASWELL_E5_2667V3, sanitize=False)
-    assert hierarchy._resident_superset is None
+    hierarchy.warm(1, 0x60000, 256)
+    assert hierarchy._fast_engine is None
     hierarchy.access_batch([0x40000], None, 0)
     assert "_fill_l1" not in vars(hierarchy)
     assert "_fill_l2" not in vars(hierarchy)
     hierarchy.warm(3, 0x80000, 512)
     hierarchy.access_line(5, 0xC0000)
     hierarchy.prefetch_line(6, 0xD0000)
-    resident = hierarchy._resident_superset
-    for core in (0, 3, 5, 6):
+    for core in (0, 1, 3, 5, 6):
         held = list(hierarchy.l1s[core].lines()) + list(hierarchy.l2s[core].lines())
-        assert held
-        assert all(resident.get(line, 0) >> core & 1 for line in held), core
+        assert held, core
+    assert_core_valid_superset(hierarchy)

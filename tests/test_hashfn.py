@@ -1,6 +1,9 @@
 """Unit tests for Complex Addressing hash functions."""
 
 import collections
+import copy
+import pickle
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from repro.cachesim.hashfn import (
     O1_BITS,
     O2_BITS,
     haswell_complex_hash,
+    scalar_slice_of,
+    span_slices_of,
 )
+from repro.cachesim import hashfn
 from repro.mem.address import CACHE_LINE
 
 
@@ -178,3 +184,105 @@ class TestSliceCountBound:
         vector = slice_hash.slice_of_array(addresses).tolist()
         assert vector == [slice_hash.slice_of(int(a)) for a in addresses]
         assert max(vector) > 200
+
+
+def _random_addresses(seed, n=20_000):
+    """Random 64-bit addresses (any offset in the line, bits far above
+    every mask), plus each single bit and each single bit above a line."""
+    rng = random.Random(seed)
+    addresses = [rng.getrandbits(64) for _ in range(n)]
+    addresses += [1 << bit for bit in range(64)]
+    addresses += [(1 << bit) | 0x12345FC0 for bit in range(64)]
+    return addresses
+
+
+def _spans_match(slice_hash, seed):
+    """``fast_span_slices`` equals ``slice_of`` line by line on spans of
+    1..40 lines from random starts, some ending past a 2 MiB (32k-line)
+    boundary where the XOR hash's low table wraps."""
+    rng = random.Random(seed)
+    starts = [rng.getrandbits(64) for _ in range(300)]
+    starts += [((rng.getrandbits(40) << 21) - rng.randrange(1, 40) * CACHE_LINE)
+               for _ in range(300)]
+    for first in starts:
+        n_lines = rng.randint(1, 40)
+        expected = [slice_hash.slice_of(first + k * CACHE_LINE) for k in range(n_lines)]
+        assert list(slice_hash.fast_span_slices(first, n_lines)) == expected, (first, n_lines)
+
+
+class TestFastSliceOf:
+    """The exact scalar and span forms the per-line paths use."""
+
+    @pytest.mark.parametrize("n_slices", [2, 4, 8])
+    def test_xor_tables_equal_slice_of(self, n_slices):
+        h = haswell_complex_hash(n_slices)
+        top = max(mask.bit_length() for mask in h.masks)
+        addresses = _random_addresses(n_slices)
+        assert sum(a >> top != 0 for a in addresses) > len(addresses) // 2
+        fast = h.fast_slice_of
+        assert [fast(a) for a in addresses] == [h.slice_of(a) for a in addresses]
+        _spans_match(h, n_slices)
+
+    def test_xor_tables_for_any_masks(self):
+        # One mask reaching bit 63, one on the line offset, one empty
+        # chunk in between: three or more tables.
+        h = ComplexAddressingHash([0b101 << 2, (1 << 63) | (1 << 40), 1 << 2])
+        addresses = _random_addresses(7)
+        assert [h.fast_slice_of(a) for a in addresses] == [
+            h.slice_of(a) for a in addresses
+        ]
+        _spans_match(h, 7)
+        assert ComplexAddressingHash([0]).fast_slice_of(0xFFFF_FFC0) == 0
+        assert ComplexAddressingHash([0]).fast_span_slices(0, 3) == bytes(3)
+
+    def test_xor_tables_shared_per_mask_tuple(self):
+        assert haswell_complex_hash(8).fast_slice_of is haswell_complex_hash(8).fast_slice_of
+        assert haswell_complex_hash(8).fast_slice_of is not haswell_complex_hash(4).fast_slice_of
+
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_modular_block_cache_equals_slice_of(self, seed):
+        h = ModularSliceHash(18, seed=seed) if seed else ModularSliceHash(18)
+        addresses = _random_addresses(18)
+        # Consecutive lines: every block is looked up once per line.
+        addresses += list(range(0x4000_0000, 0x4000_0000 + 4096 * CACHE_LINE, CACHE_LINE))
+        fast = h.fast_slice_of
+        first = [fast(a) for a in addresses]
+        assert first == [h.slice_of(a) for a in addresses]
+        assert [fast(a) for a in addresses] == first  # served from the cache
+        _spans_match(h, seed)
+
+    def test_modular_block_cache_starts_over_when_full(self, monkeypatch):
+        monkeypatch.setattr(hashfn, "_BLOCK_CACHE_MAX", 4)
+        h = ModularSliceHash(18)
+        addresses = list(range(0, 64 * 18 * CACHE_LINE, CACHE_LINE)) * 2
+        assert [h.fast_slice_of(a) for a in addresses] == [
+            h.slice_of(a) for a in addresses
+        ]
+        _spans_match(h, 4)
+
+    @pytest.mark.parametrize(
+        "slice_hash", [haswell_complex_hash(8), ModularSliceHash(18)], ids=["xor", "modular"]
+    )
+    def test_pickle_and_copy_rebuild_the_fast_form(self, slice_hash):
+        addresses = _random_addresses(3, n=2000)
+        for clone in (pickle.loads(pickle.dumps(slice_hash)), copy.deepcopy(slice_hash)):
+            assert [clone.fast_slice_of(a) for a in addresses] == [
+                slice_hash.slice_of(a) for a in addresses
+            ]
+            _spans_match(clone, 5)
+            state = clone.__getstate__()
+            assert "fast_slice_of" not in state and "fast_span_slices" not in state
+
+    def test_scalar_slice_of_falls_back_to_slice_of(self):
+        class PlainHash:
+            n_slices = 2
+
+            def slice_of(self, address):
+                return address >> 6 & 1
+
+        plain = PlainHash()
+        assert scalar_slice_of(plain) == plain.slice_of
+        assert span_slices_of(plain)(0x40, 4) == bytes([1, 0, 1, 0])
+        h = ModularSliceHash(18)
+        assert scalar_slice_of(h) is h.fast_slice_of
+        assert span_slices_of(h) is h.fast_span_slices

@@ -4,10 +4,12 @@ Every slice of the LLC keeps one line -> way dict and typed per-slot
 buffers with 4-byte LRU stamps; nothing is allocated per set.  A fresh
 Haswell (8 slices x 2048 sets x 20 ways) and a fresh Skylake-SP
 (18 x 2048 x 11) hierarchy must keep that layout and stay under a
-``tracemalloc`` bound taken from it: 4.40 and 5.65 MiB on CPython 3.11,
-against 6.78 and 9.76 MiB when each set had its own dict and stamps
-took 8 bytes.  Either one coming back alone (+1.1 / +2.6 MiB for even
-empty per-set dicts, +1.25 / +1.55 MiB for the stamps) crosses the bound.
+``tracemalloc`` bound taken from it: 4.71 and 5.67 MiB on CPython 3.11
+(Haswell's inclusive LLC adds one core-valid byte per slot, 0.31 MiB,
+to the 4.40 MiB before it), against 6.78 and 9.76 MiB when each set
+had its own dict and stamps took 8 bytes.  Either one coming back
+alone (+1.1 / +2.6 MiB for even empty per-set dicts, +1.25 / +1.55 MiB
+for the stamps) crosses the bound.
 """
 
 import gc

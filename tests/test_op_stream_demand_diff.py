@@ -1,7 +1,8 @@
 """Differential tests: replayed demand ops versus ``access_batch``.
 
 :meth:`FastEngine.run_op_stream` runs the same demand body as
-``access_batch``'s batch loop: one residency add per L2 miss, no drain
+``access_batch``'s batch loop: one core-valid bit set per L2 miss (on
+an inclusive LLC, at the slot hit or filled), no drain
 for a clean victim of an inclusive LLC, the unmasked-LRU LLC miss fill
 inlined.  Each test charges one random trace of single-line demand ops
 both ways, on twin hierarchies, in the same chunks: once as

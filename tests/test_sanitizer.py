@@ -447,6 +447,60 @@ class TestScanFaults:
             san.scan(hierarchy, full=True)
         assert raised_kind(excinfo) == "pool-corruption"
 
+    @staticmethod
+    def clear_core_valid_bit(hierarchy, line, core):
+        llc = hierarchy.llc
+        slice_cache = llc.slices[llc.slice_of(line)]
+        set_i = (line // CACHE_LINE) % slice_cache.n_sets
+        slot = set_i * slice_cache.n_ways + slice_cache.way_of(line)
+        assert slice_cache._core_valid[slot] >> core & 1
+        slice_cache._core_valid[slot] &= ~(1 << core)
+
+    def test_core_valid_bit_cleared(self):
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        line = 0x4000
+        hierarchy.read(1, line)
+        hierarchy.read(3, line)
+        san.scan(hierarchy, full=True)
+        # Core 1 keeps its bit; core 3's copy loses its own.
+        self.clear_core_valid_bit(hierarchy, line, 3)
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "core-valid"
+        details = excinfo.value.details
+        assert (details["line"], details["core"], details["in_llc"]) == (line, 3, True)
+        assert details["bits"] == 1 << 1
+
+    def test_core_valid_bit_cleared_on_rotating_scan(self):
+        # One private set per scan: the window reaches core 2's L1 set
+        # of the line (position 2 * l1_sets + set) on that scan and no
+        # earlier.
+        san = CacheSanitizer(scan_sets=1)
+        hierarchy = make_hierarchy(sanitizer=san)
+        line = 0x4040
+        hierarchy.read(2, line)
+        self.clear_core_valid_bit(hierarchy, line, 2)
+        l1 = hierarchy.l1s[2]
+        reach = 2 * l1.n_sets + (line // CACHE_LINE) % l1.n_sets
+        for _ in range(reach):
+            san.scan(hierarchy)
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy)
+        assert raised_kind(excinfo) == "core-valid"
+        assert excinfo.value.details["level"] == "l1"
+
+    def test_private_line_missing_from_inclusive_llc(self):
+        san = CacheSanitizer()
+        hierarchy = make_hierarchy(sanitizer=san)
+        line = 0x8000
+        hierarchy.read(0, line)
+        hierarchy.llc.invalidate(line)
+        with pytest.raises(SanitizerError) as excinfo:
+            san.scan(hierarchy, full=True)
+        assert raised_kind(excinfo) == "core-valid"
+        assert excinfo.value.details["in_llc"] is False
+
     def test_clean_traffic_full_scan_passes(self):
         san = CacheSanitizer()
         hierarchy = make_hierarchy(sanitizer=san)

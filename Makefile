@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test test-fast diff-test diff-smoke e2e-test bench-trajectory quick examples figures lab lab-compare check lint sanitize-lab chaos-smoke fleet-smoke clean
+.PHONY: install test test-fast diff-test diff-smoke e2e-test bench-trajectory quick examples figures lab lab-compare golden check lint sanitize-lab chaos-smoke fleet-smoke clean
 
 LAB_DIR ?= lab-runs/latest
 LAB_JOBS ?= 4
@@ -98,6 +98,18 @@ lab:
 # Diff the latest lab run against the checked-in golden baselines.
 lab-compare:
 	$(PY) -m repro lab compare $(LAB_DIR) tests/golden
+
+# Regenerate tests/golden/: the reduced-scale, seed-0 artifact of every
+# registered experiment, without the run's manifest.  The artifacts hold
+# no durations, so an unchanged tree regenerates them byte for byte;
+# a model change moves them, and the diff is the review.
+GOLDEN_RUN ?= lab-runs/golden
+golden:
+	rm -rf $(GOLDEN_RUN)
+	$(PY) -m repro lab run --all --scale reduced --seed 0 --jobs $(LAB_JOBS) --out $(GOLDEN_RUN) --quiet
+	rm -f tests/golden/*.json
+	cp $(GOLDEN_RUN)/*.json tests/golden/
+	rm tests/golden/manifest.json
 
 # Static analysis of simulation invariants, the SIM and FLOW rules;
 # fails on any unsuppressed finding (see docs/CHECKS.md).

@@ -35,8 +35,8 @@ def main() -> None:
             f"Router-NAPT-LB @ {offered:g} Gbps — DuT latency without loopback",
         )
     )
-    cd = results["cachedirector"]
-    base = results["dpdk"]
+    cd = results.cachedirector
+    base = results.dpdk
     print(
         f"\nper-packet service time: {base.mean_service_ns:.0f} ns -> "
         f"{cd.mean_service_ns:.0f} ns "

@@ -33,8 +33,8 @@ def main() -> None:
     for s, cycles in enumerate(profile.read_cycles):
         bar = "#" * int(cycles)
         print(f"  slice {s}: {cycles:5.1f}  {bar}")
-    print(f"  -> NUCA spread: {profile.read_spread():.0f} cycles; "
-          f"closest slice: {profile.fastest_slice()}\n")
+    print(f"  -> NUCA spread: {profile.read_spread:.0f} cycles; "
+          f"closest slice: {profile.fastest_slice}\n")
 
     # 3. Allocate one working set normally and one slice-aware.
     working_set = 1 << 20  # 1 MB: bigger than L2, fits in a slice

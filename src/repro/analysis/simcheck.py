@@ -23,8 +23,8 @@ SIM102  typing lie: a ``seed``/``rng``/``Generator`` parameter defaults
 SIM201  engine parity: the fast engine and the reference hierarchy
         expose different access-API surfaces (method or kwarg drift)
 SIM301  experiment module not registered in ``lab/registry.py``
-SIM302  experiment module missing the serializer contract (no ``run_*``
-        or no ``*_to_dict`` top-level function)
+SIM302  experiment module without a ``run_*`` entry point (its result
+        serializes through ``repro.lab.spec.to_payload``)
 SIM401  fault-injection code constructs its own RNG instead of drawing
         from ``FaultClock.stream(site)`` (breaks per-site replay)
 FLOW001 a seed/rng in scope is not bound to a resolved callee's
@@ -90,7 +90,7 @@ RULES: Dict[str, str] = {
     "SIM003": "iteration over an unordered set (hash-order dependent)",
     "SIM102": "seed/rng parameter defaults to None but is not Optional",
     "SIM201": "fast engine and reference hierarchy API surfaces differ",
-    "SIM302": "experiment module misses the run_*/*_to_dict contract",
+    "SIM302": "experiment module has no run_* entry point",
     "SIM301": "experiment module not registered in the lab registry",
     "SIM401": "fault-injection code constructs an RNG outside FaultClock",
     "FLOW001": "seed/rng in scope but not forwarded across a call boundary",
@@ -580,30 +580,21 @@ def _check_experiment_hygiene(files: Sequence[_SourceFile]) -> List[Finding]:
         if src.support_module:
             continue
         module = src.path.stem
-        has_runner = False
-        has_serializer = False
-        for node in src.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("run_"):
-                    has_runner = True
-                if node.name.endswith("_to_dict"):
-                    has_serializer = True
-        if not has_runner or not has_serializer:
-            missing = []
-            if not has_runner:
-                missing.append("a `run_*` entry point")
-            if not has_serializer:
-                missing.append("a `*_to_dict` serializer")
+        has_runner = any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("run_")
+            for node in src.tree.body
+        )
+        if not has_runner:
             findings.append(
                 _finding(
                     "SIM302",
                     src.rel,
                     src.tree,
-                    f"experiment module `{module}` misses "
-                    + " and ".join(missing)
-                    + " — every experiment must honour the "
-                    "--seed/--json contract (mark deliberate "
-                    "libraries with `# simcheck: support-module`)",
+                    f"experiment module `{module}` misses a `run_*` entry "
+                    "point — every experiment must honour the --seed/--json "
+                    "contract (mark deliberate libraries with "
+                    "`# simcheck: support-module`)",
                 )
             )
         if registered is not None and module not in registered:

@@ -14,7 +14,9 @@ Examples::
 
 Every subcommand prints the same rows/series the paper's figure or
 table reports (see EXPERIMENTS.md for the mapping); ``--json`` emits
-the same payload the lab's run artifacts store.
+the same payload the lab's run artifacts store, through the one
+serializer :func:`repro.lab.spec.to_payload`.  The chaos and fleet
+replays take their runner from the lab registry.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, List, Mapping, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
+from repro.lab.spec import to_payload
 
 MACHINES = {
     "haswell": HASWELL_E5_2667V3,
@@ -33,22 +36,18 @@ MACHINES = {
 }
 
 
-def _emit_json(payload: Any) -> int:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit_json(result: Any) -> int:
+    print(json.dumps(to_payload(result), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.fig05_access_time import (
-        format_profile,
-        profile_to_dict,
-        run_fig05,
-    )
+    from repro.experiments.fig05_access_time import format_profile, run_fig05
 
     spec = MACHINES[args.machine]
     profile = run_fig05(spec=spec, core=args.core, runs=args.runs, seed=args.seed)
     if args.json:
-        return _emit_json(profile_to_dict(profile))
+        return _emit_json(profile)
     print(
         format_profile(
             profile, f"Per-slice access time, core {args.core} ({spec.name})"
@@ -58,16 +57,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover_hash(args: argparse.Namespace) -> int:
-    from repro.experiments.fig04_hash_recovery import (
-        fig04_to_dict,
-        format_fig04,
-        run_fig04,
-    )
+    from repro.experiments.fig04_hash_recovery import format_fig04, run_fig04
 
     result = run_fig04(verify_addresses=args.verify, seed=args.seed)
     status = 0 if result.ground_truth_match else 1
     if args.json:
-        _emit_json(fig04_to_dict(result))
+        _emit_json(result)
         return status
     print(format_fig04(result))
     return status
@@ -78,25 +73,25 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if args.number == 1:
         if args.json:
-            return _emit_json(tables.table1_to_dict(tables.run_table1()))
+            return _emit_json(tables.run_table1())
         print(tables.format_table1())
     elif args.number == 2:
         if args.json:
-            return _emit_json(tables.table2_to_dict(tables.run_table2()))
+            return _emit_json(tables.run_table2())
         print(tables.format_table2())
     elif args.number == 3:
-        rows = tables.run_table3(
+        table = tables.run_table3(
             n_bulk_packets=args.bulk,
             micro_packets=args.micro,
             runs=args.runs,
             seed=args.seed,
         )
         if args.json:
-            return _emit_json(tables.table3_to_dict(rows))
-        print(tables.format_table3(rows))
+            return _emit_json(table)
+        print(tables.format_table3(table))
     else:
         if args.json:
-            return _emit_json(tables.table4_to_dict(tables.run_table4()))
+            return _emit_json(tables.run_table4())
         print(tables.format_table4())
     return 0
 
@@ -109,128 +104,81 @@ def _cmd_fig(args: argparse.Namespace) -> int:
     if number in (5, 16):
         from repro.experiments.fig05_access_time import (
             format_profile,
-            profile_to_dict,
             run_fig05,
             run_fig16,
         )
 
-        profile = (
+        result = (
             run_fig16(runs=args.runs, seed=seed)
             if number == 16
             else run_fig05(runs=args.runs, seed=seed)
         )
-        if args.json:
-            return _emit_json(profile_to_dict(profile))
-        print(format_profile(profile, f"Fig. {number}"))
-        return 0
-    if number == 6:
-        from repro.experiments.fig06_speedup import (
-            fig06_to_dict,
-            format_fig06,
-            run_fig06,
-        )
+        render = lambda r: format_profile(r, f"Fig. {number}")
+    elif number == 6:
+        from repro.experiments.fig06_speedup import format_fig06, run_fig06
 
         result = run_fig06(n_ops=args.ops, seed=seed)
-        if args.json:
-            return _emit_json(fig06_to_dict(result))
-        print(format_fig06(result))
-        return 0
-    if number == 7:
-        from repro.experiments.fig07_ops_sweep import (
-            fig07_to_dict,
-            format_fig07,
-            run_fig07,
-        )
+        render = format_fig06
+    elif number == 7:
+        from repro.experiments.fig07_ops_sweep import format_fig07, run_fig07
 
         result = run_fig07(n_ops=max(200, args.ops // 4), seed=seed)
-        if args.json:
-            return _emit_json(fig07_to_dict(result))
-        print(format_fig07(result))
-        return 0
-    if number == 8:
-        from repro.experiments.fig08_kvs import fig08_to_dict, format_fig08, run_fig08
+        render = format_fig07
+    elif number == 8:
+        from repro.experiments.fig08_kvs import format_fig08, run_fig08
 
         result = run_fig08(
             warmup_requests=args.warmup,
             measured_requests=args.ops,
             seed=seed,
         )
-        if args.json:
-            return _emit_json(fig08_to_dict(result))
-        print(format_fig08(result))
-        return 0
-    if number == 12:
-        from repro.experiments.fig12_low_rate import (
-            fig12_to_dict,
-            format_fig12,
-            run_fig12,
-        )
+        render = format_fig08
+    elif number == 12:
+        from repro.experiments.fig12_low_rate import format_fig12, run_fig12
 
         result = run_fig12(packets_per_run=args.ops, runs=args.runs, seed=seed)
-        if args.json:
-            return _emit_json(fig12_to_dict(result))
-        print(format_fig12(result))
-        return 0
-    if number in (1, 13, 14):
-        from repro.experiments.nfv_common import comparison_to_dict
-
+        render = format_fig12
+    elif number in (1, 13, 14):
         if number == 13:
-            from repro.experiments.fig13_forwarding import format_fig13 as fmt
+            from repro.experiments.fig13_forwarding import format_fig13 as render
             from repro.experiments.fig13_forwarding import run_fig13 as run
         else:
-            from repro.experiments.fig14_service_chain import format_fig14 as fmt
+            from repro.experiments.fig14_service_chain import format_fig14 as render
             from repro.experiments.fig14_service_chain import run_fig14 as run
-        results = run(
+        result = run(
             offered_gbps=args.offered,
             n_bulk_packets=args.bulk,
             micro_packets=args.micro,
             runs=args.runs,
             seed=seed,
         )
-        if args.json:
-            return _emit_json(comparison_to_dict(results))
-        print(fmt(results))
-        return 0
-    if number == 15:
-        from repro.experiments.fig15_knee import (
-            fig15_to_dict,
-            format_fig15,
-            run_fig15,
-        )
+    elif number == 15:
+        from repro.experiments.fig15_knee import format_fig15, run_fig15
 
         result = run_fig15(
             n_bulk_packets=args.bulk, micro_packets=args.micro, seed=seed
         )
-        if args.json:
-            return _emit_json(fig15_to_dict(result))
-        print(format_fig15(result))
-        return 0
-    if number == 17:
-        from repro.experiments.fig17_isolation import (
-            fig17_to_dict,
-            format_fig17,
-            run_fig17,
-        )
+        render = format_fig15
+    elif number == 17:
+        from repro.experiments.fig17_isolation import format_fig17, run_fig17
 
         result = run_fig17(n_ops=args.ops, seed=seed)
-        if args.json:
-            return _emit_json(fig17_to_dict(result))
-        print(format_fig17(result))
-        return 0
-    print(f"no driver for figure {number}", file=sys.stderr)
-    return 2
+        render = format_fig17
+    else:
+        print(f"no driver for figure {number}", file=sys.stderr)
+        return 2
+    if args.json:
+        return _emit_json(result)
+    print(render(result))
+    return 0
 
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
-    from repro.experiments.headroom import (
-        format_headroom,
-        headroom_to_dict,
-        run_headroom_experiment,
-    )
+    from repro.experiments.headroom import format_headroom, run_headroom_experiment
 
     result = run_headroom_experiment(n_packets=args.packets, seed=args.seed)
     if args.json:
-        return _emit_json(headroom_to_dict(result))
+        return _emit_json(result)
     print(format_headroom(result))
     return 0
 
@@ -238,74 +186,52 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 def _cmd_ablation(args: argparse.Namespace) -> int:
     from repro.experiments import ablations
 
-    name = args.which
     seed = args.seed
-    if name == "ddio":
-        result = ablations.run_ddio_ways_ablation(seed=seed)
-        serializer, formatter = (
-            ablations.ddio_ablation_to_dict,
-            ablations.format_ddio_ablation,
-        )
-    elif name == "prefetcher":
-        result = ablations.run_prefetcher_ablation(seed=seed)
-        serializer, formatter = (
-            ablations.prefetcher_ablation_to_dict,
-            ablations.format_prefetcher_ablation,
-        )
-    elif name == "replacement":
-        result = ablations.run_replacement_ablation(seed=seed)
-        serializer, formatter = (
-            ablations.replacement_ablation_to_dict,
-            ablations.format_replacement_ablation,
-        )
-    elif name == "migration":
-        result = ablations.run_migration_experiment(seed=seed)
-        serializer, formatter = (
-            ablations.migration_experiment_to_dict,
-            ablations.format_migration_experiment,
-        )
-    elif name == "value-size":
-        result = ablations.run_value_size_ablation(seed=seed)
-        serializer, formatter = (
-            ablations.value_size_ablation_to_dict,
-            ablations.format_value_size_ablation,
-        )
-    elif name == "mtu":
-        result = ablations.run_mtu_eviction_experiment(seed=seed)
-        serializer, formatter = (
-            ablations.mtu_eviction_to_dict,
-            ablations.format_mtu_eviction,
-        )
-    elif name == "rx-strategies":
-        result = ablations.run_rx_strategy_comparison(seed=seed)
-        serializer, formatter = (
-            ablations.rx_strategies_to_dict,
-            ablations.format_rx_strategies,
-        )
-    elif name == "multitenant":
+    if args.which == "multitenant":
         from repro.experiments.multitenant import (
             format_multitenant,
-            multitenant_to_dict,
             run_multitenant_experiment,
         )
 
-        result = run_multitenant_experiment(seed=seed)
-        serializer, formatter = multitenant_to_dict, format_multitenant
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
+        runner, formatter = run_multitenant_experiment, format_multitenant
+    else:
+        runner, formatter = {
+            "ddio": (ablations.run_ddio_ways_ablation, ablations.format_ddio_ablation),
+            "prefetcher": (
+                ablations.run_prefetcher_ablation,
+                ablations.format_prefetcher_ablation,
+            ),
+            "replacement": (
+                ablations.run_replacement_ablation,
+                ablations.format_replacement_ablation,
+            ),
+            "migration": (
+                ablations.run_migration_experiment,
+                ablations.format_migration_experiment,
+            ),
+            "value-size": (
+                ablations.run_value_size_ablation,
+                ablations.format_value_size_ablation,
+            ),
+            "mtu": (
+                ablations.run_mtu_eviction_experiment,
+                ablations.format_mtu_eviction,
+            ),
+            "rx-strategies": (
+                ablations.run_rx_strategy_comparison,
+                ablations.format_rx_strategies,
+            ),
+        }[args.which]
+    result = runner(seed=seed)
     if args.json:
-        return _emit_json(serializer(result))
+        return _emit_json(result)
     print(formatter(result))
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.chaos_command == "tail":
-        from repro.experiments.chaos import (
-            chaos_tail_to_dict,
-            format_chaos_tail,
-            run_chaos_tail,
-        )
+        from repro.experiments.chaos import format_chaos_tail, run_chaos_tail
 
         result = run_chaos_tail(
             chain=args.chain,
@@ -318,12 +244,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             intensity=args.intensity,
         )
         if args.json:
-            return _emit_json(chaos_tail_to_dict(result))
+            return _emit_json(result)
         print(format_chaos_tail(result))
         return 0
     if args.chaos_command == "knee":
         from repro.experiments.chaos import (
-            degradation_knee_to_dict,
             format_degradation_knee,
             run_degradation_knee,
         )
@@ -338,54 +263,35 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         if args.json:
-            return _emit_json(degradation_knee_to_dict(result))
+            return _emit_json(result)
         print(format_degradation_knee(result))
         return 0
-    return _cmd_chaos_replay(args)
-
-
-def _cmd_chaos_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import (
-        chaos_tail_to_dict,
-        degradation_knee_to_dict,
-        run_chaos_tail,
-        run_degradation_knee,
-    )
-
-    return _replay_artifact(
-        args,
-        "chaos",
-        {
-            "chaos-tail": (run_chaos_tail, chaos_tail_to_dict),
-            "degradation-knee": (run_degradation_knee, degradation_knee_to_dict),
-        },
-        kinds="chaos-tail/degradation-knee",
-    )
+    return _replay_artifact(args, "chaos", ("chaos-tail", "degradation-knee"))
 
 
 def _replay_artifact(
-    args: argparse.Namespace,
-    command: str,
-    replayable: Mapping[str, Tuple[Callable[..., Any], Callable[[Any], Any]]],
-    kinds: str,
+    args: argparse.Namespace, command: str, replayable: Tuple[str, ...]
 ) -> int:
     """Re-run a persisted artifact from its own fault plans.
 
     The replay feeds the artifact's persisted FaultPlan JSON back into
-    the experiment (``plans`` override) at the artifact's parameters
-    and seed, then requires the reproduced payload to be bit-identical:
-    exit 0 if it is, 1 if not (naming each differing top-level key),
-    2 for an artifact of a kind not in *replayable*.
+    the registered experiment's runner (``plans`` override) at the
+    artifact's parameters and seed, then requires the reproduced
+    payload to be bit-identical: exit 0 if it is, 1 if not (naming each
+    differing top-level key), 2 for an artifact not named in
+    *replayable*.
     """
+    from repro.lab.registry import default_registry
+
     artifact = json.loads(Path(args.artifact).read_text())
     name = artifact.get("name")
     if name not in replayable:
         print(
-            f"{command} replay: {args.artifact} is a {name!r} artifact, not {kinds}",
+            f"{command} replay: {args.artifact} is a {name!r} artifact, "
+            f"not one of {list(replayable)}",
             file=sys.stderr,
         )
         return 2
-    runner, serializer = replayable[name]
     persisted = artifact["result"]
     kwargs = dict(artifact.get("params") or {})
     # Artifacts from before the chaos runners lost their ``engine``
@@ -395,7 +301,7 @@ def _replay_artifact(
     if artifact.get("seed") is not None:
         kwargs.setdefault("seed", artifact["seed"])
     kwargs["plans"] = persisted["plans"]
-    replayed = serializer(runner(**kwargs))
+    replayed = to_payload(default_registry().get(name).runner(**kwargs))
     original = json.dumps(persisted, sort_keys=True)
     reproduced = json.dumps(replayed, sort_keys=True)
     if original == reproduced:
@@ -415,115 +321,50 @@ def _replay_artifact(
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.fleet_command == "scale":
-        from repro.experiments.fleet import (
-            fleet_scale_to_dict,
-            format_fleet_scale,
-            run_fleet_scale,
+    if args.fleet_command == "replay":
+        return _replay_artifact(
+            args,
+            "fleet",
+            ("fleet-availability", "fleet-durability", "fleet-failover"),
         )
+    from repro.experiments import fleet
 
-        result = run_fleet_scale(
+    common = dict(
+        requests=args.requests,
+        warmup=args.warmup,
+        n_keys=args.keys,
+        offered_mrps=args.offered,
+        epoch_requests=args.epoch,
+        seed=args.seed,
+    )
+    if args.fleet_command == "scale":
+        result = fleet.run_fleet_scale(
             server_counts=args.servers or None,
             tenant_counts=args.tenants or None,
-            requests=args.requests,
-            warmup=args.warmup,
-            n_keys=args.keys,
-            offered_mrps=args.offered,
-            epoch_requests=args.epoch,
-            seed=args.seed,
+            **common,
         )
-        if args.json:
-            return _emit_json(fleet_scale_to_dict(result))
-        print(format_fleet_scale(result))
-        return 0
-    if args.fleet_command == "failover":
-        from repro.experiments.fleet import (
-            fleet_failover_to_dict,
-            format_fleet_failover,
-            run_fleet_failover,
-        )
-
-        result = run_fleet_failover(
+        formatter = fleet.format_fleet_scale
+    else:
+        common.update(
             intensities=args.intensities or None,
             n_servers=args.servers,
             n_tenants=args.tenants,
-            requests=args.requests,
-            warmup=args.warmup,
-            n_keys=args.keys,
-            offered_mrps=args.offered,
-            epoch_requests=args.epoch,
-            seed=args.seed,
         )
-        if args.json:
-            return _emit_json(fleet_failover_to_dict(result))
-        print(format_fleet_failover(result))
-        return 0
-    if args.fleet_command == "availability":
-        from repro.experiments.fleet import (
-            fleet_availability_to_dict,
-            format_fleet_availability,
-            run_fleet_availability,
-        )
-
-        result = run_fleet_availability(
-            intensities=args.intensities or None,
-            n_servers=args.servers,
-            n_tenants=args.tenants,
-            requests=args.requests,
-            warmup=args.warmup,
-            n_keys=args.keys,
-            offered_mrps=args.offered,
-            epoch_requests=args.epoch,
-            seed=args.seed,
-        )
-        if args.json:
-            return _emit_json(fleet_availability_to_dict(result))
-        print(format_fleet_availability(result))
-        return 0
-    if args.fleet_command == "durability":
-        from repro.experiments.fleet import (
-            fleet_durability_to_dict,
-            format_fleet_durability,
-            run_fleet_durability,
-        )
-
-        result = run_fleet_durability(
-            replications=args.replications or None,
-            intensities=args.intensities or None,
-            n_servers=args.servers,
-            n_tenants=args.tenants,
-            requests=args.requests,
-            warmup=args.warmup,
-            n_keys=args.keys,
-            offered_mrps=args.offered,
-            epoch_requests=args.epoch,
-            seed=args.seed,
-        )
-        if args.json:
-            return _emit_json(fleet_durability_to_dict(result))
-        print(format_fleet_durability(result))
-        return 0
-    return _cmd_fleet_replay(args)
-
-
-def _cmd_fleet_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.fleet import (
-        fleet_availability_to_dict,
-        fleet_durability_to_dict,
-        fleet_failover_to_dict,
-        run_fleet_availability,
-        run_fleet_durability,
-        run_fleet_failover,
-    )
-
-    replayable = {
-        "fleet-failover": (run_fleet_failover, fleet_failover_to_dict),
-        "fleet-availability": (run_fleet_availability, fleet_availability_to_dict),
-        "fleet-durability": (run_fleet_durability, fleet_durability_to_dict),
-    }
-    return _replay_artifact(
-        args, "fleet", replayable, kinds=f"one of {sorted(replayable)}"
-    )
+        if args.fleet_command == "failover":
+            result = fleet.run_fleet_failover(**common)
+            formatter = fleet.format_fleet_failover
+        elif args.fleet_command == "availability":
+            result = fleet.run_fleet_availability(**common)
+            formatter = fleet.format_fleet_availability
+        else:
+            result = fleet.run_fleet_durability(
+                replications=args.replications or None, **common
+            )
+            formatter = fleet.format_fleet_durability
+    if args.json:
+        return _emit_json(result)
+    print(formatter(result))
+    return 0
 
 
 def _check_paths(args: argparse.Namespace) -> Tuple[List[Path], Path]:

@@ -20,7 +20,7 @@ range as Fig. 5a rather than Intel's nominal 34 cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.cachesim.hierarchy import CacheHierarchy
@@ -35,24 +35,28 @@ SET_COLLISION_BITS = 0x1FFC0  # bits 6..16 inclusive
 
 @dataclass
 class SliceLatencyProfile:
-    """Measured per-slice access latencies from one core."""
+    """Measured per-slice access latencies from one core.
+
+    ``fastest_slice`` is the slice with the lowest read latency and
+    ``read_spread`` the max-minus-min read latency (the NUCA spread).
+    """
 
     core: int
     read_cycles: List[float]
     write_cycles: List[float]
+    fastest_slice: int = field(init=False)
+    read_spread: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.fastest_slice = min(
+            range(self.n_slices), key=self.read_cycles.__getitem__
+        )
+        self.read_spread = max(self.read_cycles) - min(self.read_cycles)
 
     @property
     def n_slices(self) -> int:
         """Number of profiled slices."""
         return len(self.read_cycles)
-
-    def fastest_slice(self) -> int:
-        """Slice with the lowest measured read latency."""
-        return min(range(self.n_slices), key=self.read_cycles.__getitem__)
-
-    def read_spread(self) -> float:
-        """Max-minus-min read latency across slices (the NUCA spread)."""
-        return max(self.read_cycles) - min(self.read_cycles)
 
 
 def find_lines_with_bits(

@@ -50,11 +50,18 @@ from repro.net.trace import CampusTraceGenerator
 DDIO_ABLATION_BACKLOG = 2000
 
 
+@dataclass
+class DdioAblationResult:
+    """Mean chain service cycles per packet, keyed by DDIO ways."""
+
+    cycles_per_packet: Dict[int, float]
+
+
 def run_ddio_ways_ablation(
     ways_options: List[int] = (0, 2, 4, 8),
     micro_packets: int = 2000,
     seed: int = 0,
-) -> Dict[int, float]:
+) -> DdioAblationResult:
     """Mean chain service cycles per packet vs number of DDIO ways.
 
     0 ways disables DDIO (pre-DDIO NICs: packets land in DRAM only).
@@ -100,15 +107,15 @@ def run_ddio_ways_ablation(
                 total += cycles + pmd.tx_burst(queue, mbufs)
                 served += len(mbufs)
         results[ways] = total / served
-    return results
+    return DdioAblationResult(results)
 
 
-def format_ddio_ablation(results: Dict[int, float]) -> str:
+def format_ddio_ablation(result: DdioAblationResult) -> str:
     """Render the DDIO-ways ablation."""
     out = ["Ablation — DDIO ways vs mean service cycles (Router-NAPT-LB)"]
-    for ways in sorted(results):
+    for ways, cycles in sorted(result.cycles_per_packet.items()):
         label = "disabled" if ways == 0 else f"{ways} ways"
-        out.append(f"DDIO {label:<9}: {results[ways]:8.1f} cycles/packet")
+        out.append(f"DDIO {label:<9}: {cycles:8.1f} cycles/packet")
     return "\n".join(out)
 
 
@@ -118,15 +125,19 @@ def format_ddio_ablation(results: Dict[int, float]) -> str:
 
 @dataclass
 class PrefetcherAblationResult:
-    """Cycles per access for scan patterns × placements × prefetching."""
+    """Cycles per access keyed ``pattern/placement/off|on``, and the
+    prefetch-on speedup (%) keyed ``pattern/placement``."""
 
-    cycles: Dict[str, float] = field(default_factory=dict)
+    cycles: Dict[str, float]
+    speedup_pct: Dict[str, float] = field(init=False)
 
-    def speedup(self, pattern: str, placement: str) -> float:
-        """Prefetch-on speedup for one (pattern, placement) pair."""
-        off = self.cycles[f"{pattern}/{placement}/off"]
-        on = self.cycles[f"{pattern}/{placement}/on"]
-        return (off - on) / off * 100
+    def __post_init__(self) -> None:
+        self.speedup_pct = {}
+        for pattern in ("sequential", "random"):
+            for placement in ("normal", "slice"):
+                off = self.cycles[f"{pattern}/{placement}/off"]
+                on = self.cycles[f"{pattern}/{placement}/on"]
+                self.speedup_pct[f"{pattern}/{placement}"] = (off - on) / off * 100
 
 
 def run_prefetcher_ablation(
@@ -136,7 +147,7 @@ def run_prefetcher_ablation(
 ) -> PrefetcherAblationResult:
     """Sequential vs random scans, normal vs slice-aware, streamer
     on/off (§8)."""
-    result = PrefetcherAblationResult()
+    cycles: Dict[str, float] = {}
     spec = HASWELL_E5_2667V3
     for prefetch_on in (False, True):
         prefetchers = (
@@ -165,8 +176,8 @@ def run_prefetcher_ablation(
                 for i in order:
                     total += hierarchy.read(0, addresses[int(i)], 1)
                 key = f"{pattern}/{placement}/{'on' if prefetch_on else 'off'}"
-                result.cycles[key] = total / n_ops
-    return result
+                cycles[key] = total / n_ops
+    return PrefetcherAblationResult(cycles)
 
 
 def format_prefetcher_ablation(result: PrefetcherAblationResult) -> str:
@@ -179,7 +190,7 @@ def format_prefetcher_ablation(result: PrefetcherAblationResult) -> str:
             on = result.cycles[f"{pattern}/{placement}/on"]
             out.append(
                 f"{pattern:<10} | {placement:<9} | {off:>12.1f} | {on:>11.1f} "
-                f"| {result.speedup(pattern, placement):>+6.1f}%"
+                f"| {result.speedup_pct[f'{pattern}/{placement}']:>+6.1f}%"
             )
     return "\n".join(out)
 
@@ -274,16 +285,19 @@ def format_replacement_ablation(results: Dict[str, Dict[str, float]]) -> str:
 
 @dataclass
 class MigrationExperimentResult:
-    """Cycles per access for the three placement strategies."""
+    """Cycles per access for the three placement strategies, and the
+    gain of migration over static slice-aware placement."""
 
     normal: float
     static_slice: float
     migrating: float
     promotions: int
+    migration_gain_pct: float = field(init=False)
 
-    def migration_gain_pct(self) -> float:
-        """Gain of migration over static slice-aware placement."""
-        return (self.static_slice - self.migrating) / self.static_slice * 100
+    def __post_init__(self) -> None:
+        self.migration_gain_pct = (
+            (self.static_slice - self.migrating) / self.static_slice * 100
+        )
 
 
 def run_migration_experiment(
@@ -363,7 +377,7 @@ def format_migration_experiment(result: MigrationExperimentResult) -> str:
             f"static slice-aware     : {result.static_slice:7.1f}",
             f"monitored migration    : {result.migrating:7.1f} "
             f"({result.promotions} promotions)",
-            f"migration vs static    : {result.migration_gain_pct():+5.1f}%",
+            f"migration vs static    : {result.migration_gain_pct:+5.1f}%",
         ]
     )
 
@@ -422,11 +436,11 @@ class MtuEvictionResult:
     headers_checked: int
     still_in_llc: int
     mean_read_cycles: float
+    #: Fraction of headers evicted before the core read them.
+    eviction_fraction: float = field(init=False)
 
-    @property
-    def eviction_fraction(self) -> float:
-        """Fraction of headers evicted before the core read them."""
-        return 1.0 - self.still_in_llc / max(1, self.headers_checked)
+    def __post_init__(self) -> None:
+        self.eviction_fraction = 1.0 - self.still_in_llc / max(1, self.headers_checked)
 
 
 def run_mtu_eviction_experiment(
@@ -604,79 +618,3 @@ def format_rx_strategies(results: Dict[str, RxStrategyResult]) -> str:
             f"| {r.data_room_bytes:>6} B"
         )
     return "\n".join(out)
-# ----------------------------------------------------------------------
-# JSON serializers (lab artifacts and CLI --json)
-# ----------------------------------------------------------------------
-
-def ddio_ablation_to_dict(results: Dict[int, float]) -> dict:
-    """JSON-ready form of the DDIO-ways ablation."""
-    return {
-        "cycles_per_packet": {
-            str(ways): float(c) for ways, c in sorted(results.items())
-        }
-    }
-
-
-def prefetcher_ablation_to_dict(result: PrefetcherAblationResult) -> dict:
-    """JSON-ready form of the prefetcher ablation."""
-    return {
-        "cycles": {k: float(v) for k, v in sorted(result.cycles.items())},
-        "speedup_pct": {
-            f"{pattern}/{placement}": float(result.speedup(pattern, placement))
-            for pattern in ("sequential", "random")
-            for placement in ("normal", "slice")
-        },
-    }
-
-
-def replacement_ablation_to_dict(
-    results: Dict[str, Dict[str, float]]
-) -> dict:
-    """JSON-ready form of the replacement-policy ablation."""
-    return {
-        policy: {k: float(v) for k, v in row.items()}
-        for policy, row in results.items()
-    }
-
-
-def migration_experiment_to_dict(result: MigrationExperimentResult) -> dict:
-    """JSON-ready form of the hot-set migration experiment."""
-    return {
-        "normal": float(result.normal),
-        "static_slice": float(result.static_slice),
-        "migrating": float(result.migrating),
-        "promotions": int(result.promotions),
-        "migration_gain_pct": float(result.migration_gain_pct()),
-    }
-
-
-def value_size_ablation_to_dict(
-    results: Dict[int, Dict[str, float]]
-) -> dict:
-    """JSON-ready form of the multi-line-value ablation."""
-    return {
-        str(size): {k: float(v) for k, v in row.items()}
-        for size, row in sorted(results.items())
-    }
-
-
-def mtu_eviction_to_dict(result: MtuEvictionResult) -> dict:
-    """JSON-ready form of the MTU/DDIO eviction experiment."""
-    return {
-        "headers_checked": int(result.headers_checked),
-        "still_in_llc": int(result.still_in_llc),
-        "mean_read_cycles": float(result.mean_read_cycles),
-        "eviction_fraction": float(result.eviction_fraction),
-    }
-
-
-def rx_strategies_to_dict(results: Dict[str, RxStrategyResult]) -> dict:
-    """JSON-ready form of the RX placement-strategy comparison."""
-    return {
-        name: {
-            "match_fraction": float(r.match_fraction),
-            "fallback_fraction": float(r.fallback_fraction),
-            "data_room_bytes": int(r.data_room_bytes),
-        }
-        for name, r in results.items()
-    }

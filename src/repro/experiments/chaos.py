@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.experiments.nfv_common import (
+    NfvComparison,
     NfvExperimentResult,
     compare_cache_director,
     merge_arms,
-    nfv_result_to_dict,
     run_nfv_experiment,
 )
 from repro.faults.plan import (
@@ -115,7 +115,7 @@ class ChaosTailResult:
     classes: List[str]
     intensity: float
     plans: Dict[str, Dict[str, Any]]
-    results: Dict[str, Dict[str, NfvExperimentResult]]
+    results: Dict[str, NfvComparison]
 
 
 def run_chaos_tail_arm(
@@ -239,26 +239,6 @@ def assemble_chaos_tail(
     )
 
 
-def chaos_tail_to_dict(result: ChaosTailResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted chaos artifact)."""
-    payload: Dict[str, Any] = {
-        "chain": result.chain,
-        "classes": list(result.classes),
-        "intensity": result.intensity,
-        "plans": result.plans,
-        "results": {},
-    }
-    for cls, arms in result.results.items():
-        base = arms["dpdk"]
-        cd = arms["cachedirector"]
-        payload["results"][cls] = {
-            "dpdk": nfv_result_to_dict(base),
-            "cachedirector": nfv_result_to_dict(cd),
-            "improvement": cd.summary.improvement_over(base.summary),
-        }
-    return payload
-
-
 def format_chaos_tail(result: ChaosTailResult) -> str:
     """Render the per-class tail/goodput table."""
     out = [
@@ -270,7 +250,7 @@ def format_chaos_tail(result: ChaosTailResult) -> str:
     )
     for cls in result.classes:
         arms = result.results[cls]
-        base, cd = arms["dpdk"], arms["cachedirector"]
+        base, cd = arms.dpdk, arms.cachedirector
         goodput = (
             base.goodput_gbps
             if base.fault_counters is not None
@@ -281,9 +261,9 @@ def format_chaos_tail(result: ChaosTailResult) -> str:
             f"| {goodput:>6.2f}Gbp | {base.drop_fraction:>9.2%}"
         )
     injected = {
-        cls: arms["dpdk"].fault_counters
+        cls: arms.dpdk.fault_counters
         for cls, arms in result.results.items()
-        if arms["dpdk"].fault_counters
+        if arms.dpdk.fault_counters
     }
     for cls, counters in injected.items():
         interesting = {
@@ -313,7 +293,8 @@ class DegradationPoint:
     fault_counters: Optional[Dict[str, int]] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
+        """The payload: the fields, less ``fault_counters`` at a
+        fault-free point (as :class:`NfvExperimentResult` omits it)."""
         payload: Dict[str, Any] = {
             "intensity": self.intensity,
             "goodput_gbps": self.goodput_gbps,
@@ -493,19 +474,6 @@ def assemble_degradation_knee(
         dpdk=[point_results[2 * i] for i in range(len(grid))],
         cachedirector=[point_results[2 * i + 1] for i in range(len(grid))],
     )
-
-
-def degradation_knee_to_dict(result: DegradationKneeResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted knee artifact)."""
-    return {
-        "fault_class": result.fault_class,
-        "chain": result.chain,
-        "offered_gbps": result.offered_gbps,
-        "intensities": list(result.intensities),
-        "plans": result.plans,
-        "dpdk": [p.to_dict() for p in result.dpdk],
-        "cachedirector": [p.to_dict() for p in result.cachedirector],
-    }
 
 
 def format_degradation_knee(result: DegradationKneeResult) -> str:

@@ -8,7 +8,7 @@ and renders the Fig. 4 bit matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import List
 
 from repro.cachesim.machines import HASWELL_E5_2667V3, MachineSpec, build_hierarchy
@@ -24,12 +24,29 @@ from repro.mem.hugepage import PhysicalAddressSpace
 
 @dataclass
 class HashRecoveryResult:
-    """Outcome of the Fig. 4 reproduction."""
+    """Outcome of the Fig. 4 reproduction.
 
-    recovered: RecoveredHash
+    The fields are the payload: the recovered hash's masks, bits and
+    residual, then the verification.  ``recovered`` itself, the hash a
+    slice-aware context can allocate through, is kept as a plain
+    attribute.
+    """
+
+    recovered: InitVar[RecoveredHash]
     match_fraction: float
     ground_truth_match: bool
     addresses_polled: int
+    masks: List[int] = field(init=False)
+    probed_bits: List[int] = field(init=False)
+    ambiguous_bits: List[int] = field(init=False)
+    residual: int = field(init=False)
+
+    def __post_init__(self, recovered: RecoveredHash) -> None:
+        self.recovered = recovered
+        self.masks = list(recovered.hash.masks)
+        self.probed_bits = list(recovered.probed_bits)
+        self.ambiguous_bits = list(recovered.ambiguous_bits)
+        self.residual = recovered.residual
 
 
 def run_fig04(
@@ -83,7 +100,7 @@ def format_fig04(result: HashRecoveryResult, max_bit: int = 30) -> str:
     lines.append("Fig. 4 — recovered Complex Addressing hash (polled bits 6..29)")
     header = "bit   " + " ".join(f"{b:>2}" for b in range(max_bit - 1, 5, -1))
     lines.append(header)
-    for out, mask in enumerate(result.recovered.hash.masks):
+    for out, mask in enumerate(result.masks):
         row = [f"o{out}   "]
         for b in range(max_bit - 1, 5, -1):
             row.append(" X" if mask & (1 << b) else " .")
@@ -94,14 +111,3 @@ def format_fig04(result: HashRecoveryResult, max_bit: int = 30) -> str:
         f"matches ground truth: {result.ground_truth_match}"
     )
     return "\n".join(lines)
-def fig04_to_dict(result: HashRecoveryResult) -> dict:
-    """JSON-ready form of the recovery outcome (lab/CLI ``--json``)."""
-    return {
-        "masks": [int(m) for m in result.recovered.hash.masks],
-        "probed_bits": [int(b) for b in result.recovered.probed_bits],
-        "ambiguous_bits": [int(b) for b in result.recovered.ambiguous_bits],
-        "residual": int(result.recovered.residual),
-        "match_fraction": float(result.match_fraction),
-        "ground_truth_match": bool(result.ground_truth_match),
-        "addresses_polled": int(result.addresses_polled),
-    }

@@ -46,16 +46,7 @@ def format_profile(profile: SliceLatencyProfile, title: str) -> str:
             f"{s:>5} | {profile.read_cycles[s]:>11.1f} | {profile.write_cycles[s]:>12.1f}"
         )
     lines.append(
-        f"read spread (NUCA): {profile.read_spread():.1f} cycles; "
-        f"fastest slice from core {profile.core}: {profile.fastest_slice()}"
+        f"read spread (NUCA): {profile.read_spread:.1f} cycles; "
+        f"fastest slice from core {profile.core}: {profile.fastest_slice}"
     )
     return "\n".join(lines)
-def profile_to_dict(profile: SliceLatencyProfile) -> dict:
-    """JSON-ready form of a slice-latency profile (lab/CLI ``--json``)."""
-    return {
-        "core": int(profile.core),
-        "read_cycles": [float(c) for c in profile.read_cycles],
-        "write_cycles": [float(c) for c in profile.write_cycles],
-        "fastest_slice": int(profile.fastest_slice()),
-        "read_spread": float(profile.read_spread()),
-    }

@@ -115,8 +115,8 @@ def run_fig06(
     return SliceSpeedupResult(
         read_speedup_pct=read_speedups,
         write_speedup_pct=write_speedups,
-        normal_read_cycles=normal_read,
-        normal_write_cycles=normal_write,
+        normal_read_cycles=float(normal_read),
+        normal_write_cycles=float(normal_write),
     )
 
 
@@ -127,11 +127,3 @@ def format_fig06(result: SliceSpeedupResult) -> str:
     for s, (r, w) in enumerate(zip(result.read_speedup_pct, result.write_speedup_pct)):
         lines.append(f"{s:>5} | {r:>13.1f} | {w:>14.1f}")
     return "\n".join(lines)
-def fig06_to_dict(result: SliceSpeedupResult) -> dict:
-    """JSON-ready form of the per-slice speedups (lab/CLI ``--json``)."""
-    return {
-        "read_speedup_pct": [float(v) for v in result.read_speedup_pct],
-        "write_speedup_pct": [float(v) for v in result.write_speedup_pct],
-        "normal_read_cycles": float(result.normal_read_cycles),
-        "normal_write_cycles": float(result.normal_write_cycles),
-    }

@@ -204,18 +204,3 @@ def merge_ops_sweeps(parts: List[OpsSweepResult]) -> OpsSweepResult:
         for op, series in part.slice_mops.items():
             merged.slice_mops.setdefault(op, []).extend(series)
     return merged
-
-
-def fig07_to_dict(result: OpsSweepResult) -> dict:
-    """JSON-ready form of the OPS sweep (lab/CLI ``--json``)."""
-    return {
-        "sizes": [int(s) for s in result.sizes],
-        "normal_mops": {
-            op: [float(v) for v in series]
-            for op, series in result.normal_mops.items()
-        },
-        "slice_mops": {
-            op: [float(v) for v in series]
-            for op, series in result.slice_mops.items()
-        },
-    }

@@ -26,15 +26,18 @@ PAPER_GET_FRACTIONS = (1.00, 0.95, 0.50)
 
 @dataclass
 class KvsFigureResult:
-    """TPS (millions) per (distribution, placement, mix)."""
+    """TPS (millions) and cycles per request, keyed by (distribution,
+    placement, mix)."""
 
-    tps: Dict[Tuple[str, str, str], float] = field(default_factory=dict)
-    cycles: Dict[Tuple[str, str, str], float] = field(default_factory=dict)
+    tps_millions: Dict[Tuple[str, str, str], float] = field(default_factory=dict)
+    cycles_per_request: Dict[Tuple[str, str, str], float] = field(
+        default_factory=dict
+    )
 
     def delta_pct(self, distribution: str, mix_label: str) -> float:
         """Slice-aware gain over normal for one cell pair."""
-        aware = self.tps[(distribution, "slice", mix_label)]
-        normal = self.tps[(distribution, "normal", mix_label)]
+        aware = self.tps_millions[(distribution, "slice", mix_label)]
+        normal = self.tps_millions[(distribution, "normal", mix_label)]
         return (aware / normal - 1) * 100
 
 
@@ -80,21 +83,21 @@ def run_fig08(
                 ops = mix.operations(measured_requests, np.random.default_rng(seed + 12))
                 run = server.run(keys, ops)
                 key = (dist_name, placement, mix.label)
-                result.tps[key] = run.tps_millions
-                result.cycles[key] = run.cycles_per_request
+                result.tps_millions[key] = run.tps_millions
+                result.cycles_per_request[key] = run.cycles_per_request
     return result
 
 
 def format_fig08(result: KvsFigureResult) -> str:
     """Render the Fig. 8 grouped bars as a table."""
-    mixes = sorted({k[2] for k in result.tps}, reverse=True)
+    mixes = sorted({k[2] for k in result.tps_millions}, reverse=True)
     out = ["Fig. 8 — average KVS TPS (millions), 1 core"]
     out.append("config            | " + " | ".join(f"{m:>9}" for m in mixes))
     for dist in ("skewed", "uniform"):
         for placement in ("slice", "normal"):
             row = [f"{placement}-{dist:<10}"]
             for mix in mixes:
-                row.append(f"{result.tps[(dist, placement, mix)]:>9.2f}")
+                row.append(f"{result.tps_millions[(dist, placement, mix)]:>9.2f}")
             out.append(" | ".join(row))
     for dist in ("skewed", "uniform"):
         deltas = ", ".join(
@@ -103,20 +106,11 @@ def format_fig08(result: KvsFigureResult) -> str:
         out.append(f"slice-aware gain ({dist}): {deltas}")
     skew_get = ("skewed", "slice", "100% GET")
     norm_get = ("skewed", "normal", "100% GET")
-    if skew_get in result.cycles:
+    cycles = result.cycles_per_request
+    if skew_get in cycles:
         out.append(
             f"cycles/request, skewed 100% GET: slice "
-            f"{result.cycles[skew_get]:.0f} vs normal {result.cycles[norm_get]:.0f} "
+            f"{cycles[skew_get]:.0f} vs normal {cycles[norm_get]:.0f} "
             f"(paper: ~160 vs ~194)"
         )
     return "\n".join(out)
-def fig08_to_dict(result: KvsFigureResult) -> dict:
-    """JSON-ready form; tuple keys become ``dist/placement/mix``."""
-    return {
-        "tps_millions": {
-            "/".join(key): float(v) for key, v in sorted(result.tps.items())
-        },
-        "cycles_per_request": {
-            "/".join(key): float(v) for key, v in sorted(result.cycles.items())
-        },
-    }

@@ -8,7 +8,7 @@ loopback latency (9 µs) is subtracted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -21,10 +21,15 @@ from repro.stats.percentiles import LatencySummary, median_of_runs, summarize_la
 
 @dataclass
 class LowRateResult:
-    """Latency summaries for DPDK vs DPDK+CacheDirector."""
+    """Latency summaries for DPDK vs DPDK+CacheDirector, with
+    CacheDirector's gain over DPDK (``improvement``)."""
 
     dpdk: LatencySummary
     cachedirector: LatencySummary
+    improvement: Dict[str, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.improvement = self.cachedirector.improvement_over(self.dpdk)
 
 
 def run_fig12(
@@ -77,16 +82,9 @@ def format_fig12(result: LowRateResult) -> str:
         out.append(
             f"{name:<9} | {s[75]:>6.3f} | {s[90]:>6.3f} | {s[95]:>6.3f} | {s[99]:>6.3f}"
         )
-    imp = result.cachedirector.improvement_over(result.dpdk)
+    imp = result.improvement
     out.append(
         "rel gain  | "
         + " | ".join(f"{imp[f'p{q}_rel'] * 100:>5.2f}%" for q in (75, 90, 95, 99))
     )
     return "\n".join(out)
-def fig12_to_dict(result: LowRateResult) -> dict:
-    """JSON-ready form of the low-rate comparison (lab/CLI ``--json``)."""
-    return {
-        "dpdk": result.dpdk.to_dict(),
-        "cachedirector": result.cachedirector.to_dict(),
-        "improvement": result.cachedirector.improvement_over(result.dpdk),
-    }

@@ -1,11 +1,9 @@
 """Fig. 13 — simple forwarding, mixed-size packets at 100 Gbps, RSS (§5.1.2)."""
-# simcheck: ignore-file[SIM302] — serialized via the shared nfv_common.comparison_to_dict in lab/registry.py
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.experiments.nfv_common import (
+    NfvComparison,
     NfvExperimentResult,
     compare_cache_director,
     format_comparison,
@@ -46,7 +44,7 @@ def run_fig13(
     micro_packets: int = 4000,
     runs: int = 3,
     seed: int = 0,
-) -> Dict[str, NfvExperimentResult]:
+) -> NfvComparison:
     """Forwarding at 100 Gbps with RSS steering over 8 cores."""
     return compare_cache_director(
         simple_forwarding_chain,
@@ -59,7 +57,7 @@ def run_fig13(
     )
 
 
-def format_fig13(results: Dict[str, NfvExperimentResult]) -> str:
+def format_fig13(results: NfvComparison) -> str:
     """Render the Fig. 13 percentile/improvement panels."""
     return format_comparison(
         results,

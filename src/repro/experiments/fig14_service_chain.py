@@ -1,4 +1,3 @@
-# simcheck: ignore-file[SIM302] — serialized via the shared nfv_common.comparison_to_dict in lab/registry.py
 """Figs. 1 & 14 — Router-NAPT-LB at 100 Gbps with FlowDirector (§5.2.1).
 
 The stateful chain with the routing classification offloaded to the
@@ -9,11 +8,12 @@ relative speedups.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.experiments.nfv_common import (
+    NfvComparison,
     NfvExperimentResult,
     compare_cache_director,
     format_comparison,
@@ -51,7 +51,7 @@ def run_fig14(
     runs: int = 3,
     hw_offload: bool = True,
     seed: int = 0,
-) -> Dict[str, NfvExperimentResult]:
+) -> NfvComparison:
     """Stateful chain at 100 Gbps with FlowDirector steering."""
     return compare_cache_director(
         lambda: router_napt_lb_chain(hw_offload=hw_offload),
@@ -65,16 +65,16 @@ def run_fig14(
 
 
 def cdf_table(
-    results: Dict[str, NfvExperimentResult], n_points: int = 11
+    results: NfvComparison, n_points: int = 11
 ) -> List[Tuple[float, float, float]]:
     """Fig. 14a data: (CDF, dpdk latency, cachedirector latency)."""
     quantiles = np.linspace(0.0, 1.0, n_points)
-    base = np.quantile(results["dpdk"].latencies_us, quantiles)
-    cd = np.quantile(results["cachedirector"].latencies_us, quantiles)
+    base = np.quantile(results.dpdk.latencies_us, quantiles)
+    cd = np.quantile(results.cachedirector.latencies_us, quantiles)
     return [(float(q), float(b), float(c)) for q, b, c in zip(quantiles, base, cd)]
 
 
-def format_fig14(results: Dict[str, NfvExperimentResult]) -> str:
+def format_fig14(results: NfvComparison) -> str:
     """Render Fig. 14's CDF plus the improvement panel."""
     out = [
         format_comparison(

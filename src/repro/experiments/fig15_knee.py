@@ -227,20 +227,3 @@ def format_fig15(result: KneeResult) -> str:
         f"{result.cachedirector.fit.r2_quadratic:.3f} (quadratic)"
     )
     return "\n".join(out)
-def fig15_to_dict(result: KneeResult) -> dict:
-    """JSON-ready form of the knee curves and fits (lab/CLI ``--json``)."""
-
-    def curve(c: KneeCurve) -> dict:
-        return {
-            "throughputs_gbps": [float(v) for v in c.throughputs_gbps],
-            "tail_latency_us": [float(v) for v in c.tail_latency_us],
-            "fit": {
-                "knee": float(c.fit.knee),
-                "linear_coeffs": [float(v) for v in c.fit.linear_coeffs],
-                "quadratic_coeffs": [float(v) for v in c.fit.quadratic_coeffs],
-                "r2_linear": float(c.fit.r2_linear),
-                "r2_quadratic": float(c.fit.r2_quadratic),
-            },
-        }
-
-    return {"dpdk": curve(result.dpdk), "cachedirector": curve(result.cachedirector)}

@@ -18,7 +18,7 @@ reads and writes despite owning less capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -34,15 +34,20 @@ SCENARIOS = ("nocat", "cat-2w", "slice-isolated")
 
 @dataclass
 class IsolationResult:
-    """Average main-application execution time per scenario (seconds)."""
+    """Average main-application execution time per scenario (seconds),
+    and the speedup of slice isolation over 2-way CAT (paper: ~11 %)."""
 
     read_seconds: Dict[str, float]
     write_seconds: Dict[str, float]
+    slice_vs_cat_read_pct: float = field(init=False)
+    slice_vs_cat_write_pct: float = field(init=False)
 
-    def slice_vs_cat_pct(self, op: str) -> float:
-        """Speedup of slice isolation over 2-way CAT (paper: ~11 %)."""
-        table = self.read_seconds if op == "read" else self.write_seconds
-        return (table["cat-2w"] - table["slice-isolated"]) / table["cat-2w"] * 100
+    def __post_init__(self) -> None:
+        def speedup(table: Dict[str, float]) -> float:
+            return (table["cat-2w"] - table["slice-isolated"]) / table["cat-2w"] * 100
+
+        self.slice_vs_cat_read_pct = speedup(self.read_seconds)
+        self.slice_vs_cat_write_pct = speedup(self.write_seconds)
 
 
 def _interleaved_run(
@@ -171,15 +176,7 @@ def format_fig17(result: IsolationResult) -> str:
             f"| {result.write_seconds[scenario] * 1e3:>10.4f}"
         )
     out.append(
-        f"slice isolation vs CAT: read {result.slice_vs_cat_pct('read'):+.1f}%, "
-        f"write {result.slice_vs_cat_pct('write'):+.1f}% (paper: ~11.5/11.8 %)"
+        f"slice isolation vs CAT: read {result.slice_vs_cat_read_pct:+.1f}%, "
+        f"write {result.slice_vs_cat_write_pct:+.1f}% (paper: ~11.5/11.8 %)"
     )
     return "\n".join(out)
-def fig17_to_dict(result: IsolationResult) -> dict:
-    """JSON-ready form of the isolation scenarios (lab/CLI ``--json``)."""
-    return {
-        "read_seconds": {k: float(v) for k, v in result.read_seconds.items()},
-        "write_seconds": {k: float(v) for k, v in result.write_seconds.items()},
-        "slice_vs_cat_read_pct": float(result.slice_vs_cat_pct("read")),
-        "slice_vs_cat_write_pct": float(result.slice_vs_cat_pct("write")),
-    }

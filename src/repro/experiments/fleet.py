@@ -198,16 +198,6 @@ def assemble_fleet_scale(
     )
 
 
-def fleet_scale_to_dict(result: FleetScaleResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted scale artifact)."""
-    return {
-        "server_counts": list(result.server_counts),
-        "tenant_counts": list(result.tenant_counts),
-        "offered_mrps": result.offered_mrps,
-        "cells": list(result.cells),
-    }
-
-
 def format_fleet_scale(result: FleetScaleResult) -> str:
     """Render the goodput/tail grid."""
     out = [
@@ -296,14 +286,6 @@ class FleetFailoverPoint:
     intensity: float
     cell: Dict[str, Any]
     recovery: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "intensity": self.intensity,
-            "cell": self.cell,
-            "recovery": self.recovery,
-        }
 
 
 @dataclass
@@ -454,17 +436,6 @@ def assemble_fleet_failover(
     )
 
 
-def fleet_failover_to_dict(result: FleetFailoverResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted failover artifact)."""
-    return {
-        "n_servers": result.n_servers,
-        "n_tenants": result.n_tenants,
-        "intensities": list(result.intensities),
-        "plans": result.plans,
-        "points": [p.to_dict() for p in result.points],
-    }
-
-
 def format_fleet_failover(result: FleetFailoverResult) -> str:
     """Render the failover sweep table."""
     out = [
@@ -572,15 +543,6 @@ class FleetAvailabilityPoint:
     cell: Dict[str, Any]
     availability: Dict[str, Any]
     recovery: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "intensity": self.intensity,
-            "cell": self.cell,
-            "availability": self.availability,
-            "recovery": self.recovery,
-        }
 
 
 @dataclass
@@ -748,20 +710,6 @@ def assemble_fleet_availability(
     )
 
 
-def fleet_availability_to_dict(
-    result: FleetAvailabilityResult,
-) -> Dict[str, Any]:
-    """JSON-ready form (the persisted availability artifact)."""
-    return {
-        "n_servers": result.n_servers,
-        "n_tenants": result.n_tenants,
-        "intensities": list(result.intensities),
-        "healing": dict(result.healing),
-        "plans": result.plans,
-        "points": [p.to_dict() for p in result.points],
-    }
-
-
 def format_fleet_availability(result: FleetAvailabilityResult) -> str:
     """Render the availability sweep table."""
     out = [
@@ -826,18 +774,6 @@ class FleetDurabilityPoint:
     alive_at_end: int
     unavailable_fraction: float
     cell: Dict[str, Any]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "replication": self.replication,
-            "intensity": self.intensity,
-            "lost_key_fraction": self.lost_key_fraction,
-            "kills": self.kills,
-            "alive_at_end": self.alive_at_end,
-            "unavailable_fraction": self.unavailable_fraction,
-            "cell": self.cell,
-        }
 
 
 @dataclass
@@ -1047,19 +983,6 @@ def assemble_fleet_durability(
         plans=used_plans,
         points=list(point_results),
     )
-
-
-def fleet_durability_to_dict(result: FleetDurabilityResult) -> Dict[str, Any]:
-    """JSON-ready form (the persisted durability artifact)."""
-    return {
-        "n_servers": result.n_servers,
-        "n_tenants": result.n_tenants,
-        "replications": list(result.replications),
-        "intensities": list(result.intensities),
-        "healing": dict(result.healing),
-        "plans": result.plans,
-        "points": [p.to_dict() for p in result.points],
-    }
 
 
 def format_fleet_durability(result: FleetDurabilityResult) -> str:

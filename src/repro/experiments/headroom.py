@@ -63,11 +63,3 @@ def format_headroom(result: HeadroomDistribution) -> str:
             f"maximum:         {result.max} B   (paper: 832 B)",
         ]
     )
-def headroom_to_dict(result: HeadroomDistribution) -> dict:
-    """JSON-ready form of the headroom stats (lab/CLI ``--json``)."""
-    return {
-        "count": int(result.count),
-        "median": int(result.median),
-        "p95": int(result.p95),
-        "max": int(result.max),
-    }

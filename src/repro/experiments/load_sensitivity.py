@@ -11,7 +11,7 @@ amplification peaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from repro.experiments.nfv_common import run_nfv_experiment
@@ -26,16 +26,21 @@ class SensitivityPoint:
     achieved_gbps: float
     p99_dpdk_us: float
     p99_cd_us: float
+    improvement_us: float = field(init=False)
+    improvement_pct: float = field(init=False)
 
-    @property
-    def improvement_us(self) -> float:
-        return self.p99_dpdk_us - self.p99_cd_us
+    def __post_init__(self) -> None:
+        self.improvement_us = self.p99_dpdk_us - self.p99_cd_us
+        self.improvement_pct = (
+            self.improvement_us / self.p99_dpdk_us * 100 if self.p99_dpdk_us else 0.0
+        )
 
-    @property
-    def improvement_pct(self) -> float:
-        if self.p99_dpdk_us == 0:
-            return 0.0
-        return self.improvement_us / self.p99_dpdk_us * 100
+
+@dataclass
+class LoadSensitivityResult:
+    """The sweep, one point per offered load."""
+
+    points: List[SensitivityPoint]
 
 
 def run_load_sensitivity(
@@ -43,7 +48,7 @@ def run_load_sensitivity(
     n_bulk_packets: int = 120_000,
     micro_packets: int = 2000,
     seed: int = 0,
-) -> List[SensitivityPoint]:
+) -> LoadSensitivityResult:
     """Sweep offered load; returns one point per load."""
     points: List[SensitivityPoint] = []
     for load in loads_gbps:
@@ -70,21 +75,4 @@ def run_load_sensitivity(
                 p99_cd_us=p99[True],
             )
         )
-    return points
-
-
-def load_sensitivity_to_dict(points: List[SensitivityPoint]) -> dict:
-    """JSON-ready form of the load sweep (lab/CLI ``--json``)."""
-    return {
-        "points": [
-            {
-                "offered_gbps": float(p.offered_gbps),
-                "achieved_gbps": float(p.achieved_gbps),
-                "p99_dpdk_us": float(p.p99_dpdk_us),
-                "p99_cd_us": float(p.p99_cd_us),
-                "improvement_us": float(p.improvement_us),
-                "improvement_pct": float(p.improvement_pct),
-            }
-            for p in points
-        ]
-    }
+    return LoadSensitivityResult(points)

@@ -21,7 +21,7 @@ about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -37,22 +37,18 @@ POLICIES = ("shared", "cat", "slice")
 
 @dataclass
 class TenantResult:
-    """Per-tenant average access cost (cycles)."""
+    """Per-tenant average access cost (cycles), their mean and worst,
+    and the unfairness worst / best (1.0 is perfectly fair)."""
 
     tenant_cycles: List[float]
+    mean: float = field(init=False)
+    worst: float = field(init=False)
+    unfairness: float = field(init=False)
 
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.tenant_cycles))
-
-    @property
-    def worst(self) -> float:
-        return float(max(self.tenant_cycles))
-
-    @property
-    def unfairness(self) -> float:
-        """worst / best — 1.0 is perfectly fair."""
-        return float(max(self.tenant_cycles) / min(self.tenant_cycles))
+    def __post_init__(self) -> None:
+        self.mean = float(np.mean(self.tenant_cycles))
+        self.worst = float(max(self.tenant_cycles))
+        self.unfairness = float(max(self.tenant_cycles) / min(self.tenant_cycles))
 
 
 def run_multitenant_experiment(
@@ -148,14 +144,3 @@ def format_multitenant(results: Dict[str, TenantResult]) -> str:
             f"| {result.unfairness:9.2f}"
         )
     return "\n".join(out)
-def multitenant_to_dict(results: Dict[str, TenantResult]) -> dict:
-    """JSON-ready form of the per-policy results (lab/CLI ``--json``)."""
-    return {
-        policy: {
-            "tenant_cycles": [float(c) for c in r.tenant_cycles],
-            "mean": float(r.mean),
-            "worst": float(r.worst),
-            "unfairness": float(r.unfairness),
-        }
-        for policy, r in results.items()
-    }

@@ -17,7 +17,7 @@ arms (CacheDirector off/on) over one offered traffic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,6 +67,46 @@ class NfvExperimentResult:
     #: run (keeping fault-free artifacts byte-identical to pre-chaos
     #: golden numbers).
     fault_counters: Optional[Dict[str, int]] = None
+
+    def to_dict(self) -> Dict[str, object]:
+        """The payload, which is not the fields: the raw per-packet
+        latency array becomes a 21-point CDF (artifacts stay small yet
+        keep the Fig. 14a curve shape), and the fault fields appear
+        only when faults were injected, so fault-free artifacts stay
+        byte-identical to the pre-chaos golden numbers."""
+        from repro.stats.percentiles import cdf_points
+
+        xs, fs = cdf_points(self.latencies_us, n_points=21)
+        payload = {
+            "summary": self.summary.to_dict(),
+            "achieved_gbps": self.achieved_gbps,
+            "offered_gbps": self.offered_gbps,
+            "drop_fraction": self.drop_fraction,
+            "mean_service_ns": self.mean_service_ns,
+            "run_summaries": [s.to_dict() for s in (self.run_summaries or [])],
+            "latency_cdf_us": [float(x) for x in xs],
+            "latency_cdf_f": [float(f) for f in fs],
+        }
+        if self.fault_counters is not None:
+            payload["goodput_gbps"] = self.goodput_gbps
+            payload["fault_counters"] = self.fault_counters
+        return payload
+
+
+@dataclass
+class NfvComparison:
+    """DPDK vs DPDK+CacheDirector over one offered traffic, with
+    CacheDirector's latency gain over DPDK (``improvement``, see
+    :meth:`~repro.stats.percentiles.LatencySummary.improvement_over`)."""
+
+    dpdk: NfvExperimentResult
+    cachedirector: NfvExperimentResult
+    improvement: Dict[str, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.improvement = self.cachedirector.summary.improvement_over(
+            self.dpdk.summary
+        )
 
 
 def flow_queue_map(generator: CampusTraceGenerator, steering_kind: str, n_queues: int) -> np.ndarray:
@@ -337,16 +377,14 @@ def compare_cache_director(
     steering_kind: str,
     offered_gbps: float,
     **kwargs,
-) -> Dict[str, NfvExperimentResult]:
+) -> NfvComparison:
     """Run DPDK vs DPDK+CacheDirector over one offered traffic."""
     return merge_arms(
         run_nfv_arms(chain_factory, (False, True), steering_kind, offered_gbps, **kwargs)
     )
 
 
-def merge_arms(
-    arms: Sequence[NfvExperimentResult],
-) -> Dict[str, NfvExperimentResult]:
+def merge_arms(arms: Sequence[NfvExperimentResult]) -> NfvComparison:
     """Assemble the ``(dpdk, cachedirector)`` pair a comparison returns.
 
     Used by the lab runner to recombine the two arms after running
@@ -355,56 +393,13 @@ def merge_arms(
     """
     if len(arms) != 2:
         raise ValueError(f"expected 2 arms, got {len(arms)}")
-    return {"dpdk": arms[0], "cachedirector": arms[1]}
+    return NfvComparison(dpdk=arms[0], cachedirector=arms[1])
 
 
-def nfv_result_to_dict(result: NfvExperimentResult) -> Dict[str, object]:
-    """JSON-ready form of one configuration's outcome.
-
-    The raw per-packet latency array is summarised as a downsampled
-    CDF rather than dumped verbatim — runs keep artifacts small while
-    still persisting the Fig. 14a curve shape.
-    """
-    from repro.stats.percentiles import cdf_points
-
-    xs, fs = cdf_points(result.latencies_us, n_points=21)
-    payload = {
-        "summary": result.summary.to_dict(),
-        "achieved_gbps": result.achieved_gbps,
-        "offered_gbps": result.offered_gbps,
-        "drop_fraction": result.drop_fraction,
-        "mean_service_ns": result.mean_service_ns,
-        "run_summaries": [s.to_dict() for s in (result.run_summaries or [])],
-        "latency_cdf_us": [float(x) for x in xs],
-        "latency_cdf_f": [float(f) for f in fs],
-    }
-    # Fault fields only appear when faults were injected, so fault-free
-    # artifacts stay byte-identical to the pre-chaos golden numbers.
-    if result.fault_counters is not None:
-        payload["goodput_gbps"] = result.goodput_gbps
-        payload["fault_counters"] = result.fault_counters
-    return payload
-
-
-def comparison_to_dict(
-    results: Dict[str, NfvExperimentResult]
-) -> Dict[str, object]:
-    """JSON-ready form of a DPDK-vs-CacheDirector comparison."""
-    base = results["dpdk"]
-    cd = results["cachedirector"]
-    return {
-        "dpdk": nfv_result_to_dict(base),
-        "cachedirector": nfv_result_to_dict(cd),
-        "improvement": cd.summary.improvement_over(base.summary),
-    }
-
-
-def format_comparison(
-    results: Dict[str, NfvExperimentResult], title: str
-) -> str:
+def format_comparison(results: NfvComparison, title: str) -> str:
     """Render a DPDK vs CacheDirector percentile table + improvements."""
-    base = results["dpdk"]
-    cd = results["cachedirector"]
+    base = results.dpdk
+    cd = results.cachedirector
     out = [title]
     out.append("          |    75th |    90th |    95th |    99th |    mean")
     for name, res in (("DPDK", base), ("DPDK+CD", cd)):
@@ -413,7 +408,7 @@ def format_comparison(
             f"{name:<9} | {s[75]:>7.1f} | {s[90]:>7.1f} | {s[95]:>7.1f} "
             f"| {s[99]:>7.1f} | {s.mean:>7.1f}  (us)"
         )
-    imp = cd.summary.improvement_over(base.summary)
+    imp = results.improvement
     out.append(
         "improve   | "
         + " | ".join(

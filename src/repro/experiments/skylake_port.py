@@ -10,7 +10,7 @@ per-packet saving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -27,14 +27,12 @@ class PortResult:
 
     base_cycles: float
     cachedirector_cycles: float
+    saving_cycles: float = field(init=False)
+    saving_pct: float = field(init=False)
 
-    @property
-    def saving_cycles(self) -> float:
-        return self.base_cycles - self.cachedirector_cycles
-
-    @property
-    def saving_pct(self) -> float:
-        return self.saving_cycles / self.base_cycles * 100
+    def __post_init__(self) -> None:
+        self.saving_cycles = self.base_cycles - self.cachedirector_cycles
+        self.saving_pct = self.saving_cycles / self.base_cycles * 100
 
 
 def run_skylake_port(
@@ -62,16 +60,3 @@ def run_skylake_port(
             base_cycles=cycles[False], cachedirector_cycles=cycles[True]
         )
     return results
-
-
-def skylake_port_to_dict(results: Dict[str, PortResult]) -> dict:
-    """JSON-ready form of the cross-machine results (lab/CLI ``--json``)."""
-    return {
-        name: {
-            "base_cycles": float(r.base_cycles),
-            "cachedirector_cycles": float(r.cachedirector_cycles),
-            "saving_cycles": float(r.saving_cycles),
-            "saving_pct": float(r.saving_pct),
-        }
-        for name, r in results.items()
-    }

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List
 
 from repro.cachesim.machines import (
     HASWELL_E5_2667V3,
@@ -21,14 +21,32 @@ from repro.cachesim.machines import (
     MachineSpec,
 )
 from repro.core.profiles import derive_preference_table
-from repro.net.trace import TABLE2_CLASSES
+from repro.net.trace import TABLE2_CLASSES, TrafficClass
 
 if TYPE_CHECKING:
-    from repro.experiments.nfv_common import NfvExperimentResult
+    from repro.experiments.nfv_common import NfvComparison
 
 
-def table1_rows(spec: MachineSpec = HASWELL_E5_2667V3) -> List[Tuple[str, str, int, int, str]]:
-    """Table 1: (level, size, ways, sets, index-bit range)."""
+@dataclass
+class CacheLevel:
+    """One Table 1 row."""
+
+    level: str
+    size: str
+    ways: int
+    sets: int
+    index_bits: str
+
+
+@dataclass
+class CacheSpecTable:
+    """Table 1: the cache geometry, LLC slice first."""
+
+    rows: List[CacheLevel]
+
+
+def table1_rows(spec: MachineSpec = HASWELL_E5_2667V3) -> List[CacheLevel]:
+    """Table 1: level, size, ways, sets and index-bit range."""
     def size_label(size: int) -> str:
         if size >= 1 << 20:
             return f"{size / (1 << 20):g}MB"
@@ -39,15 +57,15 @@ def table1_rows(spec: MachineSpec = HASWELL_E5_2667V3) -> List[Tuple[str, str, i
         return f"{top}-6"
 
     return [
-        (
+        CacheLevel(
             "LLC-Slice",
             size_label(spec.llc_slice_bytes),
             spec.llc_ways,
             spec.llc_sets,
             index_range(spec.llc_sets),
         ),
-        ("L2", size_label(spec.l2_bytes), spec.l2_ways, spec.l2_sets, index_range(spec.l2_sets)),
-        ("L1", size_label(spec.l1_bytes), spec.l1_ways, spec.l1_sets, index_range(spec.l1_sets)),
+        CacheLevel("L2", size_label(spec.l2_bytes), spec.l2_ways, spec.l2_sets, index_range(spec.l2_sets)),
+        CacheLevel("L1", size_label(spec.l1_bytes), spec.l1_ways, spec.l1_sets, index_range(spec.l1_sets)),
     ]
 
 
@@ -55,9 +73,18 @@ def format_table1(spec: MachineSpec = HASWELL_E5_2667V3) -> str:
     """Render Table 1."""
     out = [f"Table 1 — {spec.name} cache specification"]
     out.append("Cache Level | Size   | #Ways | #Sets | Index-bits")
-    for level, size, ways, sets, bits in table1_rows(spec):
-        out.append(f"{level:<11} | {size:<6} | {ways:>5} | {sets:>5} | {bits}")
+    for r in table1_rows(spec):
+        out.append(
+            f"{r.level:<11} | {r.size:<6} | {r.ways:>5} | {r.sets:>5} | {r.index_bits}"
+        )
     return "\n".join(out)
+
+
+@dataclass
+class TrafficClassTable:
+    """Table 2: the traffic classes."""
+
+    classes: List[TrafficClass]
 
 
 def format_table2() -> str:
@@ -82,9 +109,16 @@ class Table3Row:
     improvement_mbps: float
 
 
+@dataclass
+class ThroughputTable:
+    """Table 3: forwarding, then the service chain."""
+
+    rows: List[Table3Row]
+
+
 def table3_rows(
-    forwarding: Dict[str, NfvExperimentResult],
-    service_chain: Dict[str, NfvExperimentResult],
+    forwarding: NfvComparison,
+    service_chain: NfvComparison,
 ) -> List[Table3Row]:
     """Build Table 3 from the Fig. 13 and Fig. 14 runs."""
     rows = []
@@ -92,8 +126,8 @@ def table3_rows(
         ("Simple Forwarding", forwarding),
         ("Router-NAPT-LB (FlowDirector w/ H/W offloading)", service_chain),
     ):
-        base = results["dpdk"].achieved_gbps
-        cd = results["cachedirector"].achieved_gbps
+        base = results.dpdk.achieved_gbps
+        cd = results.cachedirector.achieved_gbps
         rows.append(
             Table3Row(
                 scenario=name,
@@ -104,11 +138,11 @@ def table3_rows(
     return rows
 
 
-def format_table3(rows: List[Table3Row]) -> str:
+def format_table3(table: ThroughputTable) -> str:
     """Render Table 3."""
     out = ["Table 3 — throughput at 100 Gbps offered + improvement"]
     out.append("scenario                                        | Gbps  | improve (Mbps)")
-    for row in rows:
+    for row in table.rows:
         out.append(
             f"{row.scenario:<47} | {row.throughput_gbps:>5.2f} | {row.improvement_mbps:>+8.0f}"
         )
@@ -129,48 +163,17 @@ def format_table4(spec: MachineSpec = SKYLAKE_GOLD_6134) -> str:
 
 
 # ----------------------------------------------------------------------
-# Runners + JSON serializers (lab artifacts and CLI --json)
+# Runners (lab artifacts and CLI --json)
 # ----------------------------------------------------------------------
 
-def run_table1(spec: MachineSpec = HASWELL_E5_2667V3) -> List[Tuple[str, str, int, int, str]]:
+def run_table1(spec: MachineSpec = HASWELL_E5_2667V3) -> CacheSpecTable:
     """Table 1 as data (the lab-registered runner)."""
-    return table1_rows(spec)
+    return CacheSpecTable(table1_rows(spec))
 
 
-def table1_to_dict(rows: List[Tuple[str, str, int, int, str]]) -> dict:
-    """JSON-ready form of Table 1."""
-    return {
-        "rows": [
-            {
-                "level": level,
-                "size": size,
-                "ways": int(ways),
-                "sets": int(sets),
-                "index_bits": bits,
-            }
-            for level, size, ways, sets, bits in rows
-        ]
-    }
-
-
-def run_table2() -> list:
+def run_table2() -> TrafficClassTable:
     """Table 2 as data (the lab-registered runner)."""
-    return list(TABLE2_CLASSES)
-
-
-def table2_to_dict(classes: list) -> dict:
-    """JSON-ready form of Table 2."""
-    return {
-        "classes": [
-            {
-                "label": cls.label,
-                "packet_size": int(cls.packet_size),
-                "rate_pps": float(cls.rate_pps),
-                "rate_gbps": float(cls.rate_gbps),
-            }
-            for cls in classes
-        ]
-    }
+    return TrafficClassTable(list(TABLE2_CLASSES))
 
 
 def run_table3(
@@ -179,7 +182,7 @@ def run_table3(
     micro_packets: int = 500,
     runs: int = 1,
     seed: int = 0,
-) -> List[Table3Row]:
+) -> ThroughputTable:
     """Compute Table 3 by driving the Fig. 13/14 runners.
 
     The defaults are the reduced packet counts (20k bulk / 500 micro /
@@ -205,21 +208,7 @@ def run_table3(
         runs=runs,
         seed=seed,
     )
-    return table3_rows(forwarding, service_chain)
-
-
-def table3_to_dict(rows: List[Table3Row]) -> dict:
-    """JSON-ready form of Table 3."""
-    return {
-        "rows": [
-            {
-                "scenario": row.scenario,
-                "throughput_gbps": float(row.throughput_gbps),
-                "improvement_mbps": float(row.improvement_mbps),
-            }
-            for row in rows
-        ]
-    }
+    return ThroughputTable(table3_rows(forwarding, service_chain))
 
 
 def run_table4(spec: MachineSpec = SKYLAKE_GOLD_6134) -> dict:
@@ -235,8 +224,3 @@ def run_table4(spec: MachineSpec = SKYLAKE_GOLD_6134) -> dict:
             for core, (primary, secondaries) in sorted(table.items())
         },
     }
-
-
-def table4_to_dict(result: dict) -> dict:
-    """JSON-ready form of Table 4 (already plain data)."""
-    return result

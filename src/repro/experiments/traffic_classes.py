@@ -11,7 +11,7 @@ lives (see the MTU ablation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
@@ -31,17 +31,25 @@ class TrafficClassPoint:
     packet_size: int
     dpdk: LatencySummary
     cachedirector: LatencySummary
+    #: Absolute 99th-percentile improvement in µs.
+    improvement_p99_us: float = field(init=False)
 
-    def improvement_p99_us(self) -> float:
-        """Absolute 99th-percentile improvement in µs."""
-        return self.dpdk[99] - self.cachedirector[99]
+    def __post_init__(self) -> None:
+        self.improvement_p99_us = self.dpdk[99] - self.cachedirector[99]
+
+
+@dataclass
+class TrafficClassSweep:
+    """One point per Table 2 packet size, smallest first."""
+
+    points: List[TrafficClassPoint]
 
 
 def run_traffic_class_sweep(
     packets_per_class: int = 1500,
     n_cores: int = 8,
     seed: int = 0,
-) -> List[TrafficClassPoint]:
+) -> TrafficClassSweep:
     """Run the low-rate forwarding experiment for every Table 2 size."""
     nic = NicModel()
     points: List[TrafficClassPoint] = []
@@ -76,19 +84,4 @@ def run_traffic_class_sweep(
                 cachedirector=summaries[True],
             )
         )
-    return points
-
-
-def traffic_classes_to_dict(points: List[TrafficClassPoint]) -> dict:
-    """JSON-ready form of the per-size sweep (lab/CLI ``--json``)."""
-    return {
-        "points": [
-            {
-                "packet_size": int(p.packet_size),
-                "dpdk": p.dpdk.to_dict(),
-                "cachedirector": p.cachedirector.to_dict(),
-                "improvement_p99_us": float(p.improvement_p99_us()),
-            }
-            for p in points
-        ]
-    }
+    return TrafficClassSweep(points)

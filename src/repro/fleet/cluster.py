@@ -46,7 +46,7 @@ bit-identical to no plan at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -148,13 +148,6 @@ class FleetKillEvent:
     request_index: int
     server: str
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "request_index": self.request_index,
-            "server": self.server,
-        }
-
 
 @dataclass
 class FleetRunResult:
@@ -193,7 +186,7 @@ class FleetRunResult:
             "tenants": [s.to_dict() for s in self.tenant_summaries],
             "window_p99_us": list(self.window_p99_us),
             "servers": list(self.server_stats),
-            "kills": [k.to_dict() for k in self.kills],
+            "kills": [asdict(k) for k in self.kills],
             "alive_at_end": self.alive_at_end,
         }
         if self.fault_counters is not None:

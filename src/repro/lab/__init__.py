@@ -5,7 +5,8 @@ declarative, runnable evaluation matrix:
 
 * :mod:`repro.lab.spec` — the :class:`~repro.lab.spec.ExperimentSpec`
   declaration, the paper :class:`~repro.lab.spec.Claim` its payload
-  must show, and the :class:`~repro.lab.spec.Registry` holding them.
+  must show, the :class:`~repro.lab.spec.Registry` holding them, and
+  :func:`~repro.lab.spec.to_payload`, the one serializer of results.
 * :mod:`repro.lab.registry` — the default registry covering every
   figure, table, headroom, and ablation entry point, each with its
   paper claims.  A lookup imports only the looked-up experiment's
@@ -16,7 +17,7 @@ declarative, runnable evaluation matrix:
 * :mod:`repro.lab.store` — one JSON artifact per experiment plus a
   run-level ``manifest.json``.
 * :mod:`repro.lab.compare` — tolerance-based diffing of two runs (or a
-  run against the ``tests/golden/`` baselines).
+  run against the ``tests/golden/`` artifacts).
 
 The package re-exports nothing: import from the submodule, so that
 ``repro.lab.spec`` (which :mod:`repro.fleet.cluster` uses for

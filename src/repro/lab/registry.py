@@ -14,10 +14,12 @@ them all.
 
 Reduced parameters are sized so the whole matrix finishes in about a
 minute serially — small enough for CI smoke, large enough that every
-figure keeps its shape.  ``fig05``/``fig06``/``table4`` reduced
-parameters deliberately equal the golden-baseline parameters in
-``tests/golden/`` so ``repro lab compare <run> tests/golden`` checks
-real numbers.
+figure keeps its shape.  ``tests/golden/`` holds every experiment's
+reduced-scale, seed-0 artifact (``make golden``), so ``repro lab
+compare <run> tests/golden`` checks every payload of a reduced run.
+
+A spec names no serializer: every runner returns a result whose
+payload is :func:`~repro.lab.spec.to_payload` of it.
 
 Each spec declares the paper's qualitative results about it as
 :class:`~repro.lab.spec.Claim` objects.  Each threshold is the paper's
@@ -142,10 +144,7 @@ def _fleet_task_base(params: Mapping[str, Any]) -> Dict[str, Any]:
 
 def _fleet_scale_tasks(params: Mapping[str, Any]) -> List[Dict[str, Any]]:
     """One task per (server count, tenant count) grid cell."""
-    from repro.experiments.fleet import (
-        DEFAULT_SERVER_COUNTS,
-        DEFAULT_TENANT_COUNTS,
-    )
+    from repro.experiments.fleet import DEFAULT_SERVER_COUNTS, DEFAULT_TENANT_COUNTS
 
     base = _fleet_task_base(params)
     servers = base.pop("server_counts", None) or list(DEFAULT_SERVER_COUNTS)
@@ -328,14 +327,13 @@ _FIG13_REDUCED = {
 
 
 def _fig04_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig04_hash_recovery import fig04_to_dict, run_fig04
+    from repro.experiments.fig04_hash_recovery import run_fig04
 
     return (
         ExperimentSpec(
             name="fig04",
             title="Fig. 4 — Complex Addressing hash recovery",
             runner=run_fig04,
-            serializer=fig04_to_dict,
             default_params={"n_bases": 4, "verify_addresses": 512},
             reduced_params={"verify_addresses": 128},
             claims=(
@@ -347,19 +345,14 @@ def _fig04_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _access_time_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig05_access_time import (
-        profile_to_dict,
-        run_fig05,
-        run_fig16,
-    )
+    from repro.experiments.fig05_access_time import run_fig05, run_fig16
 
     return (
         ExperimentSpec(
             name="fig05",
             title="Fig. 5 — per-slice access time (Haswell)",
             runner=run_fig05,
-            serializer=profile_to_dict,
-            # Matches tests/golden/fig05_latency.json at both scales.
+            # The same parameters at both scales.
             default_params={"core": 0, "runs": 3},
             reduced_params={},
             claims=(
@@ -377,7 +370,6 @@ def _access_time_specs() -> Tuple[ExperimentSpec, ...]:
             name="fig16",
             title="Fig. 16 — per-slice access time (Skylake)",
             runner=run_fig16,
-            serializer=profile_to_dict,
             default_params={"core": 0, "runs": 5},
             reduced_params={"runs": 3},
             claims=(
@@ -391,15 +383,14 @@ def _access_time_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig06_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig06_speedup import fig06_to_dict, run_fig06
+    from repro.experiments.fig06_speedup import run_fig06
 
     return (
         ExperimentSpec(
             name="fig06",
             title="Fig. 6 — slice-aware allocation speedup",
             runner=run_fig06,
-            serializer=fig06_to_dict,
-            # Matches tests/golden/fig06_speedup.json at both scales.
+            # The same parameters at both scales.
             default_params={"core": 0, "n_ops": 2000},
             reduced_params={},
             claims=(
@@ -418,14 +409,13 @@ def _fig06_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig07_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig07_ops_sweep import fig07_to_dict, run_fig07
+    from repro.experiments.fig07_ops_sweep import run_fig07
 
     return (
         ExperimentSpec(
             name="fig07",
             title="Fig. 7 — OPS vs working-set size (8 cores)",
             runner=run_fig07,
-            serializer=fig07_to_dict,
             default_params={"n_ops": 1000, "engine": "fast"},
             reduced_params={
                 "n_ops": 200,
@@ -456,14 +446,13 @@ def _fig07_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig08_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig08_kvs import fig08_to_dict, run_fig08
+    from repro.experiments.fig08_kvs import run_fig08
 
     return (
         ExperimentSpec(
             name="fig08",
             title="Fig. 8 — slice-aware KVS TPS",
             runner=run_fig08,
-            serializer=fig08_to_dict,
             default_params={"warmup_requests": 60_000, "measured_requests": 12_000},
             reduced_params={
                 "n_keys": 1 << 18,
@@ -490,14 +479,13 @@ def _fig08_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig12_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig12_low_rate import fig12_to_dict, run_fig12
+    from repro.experiments.fig12_low_rate import run_fig12
 
     return (
         ExperimentSpec(
             name="fig12",
             title="Fig. 12 — DuT latency at 1000 pps",
             runner=run_fig12,
-            serializer=fig12_to_dict,
             default_params={"packets_per_run": 2000, "runs": 3},
             reduced_params={"packets_per_run": 400, "runs": 2},
             claims=(
@@ -510,14 +498,12 @@ def _fig12_specs() -> Tuple[ExperimentSpec, ...]:
 
 def _fig13_specs() -> Tuple[ExperimentSpec, ...]:
     from repro.experiments.fig13_forwarding import run_fig13, run_fig13_arm
-    from repro.experiments.nfv_common import comparison_to_dict
 
     return (
         ExperimentSpec(
             name="fig13",
             title="Fig. 13 — simple forwarding @ 100 Gbps (RSS)",
             runner=run_fig13,
-            serializer=comparison_to_dict,
             default_params=_FIG13_FULL,
             reduced_params=_FIG13_REDUCED,
             split=SplitSpec(
@@ -540,14 +526,12 @@ def _fig13_specs() -> Tuple[ExperimentSpec, ...]:
 
 def _fig14_specs() -> Tuple[ExperimentSpec, ...]:
     from repro.experiments.fig14_service_chain import run_fig14, run_fig14_arm
-    from repro.experiments.nfv_common import comparison_to_dict
 
     return (
         ExperimentSpec(
             name="fig14",
             title="Figs. 1 & 14 — Router-NAPT-LB @ 100 Gbps (FlowDirector)",
             runner=run_fig14,
-            serializer=comparison_to_dict,
             default_params={
                 "offered_gbps": 100.0,
                 "n_bulk_packets": 150_000,
@@ -576,18 +560,13 @@ def _fig14_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig15_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig15_knee import (
-        fig15_to_dict,
-        run_fig15,
-        run_fig15_point,
-    )
+    from repro.experiments.fig15_knee import run_fig15, run_fig15_point
 
     return (
         ExperimentSpec(
             name="fig15",
             title="Fig. 15 — p99 latency vs throughput knee",
             runner=run_fig15,
-            serializer=fig15_to_dict,
             default_params={"n_bulk_packets": 60_000, "micro_packets": 1500},
             reduced_params={
                 "loads_gbps": [10.0, 20.0, 30.0, 45.0, 65.0, 90.0],
@@ -618,14 +597,13 @@ def _fig15_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _fig17_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.fig17_isolation import fig17_to_dict, run_fig17
+    from repro.experiments.fig17_isolation import run_fig17
 
     return (
         ExperimentSpec(
             name="fig17",
             title="Fig. 17 — slice-based isolation vs CAT",
             runner=run_fig17,
-            serializer=fig17_to_dict,
             default_params={"n_ops": 6000},
             reduced_params={"n_ops": 1500},
             claims=(
@@ -640,17 +618,13 @@ def _fig17_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _headroom_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.headroom import (
-        headroom_to_dict,
-        run_headroom_experiment,
-    )
+    from repro.experiments.headroom import run_headroom_experiment
 
     return (
         ExperimentSpec(
             name="headroom",
             title="§4.2 — dynamic headroom distribution",
             runner=run_headroom_experiment,
-            serializer=headroom_to_dict,
             default_params={"n_packets": 20_000},
             reduced_params={"n_packets": 3_000},
             claims=(
@@ -669,7 +643,6 @@ def _table_specs() -> Tuple[ExperimentSpec, ...]:
             name="table1",
             title="Table 1 — Haswell cache specification",
             runner=tables.run_table1,
-            serializer=tables.table1_to_dict,
             seeded=False,
             claims=(
                 Claim("Table 1", "LLC slice, L2 and L1 geometry match the E5-2667 v3",
@@ -687,7 +660,6 @@ def _table_specs() -> Tuple[ExperimentSpec, ...]:
             name="table2",
             title="Table 2 — traffic classes",
             runner=tables.run_table2,
-            serializer=tables.table2_to_dict,
             seeded=False,
             claims=(
                 Claim("Table 2", "eight traffic classes", lambda p: len(p["classes"]) == 8),
@@ -697,7 +669,6 @@ def _table_specs() -> Tuple[ExperimentSpec, ...]:
             name="table3",
             title="Table 3 — throughput at 100 Gbps + improvement",
             runner=tables.run_table3,
-            serializer=tables.table3_to_dict,
             # The same traffic as the Fig. 13/14 runs at each preset.
             default_params=_packet_counts(_FIG13_FULL),
             reduced_params=_packet_counts(_FIG13_REDUCED),
@@ -714,7 +685,6 @@ def _table_specs() -> Tuple[ExperimentSpec, ...]:
             name="table4",
             title="Table 4 — preferable slices per core (Skylake)",
             runner=tables.run_table4,
-            serializer=tables.table4_to_dict,
             seeded=False,
             claims=(
                 Claim("Table 4", "primary and secondary slices per core match the paper",
@@ -732,7 +702,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-ddio",
             title="Ablation — DDIO ways vs service cycles",
             runner=ablations.run_ddio_ways_ablation,
-            serializer=ablations.ddio_ablation_to_dict,
             default_params={"micro_packets": 2000},
             reduced_params={"micro_packets": 600},
             claims=(
@@ -748,7 +717,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-prefetcher",
             title="Ablation — L2 streamer prefetcher vs allocation",
             runner=ablations.run_prefetcher_ablation,
-            serializer=ablations.prefetcher_ablation_to_dict,
             default_params={"n_lines": 16384, "n_ops": 6000},
             reduced_params={"n_lines": 4096, "n_ops": 1500},
             claims=(
@@ -763,7 +731,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-replacement",
             title="Ablation — LLC replacement policies",
             runner=ablations.run_replacement_ablation,
-            serializer=ablations.replacement_ablation_to_dict,
             default_params={},
             reduced_params={"scan_lines": 1 << 17, "rounds": 4},
             claims=(
@@ -776,7 +743,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-migration",
             title="Ablation — hot-set migration vs static placement",
             runner=ablations.run_migration_experiment,
-            serializer=ablations.migration_experiment_to_dict,
             default_params={},
             reduced_params={
                 "n_keys": 1 << 15,
@@ -788,7 +754,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-value-size",
             title="Ablation — multi-line KVS values",
             runner=ablations.run_value_size_ablation,
-            serializer=ablations.value_size_ablation_to_dict,
             default_params={},
             reduced_params={"warmup": 6_000, "measured": 1_500},
             claims=(
@@ -802,7 +767,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-mtu",
             title="Ablation — MTU frames vs DDIO eviction",
             runner=ablations.run_mtu_eviction_experiment,
-            serializer=ablations.mtu_eviction_to_dict,
             default_params={"queue_depth": 512},
             # A 256-deep backlog evicts no header before the poll; the
             # effect needs the full queue depth at both presets.
@@ -816,7 +780,6 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
             name="ablation-rx-strategies",
             title="§4.2 — RX placement strategies",
             runner=ablations.run_rx_strategy_comparison,
-            serializer=ablations.rx_strategies_to_dict,
             default_params={"n_packets": 8000},
             reduced_params={"n_packets": 3000},
             claims=(
@@ -834,17 +797,13 @@ def _ablation_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _multitenant_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.multitenant import (
-        multitenant_to_dict,
-        run_multitenant_experiment,
-    )
+    from repro.experiments.multitenant import run_multitenant_experiment
 
     return (
         ExperimentSpec(
             name="ablation-multitenant",
             title="Extension — multi-tenant LLC policies",
             runner=run_multitenant_experiment,
-            serializer=multitenant_to_dict,
             default_params={"n_ops": 4000},
             reduced_params={"n_ops": 1200},
             claims=(
@@ -860,8 +819,6 @@ def _multitenant_specs() -> Tuple[ExperimentSpec, ...]:
 
 def _chaos_specs() -> Tuple[ExperimentSpec, ...]:
     from repro.experiments.chaos import (
-        chaos_tail_to_dict,
-        degradation_knee_to_dict,
         run_chaos_tail,
         run_chaos_tail_arm,
         run_degradation_knee,
@@ -873,7 +830,6 @@ def _chaos_specs() -> Tuple[ExperimentSpec, ...]:
             name="chaos-tail",
             title="Chaos — tail latency per fault class (DPDK vs +CD)",
             runner=run_chaos_tail,
-            serializer=chaos_tail_to_dict,
             default_params={
                 "chain": "forwarding",
                 "offered_gbps": 100.0,
@@ -900,7 +856,6 @@ def _chaos_specs() -> Tuple[ExperimentSpec, ...]:
             name="degradation-knee",
             title="Chaos — goodput vs fault intensity (degradation knee)",
             runner=run_degradation_knee,
-            serializer=degradation_knee_to_dict,
             default_params={
                 "fault_class": "mixed",
                 "chain": "stateful",
@@ -930,10 +885,6 @@ def _chaos_specs() -> Tuple[ExperimentSpec, ...]:
 
 def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
     from repro.experiments.fleet import (
-        fleet_availability_to_dict,
-        fleet_durability_to_dict,
-        fleet_failover_to_dict,
-        fleet_scale_to_dict,
         run_fleet_availability,
         run_fleet_availability_point,
         run_fleet_durability,
@@ -949,7 +900,6 @@ def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
             name="fleet-scale",
             title="Fleet — goodput and tails vs servers × tenants",
             runner=run_fleet_scale,
-            serializer=fleet_scale_to_dict,
             default_params={
                 "server_counts": [2, 4, 8],
                 "tenant_counts": [2, 4, 8],
@@ -980,7 +930,6 @@ def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
             name="fleet-failover",
             title="Fleet — tail inflation and recovery under server kills",
             runner=run_fleet_failover,
-            serializer=fleet_failover_to_dict,
             default_params={
                 "n_servers": 6,
                 "n_tenants": 4,
@@ -1012,7 +961,6 @@ def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
             name="fleet-availability",
             title="Fleet — unavailability and recovery under kill+stall chaos",
             runner=run_fleet_availability,
-            serializer=fleet_availability_to_dict,
             default_params={
                 "intensities": [0.0, 2.0, 4.0, 6.0, 8.0],
                 "n_servers": 6,
@@ -1045,7 +993,6 @@ def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
             name="fleet-durability",
             title="Fleet — lost keys vs replication factor × kill intensity",
             runner=run_fleet_durability,
-            serializer=fleet_durability_to_dict,
             default_params={
                 "replications": [1, 2, 3],
                 "intensities": [0.0, 1.0, 2.0],
@@ -1080,17 +1027,13 @@ def _fleet_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _skylake_port_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.skylake_port import (
-        run_skylake_port,
-        skylake_port_to_dict,
-    )
+    from repro.experiments.skylake_port import run_skylake_port
 
     return (
         ExperimentSpec(
             name="skylake-port",
             title="§6 — CacheDirector across architectures",
             runner=run_skylake_port,
-            serializer=skylake_port_to_dict,
             default_params={"micro_packets": 2500},
             reduced_params={"micro_packets": 600},
             tags=("extension",),
@@ -1104,17 +1047,13 @@ def _skylake_port_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _load_sensitivity_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.load_sensitivity import (
-        load_sensitivity_to_dict,
-        run_load_sensitivity,
-    )
+    from repro.experiments.load_sensitivity import run_load_sensitivity
 
     return (
         ExperimentSpec(
             name="load-sensitivity",
             title="Extension — p99 gain vs offered load",
             runner=run_load_sensitivity,
-            serializer=load_sensitivity_to_dict,
             default_params={},
             reduced_params={
                 "loads_gbps": [20.0, 55.0, 90.0],
@@ -1136,17 +1075,13 @@ def _load_sensitivity_specs() -> Tuple[ExperimentSpec, ...]:
 
 
 def _traffic_classes_specs() -> Tuple[ExperimentSpec, ...]:
-    from repro.experiments.traffic_classes import (
-        run_traffic_class_sweep,
-        traffic_classes_to_dict,
-    )
+    from repro.experiments.traffic_classes import run_traffic_class_sweep
 
     return (
         ExperimentSpec(
             name="traffic-classes",
             title="Table 2 sweep — low-rate latency per packet size",
             runner=run_traffic_class_sweep,
-            serializer=traffic_classes_to_dict,
             default_params={"packets_per_class": 1500},
             reduced_params={"packets_per_class": 400},
             tags=("extension",),

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.plan import InjectedFault
 from repro.lab.registry import default_registry
-from repro.lab.spec import ExperimentSpec
+from repro.lab.spec import ExperimentSpec, to_payload
 
 
 class TaskTimeout(Exception):
@@ -445,7 +445,7 @@ def run_matrix(
                     else results[0]
                 )
                 outcome.result = merged
-                outcome.payload = spec.serializer(merged)
+                outcome.payload = to_payload(merged)
             except Exception as exc:  # noqa: BLE001 - report, don't crash
                 outcome.status = "failed"
                 outcome.error = _describe_error(exc)

@@ -2,16 +2,17 @@
 
 An :class:`ExperimentSpec` is the declarative contract one experiment
 offers the orchestrator: how to run it, at which default/reduced
-parameters, how to serialize its result to JSON, (optionally) how to
-split it into independent sub-tasks that workers can execute in
-parallel and merge back bit-identically, and which of the paper's
-qualitative results (:class:`Claim`) its payload must show.
+parameters, (optionally) how to split it into independent sub-tasks
+that workers can execute in parallel and merge back bit-identically,
+and which of the paper's qualitative results (:class:`Claim`) its
+payload must show.  Every result becomes JSON through one function,
+:func:`to_payload`.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: Seeds stay in numpy's legal range.
@@ -30,6 +31,38 @@ def derive_seed(base: int, name: str, index: int = 0) -> int:
     if index == 0:
         return base % _SEED_MODULUS
     return (base + zlib.crc32(f"{name}#{index}".encode())) % _SEED_MODULUS
+
+
+def _payload_key(key: Any) -> str:
+    return "/".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def to_payload(value: Any) -> Any:
+    """The JSON-ready payload of an experiment result.
+
+    A result's payload is its ``to_dict()`` if it has one, else its
+    dataclass fields, each converted in turn: mapping keys become
+    strings (tuple keys joined by ``/``) in sorted order, numpy arrays
+    and scalars become Python values, and sequences become lists.
+    """
+    to_dict = getattr(value, "to_dict", None)
+    if to_dict is not None:
+        return to_payload(to_dict())
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        items = {_payload_key(k): to_payload(v) for k, v in value.items()}
+        return dict(sorted(items.items()))
+    if isinstance(value, str) or value is None:
+        return value
+    tolist = getattr(value, "tolist", None)  # numpy arrays and scalars
+    if tolist is not None:
+        return tolist()
+    if isinstance(value, (list, tuple)):
+        return [to_payload(item) for item in value]
+    if isinstance(value, (bool, int, float)):
+        return value
+    raise TypeError(f"{type(value).__name__} has no payload form")
 
 
 @dataclass(frozen=True)
@@ -76,16 +109,13 @@ class ExperimentSpec:
     Args:
         name: registry key (``fig13``, ``ablation-ddio``, ...).
         title: the paper artefact this reproduces (``Fig. 13``, ...).
-        runner: module-level callable computing the result object.
-        serializer: converts the result object to JSON-ready data.
+        runner: module-level callable computing the result object
+            (its payload is :func:`to_payload` of that object).
         default_params: full-scale keyword arguments.
         reduced_params: cheap keyword arguments for smoke/CI runs.
         seeded: whether ``runner`` accepts a ``seed`` keyword.
         seed_offset: added to the run's base seed for this experiment.
         split: optional parallel decomposition (see :class:`SplitSpec`).
-        rel_tol: default relative tolerance when comparing runs.
-        tolerances: per-metric-prefix overrides, each entry either
-            ``{"rel": x}`` or ``{"abs": y}``.
         tags: free-form labels (``"sweep"``, ``"extension"``, ...).
         claims: the paper results the payload must show (see
             :class:`Claim`).
@@ -94,16 +124,16 @@ class ExperimentSpec:
     name: str
     title: str
     runner: Callable[..., Any]
-    serializer: Callable[[Any], Any]
     default_params: Mapping[str, Any] = field(default_factory=dict)
     reduced_params: Mapping[str, Any] = field(default_factory=dict)
     seeded: bool = True
     seed_offset: int = 0
     split: Optional[SplitSpec] = None
-    rel_tol: float = 1e-6
-    tolerances: Mapping[str, Dict[str, float]] = field(default_factory=dict)
     tags: Tuple[str, ...] = ()
     claims: Tuple[Claim, ...] = ()
+
+    #: Every spec serializes through :func:`to_payload`; not a field.
+    serializer = staticmethod(to_payload)
 
     def params_for(self, scale: str) -> Dict[str, Any]:
         """The parameter set for ``"full"`` or ``"reduced"`` scale."""

@@ -8,10 +8,12 @@ Run-directory layout::
         fig13.json
         ...
 
-Each artifact records the parameters, seed, attempt/duration metadata,
-and the serialized result payload, so a run directory is a complete,
-self-describing record that ``repro lab compare`` can diff against
-another run or against the ``tests/golden/`` baselines.
+Each artifact records the parameters, seed, task count and the result
+payload, and nothing that varies between two runs of the same code:
+attempts and durations live in the manifest only.  So a run directory
+is a complete, self-describing record that ``repro lab compare`` can
+diff against another run or against ``tests/golden/``, which holds the
+reduced-scale, seed-0 artifacts alone (``make golden``).
 """
 
 from __future__ import annotations
@@ -113,9 +115,6 @@ class RunStore:
                     },
                     "seed": outcome.seed,
                     "tasks": outcome.tasks,
-                    "attempts": outcome.attempts,
-                    "duration_s": round(outcome.duration_s, 3),
-                    "duration_ns": int(outcome.duration_ns),
                     "result": outcome.payload,
                 }
                 path = self.artifact_path(name)

@@ -14,7 +14,7 @@ at the low (1000 pps) and high (~4 Mpps) rates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -29,11 +29,13 @@ class TrafficClass:
     packet_size: int
     rate_pps: float
     label: str
+    #: Offered load in Gbit/s (frame bytes on the wire).
+    rate_gbps: float = field(init=False)
 
-    @property
-    def rate_gbps(self) -> float:
-        """Offered load in Gbit/s (frame bytes on the wire)."""
-        return self.rate_pps * self.packet_size * 8 / 1e9
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "rate_gbps", self.rate_pps * self.packet_size * 8 / 1e9
+        )
 
 
 #: Table 2 — low rate is 1000 pps, high rate ~4 Mpps.

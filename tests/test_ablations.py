@@ -89,17 +89,18 @@ class TestBrripPolicy:
 class TestDdioWaysAblation:
     def test_disabled_ddio_is_most_expensive(self):
         results = run_ddio_ways_ablation(ways_options=(0, 2), micro_packets=300)
-        assert results[0] > results[2]
+        assert results.cycles_per_packet[0] > results.cycles_per_packet[2]
 
     def test_more_ways_never_hurt_much(self):
         results = run_ddio_ways_ablation(ways_options=(2, 8), micro_packets=300)
-        assert results[8] <= results[2] * 1.05
+        cycles = results.cycles_per_packet
+        assert cycles[8] <= cycles[2] * 1.05
 
     def test_more_ways_keep_more_of_the_backlog(self):
         """A backlog of distinct buffers outgrows 2 I/O ways, so the way
         count shows (one packet at a time it reused a single mbuf)."""
         results = run_ddio_ways_ablation(ways_options=(2, 8), micro_packets=2000)
-        assert results[8] < results[2]
+        assert results.cycles_per_packet[8] < results.cycles_per_packet[2]
 
 
 class TestPrefetcherAblation:
@@ -108,14 +109,14 @@ class TestPrefetcherAblation:
         return run_prefetcher_ablation(n_lines=4096, n_ops=2500)
 
     def test_streamer_accelerates_sequential_normal(self, result):
-        assert result.speedup("sequential", "normal") > 20.0
+        assert result.speedup_pct["sequential/normal"] > 20.0
 
     def test_streamer_useless_for_scattered_slices(self, result):
         """§8: prefetchers are built for contiguous layouts."""
-        assert abs(result.speedup("sequential", "slice")) < 5.0
+        assert abs(result.speedup_pct["sequential/slice"]) < 5.0
 
     def test_streamer_useless_for_random(self, result):
-        assert abs(result.speedup("random", "normal")) < 5.0
+        assert abs(result.speedup_pct["random/normal"]) < 5.0
 
 
 class TestValueSizeAblation:
@@ -199,8 +200,8 @@ class TestMigrationExperiment:
         slow = run_migration_experiment(ops_per_phase=160_000)
         assert fast.static_slice < fast.normal
         assert slow.migrating < slow.normal
-        assert slow.migration_gain_pct() > fast.migration_gain_pct() - 0.5
-        assert slow.migration_gain_pct() > -2.0
+        assert slow.migration_gain_pct > fast.migration_gain_pct - 0.5
+        assert slow.migration_gain_pct > -2.0
 
 
 class TestReplacementAblation:

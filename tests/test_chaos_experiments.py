@@ -7,18 +7,17 @@ import pytest
 from repro.experiments.chaos import (
     assemble_chaos_tail,
     assemble_degradation_knee,
-    chaos_tail_to_dict,
-    degradation_knee_to_dict,
     run_chaos_tail,
     run_chaos_tail_arm,
     run_degradation_knee,
     run_degradation_point,
 )
 from repro.experiments.fig13_forwarding import run_fig13_arm
-from repro.experiments.nfv_common import nfv_result_to_dict, run_nfv_experiment
+from repro.experiments.nfv_common import run_nfv_experiment
 from repro.faults.plan import NFV_PROBABILITY_FIELDS, PROBABILITY_FIELDS
 from repro.net.chain import simple_forwarding_chain
 from repro.lab.runner import run_matrix
+from repro.lab.spec import to_payload
 
 #: Smoke-sized parameters shared by every test here.
 TINY = {
@@ -42,8 +41,8 @@ class TestGoldenTransparency:
                 "none", cache_director, chain="forwarding", **TINY
             )
             direct = run_fig13_arm(cache_director, **TINY)
-            assert _canon(nfv_result_to_dict(chaos)) == _canon(
-                nfv_result_to_dict(direct)
+            assert _canon(to_payload(chaos)) == _canon(
+                to_payload(direct)
             )
             assert chaos.fault_counters is None  # no fault fields appear
 
@@ -52,16 +51,16 @@ class TestReplay:
     def test_same_args_bit_identical(self):
         a = run_chaos_tail(chain="forwarding", classes=["nic-drop"], **TINY)
         b = run_chaos_tail(chain="forwarding", classes=["nic-drop"], **TINY)
-        assert _canon(chaos_tail_to_dict(a)) == _canon(chaos_tail_to_dict(b))
+        assert _canon(to_payload(a)) == _canon(to_payload(b))
 
     def test_persisted_plans_override_generation(self):
         """Replaying from an artifact's plans beats fresh plan generation."""
-        first = chaos_tail_to_dict(
+        first = to_payload(
             run_chaos_tail(chain="forwarding", classes=["nic-drop"], **TINY)
         )
         # intensity=5 would generate a much harsher plan — the persisted
         # plans must win, reproducing the original results verbatim.
-        replay = chaos_tail_to_dict(
+        replay = to_payload(
             run_chaos_tail(
                 chain="forwarding",
                 classes=["nic-drop"],
@@ -75,7 +74,7 @@ class TestReplay:
 
     def test_faulted_run_reports_counters_and_goodput(self):
         result = run_chaos_tail(chain="forwarding", classes=["nic-drop"], **TINY)
-        arm = result.results["nic-drop"]["dpdk"]
+        arm = result.results["nic-drop"].dpdk
         assert arm.fault_counters is not None
         assert arm.fault_counters.get("nic.injected_drops", 0) > 0
         assert 0.0 < arm.goodput_gbps <= arm.achieved_gbps
@@ -109,7 +108,7 @@ class TestDegradationKnee:
 
     def test_to_dict_shape(self):
         knee = run_degradation_knee(intensities=[0.0, 2.0], **self.KNEE_TINY)
-        payload = degradation_knee_to_dict(knee)
+        payload = to_payload(knee)
         assert payload["intensities"] == [0.0, 2.0]
         assert set(payload["plans"]) == {"0", "2"}
         assert len(payload["dpdk"]) == len(payload["cachedirector"]) == 2
@@ -194,10 +193,10 @@ class TestClassesThatMeasureNothing:
             **dict(TINY, n_bulk_packets=1000, micro_packets=100),
         )
         clean = run_fig13_arm(False, **dict(TINY, n_bulk_packets=1000, micro_packets=100))
-        payload = nfv_result_to_dict(faulted)
+        payload = to_payload(faulted)
         payload.pop("goodput_gbps")
         payload.pop("fault_counters")
-        moved = _canon(payload) != _canon(nfv_result_to_dict(clean))
+        moved = _canon(payload) != _canon(to_payload(clean))
         assert moved == (field in NFV_PROBABILITY_FIELDS)
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lab.spec import to_payload
 
 
 class TestParser:
@@ -159,21 +160,21 @@ def _write_artifact(path, name, params, result):
 
 
 def _chaos_tail_artifact():
-    from repro.experiments.chaos import chaos_tail_to_dict, run_chaos_tail
+    from repro.experiments.chaos import run_chaos_tail
 
     params = {"chain": "forwarding", "classes": ["none", "mixed"],
               "n_bulk_packets": 500, "micro_packets": 50, "runs": 1}
-    result = chaos_tail_to_dict(run_chaos_tail(seed=0, **params))
+    result = to_payload(run_chaos_tail(seed=0, **params))
     return "chaos-tail", params, result
 
 
 def _fleet_failover_artifact():
-    from repro.experiments.fleet import fleet_failover_to_dict, run_fleet_failover
+    from repro.experiments.fleet import run_fleet_failover
 
     params = {"intensities": [0.0, 4.0], "n_servers": 2, "n_tenants": 2,
               "requests": 400, "warmup": 100, "n_keys": 256, "epoch_requests": 100,
               "engine": "fast"}
-    result = fleet_failover_to_dict(run_fleet_failover(seed=0, **params))
+    result = to_payload(run_fleet_failover(seed=0, **params))
     return "fleet-failover", params, result
 
 

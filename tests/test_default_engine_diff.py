@@ -19,10 +19,11 @@ from repro.cachesim.ddio import DdioEngine
 from repro.cachesim.diff import random_trace, state_fingerprint
 from repro.cachesim.machines import HASWELL_E5_2667V3, build_hierarchy
 from repro.core.slice_aware import SliceAwareContext
-from repro.experiments.nfv_common import comparison_to_dict, compare_cache_director
+from repro.experiments.nfv_common import compare_cache_director
 from repro.kvs.server import KvsServer
 from repro.kvs.store import KvsStore
 from repro.kvs.workload import GetSetMix, ZipfKeys
+from repro.lab.spec import to_payload
 from repro.mem.address import CACHE_LINE
 from repro.net.chain import router_napt_lb_chain
 
@@ -61,7 +62,7 @@ def test_nfv_chain_comparison_identical():
     """Both arms of the Router-NAPT-LB chain (Fig. 14's configuration)."""
     def compare():
         return json.dumps(
-            comparison_to_dict(
+            to_payload(
                 compare_cache_director(
                     lambda: router_napt_lb_chain(hw_offload=True),
                     steering_kind="flow-director",

@@ -20,6 +20,7 @@ from repro.cachesim.machines import HASWELL_E5_2667V3, SKYLAKE_GOLD_6134
 from repro.core.monitor import AccessMonitor, MigratingObjectStore
 from repro.core.profiles import measure_slice_latencies
 from repro.core.slice_aware import SliceAwareContext
+from repro.lab.spec import to_payload
 
 from tests.engines import ENGINES, run_on
 
@@ -92,7 +93,7 @@ def test_fig04_counters_after_every_poll(monkeypatch):
     counters must read the same before every flush+load poll and after
     every polled address, not only yield the same recovered hash."""
     from repro.core import reverse_engineering
-    from repro.experiments.fig04_hash_recovery import fig04_to_dict, run_fig04
+    from repro.experiments.fig04_hash_recovery import run_fig04
 
     log = []
     clflush = CacheHierarchy.clflush
@@ -112,7 +113,7 @@ def test_fig04_counters_after_every_poll(monkeypatch):
 
     def run():
         log.clear()
-        payload = fig04_to_dict(run_fig04(n_bases=2, verify_addresses=32))
+        payload = to_payload(run_fig04(n_bases=2, verify_addresses=32))
         return payload, list(log)
 
     runs = _both(run)
@@ -122,14 +123,11 @@ def test_fig04_counters_after_every_poll(monkeypatch):
 
 
 def test_multitenant():
-    from repro.experiments.multitenant import (
-        multitenant_to_dict,
-        run_multitenant_experiment,
-    )
+    from repro.experiments.multitenant import run_multitenant_experiment
 
     runs = _both(
         lambda: json.dumps(
-            multitenant_to_dict(
+            to_payload(
                 run_multitenant_experiment(
                     n_tenants=2, working_set_bytes=1 << 18, n_ops=300
                 )
@@ -141,11 +139,11 @@ def test_multitenant():
 
 
 def test_fig17():
-    from repro.experiments.fig17_isolation import fig17_to_dict, run_fig17
+    from repro.experiments.fig17_isolation import run_fig17
 
     runs = _both(
         lambda: json.dumps(
-            fig17_to_dict(
+            to_payload(
                 run_fig17(
                     working_set_bytes=1 << 18, neighbour_bytes=4 << 20, n_ops=300
                 )
@@ -170,13 +168,10 @@ def test_replacement_ablation():
 
 
 def test_prefetcher_ablation():
-    from repro.experiments.ablations import (
-        prefetcher_ablation_to_dict,
-        run_prefetcher_ablation,
-    )
+    from repro.experiments.ablations import run_prefetcher_ablation
 
     runs = _both(
-        lambda: prefetcher_ablation_to_dict(
+        lambda: to_payload(
             run_prefetcher_ablation(n_lines=1024, n_ops=400)
         )
     )

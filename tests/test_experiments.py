@@ -8,6 +8,7 @@ from repro.experiments.fig06_speedup import format_fig06, run_fig06
 from repro.experiments.fig12_low_rate import format_fig12, run_fig12
 from repro.experiments.headroom import format_headroom, run_headroom_experiment
 from repro.experiments.tables import (
+    CacheLevel,
     format_table1,
     format_table2,
     format_table4,
@@ -29,7 +30,7 @@ class TestFig04:
 class TestFig05:
     def test_haswell_bimodal(self):
         profile = run_fig05(runs=2)
-        assert profile.fastest_slice() == 0
+        assert profile.fastest_slice == 0
         evens = [profile.read_cycles[s] for s in (0, 2, 4, 6)]
         odds = [profile.read_cycles[s] for s in (1, 3, 5, 7)]
         assert max(evens) < min(odds)
@@ -38,7 +39,7 @@ class TestFig05:
     def test_fig16_skylake(self):
         profile = run_fig16(runs=1)
         assert profile.n_slices == 18
-        assert profile.fastest_slice() == 0
+        assert profile.fastest_slice == 0
 
     def test_format(self):
         assert "slice" in format_profile(run_fig05(runs=1), "t")
@@ -88,9 +89,9 @@ class TestTables:
     def test_table1_matches_paper(self):
         rows = table1_rows()
         llc, l2, l1 = rows
-        assert llc == ("LLC-Slice", "2.5MB", 20, 2048, "16-6")
-        assert l2 == ("L2", "256kB", 8, 512, "14-6")
-        assert l1 == ("L1", "32kB", 8, 64, "11-6")
+        assert llc == CacheLevel("LLC-Slice", "2.5MB", 20, 2048, "16-6")
+        assert l2 == CacheLevel("L2", "256kB", 8, 512, "14-6")
+        assert l1 == CacheLevel("L1", "32kB", 8, 64, "11-6")
 
     def test_formats(self):
         assert "Cache Level" in format_table1()

@@ -55,7 +55,7 @@ class TestLatencyMatrix:
         )
         assert len(profiles) == 8
         for profile in profiles:
-            assert profile.fastest_slice() == profile.core
+            assert profile.fastest_slice == profile.core
 
     def test_matrix_is_symmetric_on_the_ring(self):
         ctx = SliceAwareContext(HASWELL_E5_2667V3, seed=0)
@@ -72,14 +72,14 @@ class TestLatencyMatrix:
 class TestTrafficClassSweep:
     @pytest.fixture(scope="class")
     def points(self):
-        return run_traffic_class_sweep(packets_per_class=300)
+        return run_traffic_class_sweep(packets_per_class=300).points
 
     def test_covers_table2_sizes(self, points):
         assert [p.packet_size for p in points] == [64, 512, 1024, 1500]
 
     def test_cachedirector_never_loses(self, points):
         for point in points:
-            assert point.improvement_p99_us() >= 0.0
+            assert point.improvement_p99_us >= 0.0
 
     def test_latency_grows_with_size(self, points):
         p99s = [p.dpdk[99] for p in points]

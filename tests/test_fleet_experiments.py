@@ -7,8 +7,6 @@ import pytest
 from repro.experiments.fleet import (
     assemble_fleet_failover,
     assemble_fleet_scale,
-    fleet_failover_to_dict,
-    fleet_scale_to_dict,
     format_fleet_failover,
     format_fleet_scale,
     run_fleet_failover,
@@ -17,6 +15,7 @@ from repro.experiments.fleet import (
     run_fleet_scale_cell,
 )
 from repro.lab.registry import default_registry
+from repro.lab.spec import to_payload
 
 SHARED = dict(
     requests=1200,
@@ -50,8 +49,8 @@ class TestFleetScale:
             for n_servers in (2, 3)
         ]
         assembled = assemble_fleet_scale(params, cells)
-        assert _canon(fleet_scale_to_dict(assembled)) == _canon(
-            fleet_scale_to_dict(serial)
+        assert _canon(to_payload(assembled)) == _canon(
+            to_payload(serial)
         )
 
     def test_assemble_rejects_wrong_count(self):
@@ -94,7 +93,7 @@ class TestFleetFailover:
             seed=0,
             **SHARED,
         )
-        payload = fleet_failover_to_dict(first)
+        payload = to_payload(first)
         # Round-trip the plans through JSON, as `repro fleet replay`
         # does with a persisted artifact.
         plans = json.loads(_canon(payload["plans"]))
@@ -106,7 +105,7 @@ class TestFleetFailover:
             plans=plans,
             **SHARED,
         )
-        assert _canon(fleet_failover_to_dict(again)) == _canon(payload)
+        assert _canon(to_payload(again)) == _canon(payload)
 
     def test_replay_plans_override_generation(self):
         """A replay plan wins over seed-derived generation."""
@@ -134,8 +133,8 @@ class TestFleetFailover:
             for intensity in (0.0, 4.0)
         ]
         assembled = assemble_fleet_failover(params, points)
-        assert _canon(fleet_failover_to_dict(assembled)) == _canon(
-            fleet_failover_to_dict(serial)
+        assert _canon(to_payload(assembled)) == _canon(
+            to_payload(serial)
         )
 
     def test_recovery_metrics_present(self):

@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from repro.experiments.fleet import (
     assemble_fleet_availability,
     assemble_fleet_durability,
-    fleet_availability_to_dict,
-    fleet_durability_to_dict,
     format_fleet_availability,
     format_fleet_durability,
     run_fleet_availability,
@@ -40,6 +38,7 @@ from repro.fleet.healing import (
     resolve_healing,
 )
 from repro.fleet.ring import build_ring
+from repro.lab.spec import to_payload
 
 settings.register_profile(
     "ci",
@@ -339,14 +338,14 @@ class TestFleetAvailability:
         assembled = assemble_fleet_availability(
             dict(kw, intensities=intensities), points
         )
-        payload = fleet_availability_to_dict(serial)
-        assert _canon(fleet_availability_to_dict(assembled)) == _canon(payload)
+        payload = to_payload(serial)
+        assert _canon(to_payload(assembled)) == _canon(payload)
         # Replay from the persisted plans, as `repro fleet replay` does.
         plans = json.loads(_canon(payload["plans"]))
         again = run_fleet_availability(
             intensities=intensities, plans=plans, **kw
         )
-        assert _canon(fleet_availability_to_dict(again)) == _canon(payload)
+        assert _canon(to_payload(again)) == _canon(payload)
         assert "unavail" in format_fleet_availability(serial)
 
 
@@ -389,8 +388,8 @@ class TestFleetDurability:
             dict(SWEEP_KW, replications=replications, intensities=intensities),
             points,
         )
-        payload = fleet_durability_to_dict(serial)
-        assert _canon(fleet_durability_to_dict(assembled)) == _canon(payload)
+        payload = to_payload(serial)
+        assert _canon(to_payload(assembled)) == _canon(payload)
         plans = json.loads(_canon(payload["plans"]))
         again = run_fleet_durability(
             replications=replications,
@@ -398,5 +397,5 @@ class TestFleetDurability:
             plans=plans,
             **SWEEP_KW,
         )
-        assert _canon(fleet_durability_to_dict(again)) == _canon(payload)
+        assert _canon(to_payload(again)) == _canon(payload)
         assert "lost" in format_fleet_durability(serial)

@@ -19,12 +19,13 @@ def _value_runner(value=1, seed=0):
     return {"value": value}
 
 
-def _identity(result):
-    return result
+class _Unserializable:
+    def to_dict(self):
+        raise RuntimeError("cannot serialize")
 
 
-def _raising_serializer(result):
-    raise RuntimeError("cannot serialize")
+def _unserializable_runner(value=1, seed=0):
+    return _Unserializable()
 
 
 def _raising_check(payload):
@@ -40,7 +41,6 @@ def inject():
     def _add(**kwargs):
         kwargs.setdefault("title", kwargs["name"])
         kwargs.setdefault("runner", _value_runner)
-        kwargs.setdefault("serializer", _identity)
         kwargs.setdefault("default_params", {"value": 3})
         spec = ExperimentSpec(**kwargs)
         registry.register(spec)
@@ -132,7 +132,7 @@ class TestClaimChecking:
         assert "reads a missing key" in outcome.error
 
     def test_raising_serializer_still_writes_manifest(self, inject, tmp_path):
-        inject(name="lab-test-badser", serializer=_raising_serializer)
+        inject(name="lab-test-badser", runner=_unserializable_runner)
         inject(name="lab-test-fine")
         out_dir = tmp_path / "run"
         code = main(

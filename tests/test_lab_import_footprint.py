@@ -105,7 +105,6 @@ def _summary(spec):
         [(c.ref, c.text, c.scales) for c in spec.claims],
         spec.split is not None,
         spec.runner,
-        spec.serializer,
     )
 
 
@@ -120,7 +119,7 @@ def test_lookup_order_does_not_change_the_specs(first):
 
 
 def _spec(name):
-    return ExperimentSpec(name=name, title=name, runner=dict, serializer=dict)
+    return ExperimentSpec(name=name, title=name, runner=dict)
 
 
 def test_declared_names_build_together_on_first_lookup():

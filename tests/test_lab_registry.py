@@ -126,9 +126,7 @@ class TestCompleteness:
 class TestRegistryApi:
     def test_duplicate_rejected(self):
         registry = Registry()
-        spec = ExperimentSpec(
-            name="x", title="x", runner=lambda: 1, serializer=lambda r: r
-        )
+        spec = ExperimentSpec(name="x", title="x", runner=lambda: 1)
         registry.register(spec)
         with pytest.raises(ValueError):
             registry.register(spec)

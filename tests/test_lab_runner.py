@@ -9,7 +9,7 @@ import pytest
 
 from repro.lab.registry import default_registry
 from repro.lab.runner import TaskTimeout, build_tasks, run_matrix
-from repro.lab.spec import ExperimentSpec, SplitSpec
+from repro.lab.spec import ExperimentSpec, SplitSpec, to_payload
 from repro.lab.store import RunStore, load_run
 
 # ----------------------------------------------------------------------
@@ -61,10 +61,6 @@ def _crashing_runner(counter_path="", crash_times=1, delay=0.0, seed=0):
     return {"survived": True}
 
 
-def _identity_payload(result):
-    return result
-
-
 @pytest.fixture
 def inject():
     """Register throwaway specs into the default registry, then clean up."""
@@ -72,7 +68,6 @@ def inject():
     added = []
 
     def _add(**kwargs):
-        kwargs.setdefault("serializer", _identity_payload)
         spec = ExperimentSpec(**kwargs)
         registry.register(spec)
         added.append(spec.name)
@@ -109,13 +104,12 @@ class TestParallelIdentity:
         figure runner directly (both arms over one offered traffic)."""
         from repro.experiments.fig13_forwarding import run_fig13
         from repro.experiments.fig14_service_chain import run_fig14
-        from repro.experiments.nfv_common import comparison_to_dict
 
         runners = {"fig13": run_fig13, "fig14": run_fig14}
         tiny = {name: self.TINY[name] for name in runners}
         report = run_matrix(list(runners), jobs=2, seed=0, params_override=tiny)
         for name, runner in runners.items():
-            direct = comparison_to_dict(
+            direct = to_payload(
                 runner(seed=0, offered_gbps=100.0, **self.TINY[name])
             )
             assert json.dumps(report.experiments[name].payload, sort_keys=True) == (

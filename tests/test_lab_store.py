@@ -51,7 +51,9 @@ class TestWriteReport:
 
     def test_duration_ns_survives_display_rounding(self, tmp_path, small_report):
         """Sub-millisecond experiments keep their exact monotonic
-        duration in duration_ns even when duration_s rounds to 0.000."""
+        duration in the manifest's duration_ns even when duration_s
+        rounds to 0.000; the artifacts hold no attempts or durations,
+        so two runs of the same code write identical artifacts."""
         RunStore(tmp_path / "run").write_report(small_report)
         manifest = json.loads((tmp_path / "run" / MANIFEST_NAME).read_text())
         for name in ("fig05", "table1", "table4"):
@@ -60,7 +62,7 @@ class TestWriteReport:
             assert entry["duration_ns"] > 0
             assert entry["duration_s"] == round(entry["duration_ns"] / 1e9, 3)
             artifact = json.loads((tmp_path / "run" / f"{name}.json").read_text())
-            assert artifact["duration_ns"] == entry["duration_ns"]
+            assert not {"attempts", "duration_s", "duration_ns"} & set(artifact)
 
     def test_load_run_round_trip(self, tmp_path, small_report):
         RunStore(tmp_path / "run").write_report(small_report)

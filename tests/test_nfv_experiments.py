@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.nfv_common import (
+    NfvExperimentResult,
     compare_cache_director,
     format_comparison,
     make_steering,
@@ -75,10 +76,14 @@ class TestRunNfvExperiment:
             micro_packets=500,
             runs=1,
         )
-        assert set(results) == {"dpdk", "cachedirector"}
+        assert isinstance(results.dpdk, NfvExperimentResult)
+        assert isinstance(results.cachedirector, NfvExperimentResult)
+        assert results.improvement == results.cachedirector.summary.improvement_over(
+            results.dpdk.summary
+        )
         assert (
-            results["cachedirector"].mean_service_ns
-            < results["dpdk"].mean_service_ns
+            results.cachedirector.mean_service_ns
+            < results.dpdk.mean_service_ns
         )
         rendered = format_comparison(results, "smoke")
         assert "throughput" in rendered
@@ -118,6 +123,6 @@ class TestLoadSensitivityDriver:
             loads_gbps=[25.0, 70.0],
             n_bulk_packets=30_000,
             micro_packets=400,
-        )
+        ).points
         assert len(points) == 2
         assert points[1].improvement_us >= points[0].improvement_us - 0.5

@@ -15,10 +15,10 @@ from repro.experiments.nfv_common import (
     compare_cache_director,
     flow_queue_map,
     make_steering,
-    nfv_result_to_dict,
     run_nfv_experiment,
 )
 from repro.faults.plan import FaultPlan, plan_for_class
+from repro.lab.spec import to_payload
 from repro.net.chain import router_napt_lb_chain, simple_forwarding_chain
 from repro.net.trace import CampusTraceGenerator
 
@@ -50,7 +50,7 @@ PLANS = {
 
 
 def _canon(result):
-    return json.dumps(nfv_result_to_dict(result), sort_keys=True)
+    return json.dumps(to_payload(result), sort_keys=True)
 
 
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
@@ -61,11 +61,11 @@ def test_pair_equals_two_single_arm_runs(config, plan_name):
     pair = compare_cache_director(chain_factory, steering, **kwargs)
     for name, cache_director in (("dpdk", False), ("cachedirector", True)):
         alone = run_nfv_experiment(chain_factory, cache_director, steering, **kwargs)
-        assert _canon(pair[name]) == _canon(alone), name
+        assert _canon(getattr(pair, name)) == _canon(alone), name
     if plan_name == "mixed":
-        assert pair["dpdk"].fault_counters
+        assert pair.dpdk.fault_counters
     else:
-        assert pair["dpdk"].fault_counters is None
+        assert pair.dpdk.fault_counters is None
 
 
 def test_traffic_is_drawn_once(monkeypatch):

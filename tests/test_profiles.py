@@ -48,7 +48,7 @@ class TestLatencyProfile:
             ctx.hierarchy, ctx.hugepage, ctx.address_space.pagemap, core=0, runs=2
         )
         # Fig. 5a: each core's own slice is cheapest; bimodal pattern.
-        assert profile.fastest_slice() == 0
+        assert profile.fastest_slice == 0
         evens = [profile.read_cycles[s] for s in (0, 2, 4, 6)]
         odds = [profile.read_cycles[s] for s in (1, 3, 5, 7)]
         assert max(evens) < min(odds)
@@ -58,7 +58,7 @@ class TestLatencyProfile:
         profile = measure_slice_latencies(
             ctx.hierarchy, ctx.hugepage, ctx.address_space.pagemap, core=0, runs=2
         )
-        assert 15 <= profile.read_spread() <= 30
+        assert 15 <= profile.read_spread <= 30
 
     def test_write_latency_flat(self, haswell_context):
         """Fig. 5b: writes are flat regardless of slice."""
@@ -73,7 +73,7 @@ class TestLatencyProfile:
         profile = measure_slice_latencies(
             ctx.hierarchy, ctx.hugepage, ctx.address_space.pagemap, core=3, runs=1
         )
-        assert profile.fastest_slice() == 3
+        assert profile.fastest_slice == 3
 
     def test_skylake_profile(self):
         """Fig. 16: 18 slices on the victim-cache Skylake."""
@@ -82,7 +82,7 @@ class TestLatencyProfile:
             ctx.hierarchy, ctx.hugepage, ctx.address_space.pagemap, core=0, runs=1
         )
         assert profile.n_slices == 18
-        assert profile.fastest_slice() == 0
+        assert profile.fastest_slice == 0
         # Secondary slices (Table 4: S2, S6) come next.
         ordered = sorted(range(18), key=profile.read_cycles.__getitem__)
         assert set(ordered[1:3]) == {2, 6}

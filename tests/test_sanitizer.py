@@ -568,9 +568,9 @@ class TestDeterminism:
         guarantee CI asserts on the full matrix via golden compare)."""
         script = (
             "import json\n"
-            "from repro.experiments.fig05_access_time import (\n"
-            "    profile_to_dict, run_fig05)\n"
-            "print(json.dumps(profile_to_dict(run_fig05(seed=3)), sort_keys=True))\n"
+            "from repro.experiments.fig05_access_time import run_fig05\n"
+            "from repro.lab.spec import to_payload\n"
+            "print(json.dumps(to_payload(run_fig05(seed=3)), sort_keys=True))\n"
         )
         env = {
             "PYTHONPATH": str(Path(__file__).parent.parent / "src"),

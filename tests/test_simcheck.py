@@ -178,12 +178,9 @@ HYGIENE_OK = {
     "experiments/fig99.py": """
         def run_fig99(seed=0):
             return {"seed": seed}
-
-        def fig99_to_dict(result):
-            return dict(result)
         """,
     "lab/registry.py": """
-        from repro.experiments.fig99 import fig99_to_dict, run_fig99
+        from repro.experiments.fig99 import run_fig99
         """,
 }
 
@@ -199,9 +196,6 @@ def test_sim301_flags_unregistered_module(tmp_path):
     files["experiments/fig98.py"] = """
         def run_fig98(seed=0):
             return {}
-
-        def fig98_to_dict(result):
-            return dict(result)
         """
     _write_tree(tmp_path, files)
     result = run_simcheck([tmp_path], root=tmp_path)
@@ -210,9 +204,11 @@ def test_sim301_flags_unregistered_module(tmp_path):
 
 
 def test_sim302_flags_missing_serializer(tmp_path):
+    """The serializer contract's one checked half: a ``run_*`` entry
+    point, whose result ``to_payload`` serializes."""
     files = dict(HYGIENE_OK)
     files["experiments/fig99.py"] = """
-        def run_fig99(seed=0):
+        def fig99(seed=0):
             return {"seed": seed}
         """
     _write_tree(tmp_path, files)
@@ -236,7 +232,7 @@ def test_ignore_file_suppresses_file_scope_findings(tmp_path):
     files = dict(HYGIENE_OK)
     files["experiments/fig97.py"] = """
         # simcheck: ignore-file[SIM301, SIM302] justification here
-        def run_fig97(seed=0):
+        def fig97(seed=0):
             return {}
         """
     _write_tree(tmp_path, files)
@@ -335,13 +331,12 @@ def test_shipped_tree_is_clean():
     result = run_simcheck([SRC_REPRO], root=SRC_REPRO.parent)
     assert result.active == [], format_result(result)
     # The suppressions that do exist are all justified lab
-    # wall-clock-provenance or shared-serializer cases, or defs kept
-    # on purpose (SIM501) — keep the counts pinned so new ones are
-    # conscious decisions.
+    # wall-clock-provenance cases, or defs kept on purpose (SIM501) —
+    # keep the counts pinned so new ones are conscious decisions.
     kept = [f for f in result.suppressed if f.code == "SIM501"]
     others = [f for f in result.suppressed if f.code != "SIM501"]
-    assert len(others) == 9
-    assert {f.code for f in others} == {"SIM001", "SIM302"}
+    assert len(others) == 7
+    assert {f.code for f in others} == {"SIM001"}
     assert len(kept) == 43
 
 
@@ -366,7 +361,7 @@ def test_every_rule_runs_on_one_parse_per_file(tmp_path, monkeypatch):
         """
     files.update(HYGIENE_OK)
     files["experiments/fig98.py"] = """
-        def run_fig98(seed=0):
+        def fig98(seed=0):
             return {}
         """
     _write_tree(tmp_path, files)
@@ -418,7 +413,7 @@ def test_python_m_repro_analysis_is_repro_check():
     ]
     assert [p.returncode for p in outputs] == [0, 0], outputs[0].stderr
     assert outputs[0].stdout == outputs[1].stdout
-    assert "0 finding(s), 52 suppressed" in outputs[0].stdout
+    assert "0 finding(s), 50 suppressed" in outputs[0].stdout
 
 
 # ----------------------------------------------------------------------
